@@ -7,7 +7,7 @@ sieve/Moebius helpers the enumeration code leans on.
 
 All functions are pure and operate on arbitrary-precision integers or
 ``fractions.Fraction``; nothing here touches floating point except the
-initial guess inside integer root extraction.
+initial guess inside integer root extraction, which is corrected exactly.
 """
 
 from __future__ import annotations
@@ -300,13 +300,18 @@ def integer_kth_root(n: int, k: int) -> int:
         return n
     if k == 2:
         return math.isqrt(n)
-    r = int(round(n ** (1.0 / k)))
-    r = max(r, 1)
-    while r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+    # Newton's method on integers, started just above the root from a float
+    # estimate of log2(n) / k (math.log2 takes any int without overflow);
+    # from above, the iterates fall to the floor of the root and stop there
+    log2_root = math.log2(n) / k
+    whole = int(log2_root)
+    r = (int(2.0 ** (log2_root - whole) * 2.0**52) << whole) >> 52
+    r += (r >> 24) + 2
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def is_kth_power(n: int, k: int) -> bool:

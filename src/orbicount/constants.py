@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Tuple
 
+import mpmath
+
 from .arith import primes_up_to
 from .errors import DomainError
 from .localfactors import archimedean_blowup, archimedean_projective, denef_factor
@@ -61,25 +63,9 @@ DEFAULT_PRIME_CUTOFF = 10**6
 ZETA2 = math.pi**2 / 6
 ZETA4 = math.pi**4 / 90
 
-# B_2, B_4, ..., B_24
-_BERNOULLI = (
-    Fraction(1, 6),
-    Fraction(-1, 30),
-    Fraction(1, 42),
-    Fraction(-1, 30),
-    Fraction(5, 66),
-    Fraction(-691, 2730),
-    Fraction(7, 6),
-    Fraction(-3617, 510),
-    Fraction(43867, 798),
-    Fraction(-174611, 330),
-    Fraction(854513, 138),
-    Fraction(-236364091, 2730),
-)
-
 
 def riemann_zeta(s: float) -> float:
-    """zeta(s) for real s > 1 by Euler-Maclaurin (absolute error < 1e-14)."""
+    """zeta(s) for real s > 1, from mpmath at double precision."""
     s = float(s)
     if s <= 1:
         raise DomainError("riemann_zeta requires s > 1")
@@ -87,17 +73,7 @@ def riemann_zeta(s: float) -> float:
         return ZETA2
     if s == 4.0:
         return ZETA4
-    N = 25
-    total = math.fsum(n**-s for n in range(1, N))
-    total += N ** (1 - s) / (s - 1)
-    total += 0.5 * N**-s
-    rising = s  # s (s+1) ... (s + 2k - 2)
-    fact = 2.0  # (2k)!
-    for k, b in enumerate(_BERNOULLI, start=1):
-        total += float(b) / fact * rising * N ** (-s - 2 * k + 1)
-        rising *= (s + 2 * k - 1) * (s + 2 * k)
-        fact *= (2 * k + 1) * (2 * k + 2)
-    return total
+    return float(mpmath.zeta(s))
 
 
 # --------------------------------------------------------------------------

@@ -1,21 +1,27 @@
 """Exact bounded-height point counts on the built-in geometries.
 
-Strategies (points are counted, never materialized):
+One enumeration core per model; the counts, the height-zeta sums in
+``fitting`` and the debug dump are all built on it (points are counted, never
+materialized):
 
-* line (p1): iterate admissible denominators q and count coprime numerators
-  in an interval by inclusion-exclusion over the prime divisors of q.  The
-  unrestricted case (rational mode, or weight 1) collapses to the O(B)
-  Moebius sum  N(B) = 1 + 2 * sum_d mu(d) * floor(B/d)^2.
-* plane (pn, n = 2): same denominator-driven structure over the last
-  coordinate, counting coprime pairs per q.
-* blow-up: iterate leading pairs (x_0, x_1) up to the pruning bound
-  B^(m1/(m1+1)); admissibility depends only on the pair, and the x_2 range
-  splits into a constant-height core |x_2| <= max(x_0,|x_1|) plus a tail
-  counted coprime-wise.  All height comparisons are exact integer ones
-  obtained by clearing the rational exponents.
+* line (p1) and plane (pn, n = 2): ``line_denominators`` is the one source of
+  admissible last coordinates q.  ``count_p1`` and ``count_pn2`` share one
+  body: per q they count coprime numerators (line) or coprime pairs (plane)
+  by inclusion-exclusion over the prime divisors of q.  When every q is
+  admissible (rational mode, or weight 1) they take the O(B) Moebius sums
+  N(B) = 1 + 2 * sum_d mu(d) * floor(B/d)^2 (line) and its plane analogue.
+* blow-up: ``blowup_pairs`` sweeps the leading pairs (x_0, x_1) up to the
+  pruning bound B^(m1/(m1+1)) and yields the admissible ones that carry a
+  point of height <= B.  Admissibility depends only on the pair; the x_2
+  range splits into a constant-height core |x_2| <= max(x_0,|x_1|) plus a
+  tail up to X_2.  ``count_blowup`` counts those points in closed form and
+  the height-zeta sum weights them by H^-s.  All height comparisons are
+  exact integer ones obtained by clearing the rational exponents.
 
-Point-by-point definitional oracles (naive_count_*) are kept alongside; the
-sieved counters must agree with them exactly, which the test suite checks.
+``iter_points`` is the point-by-point definitional oracle (exact gcd, mode
+and height checks on every candidate).  The naive_count_* oracles count what
+it yields and ``dump_points`` writes it; the sieved counters must agree with
+the oracles exactly, which the test suite checks.
 
 Work is partitioned into contiguous chunks over q (line/plane) or x_0
 (blow-up); merging is integer addition, so results are identical for any
@@ -24,11 +30,12 @@ worker count.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,6 +48,7 @@ from .arith import (
     is_kth_power,
     mobius_sieve,
     primes_up_to,
+    signed_squarefree_divisors,
 )
 from .errors import BudgetExceededError, DomainError
 from .orbifold import OrbifoldModel, PlaceSet, blowup_p2, projective_space
@@ -57,6 +65,10 @@ __all__ = [
     "naive_count_p1",
     "naive_count_pn2",
     "naive_count_blowup",
+    "iter_points",
+    "blowup_pairs",
+    "line_denominators",
+    "all_denominators_admissible",
     "darmon_denominators",
     "campana_denominators",
     "k_full_numbers",
@@ -171,8 +183,25 @@ def campana_denominators(limit: int, m: int, s_primes: Sequence[int] = ()) -> Li
     return sorted(set(out))
 
 
+def all_denominators_admissible(m: int, mode: str) -> bool:
+    """True when every q >= 1 is an admissible last coordinate of the line
+    and plane models: rational mode, or weight 1."""
+    return mode == "rational" or m == 1
+
+
+def line_denominators(m: int, S: PlaceSet, Bint: int, mode: str) -> Sequence[int]:
+    """Admissible last coordinates q <= Bint of the line and plane models.
+
+    range(1, Bint + 1) when ``all_denominators_admissible``; otherwise the
+    Darmon or Campana denominators away from S."""
+    if all_denominators_admissible(m, mode):
+        return range(1, Bint + 1)
+    gen = darmon_denominators if mode == "darmon" else campana_denominators
+    return gen(Bint, m, S.finite_primes)
+
+
 # --------------------------------------------------------------------------
-# line counts
+# line and plane counts
 # --------------------------------------------------------------------------
 
 
@@ -181,19 +210,60 @@ def _line_q_count(Bint: int, q: int) -> int:
     return 2 * count_coprime(Bint, distinct_primes(q)) + (1 if q == 1 else 0)
 
 
+def _mobius_sum(Bint: int, term: Callable[[np.ndarray], np.ndarray]) -> int:
+    """sum_{d <= Bint} mu(d) term(floor(Bint/d)), in O(Bint) numpy arrays."""
+    mu = mobius_sieve(Bint).astype(np.int64)
+    f = Bint // np.arange(1, Bint + 1, dtype=np.int64)
+    return int(np.sum(mu[1:] * term(f)))
+
+
 def _count_line_all(Bint: int) -> int:
     """All of Q with height max(|p|, q) <= Bint: 1 + 2 sum mu(d) floor(B/d)^2."""
+    return 1 + 2 * _mobius_sum(Bint, lambda f: f * f)
+
+
+def _pn2_pair_count(Bint: int, q: int) -> int:
+    """#{(x0, x1) in [-B, B]^2 : gcd(x0, x1, q) = 1} by inclusion-exclusion."""
+    total = 0
+    for d in signed_squarefree_divisors(distinct_primes(q)):
+        k = 2 * (Bint // abs(d)) + 1
+        total += k * k if d > 0 else -(k * k)
+    return total
+
+
+def _count_plane_all(Bint: int) -> int:
+    """Rational-mode plane count: sum_d mu(d) floor(B/d) (2 floor(B/d) + 1)^2."""
+    return _mobius_sum(Bint, lambda f: f * (2 * f + 1) ** 2)
+
+
+def _per_q_chunk_worker(args: Tuple[Callable, int, Sequence[int]]) -> int:
+    per_q, Bint, qs = args
+    return sum(per_q(Bint, q) for q in qs)
+
+
+def _count_by_denominator(
+    per_q: Callable[[int, int], int],
+    count_all: Callable[[int], int],
+    m: int,
+    S: PlaceSet,
+    B: Union[int, float, Fraction],
+    mode: str,
+    workers: int,
+    budget: Optional[int],
+) -> int:
+    """Sum per_q(Bint, q) over the admissible q, or count_all(Bint) when
+    every q is admissible."""
+    _check_mode(mode)
+    Bint = _floor_bound(B)
     if Bint < 1:
         return 0
-    mu = mobius_sieve(Bint).astype(np.int64)
-    d = np.arange(1, Bint + 1, dtype=np.int64)
-    f = Bint // d
-    return int(1 + 2 * np.sum(mu[1:] * f * f))
-
-
-def _p1_chunk_worker(args: Tuple[int, Tuple[int, ...]]) -> int:
-    Bint, qs = args
-    return sum(_line_q_count(Bint, q) for q in qs)
+    if all_denominators_admissible(m, mode):
+        _charge(budget, Bint)
+        return count_all(Bint)
+    qs = line_denominators(m, S, Bint, mode)
+    _charge(budget, len(qs))
+    chunks = [(per_q, Bint, tuple(c)) for c in _chunked(qs)]
+    return sum(_run_chunks(_per_q_chunk_worker, chunks, workers))
 
 
 def count_p1(
@@ -205,50 +275,9 @@ def count_p1(
     budget: Optional[int] = DEFAULT_BUDGET,
 ) -> int:
     """Points of the line model with global height <= B in the given mode."""
-    _check_mode(mode)
-    Bint = _floor_bound(B)
-    if Bint < 1:
-        return 0
-    if mode == "rational" or m == 1:
-        _charge(budget, Bint)
-        return _count_line_all(Bint)
-    gen = darmon_denominators if mode == "darmon" else campana_denominators
-    qs = gen(Bint, m, S.finite_primes)
-    _charge(budget, len(qs))
-    chunks = [(Bint, tuple(c)) for c in _chunked(qs)]
-    return sum(_run_chunks(_p1_chunk_worker, chunks, workers))
-
-
-# --------------------------------------------------------------------------
-# plane counts (n = 2)
-# --------------------------------------------------------------------------
-
-
-def _pn2_pair_count(Bint: int, q: int) -> int:
-    """#{(x0, x1) in [-B, B]^2 : gcd(x0, x1, q) = 1} by inclusion-exclusion."""
-    total = 0
-    divs = [1]
-    for p in distinct_primes(q):
-        divs += [-d * p for d in divs]
-    for d in divs:
-        k = 2 * (Bint // abs(d)) + 1
-        total += k * k if d > 0 else -(k * k)
-    return total
-
-
-def _pn2_chunk_worker(args: Tuple[int, Tuple[int, ...]]) -> int:
-    Bint, qs = args
-    return sum(_pn2_pair_count(Bint, q) for q in qs)
-
-
-def _count_plane_all(Bint: int) -> int:
-    """Rational-mode plane count: sum_d mu(d) floor(B/d) (2 floor(B/d) + 1)^2."""
-    if Bint < 1:
-        return 0
-    mu = mobius_sieve(Bint).astype(np.int64)
-    d = np.arange(1, Bint + 1, dtype=np.int64)
-    f = Bint // d
-    return int(np.sum(mu[1:] * f * (2 * f + 1) ** 2))
+    return _count_by_denominator(
+        _line_q_count, _count_line_all, m, S, B, mode, workers, budget
+    )
 
 
 def count_pn2(
@@ -260,18 +289,9 @@ def count_pn2(
     budget: Optional[int] = DEFAULT_BUDGET,
 ) -> int:
     """Plane model (projective, n = 2): last coordinate plays the role of q."""
-    _check_mode(mode)
-    Bint = _floor_bound(B)
-    if Bint < 1:
-        return 0
-    if mode == "rational" or m == 1:
-        _charge(budget, Bint)
-        return _count_plane_all(Bint)
-    gen = darmon_denominators if mode == "darmon" else campana_denominators
-    qs = gen(Bint, m, S.finite_primes)
-    _charge(budget, len(qs))
-    chunks = [(Bint, tuple(c)) for c in _chunked(qs)]
-    return sum(_run_chunks(_pn2_chunk_worker, chunks, workers))
+    return _count_by_denominator(
+        _pn2_pair_count, _count_plane_all, m, S, B, mode, workers, budget
+    )
 
 
 # --------------------------------------------------------------------------
@@ -286,11 +306,16 @@ def _iroot_ratio(num: int, den: int, k: int) -> int:
     return integer_kth_root(num // den, k)
 
 
+def _blowup_mmax(Bf: Fraction, m1: int) -> int:
+    """Largest M with M^(m1+1) <= B^m1: no point with max(x0, |x1|) > M has
+    height <= B."""
+    Bm1 = Bf**m1
+    return _iroot_ratio(Bm1.numerator, Bm1.denominator, m1 + 1)
+
+
 def _blowup_pair_admissible(
     x0: int, g: int, m1: int, m2: int, s_primes: Sequence[int], mode: str
 ) -> bool:
-    if mode == "rational" or (m1 == 1 and m2 == 1):
-        return True
     g_t = _strip_primes(g, s_primes)
     q_t = _strip_primes(x0 // g, s_primes)
     if mode == "darmon":
@@ -298,34 +323,57 @@ def _blowup_pair_admissible(
     return is_k_full(g_t, m1) and is_k_full(q_t, m2)
 
 
-def _blowup_chunk_worker(
-    args: Tuple[str, int, int, Tuple[int, ...], str, int, int, int]
-) -> int:
-    Btext, m1, m2, s_primes, mode, lo, hi, Mmax = args
-    Bf = Fraction(Btext)
-    k = m1 * m2
-    Bm = Bf**k
+def blowup_pairs(
+    m1: int,
+    m2: int,
+    s_primes: Sequence[int],
+    B: Union[int, float, Fraction],
+    mode: str,
+    lo: int = 1,
+    hi: Optional[int] = None,
+) -> Iterator[Tuple[int, int, int, Tuple[int, ...], int]]:
+    """The leading pairs (x0, x1), lo <= x0 < hi (default: all x0), that are
+    admissible in the mode and carry a point of height <= B.
+
+    Yields (weight, g, M2, primes of g, X2) with g = gcd(x0, x1) and
+    M2 = max(x0, x1); weight 2 stands for x1 and -x1.  The points over the
+    pair are the x2 coprime to g with |x2| <= X2, where X2 >= M2: those with
+    |x2| <= M2 have height M2^(1+1/m1) (M2/g)^(1+1/m2-1/m1), the others
+    |x2|^(1+1/m1) (M2/g)^(1+1/m2-1/m1).
+    """
+    Bf = Fraction(B)
+    Mmax = _blowup_mmax(Bf, m1)
+    if hi is None:
+        hi = Mmax + 1
+    Bm = Bf ** (m1 * m2)
     num, den = Bm.numerator, Bm.denominator
     E1 = (m1 + 1) * m2
     E2 = m1 * m2 + m1 - m2
-    total = 0
+    admit_all = mode == "rational" or (m1 == 1 and m2 == 1)
+    # One pass per visited pair; almost all are pruned, so this loop body is
+    # the cost of the sweep and stays free of Python-level calls.
     for x0 in range(lo, hi):
         for x1 in range(0, Mmax + 1):
-            weight = 1 if x1 == 0 else 2
             g = math.gcd(x0, x1)
             M2 = max(x0, x1)
-            Q = M2 // g
-            qE2 = Q**E2
+            qE2 = (M2 // g) ** E2
             if M2**E1 * qE2 * den > num:
                 continue  # even the |x2| <= M2 heights exceed B
-            if not _blowup_pair_admissible(x0, g, m1, m2, s_primes, mode):
+            if not admit_all and not _blowup_pair_admissible(
+                x0, g, m1, m2, s_primes, mode
+            ):
                 continue
-            gp = distinct_primes(g)
-            cnt = 2 * count_coprime(M2, gp) + (1 if g == 1 else 0)
             X2 = _iroot_ratio(num, den * qE2, E1)
-            if X2 > M2:
-                cnt += 2 * (count_coprime(X2, gp) - count_coprime(M2, gp))
-            total += weight * cnt
+            yield (1 if x1 == 0 else 2), g, M2, distinct_primes(g), X2
+
+
+def _blowup_chunk_worker(
+    args: Tuple[int, int, Tuple[int, ...], Fraction, str, int, int]
+) -> int:
+    m1, m2, s_primes, Bf, mode, lo, hi = args
+    total = 0
+    for weight, g, _, gp, X2 in blowup_pairs(m1, m2, s_primes, Bf, mode, lo, hi):
+        total += weight * (2 * count_coprime(X2, gp) + (1 if g == 1 else 0))
     return total
 
 
@@ -343,14 +391,13 @@ def count_blowup(
     Bf = Fraction(B)
     if Bf < 1:
         return 0
-    Bm1 = Bf**m1
-    Mmax = _iroot_ratio(Bm1.numerator, Bm1.denominator, m1 + 1)
+    Mmax = _blowup_mmax(Bf, m1)
     if Mmax < 1:
         return 0
     _charge(budget, Mmax * (Mmax + 1))
-    ranges = _chunked_ranges(1, Mmax + 1)
     chunks = [
-        (str(Bf), m1, m2, S.finite_primes, mode, lo, hi, Mmax) for lo, hi in ranges
+        (m1, m2, S.finite_primes, Bf, mode, lo, hi)
+        for lo, hi in _chunked_ranges(1, Mmax + 1)
     ]
     return sum(_run_chunks(_blowup_chunk_worker, chunks, workers))
 
@@ -396,62 +443,50 @@ def _mode_ok(point, model: OrbifoldModel, S: PlaceSet, mode: str) -> bool:
     return geometry.is_campana(point, model, S)
 
 
+def _candidates(model: OrbifoldModel, Bf: Fraction) -> Iterator[geometry.Point]:
+    """Every primitive point whose coordinates lie in the box the height
+    bound allows, in a fixed order."""
+    if model.name in ("p1", "pn"):
+        Bint = _floor_bound(Bf)
+        box = range(-Bint, Bint + 1)
+        for q in range(1, Bint + 1):
+            for xs in itertools.product(box, repeat=model.dimension):
+                if math.gcd(q, *xs) == 1:
+                    yield geometry.ProjectivePoint.from_rationals(xs + (q,))
+    elif model.name == "blowup":
+        Mmax = _blowup_mmax(Bf, model.params["m1"])
+        box = range(-Mmax, Mmax + 1)
+        for x0 in range(1, Mmax + 1):
+            for x1, x2 in itertools.product(box, repeat=2):
+                if math.gcd(x0, x1, x2) == 1:
+                    yield geometry.BlowupPoint(Fraction(x1, x0), Fraction(x2, x0))
+    else:
+        raise DomainError(f"no point oracle for model {model.name!r}")
+
+
+def iter_points(
+    model: OrbifoldModel, S: PlaceSet, B, mode: str
+) -> Iterator[geometry.Point]:
+    """Definitional oracle: every point of the model with global height <= B
+    in the given mode, found by testing each candidate point by point."""
+    _check_mode(mode)
+    Bf = Fraction(B)
+    for pt in _candidates(model, Bf):
+        if _mode_ok(pt, model, S, mode) and geometry.global_height(pt, model).le(Bf):
+            yield pt
+
+
 def naive_count_p1(m: int, S: PlaceSet, B, mode: str) -> int:
     """Point-by-point oracle over all reduced p/q with max(|p|, q) <= B."""
-    _check_mode(mode)
-    model = projective_space(1, m)
-    Bf = Fraction(B)
-    Bint = _floor_bound(Bf)
-    total = 0
-    for q in range(1, Bint + 1):
-        for p in range(-Bint, Bint + 1):
-            if math.gcd(p, q) != 1:
-                continue
-            pt = geometry.ProjectivePoint.from_rationals((p, q))
-            if not _mode_ok(pt, model, S, mode):
-                continue
-            if geometry.global_height(pt, model).le(Bf):
-                total += 1
-    return total
+    return sum(1 for _ in iter_points(projective_space(1, m), S, B, mode))
 
 
 def naive_count_pn2(m: int, S: PlaceSet, B, mode: str) -> int:
-    _check_mode(mode)
-    model = projective_space(2, m)
-    Bf = Fraction(B)
-    Bint = _floor_bound(Bf)
-    total = 0
-    for x2 in range(1, Bint + 1):
-        for x0 in range(-Bint, Bint + 1):
-            for x1 in range(-Bint, Bint + 1):
-                if math.gcd(math.gcd(x0, x1), x2) != 1:
-                    continue
-                pt = geometry.ProjectivePoint.from_rationals((x0, x1, x2))
-                if not _mode_ok(pt, model, S, mode):
-                    continue
-                if geometry.global_height(pt, model).le(Bf):
-                    total += 1
-    return total
+    return sum(1 for _ in iter_points(projective_space(2, m), S, B, mode))
 
 
 def naive_count_blowup(m1: int, m2: int, S: PlaceSet, B, mode: str) -> int:
-    _check_mode(mode)
-    model = blowup_p2(m1, m2)
-    Bf = Fraction(B)
-    Bm1 = Bf**m1
-    Mmax = _iroot_ratio(Bm1.numerator, Bm1.denominator, m1 + 1)
-    total = 0
-    for x0 in range(1, Mmax + 1):
-        for x1 in range(-Mmax, Mmax + 1):
-            for x2 in range(-Mmax, Mmax + 1):
-                if math.gcd(math.gcd(x0, x1), x2) != 1:
-                    continue
-                pt = geometry.BlowupPoint(Fraction(x1, x0), Fraction(x2, x0))
-                if not _mode_ok(pt, model, S, mode):
-                    continue
-                if geometry.global_height(pt, model).le(Bf):
-                    total += 1
-    return total
+    return sum(1 for _ in iter_points(blowup_p2(m1, m2), S, B, mode))
 
 
 # --------------------------------------------------------------------------
@@ -584,44 +619,14 @@ def dump_points(
     total = count_points(model, S, B, mode)
     if total > cap:
         raise BudgetExceededError(f"{total} points exceed the dump cap {cap}")
-    Bf = Fraction(B)
     written = 0
-    if model.name == "p1":
-        Bint = _floor_bound(Bf)
-        for q in range(1, Bint + 1):
-            for p in range(-Bint, Bint + 1):
-                if math.gcd(p, q) != 1:
-                    continue
-                pt = geometry.ProjectivePoint.from_rationals((p, q))
-                if _mode_ok(pt, model, S, mode):
-                    fh.write(f"{p}/{q}\n")
-                    written += 1
-    elif model.name == "pn" and model.dimension == 2:
-        Bint = _floor_bound(Bf)
-        for x2 in range(1, Bint + 1):
-            for x0 in range(-Bint, Bint + 1):
-                for x1 in range(-Bint, Bint + 1):
-                    if math.gcd(math.gcd(x0, x1), x2) != 1:
-                        continue
-                    pt = geometry.ProjectivePoint.from_rationals((x0, x1, x2))
-                    if _mode_ok(pt, model, S, mode):
-                        fh.write(":".join(str(c) for c in pt.coords) + "\n")
-                        written += 1
-    elif model.name == "blowup":
-        m1 = model.params["m1"]
-        Bm1 = Bf**m1
-        Mmax = _iroot_ratio(Bm1.numerator, Bm1.denominator, m1 + 1)
-        for x0 in range(1, Mmax + 1):
-            for x1 in range(-Mmax, Mmax + 1):
-                for x2 in range(-Mmax, Mmax + 1):
-                    if math.gcd(math.gcd(x0, x1), x2) != 1:
-                        continue
-                    pt = geometry.BlowupPoint(Fraction(x1, x0), Fraction(x2, x0))
-                    if _mode_ok(pt, model, S, mode) and geometry.global_height(
-                        pt, model
-                    ).le(Bf):
-                        fh.write(f"{pt.u},{pt.w}\n")
-                        written += 1
-    else:
-        raise DomainError(f"dump is not implemented for model {model.name!r}")
+    for pt in iter_points(model, S, B, mode):
+        if model.name == "blowup":
+            fh.write(f"{pt.u},{pt.w}\n")
+        elif model.name == "p1":
+            u = Fraction(*pt.coords)
+            fh.write(f"{u.numerator}/{u.denominator}\n")
+        else:
+            fh.write(":".join(str(c) for c in pt.coords) + "\n")
+        written += 1
     return written

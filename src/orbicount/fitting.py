@@ -1,5 +1,10 @@
 """Height-zeta partial sums and asymptotic coefficient fitting.
 
+The height-zeta sums walk the same enumeration cores as the counts in
+``enumeration``: the line sum runs over ``line_denominators`` and the
+blow-up sum over the pairs of ``blowup_pairs``, weighting each point by
+H^-s instead of 1.
+
 The fit works in ratio space: kappa is the mean of N(B) / (B^a (log B)^(b-1))
 over the grid points inside the window (top two decades by default), and the
 returned c_hat is kappa * a * (b-1)!.  No second-order term is fitted; the
@@ -16,13 +21,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .arith import count_coprime, distinct_primes, euler_phi, signed_squarefree_divisors
-from .enumeration import (
-    CountSeries,
-    _floor_bound,
-    _iroot_ratio,
-    campana_denominators,
-    darmon_denominators,
-)
+from .enumeration import CountSeries, blowup_pairs, line_denominators
 from .errors import DomainError
 from .orbifold import OrbifoldModel, PlaceSet, a_invariant, b_invariant
 
@@ -42,14 +41,6 @@ class ZetaPartialSum:
     bound: float
     value: float
     mode: str
-
-
-def _line_denominators(model: OrbifoldModel, S: PlaceSet, Bint: int, mode: str):
-    m = model.params["m"]
-    if mode == "rational" or m == 1:
-        return range(1, Bint + 1)
-    gen = darmon_denominators if mode == "darmon" else campana_denominators
-    return gen(Bint, m, S.finite_primes)
 
 
 def zeta_partial_sum(
@@ -76,7 +67,7 @@ def zeta_partial_sum(
 
 
 def _zeta_line(model, S, s, Bf, mode) -> float:
-    Bint = _floor_bound(Bf)
+    Bint = math.floor(Bf)
     if Bint < 1:
         return 0.0
     powers = np.arange(Bint + 1, dtype=np.float64)
@@ -95,7 +86,7 @@ def _zeta_line(model, S, s, Bf, mode) -> float:
         return total
 
     value = 0.0
-    for q in _line_denominators(model, S, Bint, mode):
+    for q in line_denominators(model.params["m"], S, Bint, mode):
         divs = signed_squarefree_divisors(distinct_primes(q))
         at_q = 2 * euler_phi(q) + (1 if q == 1 else 0)
         value += float(q) ** -s * at_q
@@ -104,39 +95,18 @@ def _zeta_line(model, S, s, Bf, mode) -> float:
 
 
 def _zeta_blowup(model, S, s, Bf, mode) -> float:
-    from .enumeration import _blowup_pair_admissible
-
     m1, m2 = model.params["m1"], model.params["m2"]
     e1 = 1 + 1.0 / m1
     e2 = 1 + 1.0 / m2 - 1.0 / m1
-    k = m1 * m2
-    Bm = Bf**k
-    num, den = Bm.numerator, Bm.denominator
-    E1 = (m1 + 1) * m2
-    E2 = m1 * m2 + m1 - m2
-    Bm1 = Bf**m1
-    Mmax = _iroot_ratio(Bm1.numerator, Bm1.denominator, m1 + 1)
     value = 0.0
-    for x0 in range(1, Mmax + 1):
-        for x1 in range(0, Mmax + 1):
-            weight = 1 if x1 == 0 else 2
-            g = math.gcd(x0, x1)
-            M2 = max(x0, x1)
-            Q = M2 // g
-            qE2 = Q**E2
-            if M2**E1 * qE2 * den > num:
+    for weight, g, M2, gp, X2 in blowup_pairs(m1, m2, S.finite_primes, Bf, mode):
+        base = float(M2 // g) ** e2
+        core = 2 * count_coprime(M2, gp) + (1 if g == 1 else 0)
+        value += weight * core * (float(M2) ** e1 * base) ** -s
+        for t in range(M2 + 1, X2 + 1):
+            if math.gcd(t, g) != 1:
                 continue
-            if not _blowup_pair_admissible(x0, g, m1, m2, S.finite_primes, mode):
-                continue
-            gp = distinct_primes(g)
-            base = float(Q) ** e2
-            core = 2 * count_coprime(M2, gp) + (1 if g == 1 else 0)
-            value += weight * core * (float(M2) ** e1 * base) ** -s
-            X2 = _iroot_ratio(num, den * qE2, E1)
-            for t in range(M2 + 1, X2 + 1):
-                if math.gcd(t, g) != 1:
-                    continue
-                value += weight * 2 * (float(t) ** e1 * base) ** -s
+            value += weight * 2 * (float(t) ** e1 * base) ** -s
     return value
 
 

@@ -111,10 +111,28 @@ def test_power_tests_match_factorization(n, k):
 
 
 def test_integer_kth_root_exact():
-    for n in (0, 1, 7, 63, 64, 65, 10**12 - 1, 10**12):
+    for n in (0, 1, 7, 63, 64, 65, 10**12 - 1, 10**12, 10**120 + 1, 10**400):
         for k in (1, 2, 3, 5):
             r = integer_kth_root(n, k)
             assert r**k <= n < (r + 1) ** k
+    # past float range, and roots too large for a float guess to be corrected
+    # one step at a time
+    assert integer_kth_root(10**120 + 1, 3) == 10**40
+    assert integer_kth_root(10**120 - 1, 3) == 10**40 - 1
+    assert integer_kth_root(10**400, 4) == 10**100
+    assert integer_kth_root(10**400, 800) == 3
+    assert integer_kth_root(10**400, 401) == 9
+    # every small n, where the log2 guess sits closest to the root
+    for n in range(4096):
+        for k in range(3, 14):
+            r = integer_kth_root(n, k)
+            assert r**k <= n < (r + 1) ** k
+
+
+@given(n=st.integers(0, 2**2000), k=st.integers(1, 64))
+def test_integer_kth_root_huge(n, k):
+    r = integer_kth_root(n, k)
+    assert r**k <= n < (r + 1) ** k
 
 
 def test_primitive_coords_examples():

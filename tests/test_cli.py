@@ -126,6 +126,31 @@ def test_budget_cap_exits_3(capsys):
     assert "budget" in err
 
 
+def test_blowup_weight_past_float_range(capsys):
+    # B^(m1 m2) = 10^400 no longer fits a float; the counts match the oracle
+    code, out, err = run(
+        capsys, "count", "--model", "blowup", "--m1", "1", "--m2", "400", "--grid", "10"
+    )
+    assert code == 0 and "Traceback" not in err
+    assert out.splitlines()[1] == "10,129,73,73"
+    code, out, err = run(
+        capsys,
+        "zeta",
+        "--model",
+        "blowup",
+        "--m1",
+        "1",
+        "--m2",
+        "400",
+        "--bound",
+        "10",
+        "--s",
+        "3",
+    )
+    assert code == 0 and "Traceback" not in err
+    assert json.loads(out)["value"] > 0
+
+
 def test_classify_line_point(capsys):
     code, out, _ = run(capsys, "classify", "--model", "p1", "--m", "2", "4/9")
     assert code == 0

@@ -7,6 +7,7 @@ import pytest
 from orbicount.arith import is_k_full, is_kth_power
 from orbicount.enumeration import (
     CSV_HEADER,
+    all_denominators_admissible,
     campana_denominators,
     count_blowup,
     count_p1,
@@ -16,6 +17,7 @@ from orbicount.enumeration import (
     darmon_denominators,
     dump_points,
     k_full_numbers,
+    line_denominators,
     naive_count_blowup,
     naive_count_p1,
     naive_count_pn2,
@@ -58,6 +60,16 @@ def test_denominator_generators_match_definitions():
             campana = [q for q in range(1, 400) if is_k_full(stripped(q), m)]
             assert darmon_denominators(399, m, s_primes) == darmon
             assert campana_denominators(399, m, s_primes) == campana
+
+
+def test_all_denominators_admissible_matches_line_denominators():
+    # the counts take the all-of-Q route exactly when the predicate holds, so
+    # it must agree with the denominator source on every (m, mode)
+    for m in (1, 2, 3):
+        for mode in ("rational", "darmon", "campana"):
+            qs = list(line_denominators(m, S0, 200, mode))
+            every_q = qs == list(range(1, 201))
+            assert all_denominators_admissible(m, mode) == every_q
 
 
 def test_k_full_numbers_small():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from orbicount.constants import ZETA2
-from orbicount.enumeration import count_p1, count_series
+from orbicount.enumeration import MODES, count_p1, count_series, iter_points
 from orbicount.errors import DomainError
 from orbicount.fitting import (
     fit_counts,
@@ -35,6 +35,22 @@ def test_partial_sum_blowup_small():
     z4 = zeta_partial_sum(blowup_p2(1, 1), S0, 2.0, 4)
     # 9 points at H=1 plus 12 at H=4
     assert z4.value == pytest.approx(9 + 12 / 16.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("weights", [(1, 1), (2, 1), (1, 2)])
+def test_partial_sum_blowup_matches_oracle(weights):
+    import orbicount.geometry as g
+
+    model = blowup_p2(*weights)
+    B, s = 30, 2.5
+    for S in (S0, PlaceSet.of([2])):
+        for mode in MODES:
+            brute = math.fsum(
+                g.global_height(pt, model).value ** -s
+                for pt in iter_points(model, S, B, mode)
+            )
+            z = zeta_partial_sum(model, S, s, B, mode)
+            assert z.value == pytest.approx(brute, rel=1e-12)
 
 
 def test_partial_sum_matches_bruteforce_line():

@@ -11,11 +11,11 @@ count on the blow-up model (weights m1 = m2 = 1):
 This script enumerates N(B) over decades, prints the windowed single-term
 fit N/(B log B) together with per-decade slopes of N/B against log B (the
 slope estimator cancels the linear term c2*B, which is large here: the
-single-term ratio overshoots every candidate for B <= 1e7), and names the
+single-term ratio overshoots every candidate for B <= 1e9), and names the
 candidate the data supports.
 
 Usage:
-    python scripts/blowup_adjudication.py --bmax 1e6 --workers 4
+    python scripts/blowup_adjudication.py --bmax 1e9
 """
 
 import argparse

@@ -130,13 +130,11 @@ def _spf_table() -> List[int]:
     """Smallest-prime-factor table up to SIEVE_BOUND, built lazily once."""
     global _SPF
     if not _SPF:
-        spf = list(range(SIEVE_BOUND))
-        for p in range(2, math.isqrt(SIEVE_BOUND) + 1):
-            if spf[p] == p:
-                for m in range(p * p, SIEVE_BOUND, p):
-                    if spf[m] == m:
-                        spf[m] = p
-        _SPF = spf
+        spf = np.arange(SIEVE_BOUND, dtype=np.int32)
+        # descending, so the smallest prime p with p^2 <= m writes spf[m] last
+        for p in reversed(primes_up_to(math.isqrt(SIEVE_BOUND))):
+            spf[p * p :: p] = p
+        _SPF = spf.tolist()
     return _SPF
 
 

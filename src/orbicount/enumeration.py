@@ -10,20 +10,22 @@ materialized):
   by inclusion-exclusion over the prime divisors of q.  When every q is
   admissible (rational mode, or weight 1) they take the O(B) Moebius sums
   N(B) = 1 + 2 * sum_d mu(d) * floor(B/d)^2 (line) and its plane analogue.
-* blow-up: ``blowup_pairs`` sweeps the leading pairs (x_0, x_1) up to the
-  pruning bound B^(m1/(m1+1)) and yields the admissible ones that carry a
-  point of height <= B.  Admissibility depends only on the pair; the x_2
-  range splits into a constant-height core |x_2| <= max(x_0,|x_1|) plus a
-  tail up to X_2.  ``count_blowup`` counts those points in closed form and
-  the height-zeta sum weights them by H^-s.  All height comparisons are
-  exact integer ones obtained by clearing the rational exponents.
+* blow-up: ``blowup_pairs`` walks the leading pairs (x_0, x_1) = (g a, g b),
+  gcd(a, b) = 1, stratum by stratum: g and a run over ``line_denominators``
+  for weights m1 and m2 (the pair is admissible exactly then), and
+  max(a, b) up to a cap that depends only on g, so only pairs that carry a
+  point of height <= B are visited.  The x_2 range splits into a
+  constant-height core |x_2| <= max(x_0,|x_1|) plus a tail up to X_2.
+  ``count_blowup`` counts those points in closed form and the height-zeta
+  sum weights them by H^-s.  All height comparisons are exact integer ones
+  obtained by clearing the rational exponents.
 
 ``iter_points`` is the point-by-point definitional oracle (exact gcd, mode
 and height checks on every candidate).  The naive_count_* oracles count what
 it yields and ``dump_points`` writes it; the sieved counters must agree with
 the oracles exactly, which the test suite checks.
 
-Work is partitioned into contiguous chunks over q (line/plane) or x_0
+Work is partitioned into contiguous chunks over q (line/plane) or g
 (blow-up); merging is integer addition, so results are identical for any
 worker count.
 """
@@ -43,9 +45,8 @@ from . import geometry
 from .arith import (
     count_coprime,
     distinct_primes,
+    euler_phi,
     integer_kth_root,
-    is_k_full,
-    is_kth_power,
     mobius_sieve,
     primes_up_to,
     signed_squarefree_divisors,
@@ -110,13 +111,6 @@ def _charge(budget: Optional[int], amount: int) -> None:
         raise BudgetExceededError(
             f"enumeration would touch ~{amount} candidate tuples (budget {budget})"
         )
-
-
-def _strip_primes(n: int, primes: Sequence[int]) -> int:
-    for p in primes:
-        while n % p == 0:
-            n //= p
-    return n
 
 
 # --------------------------------------------------------------------------
@@ -313,66 +307,62 @@ def _blowup_mmax(Bf: Fraction, m1: int) -> int:
     return _iroot_ratio(Bm1.numerator, Bm1.denominator, m1 + 1)
 
 
-def _blowup_pair_admissible(
-    x0: int, g: int, m1: int, m2: int, s_primes: Sequence[int], mode: str
-) -> bool:
-    g_t = _strip_primes(g, s_primes)
-    q_t = _strip_primes(x0 // g, s_primes)
-    if mode == "darmon":
-        return is_kth_power(g_t, m1) and is_kth_power(q_t, m2)
-    return is_k_full(g_t, m1) and is_k_full(q_t, m2)
-
-
 def blowup_pairs(
     m1: int,
     m2: int,
-    s_primes: Sequence[int],
+    S: PlaceSet,
     B: Union[int, float, Fraction],
     mode: str,
-    lo: int = 1,
-    hi: Optional[int] = None,
+    gs: Optional[Sequence[int]] = None,
 ) -> Iterator[Tuple[int, int, int, Tuple[int, ...], int]]:
-    """The leading pairs (x0, x1), lo <= x0 < hi (default: all x0), that are
-    admissible in the mode and carry a point of height <= B.
+    """The leading pairs (x0, x1) that are admissible in the mode and carry a
+    point of height <= B, over the ascending strata g = gcd(x0, x1) in gs
+    (default: every admissible g).
 
-    Yields (weight, g, M2, primes of g, X2) with g = gcd(x0, x1) and
-    M2 = max(x0, x1); weight 2 stands for x1 and -x1.  The points over the
-    pair are the x2 coprime to g with |x2| <= X2, where X2 >= M2: those with
-    |x2| <= M2 have height M2^(1+1/m1) (M2/g)^(1+1/m2-1/m1), the others
-    |x2|^(1+1/m1) (M2/g)^(1+1/m2-1/m1).
+    Write x0 = g a and x1 = g b with gcd(a, b) = 1, and c = max(a, b).  The
+    pair is admissible when g is an admissible line denominator for weight m1
+    and a = x0/g one for weight m2, and it carries a point of height <= B when
+    g^E1 c^(E1+E2) <= B^(m1 m2); so g and a run over ``line_denominators``
+    and c up to its cap C(g), and no pair is tested.
+
+    Yields (weight, g, M2, primes of g, X2) with M2 = max(x0, x1) = g c;
+    weight 2 stands for x1 and -x1, and the pairs with b <= a share one yield
+    of weight 2 phi(a) + [a = 1].  The points over the pair are the x2
+    coprime to g with |x2| <= X2, where X2 >= M2: those with |x2| <= M2 have
+    height M2^(1+1/m1) c^(1+1/m2-1/m1), the others |x2|^(1+1/m1)
+    c^(1+1/m2-1/m1).
     """
     Bf = Fraction(B)
-    Mmax = _blowup_mmax(Bf, m1)
-    if hi is None:
-        hi = Mmax + 1
     Bm = Bf ** (m1 * m2)
     num, den = Bm.numerator, Bm.denominator
     E1 = (m1 + 1) * m2
     E2 = m1 * m2 + m1 - m2
-    admit_all = mode == "rational" or (m1 == 1 and m2 == 1)
-    # One pass per visited pair; almost all are pruned, so this loop body is
-    # the cost of the sweep and stays free of Python-level calls.
-    for x0 in range(lo, hi):
-        for x1 in range(0, Mmax + 1):
-            g = math.gcd(x0, x1)
-            M2 = max(x0, x1)
-            qE2 = (M2 // g) ** E2
-            if M2**E1 * qE2 * den > num:
-                continue  # even the |x2| <= M2 heights exceed B
-            if not admit_all and not _blowup_pair_admissible(
-                x0, g, m1, m2, s_primes, mode
-            ):
-                continue
-            X2 = _iroot_ratio(num, den * qE2, E1)
-            yield (1 if x1 == 0 else 2), g, M2, distinct_primes(g), X2
+    if gs is None:
+        gs = line_denominators(m1, S, _blowup_mmax(Bf, m1), mode)
+    if not gs:
+        return
+    # the cap C(g) on c falls as g grows, so the first stratum's cap bounds c
+    cmax = _iroot_ratio(num, den * gs[0] ** E1, E1 + E2)
+    X2 = [0] + [_iroot_ratio(num, den * c**E2, E1) for c in range(1, cmax + 1)]
+    admissible_a = line_denominators(m2, S, cmax, mode)
+    for g in gs:
+        C = _iroot_ratio(num, den * g**E1, E1 + E2)
+        gp = distinct_primes(g)
+        for a in admissible_a:
+            if a > C:
+                break
+            yield 2 * euler_phi(a) + (a == 1), g, g * a, gp, X2[a]
+            for b in range(a + 1, C + 1):
+                if math.gcd(a, b) == 1:
+                    yield 2, g, g * b, gp, X2[b]
 
 
 def _blowup_chunk_worker(
-    args: Tuple[int, int, Tuple[int, ...], Fraction, str, int, int]
+    args: Tuple[int, int, PlaceSet, Fraction, str, Sequence[int]]
 ) -> int:
-    m1, m2, s_primes, Bf, mode, lo, hi = args
+    m1, m2, S, Bf, mode, gs = args
     total = 0
-    for weight, g, _, gp, X2 in blowup_pairs(m1, m2, s_primes, Bf, mode, lo, hi):
+    for weight, g, _, gp, X2 in blowup_pairs(m1, m2, S, Bf, mode, gs):
         total += weight * (2 * count_coprime(X2, gp) + (1 if g == 1 else 0))
     return total
 
@@ -395,10 +385,8 @@ def count_blowup(
     if Mmax < 1:
         return 0
     _charge(budget, Mmax * (Mmax + 1))
-    chunks = [
-        (m1, m2, S.finite_primes, Bf, mode, lo, hi)
-        for lo, hi in _chunked_ranges(1, Mmax + 1)
-    ]
+    gs = line_denominators(m1, S, Mmax, mode)
+    chunks = [(m1, m2, S, Bf, mode, c) for c in _chunked(gs)]
     return sum(_run_chunks(_blowup_chunk_worker, chunks, workers))
 
 
@@ -414,13 +402,6 @@ def _chunked(seq: Sequence[int]) -> Iterable[Sequence[int]]:
         return []
     size = max(1, (len(seq) + _N_CHUNKS - 1) // _N_CHUNKS)
     return [seq[i : i + size] for i in range(0, len(seq), size)]
-
-
-def _chunked_ranges(lo: int, hi: int) -> List[Tuple[int, int]]:
-    if hi <= lo:
-        return []
-    size = max(1, (hi - lo + _N_CHUNKS - 1) // _N_CHUNKS)
-    return [(a, min(a + size, hi)) for a in range(lo, hi, size)]
 
 
 def _run_chunks(fn, chunk_args, workers: int) -> List[int]:

@@ -2,8 +2,8 @@
 
 The height-zeta sums walk the same enumeration cores as the counts in
 ``enumeration``: the line sum runs over ``line_denominators`` and the
-blow-up sum over the pairs of ``blowup_pairs``, weighting each point by
-H^-s instead of 1.
+blow-up sum over the gcd strata of ``blowup_pairs`` (whose g and x_0/g are
+themselves line denominators), weighting each point by H^-s instead of 1.
 
 The fit works in ratio space: kappa is the mean of N(B) / (B^a (log B)^(b-1))
 over the grid points inside the window (top two decades by default), and the
@@ -99,7 +99,7 @@ def _zeta_blowup(model, S, s, Bf, mode) -> float:
     e1 = 1 + 1.0 / m1
     e2 = 1 + 1.0 / m2 - 1.0 / m1
     value = 0.0
-    for weight, g, M2, gp, X2 in blowup_pairs(m1, m2, S.finite_primes, Bf, mode):
+    for weight, g, M2, gp, X2 in blowup_pairs(m1, m2, S, Bf, mode):
         base = float(M2 // g) ** e2
         core = 2 * count_coprime(M2, gp) + (1 if g == 1 else 0)
         value += weight * core * (float(M2) ** e1 * base) ** -s

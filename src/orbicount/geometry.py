@@ -12,9 +12,8 @@ floating point; only archimedean values are floats.
 
 Blow-up multiplicity convention: at the strict-transform component the
 implemented multiplicity is max(0, v(x_0) - v(x_1)).  The transposed variant
-max(0, v(x_1) - v(x_0)) is exposed separately as a diagnostic; it is
-inconsistent with the local height factorization H_p = p^(sum lam_a * n_a)
-(see multiplicities_blowup_transposed and the test suite).
+max(0, v(x_1) - v(x_0)) is inconsistent with the local height factorization
+H_p = p^(sum lam_a * n_a); the test suite keeps it to demonstrate that.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ __all__ = [
     "multiplicities",
     "multiplicities_pn",
     "multiplicities_blowup",
-    "multiplicities_blowup_transposed",
     "is_darmon",
     "is_campana",
     "LocalHeight",
@@ -142,20 +140,6 @@ def multiplicities_blowup(point: BlowupPoint, p: int) -> Dict[str, int]:
         return {"D1": v0, "D2": 0}
     v1 = int_valuation(x1, p)
     return {"D1": min(v0, v1), "D2": max(0, v0 - v1)}
-
-
-def multiplicities_blowup_transposed(point: BlowupPoint, p: int) -> Dict[str, int]:
-    """Transposed D2 variant max(0, v(x_1) - v(x_0)); diagnostic only.
-
-    This reading breaks the identity local_height = p^(sum lam_a n_a); it is
-    kept so the inconsistency can be demonstrated, not used for counting.
-    """
-    x0, x1, _ = point.triple
-    v0 = int_valuation(x0, p)
-    if x1 == 0:
-        return {"D1": v0, "D2": 0}
-    v1 = int_valuation(x1, p)
-    return {"D1": min(v0, v1), "D2": max(0, v1 - v0)}
 
 
 def multiplicities(point: Point, model: OrbifoldModel, p: int) -> Dict[str, int]:

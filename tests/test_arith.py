@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from orbicount import arith
 from orbicount.arith import (
     INFINITY,
     count_coprime,
@@ -73,6 +74,20 @@ def test_factorize_beyond_sieve_bound():
     p, q = 10**9 + 7, 10**9 + 9  # both prime, product far beyond the sieve
     assert factorize(p * q) == {p: 1, q: 1}
     assert factorize(2**5 * p) == {2: 5, p: 1}
+
+
+def test_spf_table_matches_loop_sieve():
+    # the numpy-built table against the plain loop sieve it replaced
+    n = arith.SIEVE_BOUND
+    spf = list(range(n))
+    for p in range(2, math.isqrt(n) + 1):
+        if spf[p] == p:
+            for m in range(p * p, n, p):
+                if spf[m] == m:
+                    spf[m] = p
+    table = arith._spf_table()
+    assert table == spf
+    assert all(type(v) is int for v in table)  # factorize does Python int arithmetic
 
 
 @given(n=st.integers(1, 10**6))

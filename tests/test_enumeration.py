@@ -29,6 +29,7 @@ from orbicount.orbifold import PlaceSet, blowup_p2, projective_space
 
 S0 = PlaceSet.of()
 S2 = PlaceSet.of([2])
+S23 = PlaceSet.of([2, 3])
 
 
 def test_exact_small_counts_line():
@@ -86,11 +87,17 @@ def test_sieved_equals_naive_line(m, s_primes):
             assert count_p1(m, S, B, mode) == naive_count_p1(m, S, B, mode)
 
 
-@pytest.mark.parametrize("weights", [(1, 1), (2, 1), (1, 2), (2, 3)])
+@pytest.mark.parametrize("weights", [(1, 1), (2, 1), (1, 2), (2, 3), (3, 2)])
 def test_sieved_equals_naive_blowup(weights):
     m1, m2 = weights
-    for S in (S0, S2):
-        for B in (1, 9, 60):
+    # the oracle walks ~B^(3 m1/(m1+1)) candidates: smaller bounds for larger m1
+    bounds = {
+        1: (1, 9, Fraction(121, 2), 60),
+        2: (1, 9, Fraction(43, 2), 60),
+        3: (1, 9, Fraction(43, 2)),
+    }[m1]
+    for S in (S0, S2, S23):
+        for B in bounds:
             for mode in ("rational", "campana", "darmon"):
                 assert count_blowup(m1, m2, S, B, mode) == naive_count_blowup(
                     m1, m2, S, B, mode
@@ -126,6 +133,10 @@ def test_worker_determinism():
         assert count_blowup(1, 1, S0, 500, "rational", workers=workers) == count_blowup(
             1, 1, S0, 500, "rational", workers=1
         )
+        for mode in ("darmon", "campana"):  # the g strata form a list, not a range
+            assert count_blowup(2, 1, S2, 3000, mode, workers=workers) == count_blowup(
+                2, 1, S2, 3000, mode, workers=1
+            )
 
 
 def test_darmon_counts_nonincreasing_in_m():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orbicount.arith import is_k_full, is_kth_power, valuation
+from orbicount.arith import int_valuation, is_k_full, is_kth_power, valuation
 from orbicount.errors import BoundaryPointError, PointParseError
 from orbicount.geometry import (
     ARCH,
@@ -19,7 +19,6 @@ from orbicount.geometry import (
     local_height,
     multiplicities,
     multiplicities_blowup,
-    multiplicities_blowup_transposed,
     multiplicities_pn,
     parse_point,
     relevant_primes,
@@ -60,6 +59,20 @@ def test_multiplicities_blowup_examples():
     assert multiplicities_blowup(
         BlowupPoint(Fraction(2, 9), Fraction(5, 9)), 3
     ) == {"D1": 0, "D2": 2}
+
+
+def multiplicities_blowup_transposed(point, p):
+    """Transposed D2 variant max(0, v(x_1) - v(x_0)); diagnostic only.
+
+    This reading breaks the identity local_height = p^(sum lam_a n_a); it is
+    kept so the inconsistency can be demonstrated, not used for counting.
+    """
+    x0, x1, _ = point.triple
+    v0 = int_valuation(x0, p)
+    if x1 == 0:
+        return {"D1": v0, "D2": 0}
+    v1 = int_valuation(x1, p)
+    return {"D1": min(v0, v1), "D2": max(0, v1 - v0)}
 
 
 def test_blowup_transposed_variant_breaks_height_pairing():

@@ -6,8 +6,12 @@ bounded height on the line model and compares the endpoint coefficients
 N(B)/B^a against the closed-form constants, including the S-place
 correction ratio.
 
+The rational count takes the Mertens route (O(B^(2/3))), so it runs at the
+full bound; --bmax 1e9 takes about 20 s, nearly all of it in the m = 2
+per-denominator counts.
+
 Usage:
-    python scripts/line_asymptotics.py --bmax 1e6
+    python scripts/line_asymptotics.py --bmax 1e9
 """
 
 import argparse
@@ -27,10 +31,9 @@ def main() -> int:
     S2 = PlaceSet.of([2])
 
     print(f"== line model, B = {B} ==")
-    n = enumeration.count_p1(1, S0, min(B, 10**5), "rational")
-    b1 = min(B, 10**5)
+    n = enumeration.count_p1(1, S0, B, "rational")
     print(
-        f"m=1 rational: N({b1}) = {n}; N/B^2 = {n / b1**2:.6f} "
+        f"m=1 rational: N({B}) = {n}; N/B^2 = {n / B**2:.6f} "
         f"vs 2/zeta(2) = {2 / constants.ZETA2:.6f}"
     )
 

@@ -139,15 +139,20 @@ def _spf_table() -> List[int]:
 
 
 def mobius_sieve(n: int) -> np.ndarray:
-    """Moebius function mu(0..n) as an int8 array."""
+    """Moebius function mu(0..n) as an int8 array.
+
+    Only the primes p <= isqrt(n) are sieved; rest[i] is i with each of them
+    divided out once, so a squarefree i has one more prime factor (above
+    isqrt(n)) exactly when rest[i] > 1."""
     mu = np.ones(n + 1, dtype=np.int8)
     if n >= 0:
         mu[0] = 0
-    for p in primes_up_to(n):
+    rest = np.arange(n + 1, dtype=np.int32 if n < 2**31 else np.int64)
+    for p in primes_up_to(math.isqrt(max(n, 0))):
         mu[p::p] *= -1
-        sq = p * p
-        if sq <= n:
-            mu[sq::sq] = 0
+        rest[p::p] //= p
+        mu[p * p :: p * p] = 0
+    np.negative(mu, out=mu, where=rest > 1)
     return mu
 
 

@@ -3,7 +3,7 @@
 Subcommands: count, classify, constant, local-factor, fit, zeta.
 CSV schema for counts: ``B,n_rational,n_campana,n_darmon``.  All JSON output
 uses lower_snake_case keys.  Exit codes: 0 success, 2 usage or domain error,
-3 resource cap exceeded.
+3 resource cap exceeded (the enumeration budget, or an allocation that fails).
 
 An optional ``--config path`` file provides line-oriented ``key=value``
 defaults (same names as the long flags); explicit flags win.
@@ -484,6 +484,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc})", file=sys.stderr)
         return 3
     except (DomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

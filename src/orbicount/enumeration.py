@@ -8,8 +8,12 @@ materialized):
   admissible last coordinates q.  ``count_p1`` and ``count_pn2`` share one
   body: per q they count coprime numerators (line) or coprime pairs (plane)
   by inclusion-exclusion over the prime divisors of q.  When every q is
-  admissible (rational mode, or weight 1) they take the O(B) Moebius sums
-  N(B) = 1 + 2 * sum_d mu(d) * floor(B/d)^2 (line) and its plane analogue.
+  admissible (rational mode, or weight 1) they take the Moebius sums
+  N(B) = 1 + 2 * sum_d mu(d) * floor(B/d)^2 (line) and its plane analogue,
+  summed over the about 2 sqrt(B) runs of equal floor(B/d) with Mertens
+  values M(floor(B/k)): a Moebius sieve up to about B^(2/3) and the
+  recursion M(x) = 1 - sum_{j>=2} M(floor(x/j)) above it (Deleglise and
+  Rivat), so time and memory are O(B^(2/3)).
 * blow-up: ``blowup_pairs`` walks the leading pairs (x_0, x_1) = (g a, g b),
   gcd(a, b) = 1, stratum by stratum: g and a run over ``line_denominators``
   for weights m1 and m2 (the pair is admissible exactly then), and
@@ -109,7 +113,7 @@ def _floor_bound(B: Union[int, float, Fraction]) -> int:
 def _charge(budget: Optional[int], amount: int) -> None:
     if budget is not None and amount > budget:
         raise BudgetExceededError(
-            f"enumeration would touch ~{amount} candidate tuples (budget {budget})"
+            f"enumeration would take ~{amount} steps (budget {budget})"
         )
 
 
@@ -183,13 +187,36 @@ def all_denominators_admissible(m: int, mode: str) -> bool:
     return mode == "rational" or m == 1
 
 
-def line_denominators(m: int, S: PlaceSet, Bint: int, mode: str) -> Sequence[int]:
+def _denominator_bound(m: int, s_primes: Sequence[int], limit: int, mode: str) -> int:
+    """Upper bound on the number of Darmon or Campana denominators <= limit.
+
+    The q = s d^m with s S-smooth number at most sum_s (limit/s)^(1/m)
+    <= limit^(1/m) prod_{p in S} 1/(1 - p^(-1/m)).  The m-full numbers <= X
+    are a^m prod_{j=m+1}^{2m-1} b_j^j, at most X^(1/m) prod_j zeta(j/m), and
+    zeta(j/m) <= j/(j-m) makes that product at most binom(2m-1, m).  Each
+    S factor is rounded up to a multiple of 2^-20, so the bound stays an
+    integer for any limit."""
+    bound = integer_kth_root(limit, m) + 1
+    if mode == "campana":
+        bound *= math.comb(2 * m - 1, m)
+    for p in s_primes:
+        factor = math.ceil(2**20 / (1 - 2 ** (-math.log2(p) / m)) * (1 + 1e-12))
+        bound = -(-bound * factor // 2**20)
+    return bound
+
+
+def line_denominators(
+    m: int, S: PlaceSet, Bint: int, mode: str, budget: Optional[int] = None
+) -> Sequence[int]:
     """Admissible last coordinates q <= Bint of the line and plane models.
 
     range(1, Bint + 1) when ``all_denominators_admissible``; otherwise the
-    Darmon or Campana denominators away from S."""
+    Darmon or Campana denominators away from S.  The budget is charged an
+    upper bound on their number before any of them is generated."""
     if all_denominators_admissible(m, mode):
+        _charge(budget, Bint)
         return range(1, Bint + 1)
+    _charge(budget, _denominator_bound(m, S.finite_primes, Bint, mode))
     gen = darmon_denominators if mode == "darmon" else campana_denominators
     return gen(Bint, m, S.finite_primes)
 
@@ -204,11 +231,61 @@ def _line_q_count(Bint: int, q: int) -> int:
     return 2 * count_coprime(Bint, distinct_primes(q)) + (1 if q == 1 else 0)
 
 
-def _mobius_sum(Bint: int, term: Callable[[np.ndarray], np.ndarray]) -> int:
-    """sum_{d <= Bint} mu(d) term(floor(Bint/d)), in O(Bint) numpy arrays."""
-    mu = mobius_sieve(Bint).astype(np.int64)
-    f = Bint // np.arange(1, Bint + 1, dtype=np.int64)
-    return int(np.sum(mu[1:] * term(f)))
+def _mertens_sieve_limit(N: int) -> int:
+    """Sieve length of ``_mobius_sum``: about N^(2/3) / 2, at least isqrt(N)."""
+    return max(math.isqrt(N), integer_kth_root(N, 3) ** 2 // 2)
+
+
+def _mobius_sum_work(N: int) -> int:
+    """Predicted steps of ``_mobius_sum(N, ...)``: the sieve length, the
+    recursion's 2 sqrt(N/k) array entries for each k <= K (at most
+    4 sqrt(N K)) and the 2 sqrt(N) final terms."""
+    L = _mertens_sieve_limit(N)
+    return L + 4 * math.isqrt(N * (N // (L + 1))) + 2 * math.isqrt(N)
+
+
+def _mobius_sum(N: int, term: Callable[[int], int]) -> int:
+    """sum_{d <= N} mu(d) term(floor(N/d)), exactly, in O(N^(2/3)) time and
+    memory.
+
+    The Mertens function M(x) = sum_{d <= x} mu(d) comes from a Moebius sieve
+    for x <= L, and at the K points x = floor(N/k) > L from the recursion
+    M(x) = 1 - sum_{j=2}^{x} M(floor(x/j)), for k = K down to 1: with
+    r = isqrt(x), the j <= x // (r+1) are summed one by one (floor(x/j) =
+    floor(N/(k j)) is an earlier point or lies in the sieve), the others by
+    value v = floor(x/j) <= r, which after summation by parts gives
+    sum_{v <= r} mu(v) floor(x/v) - floor(x/(r+1)) M(r).  The sum itself
+    takes d <= N // (s+1), s = isqrt(N), one at a time and the remaining d
+    in runs of equal v = floor(N/d) <= s, each weighted by
+    M(floor(N/v)) - M(floor(N/(v+1))).  Every int64 partial sum stays below
+    N (2 + 2 ln N), so N < 2^56 keeps the arrays exact.
+    """
+    if N >= 2**56:
+        raise MemoryError(f"the Mertens sieve for B = {N} exceeds any memory")
+    L = _mertens_sieve_limit(N)
+    K = N // (L + 1)
+    mu = mobius_sieve(L)
+    M = np.cumsum(mu, dtype=np.int32 if L < 2**31 else np.int64)
+    s = math.isqrt(N)
+    ar = np.arange(1, s + 2, dtype=np.int64)  # ar[i] = i + 1
+    big = np.zeros(K + 1, dtype=np.int64)  # big[k] = M(N // k) for k <= K
+    for k in range(K, 0, -1):
+        x = N // k
+        r = math.isqrt(x)
+        J = x // (r + 1)
+        jk = min(J, K // k)  # j <= jk: floor(x/j) = floor(N/(k j)) > L
+        total = int(big[2 * k : jk * k + 1 : k].sum()) + int(M[x // ar[jk:J]].sum())
+        total += int(np.dot(mu[1 : r + 1], x // ar[:r])) - (x // (r + 1)) * int(M[r])
+        big[k] = 1 - total
+    total = 0
+    for d, mu_d in enumerate(mu[1 : N // (s + 1) + 1].tolist(), 1):
+        if mu_d:
+            total += mu_d * term(N // d)
+    at_quotients = np.concatenate((big[1:], M[N // ar[K : s + 1]]))  # v = 1..s+1
+    for v, run in enumerate((at_quotients[:-1] - at_quotients[1:]).tolist(), 1):
+        if run:
+            total += run * term(v)
+    return total
 
 
 def _count_line_all(Bint: int) -> int:
@@ -252,10 +329,9 @@ def _count_by_denominator(
     if Bint < 1:
         return 0
     if all_denominators_admissible(m, mode):
-        _charge(budget, Bint)
+        _charge(budget, _mobius_sum_work(Bint))
         return count_all(Bint)
-    qs = line_denominators(m, S, Bint, mode)
-    _charge(budget, len(qs))
+    qs = line_denominators(m, S, Bint, mode, budget)
     chunks = [(per_q, Bint, tuple(c)) for c in _chunked(qs)]
     return sum(_run_chunks(_per_q_chunk_worker, chunks, workers))
 
@@ -307,17 +383,44 @@ def _blowup_mmax(Bf: Fraction, m1: int) -> int:
     return _iroot_ratio(Bm1.numerator, Bm1.denominator, m1 + 1)
 
 
+def _blowup_exponents(m1: int, m2: int) -> Tuple[int, int]:
+    """(E1, E2): a pair (g a, g b) carries a point of height <= B exactly when
+    g^E1 max(a, b)^(E1+E2) <= B^(m1 m2)."""
+    return (m1 + 1) * m2, m1 * m2 + m1 - m2
+
+
+def _blowup_strata(
+    m1: int,
+    m2: int,
+    S: PlaceSet,
+    Bf: Fraction,
+    mode: str,
+    budget: Optional[int] = None,
+) -> List[Tuple[int, int]]:
+    """(g, C(g)) for the admissible gcds g, ascending, with C(g) the cap on
+    max(a, b) of the pairs (g a, g b) that carry a point of height <= B.
+
+    The budget is charged the admissible g first and then sum C(g) (C(g)+1),
+    which bounds the pairs the sweep visits, before any pair is visited."""
+    E1, E2 = _blowup_exponents(m1, m2)
+    num, den = (Bf ** (m1 * m2)).as_integer_ratio()
+    gs = line_denominators(m1, S, _blowup_mmax(Bf, m1), mode, budget)
+    strata = [(g, _iroot_ratio(num, den * g**E1, E1 + E2)) for g in gs]
+    _charge(budget, sum(C * (C + 1) for _, C in strata))
+    return strata
+
+
 def blowup_pairs(
     m1: int,
     m2: int,
     S: PlaceSet,
     B: Union[int, float, Fraction],
     mode: str,
-    gs: Optional[Sequence[int]] = None,
+    strata: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> Iterator[Tuple[int, int, int, Tuple[int, ...], int]]:
     """The leading pairs (x0, x1) that are admissible in the mode and carry a
-    point of height <= B, over the ascending strata g = gcd(x0, x1) in gs
-    (default: every admissible g).
+    point of height <= B, over the strata (g, C(g)) of ``_blowup_strata``,
+    g = gcd(x0, x1) ascending (default: every admissible g).
 
     Write x0 = g a and x1 = g b with gcd(a, b) = 1, and c = max(a, b).  The
     pair is admissible when g is an admissible line denominator for weight m1
@@ -333,20 +436,17 @@ def blowup_pairs(
     c^(1+1/m2-1/m1).
     """
     Bf = Fraction(B)
-    Bm = Bf ** (m1 * m2)
-    num, den = Bm.numerator, Bm.denominator
-    E1 = (m1 + 1) * m2
-    E2 = m1 * m2 + m1 - m2
-    if gs is None:
-        gs = line_denominators(m1, S, _blowup_mmax(Bf, m1), mode)
-    if not gs:
+    if strata is None:
+        strata = _blowup_strata(m1, m2, S, Bf, mode)
+    if not strata:
         return
-    # the cap C(g) on c falls as g grows, so the first stratum's cap bounds c
-    cmax = _iroot_ratio(num, den * gs[0] ** E1, E1 + E2)
+    E1, E2 = _blowup_exponents(m1, m2)
+    num, den = (Bf ** (m1 * m2)).as_integer_ratio()
+    # the cap C(g) falls as g grows, so the first stratum's cap bounds c
+    cmax = strata[0][1]
     X2 = [0] + [_iroot_ratio(num, den * c**E2, E1) for c in range(1, cmax + 1)]
     admissible_a = line_denominators(m2, S, cmax, mode)
-    for g in gs:
-        C = _iroot_ratio(num, den * g**E1, E1 + E2)
+    for g, C in strata:
         gp = distinct_primes(g)
         for a in admissible_a:
             if a > C:
@@ -358,11 +458,11 @@ def blowup_pairs(
 
 
 def _blowup_chunk_worker(
-    args: Tuple[int, int, PlaceSet, Fraction, str, Sequence[int]]
+    args: Tuple[int, int, PlaceSet, Fraction, str, Sequence[Tuple[int, int]]]
 ) -> int:
-    m1, m2, S, Bf, mode, gs = args
+    m1, m2, S, Bf, mode, strata = args
     total = 0
-    for weight, g, _, gp, X2 in blowup_pairs(m1, m2, S, Bf, mode, gs):
+    for weight, g, _, gp, X2 in blowup_pairs(m1, m2, S, Bf, mode, strata):
         total += weight * (2 * count_coprime(X2, gp) + (1 if g == 1 else 0))
     return total
 
@@ -381,12 +481,8 @@ def count_blowup(
     Bf = Fraction(B)
     if Bf < 1:
         return 0
-    Mmax = _blowup_mmax(Bf, m1)
-    if Mmax < 1:
-        return 0
-    _charge(budget, Mmax * (Mmax + 1))
-    gs = line_denominators(m1, S, Mmax, mode)
-    chunks = [(m1, m2, S, Bf, mode, c) for c in _chunked(gs)]
+    strata = _blowup_strata(m1, m2, S, Bf, mode, budget)
+    chunks = [(m1, m2, S, Bf, mode, c) for c in _chunked(strata)]
     return sum(_run_chunks(_blowup_chunk_worker, chunks, workers))
 
 

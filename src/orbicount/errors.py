@@ -2,7 +2,7 @@
 
 Everything user-facing maps onto two CLI exit codes: DomainError-family
 errors (bad arguments, divergent parameters, boundary points, unparseable
-input) exit with 2, BudgetExceededError with 3.
+input) exit with 2, BudgetExceededError and MemoryError with 3.
 """
 
 

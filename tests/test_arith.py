@@ -191,6 +191,22 @@ def test_primes_and_mobius():
     assert list(mu) == [0, 1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
 
 
+def _mobius_loop_sieve(n):
+    """mu(0..n) by flipping the multiples of every prime <= n."""
+    mu = [0] + [1] * n
+    for p in primes_up_to(n):
+        for i in range(p, n + 1, p):
+            mu[i] = -mu[i]
+        for i in range(p * p, n + 1, p * p):
+            mu[i] = 0
+    return mu
+
+
+def test_mobius_sieve_matches_loop_sieve():
+    for n in list(range(0, 200)) + [1000, 4096, 10**5]:
+        assert mobius_sieve(n).tolist() == _mobius_loop_sieve(n)
+
+
 def test_count_coprime_matches_bruteforce():
     for q in (1, 2, 6, 30, 49, 97):
         primes = distinct_primes(q)

@@ -126,6 +126,29 @@ def test_budget_cap_exits_3(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--model", "p1", "--m", "2", "--mode", "darmon", "--grid", "1e400"),
+        ("count", "--model", "p1", "--m", "2", "--mode", "campana", "--grid", "1e30"),
+        ("count", "--model", "p1", "--m", "1", "--mode", "rational", "--grid", "1e400"),
+    ],
+)
+def test_huge_bound_exits_3_before_enumerating(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "budget" in err and "Traceback" not in err
+
+
+def test_failed_allocation_exits_3(capsys):
+    # the height-zeta line sum asks for a 1e17-entry array: 800 PB
+    code, _, err = run(
+        capsys, "zeta", "--model", "p1", "--m", "1", "--probe", "2.5", "--bound", "1e17"
+    )
+    assert code == 3
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_blowup_weight_past_float_range(capsys):
     # B^(m1 m2) = 10^400 no longer fits a float; the counts match the oracle
     code, out, err = run(

@@ -2,9 +2,13 @@ import io
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from orbicount.arith import is_k_full, is_kth_power
+from orbicount import enumeration
+from orbicount.arith import is_k_full, is_kth_power, mobius_sieve
 from orbicount.enumeration import (
     CSV_HEADER,
     all_denominators_admissible,
@@ -120,6 +124,44 @@ def test_sieved_equals_naive_plane():
     assert count_pn2(2, S2, 10, "darmon") == naive_count_pn2(2, S2, 10, "darmon")
 
 
+def _mobius_sum_reference(Bint, term):
+    """sum_{d <= Bint} mu(d) term(floor(Bint/d)) in O(Bint) numpy arrays: the
+    direct route the Mertens-at-quotients sum replaced."""
+    mu = mobius_sieve(Bint).astype(np.int64)
+    f = Bint // np.arange(1, Bint + 1, dtype=np.int64)
+    return int(np.sum(mu[1:] * term(f)))
+
+
+def _rational_counts_match_reference(B):
+    line = 1 + 2 * _mobius_sum_reference(B, lambda f: f * f)
+    plane = _mobius_sum_reference(B, lambda f: f * (2 * f + 1) ** 2)
+    counts = (count_p1(1, S0, B, "rational"), count_pn2(1, S0, B, "rational"))
+    return counts == (line, plane)
+
+
+def test_rational_counts_match_direct_moebius_sum():
+    assert all(_rational_counts_match_reference(B) for B in range(1, 2001))
+    # around the switch of the sieve length, which moves with the cube root
+    for k in range(1, 61):
+        for B in (k**3 - 1, k**3, k**3 + 1):
+            assert B < 1 or _rational_counts_match_reference(B), B
+
+
+@given(B=st.integers(1, 2 * 10**5))
+def test_rational_counts_match_direct_moebius_sum_property(B):
+    assert _rational_counts_match_reference(B)
+
+
+def test_rational_line_count_at_1e8():
+    # 4 Phi(1e8) - 1, with Phi the summatory totient
+    assert count_p1(1, S0, 10**8, "rational") == 12158542065463631
+
+
+def test_mertens_route_refuses_past_int64_range():
+    with pytest.raises(MemoryError):
+        count_p1(1, S0, 2**56, "rational", budget=None)
+
+
 def test_bounds_below_one_give_zero():
     assert count_p1(1, S0, Fraction(1, 2), "rational") == 0
     assert count_blowup(1, 1, S0, 0.5, "rational") == 0
@@ -226,11 +268,46 @@ def test_csv_roundtrip():
         read_counts_csv(io.StringIO("nope\n1,2,3,4\n"))
 
 
-def test_budget_cap():
+def test_budget_cap(monkeypatch):
     with pytest.raises(BudgetExceededError):
         count_p1(1, S0, 10**6, "rational", budget=10)
     with pytest.raises(BudgetExceededError):
         count_blowup(1, 1, S0, 10**4, "rational", budget=10)
+
+    # the predicted work is charged before the sieve or any list is built
+    def no_sieve(n):
+        raise AssertionError("sieve built before the budget was charged")
+
+    monkeypatch.setattr(enumeration, "mobius_sieve", no_sieve)
+    monkeypatch.setattr(enumeration, "primes_up_to", no_sieve)
+    with pytest.raises(BudgetExceededError):
+        count_p1(1, S0, 10**400, "rational")
+    with pytest.raises(BudgetExceededError):
+        count_p1(2, S23, 10**400, "darmon")
+    with pytest.raises(BudgetExceededError):
+        count_p1(2, S0, 10**30, "campana")
+    with pytest.raises(BudgetExceededError):
+        count_blowup(1, 1, S0, 10**400, "darmon")
+
+
+def test_blowup_budget_charges_the_strata():
+    # the strata walk visits at most sum_g C(g) (C(g)+1) = 33,338 pairs here,
+    # far fewer than the Mmax (Mmax+1) = 1,001,000 of the square of pairs
+    assert count_blowup(1, 1, S0, 10**6, "darmon", budget=10**5) == 16165737
+    with pytest.raises(BudgetExceededError):  # the 1,000 strata fit, their pairs do not
+        count_blowup(1, 1, S0, 10**6, "darmon", budget=10**4)
+
+
+def test_denominator_bound_covers_the_denominators():
+    for m in (2, 3, 4):
+        for s_primes in ((), (2,), (2, 3), (3, 5, 7)):
+            for mode, gen in (
+                ("darmon", darmon_denominators),
+                ("campana", campana_denominators),
+            ):
+                for limit in (1, 10, 1000, 10**5):
+                    bound = enumeration._denominator_bound(m, s_primes, limit, mode)
+                    assert len(gen(limit, m, s_primes)) <= bound
 
 
 def test_dump_points_matches_count_and_cap():

@@ -191,18 +191,24 @@ def _denominator_bound(m: int, s_primes: Sequence[int], limit: int, mode: str) -
     """Upper bound on the number of Darmon or Campana denominators <= limit.
 
     The q = s d^m with s S-smooth number at most sum_s (limit/s)^(1/m)
-    <= limit^(1/m) prod_{p in S} 1/(1 - p^(-1/m)).  The m-full numbers <= X
-    are a^m prod_{j=m+1}^{2m-1} b_j^j, at most X^(1/m) prod_j zeta(j/m), and
-    zeta(j/m) <= j/(j-m) makes that product at most binom(2m-1, m).  Each
-    S factor is rounded up to a multiple of 2^-20, so the bound stays an
-    integer for any limit."""
-    bound = integer_kth_root(limit, m) + 1
+    <= limit^(1/m) prod_{p in S} sum_{p^e <= limit} p^(-e/m), and each of
+    these sums is at most min(1/(1 - p^(-1/m)), #{e : p^e <= limit}).  The
+    m-full numbers <= X are a^m prod_{j=m+1}^{2m-1} b_j^j with b_j <= X^(1/j),
+    at most X^(1/m) prod_j sum_{b <= X^(1/j)} b^(-j/m), and each of these
+    sums is at most min(zeta(j/m) <= j/(j-m), floor(X^(1/j))), which is 1
+    once 2^j > X.  The S zeta factors are rounded up to a multiple of 2^-20,
+    so the bound is computed exactly for any limit."""
+    bound = Fraction(integer_kth_root(limit, m) + 1)
     if mode == "campana":
-        bound *= math.comb(2 * m - 1, m)
+        for j in range(m + 1, 2 * m):
+            bound *= min(Fraction(j, j - m), integer_kth_root(limit, j))
     for p in s_primes:
-        factor = math.ceil(2**20 / (1 - 2 ** (-math.log2(p) / m)) * (1 + 1e-12))
-        bound = -(-bound * factor // 2**20)
-    return bound
+        powers, pe = 1, p
+        while pe <= limit:
+            powers, pe = powers + 1, pe * p
+        zeta_factor = math.ceil(2**20 / (1 - p ** (-1 / m)) * (1 + 1e-12))
+        bound *= min(Fraction(zeta_factor, 2**20), powers)
+    return math.ceil(bound)
 
 
 def line_denominators(

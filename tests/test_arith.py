@@ -203,7 +203,9 @@ def _mobius_loop_sieve(n):
 
 
 def test_mobius_sieve_matches_loop_sieve():
-    for n in list(range(0, 200)) + [1000, 4096, 10**5]:
+    # up to 2e5, the whole range on which tests/test_enumeration.py checks the
+    # Mertens route against a direct sum over this sieve
+    for n in list(range(0, 200)) + [1000, 4096, 10**5, 2 * 10**5]:
         assert mobius_sieve(n).tolist() == _mobius_loop_sieve(n)
 
 

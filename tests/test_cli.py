@@ -140,6 +140,13 @@ def test_huge_bound_exits_3_before_enumerating(capsys, argv):
     assert "budget" in err and "Traceback" not in err
 
 
+
+def test_large_weight_counts_run_under_the_default_budget(capsys):
+    # every mode by default; the Campana denominator bound is 2 here
+    code, out, err = run(capsys, "count", "--model", "p1", "--m", "17", "--grid", "10")
+    assert code == 0 and "Traceback" not in err
+    assert out.splitlines()[1] == "10,127,21,21"
+
 def test_failed_allocation_exits_3(capsys):
     # the height-zeta line sum asks for a 1e17-entry array: 800 PB
     code, _, err = run(

@@ -299,8 +299,8 @@ def test_blowup_budget_charges_the_strata():
 
 
 def test_denominator_bound_covers_the_denominators():
-    for m in (2, 3, 4):
-        for s_primes in ((), (2,), (2, 3), (3, 5, 7)):
+    for m in (2, 3, 4, 16):
+        for s_primes in ((), (2,), (2, 3), (3, 5, 7), (2, 3, 5, 7, 11)):
             for mode, gen in (
                 ("darmon", darmon_denominators),
                 ("campana", campana_denominators),
@@ -309,6 +309,19 @@ def test_denominator_bound_covers_the_denominators():
                     bound = enumeration._denominator_bound(m, s_primes, limit, mode)
                     assert len(gen(limit, m, s_primes)) <= bound
 
+
+
+def test_large_weights_run_under_the_default_budget():
+    # the uncut zeta factors of the denominator bound grow like 4^m (Campana)
+    # and m / ln p (each S prime); cut at the terms that fit under the limit,
+    # the bound stays near the true number of denominators
+    S5 = PlaceSet.of([2, 3, 5, 7, 11])
+    assert count_p1(17, S0, 10, "campana") == 21
+    assert count_p1(16, S0, 10**8, "campana") == 1433333335
+    assert count_p1(400, S5, 10**6, "darmon") == 1667949239
+    assert count_blowup(17, 1, S0, 10, "campana") == 71
+    assert enumeration._denominator_bound(17, (), 10, "campana") == 2
+    assert enumeration._denominator_bound(400, (2, 3, 5, 7, 11), 10**6, "darmon") == 224640
 
 def test_dump_points_matches_count_and_cap():
     model = projective_space(1, 2)

@@ -12,15 +12,16 @@ This script enumerates N(B) over decades, prints the windowed single-term
 fit N/(B log B) together with per-decade slopes of N/B against log B (the
 slope estimator cancels the linear term c2*B, which is large here: the
 single-term ratio overshoots every candidate for B <= 1e9), and names the
-candidate the data supports.
+candidate the data supports.  Each count prints its wall time.
 
 Usage:
-    python scripts/blowup_adjudication.py --bmax 1e9
+    python scripts/blowup_adjudication.py --bmax 1e11
 """
 
 import argparse
 import math
 import sys
+import time
 from fractions import Fraction
 
 from orbicount import constants, enumeration, fitting
@@ -46,9 +47,14 @@ def main() -> int:
 
     pts = []
     for b in grid:
+        start = time.perf_counter()
         n = enumeration.count_blowup(1, 1, S0, b, "darmon", workers=args.workers)
+        wall = time.perf_counter() - start
         pts.append((float(b), n))
-        print(f"B = {b:>10d}  N = {n:>14d}  N/(B log B) = {n / (b * math.log(b)):.5f}")
+        print(
+            f"B = {b:>12d}  N = {n:>16d}  N/(B log B) = {n / (b * math.log(b)):.5f}"
+            f"  ({wall:.2f} s)"
+        )
 
     assembled = constants.leading_constant(model, S0).count_coefficient
     published, tail = constants.blowup_reference_constant(1, 1)

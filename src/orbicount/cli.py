@@ -94,10 +94,6 @@ def _grid(args) -> tuple:
     return bounds, labels
 
 
-def _model_params_json(model: OrbifoldModel) -> Dict[str, int]:
-    return dict(model.params)
-
-
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
@@ -124,7 +120,7 @@ def _cmd_count(args) -> int:
     if args.format == "json":
         payload = {
             "model": model.name,
-            "params": _model_params_json(model),
+            "params": dict(model.params),
             "s_primes": list(S.finite_primes),
             "mode": args.mode,
             "records": [
@@ -167,7 +163,7 @@ def _cmd_classify(args) -> int:
         point_text = ":".join(str(c) for c in point.coords)
     payload = {
         "model": model.name,
-        "params": _model_params_json(model),
+        "params": dict(model.params),
         "s_primes": list(S.finite_primes),
         "point": point_text,
         "global_height": gh.value,
@@ -188,7 +184,7 @@ def _cmd_constant(args) -> int:
     )
     payload = {
         "model": model.name,
-        "params": _model_params_json(model),
+        "params": dict(model.params),
         "s_primes": list(S.finite_primes),
         "a": float(breakdown.a),
         "a_exact": str(breakdown.a),
@@ -253,7 +249,7 @@ def _cmd_local_factor(args) -> int:
     )
     payload = {
         "model": model.name,
-        "params": _model_params_json(model),
+        "params": dict(model.params),
         "p": args.p,
         "s": s,
         "in_s": bool(args.in_s),
@@ -300,7 +296,7 @@ def _cmd_zeta(args) -> int:
         probe = fitting.residue_probe(model, S, s_values, bound, args.mode)
         payload = {
             "model": model.name,
-            "params": _model_params_json(model),
+            "params": dict(model.params),
             "mode": args.mode,
             "bound": float(bound),
             "probe": [{"s": s, "value": v} for s, v in probe],
@@ -311,7 +307,7 @@ def _cmd_zeta(args) -> int:
         z = fitting.zeta_partial_sum(model, S, float(args.s_value), bound, args.mode)
         payload = {
             "model": model.name,
-            "params": _model_params_json(model),
+            "params": dict(model.params),
             "mode": z.mode,
             "s": z.s,
             "bound": z.bound,

@@ -14,15 +14,15 @@ materialized):
   values M(floor(B/k)): a Moebius sieve up to about B^(2/3) and the
   recursion M(x) = 1 - sum_{j>=2} M(floor(x/j)) above it (Deleglise and
   Rivat), so time and memory are O(B^(2/3)).
-* blow-up: ``blowup_pairs`` walks the leading pairs (x_0, x_1) = (g a, g b),
-  gcd(a, b) = 1, stratum by stratum: g and a run over ``line_denominators``
-  for weights m1 and m2 (the pair is admissible exactly then), and
-  max(a, b) up to a cap that depends only on g, so only pairs that carry a
-  point of height <= B are visited.  The x_2 range splits into a
-  constant-height core |x_2| <= max(x_0,|x_1|) plus a tail up to X_2.
-  ``count_blowup`` counts those points in closed form and the height-zeta
-  sum weights them by H^-s.  All height comparisons are exact integer ones
-  obtained by clearing the rational exponents.
+* blow-up: ``blowup_cells`` walks the cells (g, c) of the leading pairs
+  (x_0, x_1) = (g a, g b), gcd(a, b) = 1, c = max(a, |b|): g runs over the
+  ``line_denominators`` for weight m1 and c up to a cap C(g), so only pairs
+  that carry a point of height <= B are covered.  The pairs over (g, c) are
+  the points b/a of height c on the weight-m2 line, and one table of their
+  number w(c) serves every g.  The x_2 range splits into a constant-height
+  core |x_2| <= g c plus a tail up to X_2; ``count_blowup`` counts those
+  points in closed form and the height-zeta sum weights them by H^-s, with
+  exact integer height comparisons (the rational exponents cleared).
 
 ``iter_points`` is the point-by-point definitional oracle (exact gcd, mode
 and height checks on every candidate).  The naive_count_* oracles count what
@@ -71,7 +71,7 @@ __all__ = [
     "naive_count_pn2",
     "naive_count_blowup",
     "iter_points",
-    "blowup_pairs",
+    "blowup_cells",
     "line_denominators",
     "all_denominators_admissible",
     "darmon_denominators",
@@ -81,6 +81,7 @@ __all__ = [
     "read_counts_csv",
     "dump_points",
     "DEFAULT_BUDGET",
+    "charge",
     "CSV_HEADER",
 ]
 
@@ -110,7 +111,8 @@ def _floor_bound(B: Union[int, float, Fraction]) -> int:
     return int(math.floor(Bf))
 
 
-def _charge(budget: Optional[int], amount: int) -> None:
+def charge(budget: Optional[int], amount: int) -> None:
+    """Refuse predicted work of ``amount`` steps above the budget (None: no cap)."""
     if budget is not None and amount > budget:
         raise BudgetExceededError(
             f"enumeration would take ~{amount} steps (budget {budget})"
@@ -220,9 +222,9 @@ def line_denominators(
     Darmon or Campana denominators away from S.  The budget is charged an
     upper bound on their number before any of them is generated."""
     if all_denominators_admissible(m, mode):
-        _charge(budget, Bint)
+        charge(budget, Bint)
         return range(1, Bint + 1)
-    _charge(budget, _denominator_bound(m, S.finite_primes, Bint, mode))
+    charge(budget, _denominator_bound(m, S.finite_primes, Bint, mode))
     gen = darmon_denominators if mode == "darmon" else campana_denominators
     return gen(Bint, m, S.finite_primes)
 
@@ -335,7 +337,7 @@ def _count_by_denominator(
     if Bint < 1:
         return 0
     if all_denominators_admissible(m, mode):
-        _charge(budget, _mobius_sum_work(Bint))
+        charge(budget, _mobius_sum_work(Bint))
         return count_all(Bint)
     qs = line_denominators(m, S, Bint, mode, budget)
     chunks = [(per_q, Bint, tuple(c)) for c in _chunked(qs)]
@@ -407,16 +409,16 @@ def _blowup_strata(
     max(a, b) of the pairs (g a, g b) that carry a point of height <= B.
 
     The budget is charged the admissible g first and then sum C(g) (C(g)+1),
-    which bounds the pairs the sweep visits, before any pair is visited."""
+    which bounds the cells and the weight table's gcds, before either."""
     E1, E2 = _blowup_exponents(m1, m2)
     num, den = (Bf ** (m1 * m2)).as_integer_ratio()
     gs = line_denominators(m1, S, _blowup_mmax(Bf, m1), mode, budget)
     strata = [(g, _iroot_ratio(num, den * g**E1, E1 + E2)) for g in gs]
-    _charge(budget, sum(C * (C + 1) for _, C in strata))
+    charge(budget, sum(C * (C + 1) for _, C in strata))
     return strata
 
 
-def blowup_pairs(
+def blowup_cells(
     m1: int,
     m2: int,
     S: PlaceSet,
@@ -424,26 +426,26 @@ def blowup_pairs(
     mode: str,
     strata: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> Iterator[Tuple[int, int, int, Tuple[int, ...], int]]:
-    """The leading pairs (x0, x1) that are admissible in the mode and carry a
-    point of height <= B, over the strata (g, C(g)) of ``_blowup_strata``,
-    g = gcd(x0, x1) ascending (default: every admissible g).
+    """One yield per cell (g, c) of the leading pairs (x0, x1) = (g a, g b),
+    gcd(a, b) = 1, c = max(a, |b|), that are admissible and carry a point of
+    height <= B, over the strata (g, C(g)) of ``_blowup_strata``.
 
-    Write x0 = g a and x1 = g b with gcd(a, b) = 1, and c = max(a, b).  The
-    pair is admissible when g is an admissible line denominator for weight m1
-    and a = x0/g one for weight m2, and it carries a point of height <= B when
-    g^E1 c^(E1+E2) <= B^(m1 m2); so g and a run over ``line_denominators``
-    and c up to its cap C(g), and no pair is tested.
-
-    Yields (weight, g, M2, primes of g, X2) with M2 = max(x0, x1) = g c;
-    weight 2 stands for x1 and -x1, and the pairs with b <= a share one yield
-    of weight 2 phi(a) + [a = 1].  The points over the pair are the x2
-    coprime to g with |x2| <= X2, where X2 >= M2: those with |x2| <= M2 have
-    height M2^(1+1/m1) c^(1+1/m2-1/m1), the others |x2|^(1+1/m1)
-    c^(1+1/m2-1/m1).
+    g is an admissible line denominator for weight m1, a one for weight m2
+    (a in A), and c <= C(g).  So b/a is a point of height c on the weight-m2
+    line, and the pairs over (g, c) number, for every g, its points of height
+    exactly c: w(c) = [c in A] (2 phi(c) + [c = 1]) + 2 #{a in A : a < c,
+    gcd(a, c) = 1}.  Yields (w(c), g, M2 = g c, primes of g, X2) for w(c) > 0.
+    The points over each pair are the x2 coprime to g with |x2| <= X2, where
+    X2 >= M2: those with |x2| <= M2 have height M2^(1+1/m1) c^(1+1/m2-1/m1),
+    the others |x2|^(1+1/m1) c^(1+1/m2-1/m1).  Without given strata (the
+    height-zeta sum) every admissible g is taken, and ``DEFAULT_BUDGET`` is
+    charged the strata, then the x2 tail steps: at most the sum of X2 - g c
+    over every g and c <= C(g).
     """
     Bf = Fraction(B)
-    if strata is None:
-        strata = _blowup_strata(m1, m2, S, Bf, mode)
+    own_strata = strata is None
+    if own_strata:
+        strata = _blowup_strata(m1, m2, S, Bf, mode, DEFAULT_BUDGET)
     if not strata:
         return
     E1, E2 = _blowup_exponents(m1, m2)
@@ -451,16 +453,20 @@ def blowup_pairs(
     # the cap C(g) falls as g grows, so the first stratum's cap bounds c
     cmax = strata[0][1]
     X2 = [0] + [_iroot_ratio(num, den * c**E2, E1) for c in range(1, cmax + 1)]
-    admissible_a = line_denominators(m2, S, cmax, mode)
+    if own_strata:
+        upto = list(itertools.accumulate(X2))
+        charge(DEFAULT_BUDGET, sum(upto[C] - g * C * (C + 1) // 2 for g, C in strata))
+    w = np.zeros(cmax + 1, dtype=np.int64)
+    for a in line_denominators(m2, S, cmax, mode):
+        w[a] += 2 * euler_phi(a) + (a == 1)
+        w[a + 1 :] += 2 * (np.gcd(a, np.arange(a + 1, cmax + 1)) == 1)
+    cells = [(c, weight) for c, weight in enumerate(w.tolist()) if weight]
     for g, C in strata:
         gp = distinct_primes(g)
-        for a in admissible_a:
-            if a > C:
+        for c, weight in cells:
+            if c > C:
                 break
-            yield 2 * euler_phi(a) + (a == 1), g, g * a, gp, X2[a]
-            for b in range(a + 1, C + 1):
-                if math.gcd(a, b) == 1:
-                    yield 2, g, g * b, gp, X2[b]
+            yield weight, g, g * c, gp, X2[c]
 
 
 def _blowup_chunk_worker(
@@ -468,7 +474,7 @@ def _blowup_chunk_worker(
 ) -> int:
     m1, m2, S, Bf, mode, strata = args
     total = 0
-    for weight, g, _, gp, X2 in blowup_pairs(m1, m2, S, Bf, mode, strata):
+    for weight, g, _, gp, X2 in blowup_cells(m1, m2, S, Bf, mode, strata):
         total += weight * (2 * count_coprime(X2, gp) + (1 if g == 1 else 0))
     return total
 

@@ -2,8 +2,10 @@
 
 The height-zeta sums walk the same enumeration cores as the counts in
 ``enumeration``: the line sum runs over ``line_denominators`` and the
-blow-up sum over the gcd strata of ``blowup_pairs`` (whose g and x_0/g are
-themselves line denominators), weighting each point by H^-s instead of 1.
+blow-up sum over the cells (g, c) of ``blowup_cells``, weighting each point
+by H^-s instead of 1.  Both charge ``enumeration.DEFAULT_BUDGET`` their
+predicted steps (the line's prefix sums and denominators, the blow-up's
+strata and x_2 tails) before allocating or looping.
 
 The fit works in ratio space: kappa is the mean of N(B) / (B^a (log B)^(b-1))
 over the grid points inside the window (top two decades by default), and the
@@ -21,7 +23,13 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .arith import count_coprime, distinct_primes, euler_phi, signed_squarefree_divisors
-from .enumeration import CountSeries, blowup_pairs, line_denominators
+from .enumeration import (
+    DEFAULT_BUDGET,
+    CountSeries,
+    blowup_cells,
+    charge,
+    line_denominators,
+)
 from .errors import DomainError
 from .orbifold import OrbifoldModel, PlaceSet, a_invariant, b_invariant
 
@@ -70,6 +78,8 @@ def _zeta_line(model, S, s, Bf, mode) -> float:
     Bint = math.floor(Bf)
     if Bint < 1:
         return 0.0
+    qs = line_denominators(model.params["m"], S, Bint, mode, DEFAULT_BUDGET)
+    charge(DEFAULT_BUDGET, Bint + 1 + len(qs))
     powers = np.arange(Bint + 1, dtype=np.float64)
     powers[0] = 1.0
     powers **= -s
@@ -86,7 +96,7 @@ def _zeta_line(model, S, s, Bf, mode) -> float:
         return total
 
     value = 0.0
-    for q in line_denominators(model.params["m"], S, Bint, mode):
+    for q in qs:
         divs = signed_squarefree_divisors(distinct_primes(q))
         at_q = 2 * euler_phi(q) + (1 if q == 1 else 0)
         value += float(q) ** -s * at_q
@@ -99,7 +109,7 @@ def _zeta_blowup(model, S, s, Bf, mode) -> float:
     e1 = 1 + 1.0 / m1
     e2 = 1 + 1.0 / m2 - 1.0 / m1
     value = 0.0
-    for weight, g, M2, gp, X2 in blowup_pairs(m1, m2, S, Bf, mode):
+    for weight, g, M2, gp, X2 in blowup_cells(m1, m2, S, Bf, mode):
         base = float(M2 // g) ** e2
         core = 2 * count_coprime(M2, gp) + (1 if g == 1 else 0)
         value += weight * core * (float(M2) ** e1 * base) ** -s

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from .arith import is_prime
 
@@ -32,10 +32,7 @@ __all__ = [
     "a_invariant",
     "critical_set",
     "b_invariant",
-    "validate",
     "eval_count_poly",
-    "model_to_text",
-    "model_from_text",
 ]
 
 
@@ -172,65 +169,3 @@ def critical_set(model: OrbifoldModel) -> FrozenSet[str]:
 
 def b_invariant(model: OrbifoldModel) -> int:
     return len(critical_set(model))
-
-
-def validate(model: OrbifoldModel) -> List[str]:
-    """Report-style consistency check; returns a list of violations."""
-    issues: List[str] = []
-    for c in model.components:
-        if c.rho < 2:
-            issues.append(f"component {c.label}: rho < 2")
-        if c.lam <= 0:
-            issues.append(f"component {c.label}: lam <= 0")
-        if c.m is not None and c.m < 1:
-            issues.append(f"component {c.label}: weight < 1")
-    empty = frozenset()
-    n = model.dimension
-    if empty not in model.strata:
-        issues.append("stratum table misses the empty subset")
-    elif tuple(model.strata[empty]) != (0,) * n + (1,):
-        issues.append("empty-subset stratum polynomial is not q^n")
-    labels = {c.label for c in model.components}
-    for subset, coeffs in model.strata.items():
-        if not set(subset) <= labels:
-            issues.append(f"stratum {set(subset)} uses unknown labels")
-        for q in (2, 3, 5, 7):
-            if eval_count_poly(coeffs, q) < 0:
-                issues.append(f"stratum {set(subset)} count negative at q={q}")
-                break
-    return issues
-
-
-# --------------------------------------------------------------------------
-# plain-text serialization
-# --------------------------------------------------------------------------
-
-
-def model_to_text(model: OrbifoldModel) -> str:
-    if not model.is_builtin:
-        raise ValueError("only built-in models serialize to text")
-    lines = [f"model={model.name}"]
-    for key in ("n", "m", "m1", "m2"):
-        if key in model.params:
-            lines.append(f"{key}={model.params[key]}")
-    return "\n".join(lines) + "\n"
-
-
-def model_from_text(text: str) -> OrbifoldModel:
-    kv: Dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad model line: {line!r}")
-        key, _, value = line.partition("=")
-        kv[key.strip()] = value.strip()
-    name = kv.get("model")
-    if name == "p1":
-        return projective_space(1, int(kv.get("m", 1)))
-    if name == "pn":
-        return projective_space(int(kv["n"]), int(kv.get("m", 1)))
-    if name == "blowup":
-        return blowup_p2(int(kv.get("m1", 1)), int(kv.get("m2", 1)))
-    raise ValueError(f"unknown model name: {name!r}")

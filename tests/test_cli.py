@@ -147,13 +147,38 @@ def test_large_weight_counts_run_under_the_default_budget(capsys):
     assert code == 0 and "Traceback" not in err
     assert out.splitlines()[1] == "10,127,21,21"
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("zeta", "--model", "p1", "--m", "1", "--probe", "2.5", "--bound", "1e9"),
+        ("zeta", "--model", "blowup", "--m1", "1", "--m2", "1", "--probe", "1.5",
+         "--bound", "1e10"),
+    ],
+)
+def test_huge_zeta_bound_exits_3_before_summing(capsys, argv):
+    # an 8 GB prefix array on the line; about 8.2e9 x2 tail steps on the
+    # blow-up (8.2e8 at 1e9, which the budget admits)
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "budget" in err and "Traceback" not in err
+
+
 def test_failed_allocation_exits_3(capsys):
-    # the height-zeta line sum asks for a 1e17-entry array: 800 PB
+    # the height-zeta line sum would ask for a 1e17-entry array (800 PB); the
+    # budget refuses it first
     code, _, err = run(
         capsys, "zeta", "--model", "p1", "--m", "1", "--probe", "2.5", "--bound", "1e17"
     )
     assert code == 3
     assert err.startswith("error:") and "Traceback" not in err
+    # past int64 the Mertens sieve raises MemoryError, whatever the budget
+    code, _, err = run(
+        capsys, "count", "--model", "p1", "--m", "1", "--mode", "rational",
+        "--grid", "1e17", "--budget", "10000000000000",
+    )
+    assert code == 3
+    assert err.startswith("error: out of memory") and "Traceback" not in err
 
 
 def test_blowup_weight_past_float_range(capsys):

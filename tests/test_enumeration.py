@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,10 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from orbicount import enumeration
-from orbicount.arith import is_k_full, is_kth_power, mobius_sieve
+from orbicount.arith import integer_kth_root, is_k_full, is_kth_power, mobius_sieve
 from orbicount.enumeration import (
     CSV_HEADER,
     all_denominators_admissible,
+    blowup_cells,
     campana_denominators,
     count_blowup,
     count_p1,
@@ -162,6 +164,29 @@ def test_mertens_route_refuses_past_int64_range():
         count_p1(1, S0, 2**56, "rational", budget=None)
 
 
+def test_blowup_cells_carry_the_line_height_increments():
+    # over g = 1 the pairs of cell c are the line's points of height exactly
+    # c, so w(c) = N_line(c) - N_line(c - 1), and c is absent where that is 0
+    B = 10**6
+    for m2 in (1, 2, 3):
+        C1 = integer_kth_root(B**m2, 2 * m2 + 1)  # the cap of g = 1 for m1 = 1
+        assert C1 >= 100
+        for S in (S0, S2, S23):
+            for mode in ("rational", "campana", "darmon"):
+                over_1 = itertools.takewhile(
+                    lambda cell: cell[1] == 1, blowup_cells(1, m2, S, B, mode)
+                )
+                got = {M2: w for w, _, M2, _, _ in over_1}
+                line = [count_p1(m2, S, c, mode) for c in range(C1 + 1)]
+                increments = {c: line[c] - line[c - 1] for c in range(1, C1 + 1)}
+                assert got == {c: n for c, n in increments.items() if n}, (m2, S, mode)
+
+
+def test_blowup_count_at_1e8():
+    # the README record; the cells walk takes about 0.2 s here
+    assert count_blowup(1, 1, S0, 10**8, "darmon") == 2063108393
+
+
 def test_bounds_below_one_give_zero():
     assert count_p1(1, S0, Fraction(1, 2), "rational") == 0
     assert count_blowup(1, 1, S0, 0.5, "rational") == 0
@@ -178,6 +203,10 @@ def test_worker_determinism():
         for mode in ("darmon", "campana"):  # the g strata form a list, not a range
             assert count_blowup(2, 1, S2, 3000, mode, workers=workers) == count_blowup(
                 2, 1, S2, 3000, mode, workers=1
+            )
+            # m2 = 2: the admissible x0/g are sparse, so many cells are empty
+            assert count_blowup(1, 2, S2, 3000, mode, workers=workers) == count_blowup(
+                1, 2, S2, 3000, mode, workers=1
             )
 
 

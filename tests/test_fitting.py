@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from orbicount import fitting
 from orbicount.constants import ZETA2
 from orbicount.enumeration import MODES, count_p1, count_series, iter_points
-from orbicount.errors import DomainError
+from orbicount.errors import BudgetExceededError, DomainError
 from orbicount.fitting import (
     fit_counts,
     fit_series,
@@ -51,6 +52,20 @@ def test_partial_sum_blowup_matches_oracle(weights):
             )
             z = zeta_partial_sum(model, S, s, B, mode)
             assert z.value == pytest.approx(brute, rel=1e-12)
+
+
+def test_zeta_budget_is_charged_before_any_work(monkeypatch):
+    # the line sum would allocate 1e9 prefix entries and the blow-up sum walk
+    # about 8.2e9 x2 tail steps: both are refused before the first of them
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before the budget was charged")
+
+    monkeypatch.setattr(fitting.np, "arange", unreachable)
+    monkeypatch.setattr(fitting, "count_coprime", unreachable)
+    with pytest.raises(BudgetExceededError):
+        zeta_partial_sum(P1, S0, 2.5, 10**9)
+    with pytest.raises(BudgetExceededError):
+        zeta_partial_sum(blowup_p2(1, 1), S0, 1.5, 10**10)
 
 
 def test_partial_sum_matches_bruteforce_line():

@@ -10,7 +10,8 @@ The assembled constant is a product of three blocks:
   both built-ins every regularized factor collapses algebraically: the
   projective model gives 1 - p^(-n-1) (so the product is 1/zeta(n+1)) and
   the blow-up gives (1 - p^-2)^2 (so 1/zeta(2)^2).  The truncated-product
-  route is kept alongside with an explicit tail bound;
+  route is kept alongside with an explicit tail bound; it evaluates the
+  factors in float64 over the array of primes up to the cutoff;
 * the archimedean height integral at s = a, and one correction ratio per
   finite place of S (constraint-waived factor over the generic one).
 
@@ -24,13 +25,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import mpmath
+import numpy as np
 
 from .arith import primes_up_to
+from .enumeration import DEFAULT_BUDGET, charge
 from .errors import DomainError
-from .localfactors import archimedean_blowup, archimedean_projective, denef_factor
+from .localfactors import (
+    archimedean_blowup,
+    archimedean_projective,
+    denef_factor,
+    normalized_factors,
+)
 from .orbifold import (
     OrbifoldModel,
     PlaceSet,
@@ -44,6 +52,7 @@ __all__ = [
     "ZETA4",
     "riemann_zeta",
     "EulerProductSpec",
+    "euler_product",
     "truncated_euler_product",
     "ConstantBreakdown",
     "leading_constant",
@@ -95,25 +104,46 @@ class EulerProductSpec:
             raise ValueError("decay exponent must exceed 1")
 
 
-def truncated_euler_product(spec: EulerProductSpec) -> Tuple[float, float]:
-    """(prod_{p <= cutoff} factor(p), absolute tail bound).
+def euler_product(
+    factors: Callable[[List[int]], Sequence[float]],
+    prime_cutoff: int,
+    decay_constant: float,
+    decay_exponent: float,
+) -> Tuple[float, float]:
+    """(prod_{p <= prime_cutoff} f(p), absolute tail bound), where
+    ``factors(primes)`` gives the values f(p) at the ascending primes up to
+    the cutoff and |log f(p)| <= decay_constant p^-decay_exponent beyond it.
 
+    The cutoff is charged to the default budget before the sieve is built.
     Log-factors are summed in ascending prime order (deterministic
     reduction); the tail uses the integral bound
     sum_{p > P0} C p^-sigma <= C P0^(1-sigma) / (sigma - 1).
     """
-    logs = []
-    for p in primes_up_to(spec.prime_cutoff):
-        f = spec.factor(p)
-        if f <= 0:
-            raise DomainError(f"nonpositive Euler factor at p={p}")
-        logs.append(math.log(f))
-    value = math.exp(math.fsum(logs))
-    sigma = spec.decay_exponent
-    tail_log = (
-        spec.decay_constant * spec.prime_cutoff ** (1 - sigma) / (sigma - 1)
-    )
+    if prime_cutoff < 1:
+        raise ValueError(f"prime cutoff must be at least 1, got {prime_cutoff}")
+    if decay_exponent <= 1:
+        raise ValueError("decay exponent must exceed 1")
+    charge(DEFAULT_BUDGET, prime_cutoff)
+    primes = primes_up_to(prime_cutoff)
+    values = np.asarray(factors(primes), dtype=np.float64)
+    bad = np.flatnonzero(~(values > 0))
+    if bad.size:
+        raise DomainError(f"nonpositive Euler factor at p={primes[bad[0]]}")
+    value = math.exp(math.fsum(np.log(values).tolist()))
+    sigma = decay_exponent
+    tail_log = decay_constant * prime_cutoff ** (1 - sigma) / (sigma - 1)
     return value, value * math.expm1(tail_log)
+
+
+def truncated_euler_product(spec: EulerProductSpec) -> Tuple[float, float]:
+    """``euler_product`` of a per-prime factor: spec.factor is called once
+    per prime, in ascending order."""
+    return euler_product(
+        lambda primes: [spec.factor(p) for p in primes],
+        spec.prime_cutoff,
+        spec.decay_constant,
+        spec.decay_exponent,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -184,15 +214,12 @@ def leading_constant(
             finite = 1.0 / riemann_zeta(2) ** 2
         tail = 0.0
     elif method == "truncated":
-        from .localfactors import normalized_factor
-
-        spec = EulerProductSpec(
-            factor=lambda p: float(normalized_factor(model, p, a)),
-            prime_cutoff=prime_cutoff,
+        finite, tail = euler_product(
+            lambda primes: normalized_factors(model, primes, a),
+            prime_cutoff,
             decay_constant=2.0 * len(model.components),
             decay_exponent=2.0,
         )
-        finite, tail = truncated_euler_product(spec)
     else:
         raise DomainError(f"unknown method {method!r}")
     if model.name in ("p1", "pn"):
@@ -282,18 +309,14 @@ def p1_campana_constant(
     if m < 2:
         raise DomainError("the m-full closed form requires m >= 2")
 
-    def factor(p: int) -> float:
-        x = float(p) ** (-1.0 / m)
+    def factors(primes: List[int]) -> np.ndarray:
+        p = np.asarray(primes, dtype=np.float64)
+        x = p ** (-1.0 / m)
         geom = sum(x**k for k in range(1, m))
         return 1 - p**-2.0 + (1 - 1.0 / p) * geom / p
 
-    value, tail = truncated_euler_product(
-        EulerProductSpec(
-            factor=factor,
-            prime_cutoff=prime_cutoff,
-            decay_constant=float(m + 1),
-            decay_exponent=1 + 1.0 / m,
-        )
+    value, tail = euler_product(
+        factors, prime_cutoff, decay_constant=float(m + 1), decay_exponent=1 + 1.0 / m
     )
     s_part = math.prod(campana_s_factor(p, m) for p in S.finite_primes)
     return 2.0 * value * s_part, 2.0 * tail * s_part
@@ -304,14 +327,11 @@ def blowup_reference_constant(
 ) -> Tuple[float, float]:
     """Published blow-up candidate ((1+m1)(1+m2)/(2 m1 m2)) prod (1 - 2/p^2 + 1/p^3)
     with a truncation tail bound.  Compare against the assembled constant."""
-    value, tail = truncated_euler_product(
-        EulerProductSpec(
-            factor=lambda p: 1 - 2.0 / p**2 + 1.0 / p**3,
-            prime_cutoff=prime_cutoff,
-            decay_constant=3.0,
-            decay_exponent=2.0,
-        )
-    )
+    def factors(primes: List[int]) -> np.ndarray:
+        p = np.asarray(primes, dtype=np.float64)
+        return 1 - 2.0 / p**2 + 1.0 / p**3
+
+    value, tail = euler_product(factors, prime_cutoff, decay_constant=3.0, decay_exponent=2.0)
     front = (1 + m1) * (1 + m2) / (2.0 * m1 * m2)
     return front * value, front * tail
 

@@ -1,6 +1,7 @@
 """Local factors of the height integral.
 
-Finite places get three independent evaluation routes:
+Finite places get three independent evaluation routes, kept as cross-checks
+of one another:
 
 * ``denef_factor`` - the generic finite sum over boundary strata, driven by
   the model's stratum table: for each subset B of components,
@@ -14,10 +15,14 @@ Finite places get three independent evaluation routes:
 At a place in S the divisibility constraint on multiplicities is waived,
 which amounts to replacing every weight by 1 (``in_S=True``).
 
-The finite-place arithmetic runs in mpmath (30 significant digits by
-default) so oracle agreement can be asserted far below double precision;
-reported bounds include a small precision cushion on top of the analytic
-tail.  Archimedean factors return a piecewise closed form next to an
+These routes run in mpmath (30 significant digits by default) so oracle
+agreement can be asserted far below double precision; reported bounds
+include a small precision cushion on top of the analytic tail.  The Euler
+products use ``normalized_factors`` instead: the same stratum sum, evaluated
+in float64 over a whole array of primes at once, and cross-checked against
+``normalized_factor`` prime by prime.
+
+Archimedean factors return a piecewise closed form next to an
 adaptive-quadrature evaluation (regions split along |u|,|w| = 1 and
 |w| = |u|, tails mapped to finite intervals by u -> 1/u).
 """
@@ -26,14 +31,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Sequence, Union
 
 import mpmath
+import numpy as np
 from mpmath import mpf
 from scipy import integrate
 
 from .errors import DomainError
-from .orbifold import OrbifoldModel, eval_count_poly
+from .orbifold import BoundaryComponent, OrbifoldModel, eval_count_poly
 
 __all__ = [
     "DPS",
@@ -44,6 +50,7 @@ __all__ = [
     "p1_factor",
     "blowup_factor",
     "normalized_factor",
+    "normalized_factors",
     "shell_sum_oracle",
     "archimedean_projective",
     "archimedean_blowup",
@@ -93,26 +100,34 @@ class ArchimedeanFactor:
 # --------------------------------------------------------------------------
 
 
+def _exponent(comp: BoundaryComponent, s: Number, in_S: bool) -> Optional[Fraction]:
+    """m_a (s lam_a - rho_a + 1), exactly, with t_a = p^-exponent; None when
+    the weight is infinite (no admissible contact order) outside S."""
+    m_eff = 1 if in_S else comp.m
+    if m_eff is None:
+        return None
+    exponent = m_eff * (Fraction(s) * comp.lam - comp.rho + 1)
+    if exponent <= 0:
+        raise DomainError(
+            f"local factor diverges: component {comp.label} needs "
+            f"s > {(comp.rho - 1)}/{comp.lam}"
+        )
+    return exponent
+
+
 def _series_terms(
     model: OrbifoldModel, p: int, s: Number, in_S: bool
 ) -> Dict[str, Optional[mpf]]:
     """Per component: A_a = (1 - 1/p) t_a / (1 - t_a), or None when the weight
     is infinite (no admissible contact order) outside S."""
-    sv = _to_mpf(s)
     pv = mpf(p)
     out: Dict[str, Optional[mpf]] = {}
     for comp in model.components:
-        m_eff = 1 if in_S else comp.m
-        if m_eff is None:
+        exponent = _exponent(comp, s, in_S)
+        if exponent is None:
             out[comp.label] = None
             continue
-        exponent = m_eff * (sv * _to_mpf(comp.lam) - comp.rho + 1)
-        if exponent <= 0:
-            raise DomainError(
-                f"local factor diverges: component {comp.label} needs "
-                f"s > {(comp.rho - 1)}/{comp.lam}"
-            )
-        t = pv**-exponent
+        t = pv**-_to_mpf(exponent)
         out[comp.label] = (1 - 1 / pv) * t / (1 - t)
     return out
 
@@ -177,15 +192,50 @@ def normalized_factor(model: OrbifoldModel, p: int, s: Number, in_S: bool = Fals
     equal to 1 + O(p^(-1-delta')) in the convergence region."""
     with mpmath.workdps(DPS):
         value = denef_factor(model, p, s, in_S)
-        sv = _to_mpf(s)
         pv = mpf(p)
         for comp in model.components:
-            m_eff = 1 if in_S else comp.m
-            if m_eff is None:
-                continue
-            exponent = m_eff * (sv * _to_mpf(comp.lam) - comp.rho + 1)
-            value *= 1 - pv**-exponent
+            exponent = _exponent(comp, s, in_S)
+            if exponent is not None:
+                value *= 1 - pv**-_to_mpf(exponent)
         return value
+
+
+def normalized_factors(
+    model: OrbifoldModel, primes: Sequence[int], s: Number, in_S: bool = False
+) -> np.ndarray:
+    """``normalized_factor`` at every prime of ``primes`` at once, in float64.
+
+    The stratum sum of ``denef_factor``: each stratum B contributes
+    count_B(p) / p^(n - |B|) times (1 - 1/p) t_a / (1 - t_a) per component a
+    in B, and drops out when one of them has infinite weight outside S.  The
+    sum is then multiplied by prod_a (1 - t_a).  With log t_a = -e_a log p,
+    1 - t_a is evaluated as -expm1(-e_a log p), which stays exact to a few
+    ulps when t_a is close to 1.
+    """
+    p = np.asarray(primes, dtype=np.float64)
+    log_p = np.log(p)
+    weight = 1 - 1 / p
+    series: Dict[str, Optional[np.ndarray]] = {}
+    regularizer = np.ones_like(p)
+    for comp in model.components:
+        exponent = _exponent(comp, s, in_S)
+        if exponent is None:
+            series[comp.label] = None
+            continue
+        log_t = -float(exponent) * log_p
+        one_minus_t = -np.expm1(log_t)
+        series[comp.label] = weight * np.exp(log_t) / one_minus_t
+        regularizer *= one_minus_t
+    total = np.zeros_like(p)
+    for subset, coeffs in model.strata.items():
+        if any(series[label] is None for label in subset):
+            continue
+        shift = model.dimension - len(subset)
+        piece = sum(c * p ** float(j - shift) for j, c in enumerate(coeffs) if c)
+        for label in subset:
+            piece = piece * series[label]
+        total += piece
+    return total * regularizer
 
 
 # --------------------------------------------------------------------------

@@ -271,6 +271,30 @@ def test_constant_paper_values_flag(capsys):
     assert "campana_coefficient" in payload["paper_values"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--method", "truncated"),
+        ("--method", "exact", "--paper-values"),
+    ],
+)
+def test_constant_prime_cutoff_contract(capsys, argv):
+    base = ("constant", "--model", "p1", "--m", "2") + argv
+    for p0, want in (("0", 2), ("-5", 2), ("1000000000000", 3)):
+        code, out, err = run(capsys, *base, "--p0", p0)
+        assert code == want and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+    assert "budget" in err
+    # p0 = 1: the empty product, with a positive tail bound
+    code, out, err = run(capsys, *base, "--p0", "1")
+    assert code == 0 and "Traceback" not in err
+    payload = json.loads(out)
+    if "paper_values" in payload:
+        assert payload["paper_values"]["campana_tail_bound"] > 0
+    else:
+        assert payload["finite_product"] == 1.0 and payload["tail_bound"] > 0
+
+
 def test_local_factor_subcommand(capsys):
     code, out, _ = run(
         capsys,

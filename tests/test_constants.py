@@ -20,7 +20,8 @@ from orbicount.constants import (
     truncated_euler_product,
 )
 from orbicount.errors import DomainError
-from orbicount.orbifold import PlaceSet, blowup_p2, projective_space
+from orbicount.localfactors import normalized_factor
+from orbicount.orbifold import PlaceSet, a_invariant, blowup_p2, projective_space
 
 S0 = PlaceSet.of()
 
@@ -144,6 +145,40 @@ def test_truncated_method_agrees_with_exact():
     bl_exact = leading_constant(blowup_p2(1, 1), S0)
     bl = leading_constant(blowup_p2(1, 1), S0, prime_cutoff=10**4, method="truncated")
     assert abs(bl.finite_product - bl_exact.finite_product) <= bl.tail_bound
+
+
+@pytest.mark.parametrize(
+    "model, S",
+    [
+        (projective_space(1, 2), PlaceSet.of([2])),
+        (projective_space(2, 2), S0),
+        (blowup_p2(1, 1), S0),
+        (blowup_p2(2, 1), PlaceSet.of([2])),
+    ],
+)
+def test_truncated_method_matches_the_scalar_route(model, S):
+    a = a_invariant(model)
+    spec = EulerProductSpec(
+        factor=lambda p: float(normalized_factor(model, p, a)),
+        prime_cutoff=10**4,
+        decay_constant=2.0 * len(model.components),
+        decay_exponent=2.0,
+    )
+    value, tail = truncated_euler_product(spec)
+    bd = leading_constant(model, S, prime_cutoff=10**4, method="truncated")
+    assert bd.finite_product == pytest.approx(value, rel=1e-12)
+    assert bd.tail_bound == pytest.approx(tail, rel=1e-12)
+
+
+def test_euler_product_cutoff_domain():
+    for cutoff in (0, -5):
+        with pytest.raises(ValueError):
+            leading_constant(projective_space(1, 2), S0, cutoff, "truncated")
+        with pytest.raises(ValueError):
+            blowup_reference_constant(1, 1, cutoff)
+    # cutoff 1: the empty product, with the tail bound of all primes
+    value, tail = p1_campana_constant(2, S0, prime_cutoff=1)
+    assert value == 2.0 and tail == pytest.approx(2.0 * math.expm1(3.0 / 0.5))
 
 
 def test_reference_constants_m_factor_flag():

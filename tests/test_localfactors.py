@@ -2,8 +2,10 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
+from orbicount.arith import primes_up_to
 from orbicount.errors import DomainError
 from orbicount.localfactors import (
     OracleConfig,
@@ -12,12 +14,42 @@ from orbicount.localfactors import (
     blowup_factor,
     denef_factor,
     normalized_factor,
+    normalized_factors,
     p1_factor,
     shell_sum_oracle,
 )
-from orbicount.orbifold import a_invariant, blowup_p2, projective_space
+from orbicount.orbifold import (
+    BoundaryComponent,
+    OrbifoldModel,
+    a_invariant,
+    blowup_p2,
+    projective_space,
+)
 
 P1 = projective_space(1, 1)
+
+# The models of test_denef_on_a_custom_split_model (two disjoint boundary lines
+# on a quadric surface) and test_denef_infinite_weight_component.
+SPLIT = OrbifoldModel(
+    "custom",
+    2,
+    (
+        BoundaryComponent("D1", rho=2, lam=Fraction(1), m=2),
+        BoundaryComponent("D2", rho=2, lam=Fraction(1), m=3),
+    ),
+    {
+        frozenset(): (0, 0, 1),
+        frozenset({"D1"}): (0, 1),
+        frozenset({"D2"}): (0, 1),
+        frozenset({"D1", "D2"}): (1,),
+    },
+)
+INTEGRAL = OrbifoldModel(
+    "custom",
+    1,
+    (BoundaryComponent("D", rho=2, lam=Fraction(1), m=None),),
+    {frozenset(): (0, 1), frozenset({"D"}): (1,)},
+)
 
 
 def test_denef_examples():
@@ -184,6 +216,51 @@ def test_normalized_factor_decay_envelope():
             for p in (2, 3, 5, 11, 101, 499):
                 lhs = abs(normalized_factor(model, p, s) - 1)
                 assert lhs <= cap * float(p) ** float(-1 - delta)
+
+
+VECTOR_MODELS = (
+    [projective_space(1, m) for m in (1, 2, 3, 4)]
+    + [projective_space(n, 2) for n in (2, 3)]
+    + [blowup_p2(m1, m2) for m1, m2 in ((1, 1), (2, 1), (1, 2), (3, 2))]
+)
+
+
+def _assert_matches_mpmath(model, s, in_S):
+    primes = primes_up_to(10**4)
+    got = normalized_factors(model, primes, s, in_S)
+    assert got.dtype == np.float64 and got.shape == (len(primes),)
+    for p, value in zip(primes, got):
+        want = float(normalized_factor(model, p, s, in_S))
+        assert abs(value - want) <= 1e-13 * want, (p, value, want)
+
+
+@pytest.mark.parametrize("in_S", [False, True])
+@pytest.mark.parametrize(
+    "model", VECTOR_MODELS, ids=lambda m: "-".join([m.name, *map(str, m.params.values())])
+)
+def test_normalized_factors_match_mpmath_route(model, in_S):
+    a = a_invariant(model)
+    for s in (a, a + Fraction(1, 4)):
+        _assert_matches_mpmath(model, s, in_S)
+
+
+@pytest.mark.parametrize("in_S", [False, True])
+def test_normalized_factors_on_custom_models(in_S):
+    for s in (Fraction(7, 4), 2.5):
+        _assert_matches_mpmath(SPLIT, s, in_S)
+        _assert_matches_mpmath(INTEGRAL, s, in_S)
+    # outside S the integral point's boundary stratum drops out entirely
+    assert np.all(normalized_factors(INTEGRAL, [2, 3, 5], 2.0) == 1.0)
+
+
+def test_normalized_factors_divergence_matches_mpmath_route():
+    for model, s in ((projective_space(1, 2), 1), (blowup_p2(1, 1), Fraction(1, 2)),
+                     (SPLIT, 0.75)):
+        with pytest.raises(DomainError) as scalar:
+            normalized_factor(model, 2, s)
+        with pytest.raises(DomainError) as vector:
+            normalized_factors(model, [2, 3], s)
+        assert str(vector.value) == str(scalar.value)
 
 
 def test_archimedean_projective():

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from . import constants, enumeration, fitting, geometry, localfactors
+from . import arith, constants, enumeration, fitting, geometry, localfactors
 from .errors import BudgetExceededError, DomainError
 from .orbifold import OrbifoldModel, PlaceSet, blowup_p2, projective_space
 
@@ -65,8 +65,10 @@ def _grid(args) -> tuple:
             raise DomainError("geometric grid needs at least one point")
         if args.bmax is None:
             raise DomainError("geometric grid requires --bmax")
-        lo = float(_parse_fraction(args.bmin))
-        hi = float(_parse_fraction(args.bmax))
+        lo = _parse_fraction(args.bmin)
+        if lo <= 0:
+            raise DomainError("--bmin must be positive")
+        lo, hi = float(lo), float(_parse_fraction(args.bmax))
         if hi < lo:
             raise DomainError("--bmax below --bmin")
         if k == 1:
@@ -234,6 +236,8 @@ def _cmd_local_factor(args) -> int:
     model = _build_model(args)
     if args.s_value is None:
         raise DomainError("local-factor requires --s")
+    if not arith.is_prime(args.p):
+        raise DomainError(f"--p must be a prime, got {args.p}")
     s = float(args.s_value)
     if model.name == "p1":
         closed = localfactors.p1_factor(args.p, model.params["m"], s, in_S=args.in_s)

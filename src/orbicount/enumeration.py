@@ -5,9 +5,13 @@ One enumeration core per model; the counts, the height-zeta sums in
 materialized):
 
 * line (p1) and plane (pn, n = 2): ``line_denominators`` is the one source of
-  admissible last coordinates q.  ``count_p1`` and ``count_pn2`` share one
-  body: per q they count coprime numerators (line) or coprime pairs (plane)
-  by inclusion-exclusion over the prime divisors of q.  When every q is
+  admissible last coordinates q, each with its distinct primes.  A Darmon q
+  is s d^m and a Campana q is s times an m-full number, with s S-smooth and
+  the other factor coprime to S, so one walk over the primes builds these q
+  together with their primes and no Darmon or Campana path calls
+  ``factorize``.  ``count_p1`` and ``count_pn2`` share one body: per q they
+  count coprime numerators (line) or coprime pairs (plane) by
+  inclusion-exclusion over the prime divisors of q.  When every q is
   admissible (rational mode, or weight 1) they take the Moebius sums
   N(B) = 1 + 2 * sum_d mu(d) * floor(B/d)^2 (line) and its plane analogue,
   summed over the about 2 sqrt(B) runs of equal floor(B/d) with Mertens
@@ -49,7 +53,6 @@ from . import geometry
 from .arith import (
     count_coprime,
     distinct_primes,
-    euler_phi,
     integer_kth_root,
     mobius_sieve,
     primes_up_to,
@@ -74,9 +77,6 @@ __all__ = [
     "blowup_cells",
     "line_denominators",
     "all_denominators_admissible",
-    "darmon_denominators",
-    "campana_denominators",
-    "k_full_numbers",
     "write_series_csv",
     "read_counts_csv",
     "dump_points",
@@ -124,63 +124,46 @@ def charge(budget: Optional[int], amount: int) -> None:
 # --------------------------------------------------------------------------
 
 
-def _s_smooth(limit: int, s_primes: Sequence[int]) -> List[int]:
-    """All integers <= limit supported on s_primes (including 1)."""
-    vals = [1]
-    for p in s_primes:
-        extra = []
-        for v in vals:
-            pv = v * p
-            while pv <= limit:
-                extra.append(pv)
-                pv *= p
-        vals.extend(extra)
-    return sorted(vals)
+def _shaped_denominators(
+    limit: int, m: int, s_primes: Sequence[int], mode: str
+) -> List[Tuple[int, Tuple[int, ...]]]:
+    """(q, primes of q) for the Darmon or Campana q <= limit, ascending in q.
 
-
-def darmon_denominators(limit: int, m: int, s_primes: Sequence[int] = ()) -> List[int]:
-    """q <= limit whose prime exponents away from s_primes are multiples of m."""
-    out = []
-    for s in _s_smooth(limit, s_primes):
-        dmax = integer_kth_root(limit // s, m)
-        for d in range(1, dmax + 1):
-            if any(d % p == 0 for p in s_primes):
-                continue
-            out.append(s * d**m)
-    return sorted(set(out))
-
-
-def k_full_numbers(limit: int, k: int, exclude: Sequence[int] = ()) -> List[int]:
-    """Integers <= limit all of whose prime exponents are >= k, coprime to
-    the excluded primes.  Includes 1."""
-    ps = [p for p in primes_up_to(integer_kth_root(limit, k)) if p not in exclude]
-    out: List[int] = []
-
-    def rec(i: int, val: int) -> None:
-        out.append(val)
-        for j in range(i, len(ps)):
+    One depth-first walk over the primes in ascending order: at a prime of
+    S any exponent >= 1 enters, at any other prime the exponent is a multiple
+    of m (Darmon) or at least m (Campana).  Each support is built prime by
+    prime, so it is ascending and equals ``distinct_primes(q)``.  When a
+    prime's least entry overshoots, no later prime fits if it is in S;
+    otherwise only a later prime of S can, with exponent 1 and possibly
+    above limit^(1/m), so the walk skips ahead to it."""
+    S = set(s_primes)
+    ps = primes_up_to(integer_kth_root(limit, m))
+    ps = sorted(set(ps) | {p for p in S if p <= limit})
+    next_s = [len(ps)] * (len(ps) + 1)  # index of the first S prime >= ps[j]
+    for j in reversed(range(len(ps))):
+        next_s[j] = j if ps[j] in S else next_s[j + 1]
+    out: List[Tuple[int, Tuple[int, ...]]] = []
+    stack = [(0, 1, ())]  # (index of the next prime, q so far, its primes)
+    while stack:
+        j, val, support = stack.pop()
+        out.append((val, support))
+        while j < len(ps):
             p = ps[j]
-            v = val * p**k
+            in_S = p in S
+            v = val * (p if in_S else p**m)
             if v > limit:
-                break
+                if in_S:
+                    break
+                j = next_s[j + 1]
+                continue
+            step = p**m if mode == "darmon" and not in_S else p
+            support_p = support + (p,)
             while v <= limit:
-                rec(j + 1, v)
-                v *= p
-
-    rec(0, 1)
-    return sorted(out)
-
-
-def campana_denominators(limit: int, m: int, s_primes: Sequence[int] = ()) -> List[int]:
-    """q <= limit that are m-full away from s_primes."""
-    fulls = k_full_numbers(limit, m, exclude=s_primes)
-    out = []
-    for s in _s_smooth(limit, s_primes):
-        for f in fulls:
-            if s * f > limit:
-                break
-            out.append(s * f)
-    return sorted(set(out))
+                stack.append((j + 1, v, support_p))
+                v *= step
+            j += 1
+    out.sort()
+    return out
 
 
 def all_denominators_admissible(m: int, mode: str) -> bool:
@@ -215,18 +198,20 @@ def _denominator_bound(m: int, s_primes: Sequence[int], limit: int, mode: str) -
 
 def line_denominators(
     m: int, S: PlaceSet, Bint: int, mode: str, budget: Optional[int] = None
-) -> Sequence[int]:
-    """Admissible last coordinates q <= Bint of the line and plane models.
+) -> Iterable[Tuple[int, Tuple[int, ...]]]:
+    """Admissible last coordinates q <= Bint of the line and plane models,
+    ascending, each with its distinct primes: pairs (q, primes of q).
 
-    range(1, Bint + 1) when ``all_denominators_admissible``; otherwise the
-    Darmon or Campana denominators away from S.  The budget is charged an
-    upper bound on their number before any of them is generated."""
+    When ``all_denominators_admissible`` this is a lazy walk over every q
+    that factors each one; otherwise it is the list of Darmon or Campana
+    denominators away from S, whose primes come from building them.  The
+    budget is charged an upper bound on their number before any of them is
+    generated."""
     if all_denominators_admissible(m, mode):
         charge(budget, Bint)
-        return range(1, Bint + 1)
+        return ((q, distinct_primes(q)) for q in range(1, Bint + 1))
     charge(budget, _denominator_bound(m, S.finite_primes, Bint, mode))
-    gen = darmon_denominators if mode == "darmon" else campana_denominators
-    return gen(Bint, m, S.finite_primes)
+    return _shaped_denominators(Bint, m, S.finite_primes, mode)
 
 
 # --------------------------------------------------------------------------
@@ -234,9 +219,10 @@ def line_denominators(
 # --------------------------------------------------------------------------
 
 
-def _line_q_count(Bint: int, q: int) -> int:
-    """Numerators p with |p| <= Bint and gcd(p, q) = 1 (p = 0 only for q = 1)."""
-    return 2 * count_coprime(Bint, distinct_primes(q)) + (1 if q == 1 else 0)
+def _line_q_count(Bint: int, primes: Tuple[int, ...]) -> int:
+    """Numerators p with |p| <= Bint and gcd(p, q) = 1, for the q with these
+    distinct primes (p = 0 only for q = 1, the q without primes)."""
+    return 2 * count_coprime(Bint, primes) + (0 if primes else 1)
 
 
 def _mertens_sieve_limit(N: int) -> int:
@@ -301,10 +287,11 @@ def _count_line_all(Bint: int) -> int:
     return 1 + 2 * _mobius_sum(Bint, lambda f: f * f)
 
 
-def _pn2_pair_count(Bint: int, q: int) -> int:
-    """#{(x0, x1) in [-B, B]^2 : gcd(x0, x1, q) = 1} by inclusion-exclusion."""
+def _pn2_pair_count(Bint: int, primes: Tuple[int, ...]) -> int:
+    """#{(x0, x1) in [-B, B]^2 : gcd(x0, x1, q) = 1} by inclusion-exclusion,
+    for the q with these distinct primes."""
     total = 0
-    for d in signed_squarefree_divisors(distinct_primes(q)):
+    for d in signed_squarefree_divisors(primes):
         k = 2 * (Bint // abs(d)) + 1
         total += k * k if d > 0 else -(k * k)
     return total
@@ -315,13 +302,15 @@ def _count_plane_all(Bint: int) -> int:
     return _mobius_sum(Bint, lambda f: f * (2 * f + 1) ** 2)
 
 
-def _per_q_chunk_worker(args: Tuple[Callable, int, Sequence[int]]) -> int:
-    per_q, Bint, qs = args
-    return sum(per_q(Bint, q) for q in qs)
+def _per_q_chunk_worker(
+    args: Tuple[Callable, int, Sequence[Tuple[int, Tuple[int, ...]]]]
+) -> int:
+    per_q, Bint, denominators = args
+    return sum(per_q(Bint, primes) for _, primes in denominators)
 
 
 def _count_by_denominator(
-    per_q: Callable[[int, int], int],
+    per_q: Callable[[int, Tuple[int, ...]], int],
     count_all: Callable[[int], int],
     m: int,
     S: PlaceSet,
@@ -330,8 +319,8 @@ def _count_by_denominator(
     workers: int,
     budget: Optional[int],
 ) -> int:
-    """Sum per_q(Bint, q) over the admissible q, or count_all(Bint) when
-    every q is admissible."""
+    """Sum per_q(Bint, primes of q) over the admissible q, or count_all(Bint)
+    when every q is admissible."""
     _check_mode(mode)
     Bint = _floor_bound(B)
     if Bint < 1:
@@ -339,8 +328,8 @@ def _count_by_denominator(
     if all_denominators_admissible(m, mode):
         charge(budget, _mobius_sum_work(Bint))
         return count_all(Bint)
-    qs = line_denominators(m, S, Bint, mode, budget)
-    chunks = [(per_q, Bint, tuple(c)) for c in _chunked(qs)]
+    denominators = line_denominators(m, S, Bint, mode, budget)
+    chunks = [(per_q, Bint, c) for c in _chunked(denominators)]
     return sum(_run_chunks(_per_q_chunk_worker, chunks, workers))
 
 
@@ -404,17 +393,18 @@ def _blowup_strata(
     Bf: Fraction,
     mode: str,
     budget: Optional[int] = None,
-) -> List[Tuple[int, int]]:
-    """(g, C(g)) for the admissible gcds g, ascending, with C(g) the cap on
-    max(a, b) of the pairs (g a, g b) that carry a point of height <= B.
+) -> List[Tuple[int, Tuple[int, ...], int]]:
+    """(g, primes of g, C(g)) for the admissible gcds g, ascending, with C(g)
+    the cap on max(a, b) of the pairs (g a, g b) that carry a point of
+    height <= B.
 
     The budget is charged the admissible g first and then sum C(g) (C(g)+1),
     which bounds the cells and the weight table's gcds, before either."""
     E1, E2 = _blowup_exponents(m1, m2)
     num, den = (Bf ** (m1 * m2)).as_integer_ratio()
     gs = line_denominators(m1, S, _blowup_mmax(Bf, m1), mode, budget)
-    strata = [(g, _iroot_ratio(num, den * g**E1, E1 + E2)) for g in gs]
-    charge(budget, sum(C * (C + 1) for _, C in strata))
+    strata = [(g, gp, _iroot_ratio(num, den * g**E1, E1 + E2)) for g, gp in gs]
+    charge(budget, sum(C * (C + 1) for _, _, C in strata))
     return strata
 
 
@@ -424,11 +414,11 @@ def blowup_cells(
     S: PlaceSet,
     B: Union[int, float, Fraction],
     mode: str,
-    strata: Optional[Sequence[Tuple[int, int]]] = None,
+    strata: Optional[Sequence[Tuple[int, Tuple[int, ...], int]]] = None,
 ) -> Iterator[Tuple[int, int, int, Tuple[int, ...], int]]:
     """One yield per cell (g, c) of the leading pairs (x0, x1) = (g a, g b),
     gcd(a, b) = 1, c = max(a, |b|), that are admissible and carry a point of
-    height <= B, over the strata (g, C(g)) of ``_blowup_strata``.
+    height <= B, over the strata (g, primes of g, C(g)) of ``_blowup_strata``.
 
     g is an admissible line denominator for weight m1, a one for weight m2
     (a in A), and c <= C(g).  So b/a is a point of height c on the weight-m2
@@ -451,18 +441,17 @@ def blowup_cells(
     E1, E2 = _blowup_exponents(m1, m2)
     num, den = (Bf ** (m1 * m2)).as_integer_ratio()
     # the cap C(g) falls as g grows, so the first stratum's cap bounds c
-    cmax = strata[0][1]
+    cmax = strata[0][2]
     X2 = [0] + [_iroot_ratio(num, den * c**E2, E1) for c in range(1, cmax + 1)]
     if own_strata:
         upto = list(itertools.accumulate(X2))
-        charge(DEFAULT_BUDGET, sum(upto[C] - g * C * (C + 1) // 2 for g, C in strata))
+        charge(DEFAULT_BUDGET, sum(upto[C] - g * C * (C + 1) // 2 for g, _, C in strata))
     w = np.zeros(cmax + 1, dtype=np.int64)
-    for a in line_denominators(m2, S, cmax, mode):
-        w[a] += 2 * euler_phi(a) + (a == 1)
+    for a, ap in line_denominators(m2, S, cmax, mode):
+        w[a] += 2 * count_coprime(a, ap) + (a == 1)  # 2 phi(a) + [a = 1]
         w[a + 1 :] += 2 * (np.gcd(a, np.arange(a + 1, cmax + 1)) == 1)
     cells = [(c, weight) for c, weight in enumerate(w.tolist()) if weight]
-    for g, C in strata:
-        gp = distinct_primes(g)
+    for g, gp, C in strata:
         for c, weight in cells:
             if c > C:
                 break
@@ -470,7 +459,9 @@ def blowup_cells(
 
 
 def _blowup_chunk_worker(
-    args: Tuple[int, int, PlaceSet, Fraction, str, Sequence[Tuple[int, int]]]
+    args: Tuple[
+        int, int, PlaceSet, Fraction, str, Sequence[Tuple[int, Tuple[int, ...], int]]
+    ]
 ) -> int:
     m1, m2, S, Bf, mode, strata = args
     total = 0
@@ -505,7 +496,7 @@ def count_blowup(
 _N_CHUNKS = 32  # fixed, so the partition never depends on the worker count
 
 
-def _chunked(seq: Sequence[int]) -> Iterable[Sequence[int]]:
+def _chunked(seq: Sequence) -> Iterable[Sequence]:
     if not seq:
         return []
     size = max(1, (len(seq) + _N_CHUNKS - 1) // _N_CHUNKS)

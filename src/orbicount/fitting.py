@@ -22,10 +22,11 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .arith import count_coprime, distinct_primes, euler_phi, signed_squarefree_divisors
+from .arith import count_coprime, signed_squarefree_divisors
 from .enumeration import (
     DEFAULT_BUDGET,
     CountSeries,
+    all_denominators_admissible,
     blowup_cells,
     charge,
     line_denominators,
@@ -78,8 +79,10 @@ def _zeta_line(model, S, s, Bf, mode) -> float:
     Bint = math.floor(Bf)
     if Bint < 1:
         return 0.0
-    qs = line_denominators(model.params["m"], S, Bint, mode, DEFAULT_BUDGET)
-    charge(DEFAULT_BUDGET, Bint + 1 + len(qs))
+    m = model.params["m"]
+    denominators = line_denominators(m, S, Bint, mode, DEFAULT_BUDGET)
+    n_denominators = Bint if all_denominators_admissible(m, mode) else len(denominators)
+    charge(DEFAULT_BUDGET, Bint + 1 + n_denominators)
     powers = np.arange(Bint + 1, dtype=np.float64)
     powers[0] = 1.0
     powers **= -s
@@ -96,9 +99,9 @@ def _zeta_line(model, S, s, Bf, mode) -> float:
         return total
 
     value = 0.0
-    for q in qs:
-        divs = signed_squarefree_divisors(distinct_primes(q))
-        at_q = 2 * euler_phi(q) + (1 if q == 1 else 0)
+    for q, primes in denominators:
+        divs = signed_squarefree_divisors(primes)
+        at_q = 2 * count_coprime(q, primes) + (1 if q == 1 else 0)
         value += float(q) ** -s * at_q
         value += 2.0 * (coprime_power_sum(Bint, divs) - coprime_power_sum(q, divs))
     return float(value)

@@ -70,13 +70,10 @@ def _to_mpf(x: Number) -> mpf:
 @dataclass(frozen=True)
 class OracleConfig:
     depth: int = 60  # valuation-shell truncation
-    tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.depth < 10:
             raise ValueError("oracle depth must be at least 10")
-        if self.tolerance <= 0:
-            raise ValueError("oracle tolerance must be positive")
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,25 @@ def test_count_geometric_grid_row_count(capsys):
     assert lines[-1].startswith("10000,")
 
 
+@pytest.mark.parametrize("bmin", ["0", "-5"])
+def test_count_geometric_grid_rejects_nonpositive_bmin(capsys, bmin):
+    code, out, err = run(
+        capsys, "count", "--model", "p1", "--grid", "geometric:3", "--bmax", "100",
+        "--bmin", bmin,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_count_geometric_grid_fractional_bmin(capsys):
+    code, out, _ = run(
+        capsys, "count", "--model", "p1", "--grid", "geometric:3", "--bmax", "100",
+        "--bmin", "1/2", "--mode", "rational",
+    )
+    assert code == 0
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["1", "7", "100"]
+
+
 def test_count_sorts_explicit_grid(capsys):
     _, out_sorted, _ = run(
         capsys, "count", "--model", "p1", "--grid", "10,40,100", "--mode", "rational"
@@ -318,6 +337,15 @@ def test_local_factor_subcommand(capsys):
     assert payload["oracle"] == pytest.approx(1.5, rel=1e-12)
     assert payload["oracle_bound"] < 1e-10
     assert set(payload) >= {"p", "s", "closed_form", "denef", "oracle", "oracle_bound"}
+
+
+@pytest.mark.parametrize("p", ["0", "1", "-3", "4"])
+def test_local_factor_rejects_nonprime_p(capsys, p):
+    code, out, err = run(
+        capsys, "local-factor", "--model", "p1", "--m", "2", "--p", p, "--s", "2"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_count_fit_roundtrip(tmp_path, capsys):

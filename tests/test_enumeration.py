@@ -5,24 +5,27 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbicount import enumeration
-from orbicount.arith import integer_kth_root, is_k_full, is_kth_power, mobius_sieve
+from orbicount import arith, enumeration
+from orbicount.arith import (
+    distinct_primes,
+    integer_kth_root,
+    is_k_full,
+    is_kth_power,
+    mobius_sieve,
+)
 from orbicount.enumeration import (
     CSV_HEADER,
     all_denominators_admissible,
     blowup_cells,
-    campana_denominators,
     count_blowup,
     count_p1,
     count_pn2,
     count_points,
     count_series,
-    darmon_denominators,
     dump_points,
-    k_full_numbers,
     line_denominators,
     naive_count_blowup,
     naive_count_p1,
@@ -31,6 +34,7 @@ from orbicount.enumeration import (
     write_series_csv,
 )
 from orbicount.errors import BudgetExceededError, DomainError
+from orbicount.fitting import zeta_partial_sum
 from orbicount.orbifold import PlaceSet, blowup_p2, projective_space
 
 S0 = PlaceSet.of()
@@ -51,22 +55,42 @@ def test_blowup_small_bounds():
     assert count_blowup(1, 1, S0, Fraction(399, 100), "rational") == 9
 
 
+def _qs(m, S, limit, mode):
+    return [q for q, _ in line_denominators(m, S, limit, mode)]
+
+
+def _definitional_denominators(limit, m, s_primes, mode):
+    def stripped(q):
+        for p in s_primes:
+            while q % p == 0:
+                q //= p
+        return q
+
+    shape = is_kth_power if mode == "darmon" else is_k_full
+    return [q for q in range(1, limit + 1) if shape(stripped(q), m)]
+
+
 def test_denominator_generators_match_definitions():
     for m in (2, 3):
         for s_primes in ((), (2,), (2, 3)):
+            S = PlaceSet.of(s_primes)
+            for mode in ("darmon", "campana"):
+                want = _definitional_denominators(399, m, s_primes, mode)
+                assert _qs(m, S, 399, mode) == want
 
-            def stripped(q):
-                for p in s_primes:
-                    while q % p == 0:
-                        q //= p
-                return q
 
-            darmon = [
-                q for q in range(1, 400) if is_kth_power(stripped(q), m)
-            ]
-            campana = [q for q in range(1, 400) if is_k_full(stripped(q), m)]
-            assert darmon_denominators(399, m, s_primes) == darmon
-            assert campana_denominators(399, m, s_primes) == campana
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(2, 5),
+    s_primes=st.sets(st.sampled_from((2, 3, 5, 7))),
+    mode=st.sampled_from(("darmon", "campana")),
+    limit=st.integers(1, 2 * 10**4),
+)
+def test_denominators_carry_their_primes_property(m, s_primes, mode, limit):
+    pairs = list(line_denominators(m, PlaceSet.of(s_primes), limit, mode))
+    want = _definitional_denominators(limit, m, s_primes, mode)
+    assert [q for q, _ in pairs] == want
+    assert all(primes == distinct_primes(q) for q, primes in pairs)
 
 
 def test_all_denominators_admissible_matches_line_denominators():
@@ -74,14 +98,30 @@ def test_all_denominators_admissible_matches_line_denominators():
     # it must agree with the denominator source on every (m, mode)
     for m in (1, 2, 3):
         for mode in ("rational", "darmon", "campana"):
-            qs = list(line_denominators(m, S0, 200, mode))
-            every_q = qs == list(range(1, 201))
+            pairs = list(line_denominators(m, S0, 200, mode))
+            every_q = [q for q, _ in pairs] == list(range(1, 201))
             assert all_denominators_admissible(m, mode) == every_q
+            assert all(primes == distinct_primes(q) for q, primes in pairs)
 
 
 def test_k_full_numbers_small():
-    assert k_full_numbers(100, 2) == [1, 4, 8, 9, 16, 25, 27, 32, 36, 49, 64, 72, 81, 100]
-    assert k_full_numbers(50, 3, exclude=(2,)) == [1, 27]
+    # the Campana denominators away from S are S-smooth times m-full
+    assert _qs(2, S0, 100, "campana") == [1, 4, 8, 9, 16, 25, 27, 32, 36, 49, 64, 72, 81, 100]
+    assert [q for q in _qs(3, S2, 50, "campana") if q % 2] == [1, 27]
+
+
+def test_darmon_and_campana_paths_never_factor(monkeypatch):
+    # the denominators come with their primes, so no count or height-zeta sum
+    # over Darmon or Campana denominators factors a q again
+    def refuse(*args):
+        raise AssertionError("factorized a generated denominator")
+
+    monkeypatch.setattr(enumeration, "distinct_primes", refuse)
+    monkeypatch.setattr(arith, "factorize", refuse)
+    assert count_p1(3, S2, 10**12, "campana") == 51669106212344925
+    assert count_pn2(2, S0, 10**5, "darmon") == 10516750103593
+    z = zeta_partial_sum(projective_space(1, 2), S0, 2.5, 10**5, "darmon")
+    assert z.value == 4.048351949498725
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -330,13 +370,10 @@ def test_blowup_budget_charges_the_strata():
 def test_denominator_bound_covers_the_denominators():
     for m in (2, 3, 4, 16):
         for s_primes in ((), (2,), (2, 3), (3, 5, 7), (2, 3, 5, 7, 11)):
-            for mode, gen in (
-                ("darmon", darmon_denominators),
-                ("campana", campana_denominators),
-            ):
+            for mode in ("darmon", "campana"):
                 for limit in (1, 10, 1000, 10**5):
                     bound = enumeration._denominator_bound(m, s_primes, limit, mode)
-                    assert len(gen(limit, m, s_primes)) <= bound
+                    assert len(_qs(m, PlaceSet.of(s_primes), limit, mode)) <= bound
 
 
 

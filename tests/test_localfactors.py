@@ -173,8 +173,6 @@ def test_oracle_depth_consistency():
 def test_oracle_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(depth=5)
-    with pytest.raises(ValueError):
-        OracleConfig(tolerance=0)
 
 
 def test_divergence_raises():

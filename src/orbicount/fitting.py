@@ -3,9 +3,23 @@
 The height-zeta sums walk the same enumeration cores as the counts in
 ``enumeration``: the line sum runs over ``line_denominators`` and the
 blow-up sum over the cells (g, c) of ``blowup_cells``, weighting each point
-by H^-s instead of 1.  Both charge ``enumeration.DEFAULT_BUDGET`` their
-predicted steps (the line's prefix sums and denominators, the blow-up's
-strata and x_2 tails) before allocating or looping.
+by H^-s instead of 1.  Sums of n^-s over the n coprime to a q come from one
+float64 prefix array by inclusion-exclusion over the squarefree divisors
+of q, so no loop runs over single points:
+
+- when every q is admissible the line sum is 4 sum_{n <= B} phi(n) n^-s - 1,
+  one Moebius sieve and one prefix array reduced over blocks of d (about
+  9 bytes per unit of B);
+- a Darmon or Campana line takes one prefix array of B + 1 entries
+  (8 bytes each) and 2^(omega(q) + 1) prefix lookups per denominator q;
+- the blow-up takes one prefix array up to the longest x_2 tail and
+  2^(omega(g) + 1) lookups per cell.
+
+Both charge ``enumeration.DEFAULT_BUDGET`` before allocating or looping:
+the line its denominators, then 2B + 1 (all admissible) or B + 1 plus the
+denominators; the blow-up its strata, then sum (X_2 - g c) over the cells.
+These charges are upper bounds: the closed forms do less work than the
+point-by-point walks the charges were sized for.
 
 The fit works in ratio space: kappa is the mean of N(B) / (B^a (log B)^(b-1))
 over the grid points inside the window (top two decades by default), and the
@@ -22,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .arith import count_coprime, signed_squarefree_divisors
+from .arith import count_coprime, mobius_sieve, signed_squarefree_divisors
 from .enumeration import (
     DEFAULT_BUDGET,
     CountSeries,
@@ -81,46 +95,85 @@ def _zeta_line(model, S, s, Bf, mode) -> float:
         return 0.0
     m = model.params["m"]
     denominators = line_denominators(m, S, Bint, mode, DEFAULT_BUDGET)
-    n_denominators = Bint if all_denominators_admissible(m, mode) else len(denominators)
-    charge(DEFAULT_BUDGET, Bint + 1 + n_denominators)
-    powers = np.arange(Bint + 1, dtype=np.float64)
-    powers[0] = 1.0
-    powers **= -s
-    powers[0] = 0.0
-    prefix = np.cumsum(powers)  # prefix[X] = sum_{n <= X} n^-s
-
-    def coprime_power_sum(X: int, divs: Sequence[int]) -> float:
-        total = 0.0
-        for d in divs:
-            if d > 0:
-                total += d**-s * prefix[X // d]
-            else:
-                total -= (-d) ** -s * prefix[X // -d]
-        return total
-
+    if all_denominators_admissible(m, mode):
+        charge(DEFAULT_BUDGET, 2 * Bint + 1)
+        # summed over every q the points of height n number 4 phi(n), less
+        # one at n = 1 (the point 0 is counted once)
+        return 4.0 * _phi_power_sum(Bint, s) - 1.0
+    charge(DEFAULT_BUDGET, Bint + 1 + len(denominators))
+    prefix = _power_prefix(Bint, s)
     value = 0.0
     for q, primes in denominators:
         divs = signed_squarefree_divisors(primes)
         at_q = 2 * count_coprime(q, primes) + (1 if q == 1 else 0)
         value += float(q) ** -s * at_q
-        value += 2.0 * (coprime_power_sum(Bint, divs) - coprime_power_sum(q, divs))
+        tail = _coprime_power_sum(prefix, s, Bint, divs)
+        value += 2.0 * (tail - _coprime_power_sum(prefix, s, q, divs))
     return float(value)
+
+
+def _power_prefix(X: int, s: float) -> np.ndarray:
+    """prefix[x] = sum_{n <= x} n^-s for 0 <= x <= X: one float64 array."""
+    prefix = np.arange(X + 1, dtype=np.float64)
+    prefix[0] = 1.0
+    prefix **= -s
+    prefix[0] = 0.0
+    return np.cumsum(prefix, out=prefix)
+
+
+def _coprime_power_sum(
+    prefix: np.ndarray, s: float, X: int, divs: Sequence[int]
+) -> float:
+    """sum of n^-s over the n <= X coprime to the primes whose signed
+    squarefree divisors are ``divs``, from ``prefix = _power_prefix(., s)``:
+    sum_{f | rad} mu(f) f^-s prefix[X // f]."""
+    total = 0.0
+    for d in divs:
+        if d > 0:
+            total += d**-s * prefix[X // d]
+        else:
+            total -= (-d) ** -s * prefix[X // -d]
+    return total
+
+
+_PHI_BLOCK = 1 << 16
+
+
+def _phi_power_sum(B: int, s: float) -> float:
+    """sum_{n <= B} phi(n) n^-s = sum_{d <= B} mu(d) d^-s P(floor(B/d)), with
+    P(x) = sum_{n <= x} n^(1-s): one Moebius sieve and one prefix array
+    (9 bytes per entry), reduced over blocks of d with ``np.sum`` and
+    across blocks with ``math.fsum`` (a float64 ``np.dot`` would start BLAS
+    threads)."""
+    mu = mobius_sieve(B)
+    prefix = _power_prefix(B, s - 1.0)
+    blocks = []
+    for lo in range(1, B + 1, _PHI_BLOCK):
+        d = np.arange(lo, min(lo + _PHI_BLOCK, B + 1))
+        terms = prefix[B // d]
+        terms *= mu[lo : lo + len(d)]
+        terms *= d.astype(np.float64) ** -s
+        blocks.append(float(np.sum(terms)))
+    return math.fsum(blocks)
 
 
 def _zeta_blowup(model, S, s, Bf, mode) -> float:
     m1, m2 = model.params["m1"], model.params["m2"]
-    e1 = 1 + 1.0 / m1
-    e2 = 1 + 1.0 / m2 - 1.0 / m1
+    s1 = s * (1 + 1.0 / m1)
+    s2 = s * (1 + 1.0 / m2 - 1.0 / m1)
+    prefix = None
     value = 0.0
     for weight, g, M2, gp, X2 in blowup_cells(m1, m2, S, Bf, mode):
-        base = float(M2 // g) ** e2
+        if prefix is None:
+            # the first cell, (g, c) = (1, 1), has the longest x2 tail
+            prefix = _power_prefix(X2, s1)
+        divs = signed_squarefree_divisors(gp)
         core = 2 * count_coprime(M2, gp) + (1 if g == 1 else 0)
-        value += weight * core * (float(M2) ** e1 * base) ** -s
-        for t in range(M2 + 1, X2 + 1):
-            if math.gcd(t, g) != 1:
-                continue
-            value += weight * 2 * (float(t) ** e1 * base) ** -s
-    return value
+        tail = _coprime_power_sum(prefix, s1, X2, divs)
+        tail -= _coprime_power_sum(prefix, s1, M2, divs)
+        at_c = core * float(M2) ** -s1 + 2.0 * tail
+        value += weight * float(M2 // g) ** -s2 * at_c
+    return float(value)
 
 
 def residue_probe(

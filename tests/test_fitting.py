@@ -2,10 +2,19 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbicount import fitting
+from orbicount.arith import count_coprime
 from orbicount.constants import ZETA2
-from orbicount.enumeration import MODES, count_p1, count_series, iter_points
+from orbicount.enumeration import (
+    MODES,
+    blowup_cells,
+    count_p1,
+    count_series,
+    iter_points,
+)
 from orbicount.errors import BudgetExceededError, DomainError
 from orbicount.fitting import (
     fit_counts,
@@ -52,6 +61,68 @@ def test_partial_sum_blowup_matches_oracle(weights):
             )
             z = zeta_partial_sum(model, S, s, B, mode)
             assert z.value == pytest.approx(brute, rel=1e-12)
+
+
+def _totient_line_sum(B, s):
+    """4 sum_{n <= B} phi(n) n^-s - 1, the all-of-Q line sum, from a
+    pure-Python totient sieve."""
+    phi = list(range(B + 1))
+    for p in range(2, B + 1):
+        if phi[p] == p:
+            for k in range(p, B + 1, p):
+                phi[k] -= phi[k] // p
+    return 4 * math.fsum(phi[n] * float(n) ** -s for n in range(1, B + 1)) - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    B=st.integers(1, 5000),
+    s=st.floats(-3, 12),
+    case=st.sampled_from(
+        [(1, mode) for mode in MODES] + [(2, "rational"), (3, "rational")]
+    ),
+    S=st.sampled_from([S0, PlaceSet.of([2])]),
+)
+def test_all_admissible_line_sum_is_the_totient_sum(B, s, case, S):
+    m, mode = case
+    z = zeta_partial_sum(projective_space(1, m), S, s, B, mode)
+    assert z.value == pytest.approx(_totient_line_sum(B, s), rel=1e-12)
+
+
+def _zeta_blowup_by_tail_walk(model, S, s, B, mode):
+    """The blow-up sum with each cell's x2 tail walked one t at a time."""
+    m1, m2 = model.params["m1"], model.params["m2"]
+    e1 = 1 + 1.0 / m1
+    e2 = 1 + 1.0 / m2 - 1.0 / m1
+    terms = []
+    for weight, g, M2, gp, X2 in blowup_cells(m1, m2, S, B, mode):
+        base = float(M2 // g) ** e2
+        core = 2 * count_coprime(M2, gp) + (1 if g == 1 else 0)
+        terms.append(weight * core * (float(M2) ** e1 * base) ** -s)
+        for t in range(M2 + 1, X2 + 1):
+            if math.gcd(t, g) != 1:
+                continue
+            terms.append(weight * 2 * (float(t) ** e1 * base) ** -s)
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize(
+    "weights, S, modes",
+    [
+        ((1, 1), S0, ["darmon"]),
+        ((2, 1), S0, ["campana"]),
+        ((1, 2), PlaceSet.of([2, 3]), MODES),
+        ((2, 1), PlaceSet.of([2]), ["darmon"]),
+    ],
+)
+@pytest.mark.parametrize("B", [30, Fraction(2001, 2), 10**5])
+def test_blowup_tail_sums_match_the_tail_walk(weights, S, modes, B):
+    model = blowup_p2(*weights)
+    for mode in modes:
+        for s in (1.1, 1.5, 2.5):
+            walk = _zeta_blowup_by_tail_walk(model, S, s, B, mode)
+            z = zeta_partial_sum(model, S, s, B, mode)
+            assert z.value == pytest.approx(walk, rel=1e-12)
 
 
 def test_zeta_budget_is_charged_before_any_work(monkeypatch):

@@ -4,20 +4,27 @@ One enumeration core per model; the counts, the height-zeta sums in
 ``fitting`` and the debug dump are all built on it (points are counted, never
 materialized):
 
-* line (p1) and plane (pn, n = 2): ``line_denominators`` is the one source of
-  admissible last coordinates q, each with its distinct primes.  A Darmon q
-  is s d^m and a Campana q is s times an m-full number, with s S-smooth and
-  the other factor coprime to S, so one walk over the primes builds these q
-  together with their primes and no Darmon or Campana path calls
-  ``factorize``.  ``count_p1`` and ``count_pn2`` share one body: per q they
-  count coprime numerators (line) or coprime pairs (plane) by
-  inclusion-exclusion over the prime divisors of q.  When every q is
-  admissible (rational mode, or weight 1) they take the Moebius sums
-  N(B) = 1 + 2 * sum_d mu(d) * floor(B/d)^2 (line) and its plane analogue,
-  summed over the about 2 sqrt(B) runs of equal floor(B/d) with Mertens
-  values M(floor(B/k)): a Moebius sieve up to about B^(2/3) and the
-  recursion M(x) = 1 - sum_{j>=2} M(floor(x/j)) above it (Deleglise and
-  Rivat), so time and memory are O(B^(2/3)).
+* line (p1) and plane (pn, n = 2): ``line_denominators`` lists the
+  admissible last coordinates q, each with its distinct primes, for the
+  blow-up and the height-zeta sums.  A Darmon q is s d^m and a Campana q is
+  s times an m-full number, with s S-smooth and the other factor coprime to
+  S, so one walk over the primes builds these q together with their primes
+  and no Darmon or Campana path calls ``factorize``.  ``count_p1`` and
+  ``count_pn2`` share one body, which never visits a q: the count over q is
+  sum_{e | rad q} mu(e) T(floor(B/e)), T(x) = 2x on the line (plus the point
+  0/1) and (2x + 1)^2 on the plane, and every admissible q is s a^m t in
+  exactly one way (t = 1 in Darmon mode, else a product of b_j^j,
+  j = m+1..2m-1; Ivic, The Riemann Zeta-Function, ch. 14).  The same walk
+  yields the shapes s t, and per shape the sum over a becomes a sum over
+  e2 <= A = (B/(s t))^(1/m) of mu(e2) T(floor(B/(e1 e2))) c_S(floor(A/e2))
+  for each e1 | rad(s t), over one Moebius sieve up to B^(1/m): one exact
+  int64 dot per shape with A > 128, and one pass per e2 across all the shapes
+  with smaller A.  When every q is admissible (rational mode, or weight 1)
+  they take the Moebius sums N(B) = 1 + 2 * sum_d mu(d) * floor(B/d)^2
+  (line) and its plane analogue, summed over the about 2 sqrt(B) runs of
+  equal floor(B/d) with Mertens values M(floor(B/k)): a Moebius sieve up to
+  about B^(2/3) and the recursion M(x) = 1 - sum_{j>=2} M(floor(x/j)) above
+  it (Deleglise and Rivat), so time and memory are O(B^(2/3)).
 * blow-up: ``blowup_cells`` walks the cells (g, c) of the leading pairs
   (x_0, x_1) = (g a, g b), gcd(a, b) = 1, c = max(a, |b|): g runs over the
   ``line_denominators`` for weight m1 and c up to a cap C(g), so only pairs
@@ -33,9 +40,9 @@ and height checks on every candidate).  The naive_count_* oracles count what
 it yields and ``dump_points`` writes it; the sieved counters must agree with
 the oracles exactly, which the test suite checks.
 
-Work is partitioned into contiguous chunks over q (line/plane) or g
-(blow-up); merging is integer addition, so results are identical for any
-worker count.
+The blow-up count is partitioned into contiguous chunks over g; merging is
+integer addition, so results are identical for any worker count.  The line
+and plane counts run in one process.
 """
 
 from __future__ import annotations
@@ -125,42 +132,50 @@ def charge(budget: Optional[int], amount: int) -> None:
 
 
 def _shaped_denominators(
-    limit: int, m: int, s_primes: Sequence[int], mode: str
+    limit: int, s_primes: Sequence[int], first: int, step: int, last: float
 ) -> List[Tuple[int, Tuple[int, ...]]]:
-    """(q, primes of q) for the Darmon or Campana q <= limit, ascending in q.
+    """(q, primes of q) for the q <= limit whose exponent is any e >= 1 at each
+    prime of S and one of first, first + step, ... <= last at every other
+    prime, ascending in q.
 
-    One depth-first walk over the primes in ascending order: at a prime of
-    S any exponent >= 1 enters, at any other prime the exponent is a multiple
-    of m (Darmon) or at least m (Campana).  Each support is built prime by
-    prime, so it is ascending and equals ``distinct_primes(q)``.  When a
-    prime's least entry overshoots, no later prime fits if it is in S;
-    otherwise only a later prime of S can, with exponent 1 and possibly
-    above limit^(1/m), so the walk skips ahead to it."""
+    The Darmon q take (m, m, inf), the Campana q (m, 1, inf), and the shapes
+    s t of the divisor sum (m+1, 1, 2m-1), or no prime outside S in Darmon
+    mode (first > last).  One depth-first walk over the primes in ascending
+    order: each support is built prime by prime, so it is ascending and
+    equals ``distinct_primes(q)``.  When a prime's least entry overshoots, no
+    later prime fits if it is in S; otherwise only a later prime of S can,
+    with exponent 1 and possibly above limit^(1/first), so the walk skips
+    ahead to it."""
     S = set(s_primes)
-    ps = primes_up_to(integer_kth_root(limit, m))
+    ps = primes_up_to(integer_kth_root(limit, first)) if first <= last else []
     ps = sorted(set(ps) | {p for p in S if p <= limit})
     next_s = [len(ps)] * (len(ps) + 1)  # index of the first S prime >= ps[j]
     for j in reversed(range(len(ps))):
         next_s[j] = j if ps[j] in S else next_s[j + 1]
+    # per prime: least entry, factor between entries, largest entry (None: any)
+    entries = [
+        (p, p, None) if p in S
+        else (p**first, p**step, None if last == math.inf else p**last)
+        for p in ps
+    ]
     out: List[Tuple[int, Tuple[int, ...]]] = []
     stack = [(0, 1, ())]  # (index of the next prime, q so far, its primes)
     while stack:
         j, val, support = stack.pop()
         out.append((val, support))
         while j < len(ps):
-            p = ps[j]
-            in_S = p in S
-            v = val * (p if in_S else p**m)
+            least, factor, top = entries[j]
+            v = val * least
             if v > limit:
-                if in_S:
+                if ps[j] in S:
                     break
                 j = next_s[j + 1]
                 continue
-            step = p**m if mode == "darmon" and not in_S else p
-            support_p = support + (p,)
-            while v <= limit:
+            cap = limit if top is None else min(limit, val * top)
+            support_p = support + (ps[j],)
+            while v <= cap:
                 stack.append((j + 1, v, support_p))
-                v *= step
+                v *= factor
             j += 1
     out.sort()
     return out
@@ -211,18 +226,13 @@ def line_denominators(
         charge(budget, Bint)
         return ((q, distinct_primes(q)) for q in range(1, Bint + 1))
     charge(budget, _denominator_bound(m, S.finite_primes, Bint, mode))
-    return _shaped_denominators(Bint, m, S.finite_primes, mode)
+    step = m if mode == "darmon" else 1
+    return _shaped_denominators(Bint, S.finite_primes, m, step, math.inf)
 
 
 # --------------------------------------------------------------------------
 # line and plane counts
 # --------------------------------------------------------------------------
-
-
-def _line_q_count(Bint: int, primes: Tuple[int, ...]) -> int:
-    """Numerators p with |p| <= Bint and gcd(p, q) = 1, for the q with these
-    distinct primes (p = 0 only for q = 1, the q without primes)."""
-    return 2 * count_coprime(Bint, primes) + (0 if primes else 1)
 
 
 def _mertens_sieve_limit(N: int) -> int:
@@ -287,40 +297,227 @@ def _count_line_all(Bint: int) -> int:
     return 1 + 2 * _mobius_sum(Bint, lambda f: f * f)
 
 
-def _pn2_pair_count(Bint: int, primes: Tuple[int, ...]) -> int:
-    """#{(x0, x1) in [-B, B]^2 : gcd(x0, x1, q) = 1} by inclusion-exclusion,
-    for the q with these distinct primes."""
-    total = 0
-    for d in signed_squarefree_divisors(primes):
-        k = 2 * (Bint // abs(d)) + 1
-        total += k * k if d > 0 else -(k * k)
-    return total
-
-
 def _count_plane_all(Bint: int) -> int:
     """Rational-mode plane count: sum_d mu(d) floor(B/d) (2 floor(B/d) + 1)^2."""
     return _mobius_sum(Bint, lambda f: f * (2 * f + 1) ** 2)
 
 
-def _per_q_chunk_worker(
-    args: Tuple[Callable, int, Sequence[Tuple[int, Tuple[int, ...]]]]
+_SMALL_A = 128  # shapes with A <= this are summed e2 by e2 across all of them
+_BLOCK = 1 << 16  # e2 per block of one shape's dot, rows per digit block
+_INT64_MAX = 2**63 - 1
+_LINE = (0, 2)  # T(x) = 2x: numerators of one sign with |p| <= x
+_PLANE = (1, 4, 4)  # T(x) = (2x + 1)^2: pairs in [-x, x]^2
+
+
+def _poly(coeffs: Sequence[int], x):
+    """sum_i coeffs[i] x^i, for an int or an array."""
+    value = 0
+    for c in reversed(coeffs):
+        value = value * x + c
+    return value
+
+
+def _coprime_counter(s_primes: Sequence[int], limit: int) -> Callable:
+    """c_S(x) = #{1 <= k <= x : k coprime to S} on int64 arrays of x <= limit,
+    as (x // P) phi(P) + c_S(x mod P) with P = prod S, from a table of
+    min(P, limit + 1) entries."""
+    P, phi = math.prod(s_primes), math.prod(p - 1 for p in s_primes)
+    if P > limit:
+        P, phi = limit + 1, 0
+    coprime = np.ones(P, dtype=np.int64)
+    for p in s_primes:
+        coprime[::p] = 0
+    coprime[0] = 0
+    table = np.cumsum(coprime)
+    return lambda x: (x // P) * phi + table[x % P]
+
+
+def _head_length(coeffs: Sequence[int], X: int, A: int) -> int:
+    """How many leading e of sum_{e <= A} w_e T(X // e), |w_e| <= A // e, go
+    through Python ints so that the rest stays inside int64.
+
+    As e <= A <= X, T(X // e) <= (9/4) T(X) / e^d, d the degree of T, and
+    the terms after the first H sum to at most 4 T(X) A / max(H, 1)^d; H is
+    the least value that puts this below 2^63."""
+    if X > _INT64_MAX:
+        return A
+    cap = _poly(coeffs, X) * A
+    if cap < 2**61:
+        return 0
+    return min(A, integer_kth_root(cap >> 61, len(coeffs) - 1) + 1)
+
+
+def _poly_dot(coeffs: Sequence[int], w: np.ndarray, f: np.ndarray) -> int:
+    """sum_r w_r T(f_r) exactly, T the polynomial of degree <= 2 with these
+    coefficients, for int64 arrays with 0 <= f and |w| <= _SMALL_A.
+
+    One int64 dot when no partial sum can overflow; otherwise the power sums
+    sum w f and sum w f^2 from the four 16-bit digits of f, per block of
+    _BLOCK rows, where every partial sum stays below 2^55."""
+    if len(f) == 0:
+        return 0
+    if _poly(coeffs, int(f.max())) * _SMALL_A * len(f) <= _INT64_MAX:
+        return int(np.dot(w, _poly(coeffs, f)))
+    shifts = (0, 16, 32, 48)
+    total = 0
+    for i in range(0, len(f), _BLOCK):
+        wb, fb = w[i : i + _BLOCK], f[i : i + _BLOCK]
+        digits = np.stack([(fb >> k) & 0xFFFF for k in shifts])
+        weighted = digits * wb
+        linear = weighted.sum(axis=1).tolist()
+        sums = [int(wb.sum()), sum(x << k for x, k in zip(linear, shifts))]
+        if len(coeffs) > 2:
+            pairs = (weighted @ digits.T).tolist()
+            sums.append(sum(pairs[a][b] << (shifts[a] + shifts[b])
+                            for a in range(4) for b in range(4)))
+        total += sum(c * p for c, p in zip(coeffs, sums))
+    return total
+
+
+def _shape_dot(coeffs, Bint, A, divisors, t_primes, mu, c_S) -> int:
+    """sum_{e1} mu(e1) sum_{e2 <= A, (e2, S t) = 1} mu(e2) T(Bint // (e1 e2))
+    c_S(A // e2) for one shape, e1 over the signed divisors, by one int64 dot
+    per block of e2 and divisor after a head in Python ints."""
+    heads = []
+    for d in divisors:
+        X = Bint // abs(d)
+        heads.append((d, X, _head_length(coeffs, X, A)))
+    total = 0
+    for lo in range(1, A + 1, _BLOCK):
+        e = np.arange(lo, min(A, lo + _BLOCK - 1) + 1, dtype=np.int64)
+        w = mu[lo : lo + len(e)].astype(np.int64)
+        for p in t_primes:
+            w[-lo % p :: p] = 0
+        w *= c_S(A // e)
+        for d, X, H in heads:
+            k = min(max(H - lo + 1, 0), len(e))
+            part = int(np.dot(w[k:], _poly(coeffs, X // e[k:]))) if k < len(e) else 0
+            if k:
+                head = X // e[:k].astype(object)
+                part += int(np.dot(w[:k].astype(object), _poly(coeffs, head)))
+            total += part if d > 0 else -part
+    return total
+
+
+def _small_shapes_sum(coeffs, Bint, shapes, in_S, mu, c_S) -> int:
+    """The divisor sum over shapes (A, primes of s t) with A <= _SMALL_A, in
+    descending A, over chunks of about _BLOCK rows (shape, e1)."""
+    bits = {p: 1 << i for i, p in enumerate(primes_up_to(_SMALL_A))}
+    total = start = rows = 0
+    for i, (_, primes) in enumerate(shapes, 1):
+        rows += 1 << len(primes)
+        if rows >= _BLOCK or i == len(shapes):
+            chunk = shapes[start:i]
+            total += _small_chunk_sum(coeffs, Bint, chunk, in_S, bits, mu, c_S)
+            start, rows = i, 0
+    return total
+
+
+def _small_chunk_sum(coeffs, Bint, shapes, in_S, bits, mu, c_S) -> int:
+    """One row per (shape, e1) with X = Bint // e1, its sign mu(e1), A and
+    the bits of the primes <= _SMALL_A of t; rows whose X exceeds int64 are
+    summed apart in Python ints."""
+    n_primes = [len(primes) for _, primes in shapes]
+    width = max(n_primes)
+    table = np.array([primes + (1,) * (width - len(primes)) for _, primes in shapes])
+    per_shape = np.left_shift(1, n_primes)
+    shape_of = np.repeat(np.arange(len(shapes)), per_shape)
+    first_row = np.repeat(np.cumsum(per_shape) - per_shape, per_shape)
+    subset = np.arange(len(shape_of)) - first_row
+    e1 = np.ones(len(shape_of), dtype=np.int64 if Bint <= _INT64_MAX else object)
+    sign = np.ones(len(shape_of), dtype=np.int64)
+    for j in range(width):  # the divisor of a row takes the j-th prime if bit j is set
+        has = (subset >> j) & 1 == 1
+        e1[has] *= table[shape_of[has], j]
+        sign[has] *= -1
+    X = Bint // e1
+    A = np.repeat(np.array([A for A, _ in shapes], dtype=np.int64), per_shape)
+    t_bits = [sum(bits.get(p, 0) for p in ps if p not in in_S) for _, ps in shapes]
+    t_bits = np.repeat(np.array(t_bits, dtype=np.int64), per_shape)
+    fits = X <= _INT64_MAX
+    total = 0
+    for rows, X_rows in ((fits, X[fits].astype(np.int64)), (~fits, X[~fits])):
+        total += _rows_sum(
+            coeffs, X_rows, A[rows], sign[rows], t_bits[rows], bits, mu, c_S
+        )
+    return total
+
+
+def _rows_sum(coeffs, X, A, sign, t_bits, bits, mu, c_S) -> int:
+    """sum over the rows, in descending A, of sign sum_{e2 <= A, (e2, S t) = 1}
+    mu(e2) T(X // e2) c_S(A // e2): one pass per e2 over the rows with
+    A >= e2, by ``_poly_dot`` (object arrays: Python ints)."""
+    if not len(A):
+        return 0
+    rows_from = np.searchsorted(-A, -np.arange(A[0] + 1), side="right")
+    has_t = bool(t_bits.any())
+    total = 0
+    for e2 in range(1, int(A[0]) + 1):
+        if not mu[e2]:
+            continue
+        n = int(rows_from[e2])
+        w = sign[:n] * c_S(A[:n] // e2)
+        if has_t and e2 > 1:
+            w *= (t_bits[:n] & sum(b for p, b in bits.items() if e2 % p == 0)) == 0
+        f = X[:n] // e2
+        if f.dtype == object:
+            part = int(np.dot(w.astype(object), _poly(coeffs, f)))
+        else:
+            part = _poly_dot(coeffs, w, f)
+        total += int(mu[e2]) * part
+    return total
+
+
+def _divisor_sum(
+    coeffs: Sequence[int], m: int, S: PlaceSet, Bint: int, mode: str,
+    budget: Optional[int],
 ) -> int:
-    per_q, Bint, denominators = args
-    return sum(per_q(Bint, primes) for _, primes in denominators)
+    """sum over the Darmon or Campana q <= Bint of sum_{e | rad q} mu(e)
+    T(Bint // e), T the polynomial with these coefficients, by the shape of q.
+
+    Each such q is s a^m t with s S-smooth, a coprime to S and t = prod_j
+    b_j^j over j = m+1..2m-1 with the b_j squarefree, pairwise coprime and
+    coprime to S (t = 1 in Darmon mode), in exactly one way.  Splitting
+    e = e1 e2 with e1 | rad(s t) and e2 | rad(a) coprime to s t, and counting
+    the a <= A = (Bint / (s t))^(1/m) that e2 divides, gives the sum over the
+    shapes s t of sum_{e1} mu(e1) sum_{e2 <= A, (e2, S t) = 1} mu(e2)
+    T(Bint // (e1 e2)) c_S(A // e2).  The budget is charged the bound on the
+    denominators before the shapes are walked, then the (shape, e1) rows and
+    the sieve length before the sieve."""
+    s_primes = S.finite_primes
+    charge(budget, _denominator_bound(m, s_primes, Bint, mode))
+    last = 2 * m - 1 if mode == "campana" else m  # Darmon: no prime outside S
+    shapes = _shaped_denominators(Bint, s_primes, m + 1, 1, last)
+    # ascending s t, so A falls and the shape 1 has the largest
+    rows = [(integer_kth_root(Bint // v, m), primes) for v, primes in shapes]
+    A_max = rows[0][0]
+    charge(budget, sum(1 << len(primes) for _, primes in rows) + A_max)
+    mu = mobius_sieve(A_max)
+    for p in s_primes:
+        mu[::p] = 0
+    c_S = _coprime_counter(s_primes, A_max)
+    in_S = set(s_primes)
+    total = 0
+    n_large = sum(1 for A, _ in rows if A > _SMALL_A)
+    for A, primes in rows[:n_large]:
+        t_primes = [p for p in primes if p not in in_S]
+        divisors = signed_squarefree_divisors(primes)
+        total += _shape_dot(coeffs, Bint, A, divisors, t_primes, mu, c_S)
+    return total + _small_shapes_sum(coeffs, Bint, rows[n_large:], in_S, mu, c_S)
 
 
 def _count_by_denominator(
-    per_q: Callable[[int, Tuple[int, ...]], int],
+    coeffs: Sequence[int],
+    origin: int,
     count_all: Callable[[int], int],
     m: int,
     S: PlaceSet,
     B: Union[int, float, Fraction],
     mode: str,
-    workers: int,
     budget: Optional[int],
 ) -> int:
-    """Sum per_q(Bint, primes of q) over the admissible q, or count_all(Bint)
-    when every q is admissible."""
+    """origin plus the divisor sum of T over the admissible q, or
+    count_all(Bint) when every q is admissible."""
     _check_mode(mode)
     Bint = _floor_bound(B)
     if Bint < 1:
@@ -328,9 +525,7 @@ def _count_by_denominator(
     if all_denominators_admissible(m, mode):
         charge(budget, _mobius_sum_work(Bint))
         return count_all(Bint)
-    denominators = line_denominators(m, S, Bint, mode, budget)
-    chunks = [(per_q, Bint, c) for c in _chunked(denominators)]
-    return sum(_run_chunks(_per_q_chunk_worker, chunks, workers))
+    return origin + _divisor_sum(coeffs, m, S, Bint, mode, budget)
 
 
 def count_p1(
@@ -341,10 +536,10 @@ def count_p1(
     workers: int = 1,
     budget: Optional[int] = DEFAULT_BUDGET,
 ) -> int:
-    """Points of the line model with global height <= B in the given mode."""
-    return _count_by_denominator(
-        _line_q_count, _count_line_all, m, S, B, mode, workers, budget
-    )
+    """Points of the line model with global height <= B in the given mode.
+    The count runs in one process for any ``workers``."""
+    # origin 1: the point 0/1, the one numerator 0 (q = 1)
+    return _count_by_denominator(_LINE, 1, _count_line_all, m, S, B, mode, budget)
 
 
 def count_pn2(
@@ -355,10 +550,9 @@ def count_pn2(
     workers: int = 1,
     budget: Optional[int] = DEFAULT_BUDGET,
 ) -> int:
-    """Plane model (projective, n = 2): last coordinate plays the role of q."""
-    return _count_by_denominator(
-        _pn2_pair_count, _count_plane_all, m, S, B, mode, workers, budget
-    )
+    """Plane model (projective, n = 2): last coordinate plays the role of q.
+    The count runs in one process for any ``workers``."""
+    return _count_by_denominator(_PLANE, 0, _count_plane_all, m, S, B, mode, budget)
 
 
 # --------------------------------------------------------------------------

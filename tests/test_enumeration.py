@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from orbicount import arith, enumeration
 from orbicount.arith import (
+    count_coprime,
     distinct_primes,
     integer_kth_root,
     is_k_full,
     is_kth_power,
     mobius_sieve,
+    signed_squarefree_divisors,
 )
 from orbicount.enumeration import (
     CSV_HEADER,
@@ -164,6 +166,80 @@ def test_sieved_equals_naive_plane():
         for mode in ("rational", "campana", "darmon"):
             assert count_pn2(m, S0, 12, mode) == naive_count_pn2(m, S0, 12, mode)
     assert count_pn2(2, S2, 10, "darmon") == naive_count_pn2(2, S2, 10, "darmon")
+
+
+def _line_q_count(Bint, primes):
+    """Numerators p with |p| <= Bint and gcd(p, q) = 1, for the q with these
+    distinct primes (p = 0 only for q = 1): the per-q line counter that the
+    divisor sum over the shapes of q replaced."""
+    return 2 * count_coprime(Bint, primes) + (0 if primes else 1)
+
+
+def _pn2_pair_count(Bint, primes):
+    """#{(x0, x1) in [-B, B]^2 : gcd(x0, x1, q) = 1} by inclusion-exclusion,
+    for the q with these distinct primes: the per-q plane counter."""
+    total = 0
+    for d in signed_squarefree_divisors(primes):
+        k = 2 * (Bint // abs(d)) + 1
+        total += k * k if d > 0 else -(k * k)
+    return total
+
+
+def _per_q_count(per_q, m, S, B, mode):
+    """The line or plane count as the sum of per_q over line_denominators."""
+    Bint = math.floor(Fraction(B))
+    if Bint < 1:
+        return 0
+    return sum(per_q(Bint, primes) for _, primes in line_denominators(m, S, Bint, mode))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(2, 5),
+    s_primes=st.sets(st.sampled_from((2, 3, 5, 7))),
+    mode=st.sampled_from(("darmon", "campana")),
+    B=st.one_of(
+        st.integers(1, 2 * 10**4),
+        st.fractions(min_value=Fraction(1, 2), max_value=2 * 10**4, max_denominator=50),
+    ),
+)
+def test_divisor_sum_equals_the_per_q_counts_property(m, s_primes, mode, B):
+    S = PlaceSet.of(s_primes)
+    assert count_p1(m, S, B, mode) == _per_q_count(_line_q_count, m, S, B, mode)
+    Bp = B if B <= 3000 else Fraction(B) / 7  # the plane at B <= 3e3
+    assert count_pn2(m, S, Bp, mode) == _per_q_count(_pn2_pair_count, m, S, Bp, mode)
+
+
+@pytest.mark.parametrize(
+    "count, per_q, args",
+    [
+        (count_pn2, _pn2_pair_count, (3, S0, 10**9, "darmon")),
+        (count_pn2, _pn2_pair_count, (3, S0, 10**9, "campana")),
+        (count_p1, _line_q_count, (3, S2, 2 * 10**14, "darmon")),
+    ],
+)
+def test_divisor_sum_is_exact_past_int64(count, per_q, args):
+    # single terms T(B // e) c_S(A // e) of these sums exceed 2^63 (the plane's
+    # (2B + 1)^2 alone is 4e18 at B = 1e9), so a plain int64 dot goes wrong
+    assert count(*args) == _per_q_count(per_q, *args)
+
+
+def test_divisor_sum_charges_the_budget_before_the_sieve(monkeypatch):
+    def no_sieve(n):
+        raise AssertionError("sieve built before the budget was charged")
+
+    monkeypatch.setattr(enumeration, "mobius_sieve", no_sieve)
+    with pytest.raises(BudgetExceededError):  # the denominator bound, before the walk
+        count_p1(2, S23, 10**400, "darmon")
+    with pytest.raises(BudgetExceededError):
+        count_p1(2, S0, 10**30, "campana")
+    # then the (shape, e1) rows plus the sieve length: at m = 3, S = {2,3,5,7}
+    # and B = 1e6 the 8,058 denominators fit a budget of 9,000, but the 10,613
+    # rows of the S-smooth shapes and the sieve up to A = 100 do not
+    S2357 = PlaceSet.of([2, 3, 5, 7])
+    assert enumeration._denominator_bound(3, (2, 3, 5, 7), 10**6, "darmon") == 8058
+    with pytest.raises(BudgetExceededError):
+        count_p1(3, S2357, 10**6, "darmon", budget=9000)
 
 
 def _mobius_sum_reference(Bint, term):

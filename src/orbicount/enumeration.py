@@ -700,7 +700,9 @@ def _chunked(seq: Sequence) -> Iterable[Sequence]:
 def _run_chunks(fn, chunk_args, workers: int) -> List[int]:
     if workers <= 1 or len(chunk_args) <= 1:
         return [fn(a) for a in chunk_args]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+    # the fork start method launches every worker at the first submit, so
+    # never ask for more workers than there are chunks
+    with ProcessPoolExecutor(max_workers=min(workers, len(chunk_args))) as ex:
         return list(ex.map(fn, chunk_args))
 
 

@@ -22,21 +22,22 @@ products use ``normalized_factors`` instead: the same stratum sum, evaluated
 in float64 over a whole array of primes at once, and cross-checked against
 ``normalized_factor`` prime by prime.
 
-Archimedean factors return a piecewise closed form next to an
-adaptive-quadrature evaluation (regions split along |u|,|w| = 1 and
-|w| = |u|, tails mapped to finite intervals by u -> 1/u).
+Archimedean factors return a piecewise closed form next to a lazy
+quadrature cross-check: each smooth region reduces to integrals over
+(0, 1], which mpmath's tanh-sinh rule takes after the map t = e^-x, and
+the integration runs only when ``quadrature`` is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Union
+from functools import cached_property
+from typing import Callable, Dict, Optional, Sequence, Union
 
 import mpmath
 import numpy as np
 from mpmath import mpf
-from scipy import integrate
 
 from .errors import DomainError
 from .orbifold import BoundaryComponent, OrbifoldModel, eval_count_poly
@@ -84,8 +85,16 @@ class OracleResult:
 
 @dataclass(frozen=True)
 class ArchimedeanFactor:
+    """Closed form of an archimedean integral.  ``quadrature`` calls
+    ``integrate`` on its first read and keeps the value; the constants read
+    only ``closed_form``, so they never integrate."""
+
     closed_form: float
-    quadrature: float
+    integrate: Callable[[], float] = field(repr=False, compare=False)
+
+    @cached_property
+    def quadrature(self) -> float:
+        return self.integrate()
 
     @property
     def difference(self) -> float:
@@ -362,14 +371,16 @@ def shell_sum_oracle(
 # archimedean factors
 # --------------------------------------------------------------------------
 
-_QUAD_OPTS = dict(epsabs=1e-11, epsrel=1e-11, limit=400)
+def _quad01(f) -> float:
+    """int_0^1 f(t) dt with mpmath, taken as int_0^inf f(e^-x) e^-x dx: the
+    map t = e^-x turns an endpoint singularity t^alpha into the exponential
+    decay e^(-(alpha + 1) x), which tanh-sinh resolves at default precision.
+    """
+    def mapped(x):
+        t = mpmath.exp(-x)
+        return f(t) * t
 
-
-def _quad(f, a, b) -> float:
-    # full_output suppresses the endpoint-singularity warning; QUADPACK's
-    # extrapolation handles the integrable algebraic singularities here
-    out = integrate.quad(f, a, b, full_output=1, **_QUAD_OPTS)
-    return out[0]
+    return float(mpmath.quad(mapped, [0, mpmath.inf]))
 
 
 def archimedean_projective(n: int, s: float) -> ArchimedeanFactor:
@@ -379,25 +390,21 @@ def archimedean_projective(n: int, s: float) -> ArchimedeanFactor:
     if s <= n:
         raise DomainError("archimedean factor requires s > n")
     closed = 2.0**n * (1 + n / (s - n))
-    if n == 1:
-        quad_val = 2.0 * (1.0 + _quad(lambda t: t ** (s - 2), 0.0, 1.0))
-    elif n == 2:
-        strip = _quad(lambda t: t ** (s - 2), 0.0, 1.0)
-        # u, w > 1 corner after inversion; split along the diagonal kink
-        corner, _err = integrate.dblquad(
-            lambda b, a: min(a, b) ** s * a**-2 * b**-2,
-            0.0,
-            1.0,
-            0.0,
-            lambda a: a,
-            epsabs=1e-12,
-            epsrel=1e-12,
-        )
-        quad_val = 4.0 * (1.0 + 2.0 * strip + 2.0 * corner)
-    else:
+
+    def integrate() -> float:
+        if n == 1:
+            return 2.0 * (1.0 + _quad01(lambda t: t ** (s - 2)))
+        if n == 2:
+            strip = _quad01(lambda t: t ** (s - 2))
+            # u, w > 1 corner after inversion, half of it by symmetry:
+            # int_0^1 int_0^a b^s a^-2 b^-2 db da, and b = a t splits it into
+            # int_0^1 a^(s-3) da times the strip integral
+            corner = _quad01(lambda a: a ** (s - 3)) * strip
+            return 4.0 * (1.0 + 2.0 * strip + 2.0 * corner)
         # radial reduction: 2^n + n 2^n int_1^inf r^(n-1-s) dr
-        quad_val = 2.0**n + n * 2.0**n * _quad(lambda t: t ** (s - n - 1), 0.0, 1.0)
-    return ArchimedeanFactor(closed, quad_val)
+        return 2.0**n + n * 2.0**n * _quad01(lambda t: t ** (s - n - 1))
+
+    return ArchimedeanFactor(closed, integrate)
 
 
 def archimedean_blowup(m1: int, m2: int, s: float) -> ArchimedeanFactor:
@@ -414,12 +421,14 @@ def archimedean_blowup(m1: int, m2: int, s: float) -> ArchimedeanFactor:
     if a_exp <= 1 or a_exp + b_exp <= 2:
         raise DomainError("archimedean blow-up factor diverges at this s")
     closed = 4.0 * a_exp / (a_exp - 1) * (a_exp + b_exp - 1) / (a_exp + b_exp - 2)
-    core = 1.0  # u, w in [0,1]^2: integrand is identically 1
-    hi_w = _quad(lambda t: t ** (a_exp - 2), 0.0, 1.0)  # u <= 1 < w
-    lo_w = _quad(lambda t: t ** (a_exp + b_exp - 2), 0.0, 1.0)  # w <= 1 < u
-    wedge = _quad(lambda t: (1 - t) * t ** (a_exp + b_exp - 3), 0.0, 1.0)  # 1 < w <= u
-    far = _quad(lambda t: t ** (a_exp + b_exp - 3), 0.0, 1.0) * _quad(
-        lambda r: r ** (a_exp - 2), 0.0, 1.0
-    )  # w > u > 1 after w = u/r, u = 1/t
-    quad_val = 4.0 * (core + hi_w + lo_w + wedge + far)
-    return ArchimedeanFactor(closed, quad_val)
+
+    def integrate() -> float:
+        core = 1.0  # u, w in [0,1]^2: integrand is identically 1
+        hi_w = _quad01(lambda t: t ** (a_exp - 2))  # u <= 1 < w
+        lo_w = _quad01(lambda t: t ** (a_exp + b_exp - 2))  # w <= 1 < u
+        wedge = _quad01(lambda t: (1 - t) * t ** (a_exp + b_exp - 3))  # 1 < w <= u
+        # w > u > 1 after w = u/r, u = 1/t; the r integral is hi_w's
+        far = _quad01(lambda t: t ** (a_exp + b_exp - 3)) * hi_w
+        return 4.0 * (core + hi_w + lo_w + wedge + far)
+
+    return ArchimedeanFactor(closed, integrate)

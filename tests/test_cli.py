@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import pytest
 
 from orbicount.cli import main
@@ -176,8 +181,9 @@ def test_large_weight_counts_run_under_the_default_budget(capsys):
     ],
 )
 def test_huge_zeta_bound_exits_3_before_summing(capsys, argv):
-    # an 8 GB prefix array on the line; about 8.2e9 x2 tail steps on the
-    # blow-up (8.2e8 at 1e9, which the budget admits)
+    # m = 1 on the line: the Moebius reduction charges 2B + 1 = 2e9 steps (its
+    # sieve and prefix array would take about 9 GB); about 8.2e9 x2 tail steps
+    # on the blow-up (8.2e8 at 1e9, which the budget admits)
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert "budget" in err and "Traceback" not in err
@@ -288,6 +294,34 @@ def test_constant_paper_values_flag(capsys):
     )
     payload = json.loads(out)
     assert "campana_coefficient" in payload["paper_values"]
+
+
+def test_constant_paper_values_never_integrate(capsys, monkeypatch):
+    argvs = [
+        ("constant", "--model", "p1", "--m", "2", "--paper-values", "--p0", "10000"),
+        ("constant", "--model", "blowup", "--paper-values", "--p0", "10000"),
+    ]
+    expected = [run(capsys, *argv) for argv in argvs]
+
+    def no_quad(*args, **kwargs):
+        raise AssertionError("the constant path integrated")
+
+    monkeypatch.setattr(mpmath, "quad", no_quad)
+    for argv, want in zip(argvs, expected):
+        assert run(capsys, *argv) == want
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import orbicount.cli, sys; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(

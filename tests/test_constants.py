@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -221,3 +222,19 @@ def test_blowup_reference_constant():
     assert value == pytest.approx(front * 0.42824950567709523, rel=1e-4)
     assert tail > 0
     assert blowup_archimedean_reference(2, 3) == 12.0
+
+
+def test_constants_never_run_the_archimedean_quadrature(monkeypatch):
+    cases = [
+        (model, method)
+        for model in (projective_space(1, 2), blowup_p2(1, 1))
+        for method in ("exact", "truncated")
+    ]
+    expected = [leading_constant(model, S0, 10**4, method) for model, method in cases]
+
+    def no_quad(*args, **kwargs):
+        raise AssertionError("the constant path integrated")
+
+    monkeypatch.setattr(mpmath, "quad", no_quad)
+    for (model, method), want in zip(cases, expected):
+        assert leading_constant(model, S0, 10**4, method) == want

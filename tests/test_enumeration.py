@@ -326,6 +326,31 @@ def test_worker_determinism():
             )
 
 
+def test_process_pool_is_bounded_by_the_chunks(monkeypatch):
+    # a fork-based pool launches all of its workers at the first submit, so a
+    # huge --workers must not reach ProcessPoolExecutor; the fake maps serially
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", SerialPool)
+    expected = count_blowup(1, 1, S0, 10**4, "darmon", workers=1)
+    assert asked == []
+    assert count_blowup(1, 1, S0, 10**4, "darmon", workers=10**6) == expected
+    assert len(asked) == 1 and 2 <= asked[0] <= enumeration._N_CHUNKS
+
+
 def test_darmon_counts_nonincreasing_in_m():
     counts = [count_p1(m, S0, 500, "darmon") for m in (1, 2, 3, 4)]
     assert counts == sorted(counts, reverse=True)

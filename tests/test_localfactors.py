@@ -273,6 +273,8 @@ def test_archimedean_projective():
     a3 = archimedean_projective(3, 4.0)
     assert a3.closed_form == pytest.approx(2**3 * (1 + 3.0), rel=1e-12)
     assert a3.difference < 1e-8
+    # near s = n the corner integrand a^(s-3) is barely integrable at 0
+    assert archimedean_projective(2, 2.1).difference < 1e-8
     with pytest.raises(DomainError):
         archimedean_projective(2, 2.0)
 
@@ -281,7 +283,8 @@ def test_archimedean_blowup():
     ab = archimedean_blowup(1, 1, 1.0)
     assert ab.closed_form == 16.0
     assert ab.difference < 1e-6
-    for m1, m2 in ((1, 2), (2, 3), (3, 1)):
+    # (5, 7) and (10, 10): exponents near -1, endpoint singularities at t = 0
+    for m1, m2 in ((1, 2), (2, 3), (3, 1), (5, 7), (10, 10)):
         ab = archimedean_blowup(m1, m2, 1.0)
         assert ab.closed_form == pytest.approx(4 * (1 + m1) * (1 + m2), rel=1e-12)
         assert ab.difference < 1e-6
@@ -290,3 +293,22 @@ def test_archimedean_blowup():
     assert abs(archimedean_blowup(1, 1, 1e6).closed_form - 4.0) < 1e-4
     with pytest.raises(DomainError):
         archimedean_blowup(1, 1, 0.5)
+
+
+def test_archimedean_quadrature_runs_once_and_only_when_read(monkeypatch):
+    calls = []
+    real_quad = mpmath.quad
+
+    def counting_quad(*args, **kwargs):
+        calls.append(args)
+        return real_quad(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "quad", counting_quad)
+    factor = archimedean_blowup(2, 3, 1.0)
+    assert calls == [] and "quadrature" not in repr(factor)
+    assert factor == archimedean_blowup(2, 3, 1.0)
+    first = factor.quadrature
+    assert calls
+    n_calls = len(calls)
+    assert factor.quadrature == first and factor.difference < 1e-6
+    assert len(calls) == n_calls

@@ -33,6 +33,7 @@ __all__ = [
     "is_prime",
     "primes_up_to",
     "mobius_sieve",
+    "totient_sieve",
     "count_coprime",
     "signed_squarefree_divisors",
     "integer_kth_root",
@@ -154,6 +155,25 @@ def mobius_sieve(n: int) -> np.ndarray:
         mu[p * p :: p * p] = 0
     np.negative(mu, out=mu, where=rest > 1)
     return mu
+
+
+def totient_sieve(n: int) -> np.ndarray:
+    """Euler's phi(0..n) as an int64 array, phi(0) = 0.
+
+    As in ``mobius_sieve`` only the primes p <= isqrt(n) are sieved; rest[i]
+    is i with every power of them divided out, so it is 1 or the one prime
+    factor of i above isqrt(n)."""
+    phi = np.arange(n + 1, dtype=np.int64)
+    rest = phi.copy()
+    for p in primes_up_to(math.isqrt(max(n, 0))):
+        phi[p::p] -= phi[p::p] // p
+        pk = p
+        while pk <= n:
+            rest[pk::pk] //= p
+            pk *= p
+    big = rest > 1
+    phi[big] -= phi[big] // rest[big]
+    return phi
 
 
 # --------------------------------------------------------------------------

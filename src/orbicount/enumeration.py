@@ -30,26 +30,30 @@ materialized):
   ``line_denominators`` for weight m1 and c up to a cap C(g), so only pairs
   that carry a point of height <= B are covered.  The pairs over (g, c) are
   the points b/a of height c on the weight-m2 line, and one table of their
-  number w(c) serves every g.  The x_2 range splits into a constant-height
-  core |x_2| <= g c plus a tail up to X_2; ``count_blowup`` counts those
-  points in closed form and the height-zeta sum weights them by H^-s, with
-  exact integer height comparisons (the rational exponents cleared).
+  number w(c) serves every g (4 phi(c) from a totient sieve when every a is
+  admissible).  The x_2 range splits into a constant-height core
+  |x_2| <= g c plus a tail up to X_2; the height-zeta sum weights those
+  points by H^-s, with exact integer height comparisons (the rational
+  exponents cleared).  ``count_blowup`` swaps the sum over g inside the sum
+  over c, as a Moebius sum (Pieropan, Smeets, Tanimoto and Varilly-Alvarado,
+  Proc. LMS 2021): X_2 depends on c alone, and c <= C(g) exactly when
+  g <= G(c), so each c takes one int64 dot, over the squarefree f <= G(c)
+  when every g is admissible and over a prefix of the (g, divisor of g)
+  rows otherwise; no cell is visited.
 
 ``iter_points`` is the point-by-point definitional oracle (exact gcd, mode
 and height checks on every candidate).  The naive_count_* oracles count what
 it yields and ``dump_points`` writes it; the sieved counters must agree with
 the oracles exactly, which the test suite checks.
 
-The blow-up count is partitioned into contiguous chunks over g; merging is
-integer addition, so results are identical for any worker count.  The line
-and plane counts run in one process.
+Every count runs in one process; the ``workers`` parameters are kept for
+callers and change nothing.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -64,6 +68,7 @@ from .arith import (
     mobius_sieve,
     primes_up_to,
     signed_squarefree_divisors,
+    totient_sieve,
 )
 from .errors import BudgetExceededError, DomainError
 from .orbifold import OrbifoldModel, PlaceSet, blowup_p2, projective_space
@@ -590,78 +595,83 @@ def _blowup_strata(
 ) -> List[Tuple[int, Tuple[int, ...], int]]:
     """(g, primes of g, C(g)) for the admissible gcds g, ascending, with C(g)
     the cap on max(a, b) of the pairs (g a, g b) that carry a point of
-    height <= B.
-
-    The budget is charged the admissible g first and then sum C(g) (C(g)+1),
-    which bounds the cells and the weight table's gcds, before either."""
+    height <= B.  The budget is charged the bound on the admissible g before
+    they are generated."""
     E1, E2 = _blowup_exponents(m1, m2)
     num, den = (Bf ** (m1 * m2)).as_integer_ratio()
     gs = line_denominators(m1, S, _blowup_mmax(Bf, m1), mode, budget)
-    strata = [(g, gp, _iroot_ratio(num, den * g**E1, E1 + E2)) for g, gp in gs]
-    charge(budget, sum(C * (C + 1) for _, _, C in strata))
-    return strata
+    return [(g, gp, _iroot_ratio(num, den * g**E1, E1 + E2)) for g, gp in gs]
 
 
-def blowup_cells(
-    m1: int,
-    m2: int,
-    S: PlaceSet,
-    B: Union[int, float, Fraction],
-    mode: str,
-    strata: Optional[Sequence[Tuple[int, Tuple[int, ...], int]]] = None,
-) -> Iterator[Tuple[int, int, int, Tuple[int, ...], int]]:
-    """One yield per cell (g, c) of the leading pairs (x0, x1) = (g a, g b),
-    gcd(a, b) = 1, c = max(a, |b|), that are admissible and carry a point of
-    height <= B, over the strata (g, primes of g, C(g)) of ``_blowup_strata``.
+def _blowup_weights_work(m2: int, S: PlaceSet, cmax: int, mode: str) -> int:
+    """Steps of ``_blowup_weights``: the totient sieve, or one gcd row of
+    cmax entries per admissible a."""
+    if all_denominators_admissible(m2, mode):
+        return cmax
+    return cmax * _denominator_bound(m2, S.finite_primes, cmax, mode)
 
-    g is an admissible line denominator for weight m1, a one for weight m2
-    (a in A), and c <= C(g).  So b/a is a point of height c on the weight-m2
-    line, and the pairs over (g, c) number, for every g, its points of height
-    exactly c: w(c) = [c in A] (2 phi(c) + [c = 1]) + 2 #{a in A : a < c,
-    gcd(a, c) = 1}.  Yields (w(c), g, M2 = g c, primes of g, X2) for w(c) > 0.
-    The points over each pair are the x2 coprime to g with |x2| <= X2, where
-    X2 >= M2: those with |x2| <= M2 have height M2^(1+1/m1) c^(1+1/m2-1/m1),
-    the others |x2|^(1+1/m1) c^(1+1/m2-1/m1).  Without given strata (the
-    height-zeta sum) every admissible g is taken, and ``DEFAULT_BUDGET`` is
-    charged the strata, then the x2 tail steps: at most the sum of X2 - g c
-    over every g and c <= C(g).
-    """
-    Bf = Fraction(B)
-    own_strata = strata is None
-    if own_strata:
-        strata = _blowup_strata(m1, m2, S, Bf, mode, DEFAULT_BUDGET)
-    if not strata:
-        return
-    E1, E2 = _blowup_exponents(m1, m2)
-    num, den = (Bf ** (m1 * m2)).as_integer_ratio()
-    # the cap C(g) falls as g grows, so the first stratum's cap bounds c
-    cmax = strata[0][2]
-    X2 = [0] + [_iroot_ratio(num, den * c**E2, E1) for c in range(1, cmax + 1)]
-    if own_strata:
-        upto = list(itertools.accumulate(X2))
-        charge(DEFAULT_BUDGET, sum(upto[C] - g * C * (C + 1) // 2 for g, _, C in strata))
+
+def _blowup_weights(m2: int, S: PlaceSet, cmax: int, mode: str) -> np.ndarray:
+    """w(c) for 0 <= c <= cmax: the points b/a of height exactly c on the
+    weight-m2 line, [c in A] (2 phi(c) + [c = 1]) + 2 #{a in A : a < c,
+    gcd(a, c) = 1}.  When every a is admissible that is 4 phi(c), and 3 at
+    c = 1, from one totient sieve; otherwise one gcd row per a in A."""
+    if all_denominators_admissible(m2, mode):
+        w = 4 * totient_sieve(cmax)
+        w[1:2] = 3
+        return w
     w = np.zeros(cmax + 1, dtype=np.int64)
     for a, ap in line_denominators(m2, S, cmax, mode):
         w[a] += 2 * count_coprime(a, ap) + (a == 1)  # 2 phi(a) + [a = 1]
         w[a + 1 :] += 2 * (np.gcd(a, np.arange(a + 1, cmax + 1)) == 1)
-    cells = [(c, weight) for c, weight in enumerate(w.tolist()) if weight]
+    return w
+
+
+def blowup_cells(
+    m1: int, m2: int, S: PlaceSet, B: Union[int, float, Fraction], mode: str
+) -> Iterator[Tuple[int, int, int, Tuple[int, ...], int]]:
+    """One yield per cell (g, c) of the leading pairs (x0, x1) = (g a, g b),
+    gcd(a, b) = 1, c = max(a, |b|), that are admissible and carry a point of
+    height <= B, in ascending g and then c.
+
+    g is an admissible line denominator for weight m1, a one for weight m2
+    (a in A), and c <= C(g) of ``_blowup_strata``.  So b/a is a point of
+    height c on the weight-m2 line, and the pairs over (g, c) number w(c) of
+    ``_blowup_weights`` for every g.  Yields (w(c), g, M2 = g c, primes of g,
+    X2) for w(c) > 0.  The points over each pair are the x2 coprime to g with
+    |x2| <= X2, where X2 >= M2: those with |x2| <= M2 have height
+    M2^(1+1/m1) c^(1+1/m2-1/m1), the others |x2|^(1+1/m1) c^(1+1/m2-1/m1).
+
+    ``DEFAULT_BUDGET`` is charged the height-zeta sum's work: the weight
+    table, the prefix array up to X2(1) = Mmax and sum_g C(g) 2^(omega(g)+1)
+    prefix lookups, in closed form before the strata when every g is
+    admissible."""
+    Bf = Fraction(B)
+    if Bf < 1:
+        return
+    E1, E2 = _blowup_exponents(m1, m2)
+    num, den = (Bf ** (m1 * m2)).as_integer_ratio()
+    Mmax = _blowup_mmax(Bf, m1)
+    cmax = _iroot_ratio(num, den, E1 + E2)  # C(1): the cap falls as g grows
+    work = Mmax + _blowup_weights_work(m2, S, cmax, mode)
+    if all_denominators_admissible(m1, mode):
+        # 2^omega(g) <= d(g), whose partial sums are <= x (ln x + 1), and C(g)
+        # falls, so by parts the lookups are <= 2 (ln Mmax + 1) sum C(g); and
+        # sum C(g) <= Y Mmax^(1-beta) / (1-beta), as C(g) <= Y g^-beta with
+        # Y^(E1+E2) = B^(m1 m2) and beta = E1/(E1+E2)
+        root = integer_kth_root(num * Mmax**E2 // den, E1 + E2) + 1
+        lookups = 2 * (Mmax.bit_length() + 1) * -(-root * (E1 + E2) // E2)
+        charge(DEFAULT_BUDGET, work + lookups)
+    strata = _blowup_strata(m1, m2, S, Bf, mode, DEFAULT_BUDGET)
+    charge(DEFAULT_BUDGET, work + sum(C << (len(gp) + 1) for _, gp, C in strata))
+    X2 = [0] + [_iroot_ratio(num, den * c**E2, E1) for c in range(1, cmax + 1)]
+    weights = _blowup_weights(m2, S, cmax, mode).tolist()
+    cells = [(c, weight) for c, weight in enumerate(weights) if weight]
     for g, gp, C in strata:
         for c, weight in cells:
             if c > C:
                 break
             yield weight, g, g * c, gp, X2[c]
-
-
-def _blowup_chunk_worker(
-    args: Tuple[
-        int, int, PlaceSet, Fraction, str, Sequence[Tuple[int, Tuple[int, ...], int]]
-    ]
-) -> int:
-    m1, m2, S, Bf, mode, strata = args
-    total = 0
-    for weight, g, _, gp, X2 in blowup_cells(m1, m2, S, Bf, mode, strata):
-        total += weight * (2 * count_coprime(X2, gp) + (1 if g == 1 else 0))
-    return total
 
 
 def count_blowup(
@@ -673,37 +683,60 @@ def count_blowup(
     workers: int = 1,
     budget: Optional[int] = DEFAULT_BUDGET,
 ) -> int:
-    """Blow-up model points with global height <= B in the given mode."""
+    """Blow-up model points with global height <= B in the given mode, in
+    one process for any ``workers``.
+
+    X2 depends only on c, and c <= C(g) exactly when g <= G(c), the largest
+    g with g^E1 c^(E1+E2) <= B^(m1 m2).  So the cells of ``blowup_cells``
+    give N = sum_{c <= C(1)} w(c) (1 + 2 P(c)), the 1 for x2 = 0 over g = 1,
+    where P(c) counts the admissible g <= G(c) and x <= X2(c) coprime to g:
+    one int64 dot, sum_{f <= G} mu(f) floor(X2/f) floor(G/f) when every g is
+    admissible, else sum mu(d) floor(X2/|d|) over the rows (g, d | g) of the
+    strata with g <= G.  The budget is charged the weight table and the
+    sieve plus sum_c G(c) <= (Mmax + 1)(1 + E1/E2) dot entries, or the bound
+    on the admissible g and then the sum_g 2^omega(g) C(g) dot entries,
+    before the lists they count are built."""
     _check_mode(mode)
     Bf = Fraction(B)
     if Bf < 1:
         return 0
-    strata = _blowup_strata(m1, m2, S, Bf, mode, budget)
-    chunks = [(m1, m2, S, Bf, mode, c) for c in _chunked(strata)]
-    return sum(_run_chunks(_blowup_chunk_worker, chunks, workers))
-
-
-# --------------------------------------------------------------------------
-# chunking / parallel plumbing
-# --------------------------------------------------------------------------
-
-_N_CHUNKS = 32  # fixed, so the partition never depends on the worker count
-
-
-def _chunked(seq: Sequence) -> Iterable[Sequence]:
-    if not seq:
-        return []
-    size = max(1, (len(seq) + _N_CHUNKS - 1) // _N_CHUNKS)
-    return [seq[i : i + size] for i in range(0, len(seq), size)]
-
-
-def _run_chunks(fn, chunk_args, workers: int) -> List[int]:
-    if workers <= 1 or len(chunk_args) <= 1:
-        return [fn(a) for a in chunk_args]
-    # the fork start method launches every worker at the first submit, so
-    # never ask for more workers than there are chunks
-    with ProcessPoolExecutor(max_workers=min(workers, len(chunk_args))) as ex:
-        return list(ex.map(fn, chunk_args))
+    E1, E2 = _blowup_exponents(m1, m2)
+    num, den = (Bf ** (m1 * m2)).as_integer_ratio()
+    Mmax = _blowup_mmax(Bf, m1)
+    cmax = _iroot_ratio(num, den, E1 + E2)
+    every_g = all_denominators_admissible(m1, mode)
+    if every_g:
+        work = Mmax + -(-(Mmax + 1) * (E1 + E2) // E2)
+    else:
+        work = _denominator_bound(m1, S.finite_primes, Mmax, mode)
+    charge(budget, work + _blowup_weights_work(m2, S, cmax, mode))
+    if every_g:
+        # each term is at most X2 G <= Mmax^2, and sum 1/f^2 < 2
+        if 2 * Mmax * Mmax > _INT64_MAX:
+            raise MemoryError(f"the Moebius sieve for Mmax = {Mmax} exceeds any memory")
+        mu = mobius_sieve(Mmax)
+        keys = d = np.flatnonzero(mu)
+        sign = mu[d].astype(np.int64)
+    else:
+        strata = _blowup_strata(m1, m2, S, Bf, mode, budget)
+        charge(budget, sum(C << len(gp) for _, gp, C in strata))
+        rows = [signed_squarefree_divisors(gp) for _, gp, _ in strata]
+        keys = np.repeat([g for g, _, _ in strata], [len(r) for r in rows])
+        signed = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64)
+        sign, d = np.sign(signed), np.abs(signed)
+        if len(d) * Mmax > _INT64_MAX:  # each term is at most X2 <= Mmax
+            raise MemoryError(f"{len(d)} divisor rows exceed any memory")
+    total = 0
+    for c, weight in enumerate(_blowup_weights(m2, S, cmax, mode).tolist()):
+        if not weight:
+            continue
+        q = num // (den * c**E2)
+        X, G = integer_kth_root(q, E1), integer_kth_root(q // c**E1, E1)
+        k = int(np.searchsorted(keys, G, side="right"))
+        f = d[:k]
+        terms = (X // f) * (G // f) if every_g else X // f
+        total += weight * (1 + 2 * int(np.dot(sign[:k], terms)))
+    return total
 
 
 # --------------------------------------------------------------------------

@@ -17,9 +17,9 @@ of q, so no loop runs over single points:
 
 Both charge ``enumeration.DEFAULT_BUDGET`` before allocating or looping:
 the line its denominators, then 2B + 1 (all admissible) or B + 1 plus the
-denominators; the blow-up its strata, then sum (X_2 - g c) over the cells.
-These charges are upper bounds: the closed forms do less work than the
-point-by-point walks the charges were sized for.
+denominators; the blow-up its weight table, its prefix length and its
+prefix lookups, 2^(omega(g) + 1) per cell (``blowup_cells``).  These
+charges are upper bounds.
 
 The fit works in ratio space: kappa is the mean of N(B) / (B^a (log B)^(b-1))
 over the grid points inside the window (top two decades by default), and the

@@ -19,6 +19,7 @@ from orbicount.arith import (
     mobius_sieve,
     primes_up_to,
     primitive_coords,
+    totient_sieve,
     valuation,
 )
 
@@ -219,3 +220,9 @@ def test_count_coprime_matches_bruteforce():
 
 def test_euler_phi():
     assert [euler_phi(n) for n in (1, 2, 9, 10, 97)] == [1, 1, 6, 4, 96]
+
+
+def test_totient_sieve_matches_euler_phi():
+    # squares and prime powers above isqrt(n) included: 1000 = 2^3 5^3, 961 = 31^2
+    for n in list(range(0, 40)) + [961, 1000, 4099]:
+        assert totient_sieve(n).tolist() == [0] + [euler_phi(i) for i in range(1, n + 1)]

@@ -177,13 +177,14 @@ def test_large_weight_counts_run_under_the_default_budget(capsys):
     [
         ("zeta", "--model", "p1", "--m", "1", "--probe", "2.5", "--bound", "1e9"),
         ("zeta", "--model", "blowup", "--m1", "1", "--m2", "1", "--probe", "1.5",
-         "--bound", "1e10"),
+         "--bound", "1e14"),
     ],
 )
 def test_huge_zeta_bound_exits_3_before_summing(capsys, argv):
     # m = 1 on the line: the Moebius reduction charges 2B + 1 = 2e9 steps (its
-    # sieve and prefix array would take about 9 GB); about 8.2e9 x2 tail steps
-    # on the blow-up (8.2e8 at 1e9, which the budget admits)
+    # sieve and prefix array would take about 9 GB); on the blow-up the
+    # closed-form bound on the prefix lookups is 1.5e9 at 1e14, charged before
+    # the 1e7 strata are built (1.3e8 at 1e12, which the budget admits)
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert "budget" in err and "Traceback" not in err

@@ -299,8 +299,57 @@ def test_blowup_cells_carry_the_line_height_increments():
 
 
 def test_blowup_count_at_1e8():
-    # the README record; the cells walk takes about 0.2 s here
+    # the README record; the Moebius dots over c take about 5 ms here
     assert count_blowup(1, 1, S0, 10**8, "darmon") == 2063108393
+
+
+def test_blowup_count_at_1e11():
+    # a README record value, about 0.08 s (the cell walk took 6 s)
+    assert count_blowup(1, 1, S0, 10**11, "darmon") == 2742692922465
+
+
+def _cell_walk_count(m1, m2, S, B, mode):
+    """The blow-up count cell by cell over ``blowup_cells``: w(c) times the
+    x2 coprime to g with |x2| <= X2, the x2 = 0 only over g = 1."""
+    total = 0
+    for weight, g, _, gp, X2 in blowup_cells(m1, m2, S, B, mode):
+        total += weight * (2 * count_coprime(X2, gp) + (1 if g == 1 else 0))
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    weights=st.sampled_from([(1, 1), (2, 1), (1, 2), (3, 2)]),
+    s_primes=st.sampled_from([(), (2,), (3,), (2, 3)]),
+    mode=st.sampled_from(["rational", "campana", "darmon"]),
+    numerator=st.integers(1, 2 * 10**5),
+    denominator=st.integers(1, 7),
+)
+def test_moebius_dots_equal_the_cell_walk_property(
+    weights, s_primes, mode, numerator, denominator
+):
+    m1, m2 = weights
+    S = PlaceSet.of(s_primes)
+    B = Fraction(numerator, denominator)
+    assert count_blowup(m1, m2, S, B, mode) == _cell_walk_count(m1, m2, S, B, mode)
+
+
+def test_blowup_zeta_charge_admits_1e10(monkeypatch):
+    # the height-zeta walk at 1e10 does 255,974 cells and about 3.5e6 prefix
+    # lookups; its charges (the closed-form bound, the 1e5 gcds, then the
+    # lookups 2^(omega(g)+1) C(g) plus the 1e5-entry prefix and the 2,154
+    # weights) all fit the default budget.  Only the first cell is drawn.
+    charged = []
+    real_charge = enumeration.charge
+
+    def recording(budget, amount):
+        charged.append(amount)
+        real_charge(budget, amount)
+
+    monkeypatch.setattr(enumeration, "charge", recording)
+    assert next(blowup_cells(1, 1, S0, 10**10, "darmon"))[:3] == (3, 1, 1)
+    assert charged == [10902262, 100000, 3460158]
+    assert max(charged) < enumeration.DEFAULT_BUDGET
 
 
 def test_bounds_below_one_give_zero():
@@ -326,29 +375,12 @@ def test_worker_determinism():
             )
 
 
-def test_process_pool_is_bounded_by_the_chunks(monkeypatch):
-    # a fork-based pool launches all of its workers at the first submit, so a
-    # huge --workers must not reach ProcessPoolExecutor; the fake maps serially
-    asked = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args):
-            return map(fn, args)
-
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", SerialPool)
-    expected = count_blowup(1, 1, S0, 10**4, "darmon", workers=1)
-    assert asked == []
-    assert count_blowup(1, 1, S0, 10**4, "darmon", workers=10**6) == expected
-    assert len(asked) == 1 and 2 <= asked[0] <= enumeration._N_CHUNKS
+def test_workers_change_nothing_and_start_no_pool():
+    # every count runs in one process: a huge --workers starts nothing
+    for m1, m2, S, mode in ((1, 1, S0, "darmon"), (2, 1, S2, "campana")):
+        expected = count_blowup(m1, m2, S, 10**4, mode, workers=1)
+        assert count_blowup(m1, m2, S, 10**4, mode, workers=10**6) == expected
+    assert not any("Pool" in name or "Executor" in name for name in vars(enumeration))
 
 
 def test_darmon_counts_nonincreasing_in_m():
@@ -460,12 +492,19 @@ def test_budget_cap(monkeypatch):
         count_blowup(1, 1, S0, 10**400, "darmon")
 
 
-def test_blowup_budget_charges_the_strata():
-    # the strata walk visits at most sum_g C(g) (C(g)+1) = 33,338 pairs here,
-    # far fewer than the Mmax (Mmax+1) = 1,001,000 of the square of pairs
-    assert count_blowup(1, 1, S0, 10**6, "darmon", budget=10**5) == 16165737
-    with pytest.raises(BudgetExceededError):  # the 1,000 strata fit, their pairs do not
-        count_blowup(1, 1, S0, 10**6, "darmon", budget=10**4)
+def test_blowup_budget_charges_the_sieve_and_the_dots(monkeypatch):
+    # (1, 1) at 1e6: the sieve to Mmax = 1000, at most (Mmax + 1)(1 + E1/E2)
+    # = 3003 dot entries over c, and the 100-entry totient table: 4103 steps,
+    # charged before the sieve
+    def no_sieve(n):
+        raise AssertionError("sieve built before the budget was charged")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "mobius_sieve", no_sieve)
+        patch.setattr(enumeration, "totient_sieve", no_sieve)
+        with pytest.raises(BudgetExceededError, match="4103"):
+            count_blowup(1, 1, S0, 10**6, "darmon", budget=4102)
+    assert count_blowup(1, 1, S0, 10**6, "darmon", budget=4103) == 16165737
 
 
 def test_denominator_bound_covers_the_denominators():

@@ -126,8 +126,9 @@ def test_blowup_tail_sums_match_the_tail_walk(weights, S, modes, B):
 
 
 def test_zeta_budget_is_charged_before_any_work(monkeypatch):
-    # the line sum would allocate 1e9 prefix entries and the blow-up sum walk
-    # about 8.2e9 x2 tail steps: both are refused before the first of them
+    # the line sum would allocate 1e9 prefix entries, and the blow-up sum's
+    # closed-form bound on its prefix lookups is 1.5e9 at 1e14: both are
+    # refused before the first of them
     def unreachable(*args, **kwargs):
         raise AssertionError("work started before the budget was charged")
 
@@ -136,7 +137,7 @@ def test_zeta_budget_is_charged_before_any_work(monkeypatch):
     with pytest.raises(BudgetExceededError):
         zeta_partial_sum(P1, S0, 2.5, 10**9)
     with pytest.raises(BudgetExceededError):
-        zeta_partial_sum(blowup_p2(1, 1), S0, 1.5, 10**10)
+        zeta_partial_sum(blowup_p2(1, 1), S0, 1.5, 10**14)
 
 
 def test_partial_sum_matches_bruteforce_line():

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
@@ -37,6 +38,14 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"cannot parse number {text!r}") from exc
+
+
+def _parse_finite(text, flag: str) -> float:
+    """A float flag value, refused unless finite (JSON has no NaN or Infinity)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise DomainError(f"{flag} must be a finite number, got {text!r}")
+    return value
 
 
 def _build_model(args) -> OrbifoldModel:
@@ -68,14 +77,17 @@ def _grid(args) -> tuple:
         lo = _parse_fraction(args.bmin)
         if lo <= 0:
             raise DomainError("--bmin must be positive")
-        lo, hi = float(lo), float(_parse_fraction(args.bmax))
-        if hi < lo:
-            raise DomainError("--bmax below --bmin")
-        if k == 1:
-            vals = [int(round(hi))]
-        else:
-            ratio = (hi / lo) ** (1.0 / (k - 1))
-            vals = [int(round(lo * ratio**i)) for i in range(k)]
+        try:
+            lo, hi = float(lo), float(_parse_fraction(args.bmax))
+            if hi < lo:
+                raise DomainError("--bmax below --bmin")
+            if k == 1:
+                vals = [int(round(hi))]
+            else:
+                ratio = (hi / lo) ** (1.0 / (k - 1))
+                vals = [int(round(lo * ratio**i)) for i in range(k)]
+        except (OverflowError, ZeroDivisionError) as exc:  # past the float range
+            raise DomainError("geometric grid out of float range: use --grid a,b,...") from exc
         out = []
         for v in vals:
             if not out or v > out[-1]:
@@ -275,9 +287,12 @@ def _cmd_fit(args) -> int:
     pts = [(row["bound"], row[column]) for row in rows if row[column] is not None]
     window = None
     if args.window:
-        lo, hi = (float(_parse_fraction(t)) for t in args.window.split(","))
+        try:
+            lo, hi = (float(_parse_fraction(t)) for t in args.window.split(","))
+        except OverflowError as exc:
+            raise DomainError(f"--window {args.window} is outside the float range") from exc
         window = (lo, hi)
-    result = fitting.fit_counts(pts, float(args.a), args.b, window)
+    result = fitting.fit_counts(pts, _parse_finite(args.a, "--a"), args.b, window)
     payload = {
         "c_hat": result.c_hat,
         "coefficient": result.coefficient,
@@ -296,7 +311,7 @@ def _cmd_zeta(args) -> int:
     S = _build_places(args)
     bound = _parse_fraction(args.bound)
     if args.probe:
-        s_values = [float(t) for t in args.probe.split(",")]
+        s_values = [_parse_finite(t, "--probe") for t in args.probe.split(",")]
         probe = fitting.residue_probe(model, S, s_values, bound, args.mode)
         payload = {
             "model": model.name,
@@ -308,7 +323,8 @@ def _cmd_zeta(args) -> int:
     else:
         if args.s_value is None:
             raise DomainError("zeta requires --s (or --probe)")
-        z = fitting.zeta_partial_sum(model, S, float(args.s_value), bound, args.mode)
+        s = _parse_finite(args.s_value, "--s")
+        z = fitting.zeta_partial_sum(model, S, s, bound, args.mode)
         payload = {
             "model": model.name,
             "params": dict(model.params),

@@ -25,29 +25,22 @@ materialized):
   equal floor(B/d) with Mertens values M(floor(B/k)): a Moebius sieve up to
   about B^(2/3) and the recursion M(x) = 1 - sum_{j>=2} M(floor(x/j)) above
   it (Deleglise and Rivat), so time and memory are O(B^(2/3)).
-* blow-up: ``blowup_cells`` walks the cells (g, c) of the leading pairs
-  (x_0, x_1) = (g a, g b), gcd(a, b) = 1, c = max(a, |b|): g runs over the
-  ``line_denominators`` for weight m1 and c up to a cap C(g), so only pairs
-  that carry a point of height <= B are covered.  The pairs over (g, c) are
-  the points b/a of height c on the weight-m2 line, and one table of their
-  number w(c) serves every g (4 phi(c) from a totient sieve when every a is
-  admissible).  The x_2 range splits into a constant-height core
-  |x_2| <= g c plus a tail up to X_2; the height-zeta sum weights those
-  points by H^-s, with exact integer height comparisons (the rational
-  exponents cleared).  ``count_blowup`` swaps the sum over g inside the sum
-  over c, as a Moebius sum (Pieropan, Smeets, Tanimoto and Varilly-Alvarado,
-  Proc. LMS 2021): X_2 depends on c alone, and c <= C(g) exactly when
-  g <= G(c), so each c takes one int64 dot, over the squarefree f <= G(c)
-  when every g is admissible and over a prefix of the (g, divisor of g)
-  rows otherwise; no cell is visited.
+* blow-up: ``blowup_columns`` is the one core under ``count_blowup`` and
+  the height-zeta sum.  The leading pairs (x_0, x_1) = (g a, g b),
+  gcd(a, b) = 1, lie in cells (g, c), c = max(a, |b|); X_2 depends on c
+  alone, and c <= C(g) exactly when g <= G(c), so both sums swap the sum
+  over g inside the sum over c, as a Moebius sum (Pieropan, Smeets,
+  Tanimoto and Varilly-Alvarado, Proc. LMS 2021), and no cell is visited:
+  each column c reads a prefix of one table of rows, by one exact int64
+  dot for the count and a few float64 dots for the height-zeta sum.
 
 ``iter_points`` is the point-by-point definitional oracle (exact gcd, mode
 and height checks on every candidate).  The naive_count_* oracles count what
 it yields and ``dump_points`` writes it; the sieved counters must agree with
 the oracles exactly, which the test suite checks.
 
-Every count runs in one process; the ``workers`` parameters are kept for
-callers and change nothing.
+Every count runs in one process, with no pool: the ``workers`` parameters
+are kept for callers and change nothing.
 """
 
 from __future__ import annotations
@@ -86,7 +79,8 @@ __all__ = [
     "naive_count_pn2",
     "naive_count_blowup",
     "iter_points",
-    "blowup_cells",
+    "blowup_columns",
+    "BlowupColumns",
     "line_denominators",
     "all_denominators_admissible",
     "write_series_csv",
@@ -579,38 +573,6 @@ def _blowup_mmax(Bf: Fraction, m1: int) -> int:
     return _iroot_ratio(Bm1.numerator, Bm1.denominator, m1 + 1)
 
 
-def _blowup_exponents(m1: int, m2: int) -> Tuple[int, int]:
-    """(E1, E2): a pair (g a, g b) carries a point of height <= B exactly when
-    g^E1 max(a, b)^(E1+E2) <= B^(m1 m2)."""
-    return (m1 + 1) * m2, m1 * m2 + m1 - m2
-
-
-def _blowup_strata(
-    m1: int,
-    m2: int,
-    S: PlaceSet,
-    Bf: Fraction,
-    mode: str,
-    budget: Optional[int] = None,
-) -> List[Tuple[int, Tuple[int, ...], int]]:
-    """(g, primes of g, C(g)) for the admissible gcds g, ascending, with C(g)
-    the cap on max(a, b) of the pairs (g a, g b) that carry a point of
-    height <= B.  The budget is charged the bound on the admissible g before
-    they are generated."""
-    E1, E2 = _blowup_exponents(m1, m2)
-    num, den = (Bf ** (m1 * m2)).as_integer_ratio()
-    gs = line_denominators(m1, S, _blowup_mmax(Bf, m1), mode, budget)
-    return [(g, gp, _iroot_ratio(num, den * g**E1, E1 + E2)) for g, gp in gs]
-
-
-def _blowup_weights_work(m2: int, S: PlaceSet, cmax: int, mode: str) -> int:
-    """Steps of ``_blowup_weights``: the totient sieve, or one gcd row of
-    cmax entries per admissible a."""
-    if all_denominators_admissible(m2, mode):
-        return cmax
-    return cmax * _denominator_bound(m2, S.finite_primes, cmax, mode)
-
-
 def _blowup_weights(m2: int, S: PlaceSet, cmax: int, mode: str) -> np.ndarray:
     """w(c) for 0 <= c <= cmax: the points b/a of height exactly c on the
     weight-m2 line, [c in A] (2 phi(c) + [c = 1]) + 2 #{a in A : a < c,
@@ -627,51 +589,84 @@ def _blowup_weights(m2: int, S: PlaceSet, cmax: int, mode: str) -> np.ndarray:
     return w
 
 
-def blowup_cells(
-    m1: int, m2: int, S: PlaceSet, B: Union[int, float, Fraction], mode: str
-) -> Iterator[Tuple[int, int, int, Tuple[int, ...], int]]:
-    """One yield per cell (g, c) of the leading pairs (x0, x1) = (g a, g b),
-    gcd(a, b) = 1, c = max(a, |b|), that are admissible and carry a point of
-    height <= B, in ascending g and then c.
+@dataclass(frozen=True)
+class BlowupColumns:
+    """Rows (g[i], d[i], sign[i]), ascending in g, and columns
+    (c, w(c), X2(c), G(c), k): column c reads the k rows with g <= G(c)."""
 
-    g is an admissible line denominator for weight m1, a one for weight m2
-    (a in A), and c <= C(g) of ``_blowup_strata``.  So b/a is a point of
-    height c on the weight-m2 line, and the pairs over (g, c) number w(c) of
-    ``_blowup_weights`` for every g.  Yields (w(c), g, M2 = g c, primes of g,
-    X2) for w(c) > 0.  The points over each pair are the x2 coprime to g with
-    |x2| <= X2, where X2 >= M2: those with |x2| <= M2 have height
-    M2^(1+1/m1) c^(1+1/m2-1/m1), the others |x2|^(1+1/m1) c^(1+1/m2-1/m1).
+    every_g: bool
+    mmax: int
+    g: np.ndarray
+    d: np.ndarray
+    sign: np.ndarray
+    columns: List[Tuple[int, int, int, int, int]]
 
-    ``DEFAULT_BUDGET`` is charged the height-zeta sum's work: the weight
-    table, the prefix array up to X2(1) = Mmax and sum_g C(g) 2^(omega(g)+1)
-    prefix lookups, in closed form before the strata when every g is
-    admissible."""
+
+def blowup_columns(
+    m1: int,
+    m2: int,
+    S: PlaceSet,
+    B: Union[int, float, Fraction],
+    mode: str,
+    budget: Optional[int] = DEFAULT_BUDGET,
+    passes: int = 1,
+) -> BlowupColumns:
+    """The rows and columns that ``count_blowup`` and the height-zeta sum
+    share.  A cell (g, c) carries a point of height <= B exactly when
+    g^E1 c^(E1+E2) <= B^(m1 m2), E1 = (m1 + 1) m2, E2 = m1 m2 + m1 - m2,
+    that is g <= G(c); its w(c) pairs take the x2 coprime to g with
+    |x2| <= X2(c), g c <= X2(c) <= X2(1) = Mmax.  The columns are the
+    c <= C(1) with w(c) > 0; the rows are the squarefree f <= Mmax with
+    g = d = f and sign mu(f) when every g is admissible, and otherwise one
+    row per stratum g and signed squarefree divisor d of g.
+
+    The budget is charged before any sieve, list or table: the weight
+    table, the g source (the sieve length Mmax, or the bound on the
+    admissible g), passes - 1 tables of Mmax + 1 entries and passes times
+    the dot entries sum_c G(c) <= (Mmax + 1)(1 + E1/E2), or on the sparse
+    route, once the strata are built, sum_g 2^omega(g) C(g).  ``passes`` is
+    how often the caller goes over each entry: 1 for the count, 3 for the
+    height-zeta sum."""
+    _check_mode(mode)
     Bf = Fraction(B)
+    every_g = all_denominators_admissible(m1, mode)
     if Bf < 1:
-        return
-    E1, E2 = _blowup_exponents(m1, m2)
+        none = np.zeros(0, dtype=np.int64)
+        return BlowupColumns(every_g, 0, none, none, none, [])
+    E1, E2 = (m1 + 1) * m2, m1 * m2 + m1 - m2
     num, den = (Bf ** (m1 * m2)).as_integer_ratio()
     Mmax = _blowup_mmax(Bf, m1)
-    cmax = _iroot_ratio(num, den, E1 + E2)  # C(1): the cap falls as g grows
-    work = Mmax + _blowup_weights_work(m2, S, cmax, mode)
-    if all_denominators_admissible(m1, mode):
-        # 2^omega(g) <= d(g), whose partial sums are <= x (ln x + 1), and C(g)
-        # falls, so by parts the lookups are <= 2 (ln Mmax + 1) sum C(g); and
-        # sum C(g) <= Y Mmax^(1-beta) / (1-beta), as C(g) <= Y g^-beta with
-        # Y^(E1+E2) = B^(m1 m2) and beta = E1/(E1+E2)
-        root = integer_kth_root(num * Mmax**E2 // den, E1 + E2) + 1
-        lookups = 2 * (Mmax.bit_length() + 1) * -(-root * (E1 + E2) // E2)
-        charge(DEFAULT_BUDGET, work + lookups)
-    strata = _blowup_strata(m1, m2, S, Bf, mode, DEFAULT_BUDGET)
-    charge(DEFAULT_BUDGET, work + sum(C << (len(gp) + 1) for _, gp, C in strata))
-    X2 = [0] + [_iroot_ratio(num, den * c**E2, E1) for c in range(1, cmax + 1)]
-    weights = _blowup_weights(m2, S, cmax, mode).tolist()
-    cells = [(c, weight) for c, weight in enumerate(weights) if weight]
-    for g, gp, C in strata:
-        for c, weight in cells:
-            if c > C:
-                break
-            yield weight, g, g * c, gp, X2[c]
+    cmax = _iroot_ratio(num, den, E1 + E2)
+    per_a = 1 if all_denominators_admissible(m2, mode) else _denominator_bound(
+        m2, S.finite_primes, cmax, mode)  # the totient sieve, or a gcd row per a
+    work = cmax * per_a + (passes - 1) * (Mmax + 1)
+    if every_g:
+        entries = -(-(Mmax + 1) * (E1 + E2) // E2)
+        charge(budget, work + Mmax + passes * entries)
+        # each count term is at most X2 G <= Mmax^2, and sum 1/f^2 < 2
+        if 2 * Mmax * Mmax > _INT64_MAX:
+            raise MemoryError(f"the Moebius sieve for Mmax = {Mmax} exceeds any memory")
+        mu = mobius_sieve(Mmax)
+        g = d = np.flatnonzero(mu)
+        sign = mu[d].astype(np.int64)
+    else:
+        charge(budget, work + _denominator_bound(m1, S.finite_primes, Mmax, mode))
+        gs = line_denominators(m1, S, Mmax, mode)  # C(g) caps max(a, b) over g
+        strata = [(g, gp, _iroot_ratio(num, den * g**E1, E1 + E2)) for g, gp in gs]
+        charge(budget, passes * sum(C << len(gp) for _, gp, C in strata))
+        rows = [signed_squarefree_divisors(gp) for _, gp, _ in strata]
+        g = np.repeat([stratum[0] for stratum in strata], [len(r) for r in rows])
+        signed = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64)
+        sign, d = np.sign(signed), np.abs(signed)
+        if len(d) * Mmax > _INT64_MAX:  # each count term is at most X2 <= Mmax
+            raise MemoryError(f"{len(d)} divisor rows exceed any memory")
+    columns = []
+    for c, weight in enumerate(_blowup_weights(m2, S, cmax, mode).tolist()):
+        if weight:
+            q = num // (den * c**E2)
+            X, G = integer_kth_root(q, E1), integer_kth_root(q // c**E1, E1)
+            columns.append((c, weight, X, G, int(np.searchsorted(g, G, side="right"))))
+    return BlowupColumns(every_g, Mmax, g, d, sign, columns)
 
 
 def count_blowup(
@@ -684,58 +679,17 @@ def count_blowup(
     budget: Optional[int] = DEFAULT_BUDGET,
 ) -> int:
     """Blow-up model points with global height <= B in the given mode, in
-    one process for any ``workers``.
-
-    X2 depends only on c, and c <= C(g) exactly when g <= G(c), the largest
-    g with g^E1 c^(E1+E2) <= B^(m1 m2).  So the cells of ``blowup_cells``
-    give N = sum_{c <= C(1)} w(c) (1 + 2 P(c)), the 1 for x2 = 0 over g = 1,
-    where P(c) counts the admissible g <= G(c) and x <= X2(c) coprime to g:
-    one int64 dot, sum_{f <= G} mu(f) floor(X2/f) floor(G/f) when every g is
-    admissible, else sum mu(d) floor(X2/|d|) over the rows (g, d | g) of the
-    strata with g <= G.  The budget is charged the weight table and the
-    sieve plus sum_c G(c) <= (Mmax + 1)(1 + E1/E2) dot entries, or the bound
-    on the admissible g and then the sum_g 2^omega(g) C(g) dot entries,
-    before the lists they count are built."""
-    _check_mode(mode)
-    Bf = Fraction(B)
-    if Bf < 1:
-        return 0
-    E1, E2 = _blowup_exponents(m1, m2)
-    num, den = (Bf ** (m1 * m2)).as_integer_ratio()
-    Mmax = _blowup_mmax(Bf, m1)
-    cmax = _iroot_ratio(num, den, E1 + E2)
-    every_g = all_denominators_admissible(m1, mode)
-    if every_g:
-        work = Mmax + -(-(Mmax + 1) * (E1 + E2) // E2)
-    else:
-        work = _denominator_bound(m1, S.finite_primes, Mmax, mode)
-    charge(budget, work + _blowup_weights_work(m2, S, cmax, mode))
-    if every_g:
-        # each term is at most X2 G <= Mmax^2, and sum 1/f^2 < 2
-        if 2 * Mmax * Mmax > _INT64_MAX:
-            raise MemoryError(f"the Moebius sieve for Mmax = {Mmax} exceeds any memory")
-        mu = mobius_sieve(Mmax)
-        keys = d = np.flatnonzero(mu)
-        sign = mu[d].astype(np.int64)
-    else:
-        strata = _blowup_strata(m1, m2, S, Bf, mode, budget)
-        charge(budget, sum(C << len(gp) for _, gp, C in strata))
-        rows = [signed_squarefree_divisors(gp) for _, gp, _ in strata]
-        keys = np.repeat([g for g, _, _ in strata], [len(r) for r in rows])
-        signed = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64)
-        sign, d = np.sign(signed), np.abs(signed)
-        if len(d) * Mmax > _INT64_MAX:  # each term is at most X2 <= Mmax
-            raise MemoryError(f"{len(d)} divisor rows exceed any memory")
+    one process for any ``workers``: over the columns of ``blowup_columns``,
+    N = sum_c w(c) (1 + 2 P(c)), the 1 for x2 = 0 over g = 1, where P(c)
+    counts the admissible g <= G(c) and x <= X2(c) coprime to g, one exact
+    int64 dot: sum_f mu(f) floor(X2/f) floor(G/f) when every g is
+    admissible, else sum mu(d) floor(X2/|d|) over the rows (g, d)."""
+    core = blowup_columns(m1, m2, S, B, mode, budget)
     total = 0
-    for c, weight in enumerate(_blowup_weights(m2, S, cmax, mode).tolist()):
-        if not weight:
-            continue
-        q = num // (den * c**E2)
-        X, G = integer_kth_root(q, E1), integer_kth_root(q // c**E1, E1)
-        k = int(np.searchsorted(keys, G, side="right"))
-        f = d[:k]
-        terms = (X // f) * (G // f) if every_g else X // f
-        total += weight * (1 + 2 * int(np.dot(sign[:k], terms)))
+    for c, weight, X, G, k in core.columns:
+        f = core.d[:k]
+        terms = (X // f) * (G // f) if core.every_g else X // f
+        total += weight * (1 + 2 * int(np.dot(core.sign[:k], terms)))
     return total
 
 

@@ -1,25 +1,24 @@
 """Height-zeta partial sums and asymptotic coefficient fitting.
 
-The height-zeta sums walk the same enumeration cores as the counts in
-``enumeration``: the line sum runs over ``line_denominators`` and the
-blow-up sum over the cells (g, c) of ``blowup_cells``, weighting each point
-by H^-s instead of 1.  Sums of n^-s over the n coprime to a q come from one
-float64 prefix array by inclusion-exclusion over the squarefree divisors
-of q, so no loop runs over single points:
+The height-zeta sums run on the same enumeration cores as the counts in
+``enumeration``, weighting each point by H^-s instead of 1, on float64
+prefix or suffix arrays of n^-s, so no loop runs over single points:
 
 - when every q is admissible the line sum is 4 sum_{n <= B} phi(n) n^-s - 1,
   one Moebius sieve and one prefix array reduced over blocks of d (about
   9 bytes per unit of B);
 - a Darmon or Campana line takes one prefix array of B + 1 entries
-  (8 bytes each) and 2^(omega(q) + 1) prefix lookups per denominator q;
-- the blow-up takes one prefix array up to the longest x_2 tail and
-  2^(omega(g) + 1) lookups per cell.
+  (8 bytes each) and 2^(omega(q) + 1) prefix lookups per denominator q of
+  ``line_denominators``, by inclusion-exclusion over the squarefree
+  divisors of q;
+- the blow-up takes the count's rows and columns c (``blowup_columns``)
+  and a few float64 dots per column over a suffix array of n^-s1.
 
 Both charge ``enumeration.DEFAULT_BUDGET`` before allocating or looping:
-the line its denominators, then 2B + 1 (all admissible) or B + 1 plus the
-denominators; the blow-up its weight table, its prefix length and its
-prefix lookups, 2^(omega(g) + 1) per cell (``blowup_cells``).  These
-charges are upper bounds.
+the line 2B + 1 (all admissible), or its denominators and then B + 1 plus
+the denominators; the blow-up the count's charge of ``blowup_columns`` with
+three passes over its dot entries (the dots, Q with the R_c and P1) and the
+two tables Q and P1.  These charges are upper bounds.
 
 The fit works in ratio space: kappa is the mean of N(B) / (B^a (log B)^(b-1))
 over the grid points inside the window (top two decades by default), and the
@@ -41,7 +40,7 @@ from .enumeration import (
     DEFAULT_BUDGET,
     CountSeries,
     all_denominators_admissible,
-    blowup_cells,
+    blowup_columns,
     charge,
     line_denominators,
 )
@@ -94,12 +93,12 @@ def _zeta_line(model, S, s, Bf, mode) -> float:
     if Bint < 1:
         return 0.0
     m = model.params["m"]
-    denominators = line_denominators(m, S, Bint, mode, DEFAULT_BUDGET)
     if all_denominators_admissible(m, mode):
         charge(DEFAULT_BUDGET, 2 * Bint + 1)
         # summed over every q the points of height n number 4 phi(n), less
         # one at n = 1 (the point 0 is counted once)
         return 4.0 * _phi_power_sum(Bint, s) - 1.0
+    denominators = line_denominators(m, S, Bint, mode, DEFAULT_BUDGET)
     charge(DEFAULT_BUDGET, Bint + 1 + len(denominators))
     prefix = _power_prefix(Bint, s)
     value = 0.0
@@ -119,6 +118,16 @@ def _power_prefix(X: int, s: float) -> np.ndarray:
     prefix **= -s
     prefix[0] = 0.0
     return np.cumsum(prefix, out=prefix)
+
+
+def _power_suffix(X: int, s: float) -> np.ndarray:
+    """suffix[x] = sum_{x < n <= X} n^-s for 0 <= x <= X, summed from the
+    top, so a short tail keeps its relative precision."""
+    suffix = np.arange(1, X + 2, dtype=np.float64)  # suffix[x] = x + 1
+    suffix **= -s
+    suffix[X] = 0.0
+    np.cumsum(suffix[::-1], out=suffix[::-1])
+    return suffix
 
 
 def _coprime_power_sum(
@@ -158,22 +167,39 @@ def _phi_power_sum(B: int, s: float) -> float:
 
 
 def _zeta_blowup(model, S, s, Bf, mode) -> float:
+    """sum_c w(c) c^-s2 [(2 c sum_{g <= G} phi(g) g^-s1 + 1) c^-s1
+    + 2 sum_{rows <= k} mu(d) d^-s1 (Q(c g/d) - Q(X2 // d))] over the
+    columns of ``blowup_columns``: the x2 with |x2| <= g c, then the tail by
+    Moebius over d | g; s1 = s (1 + 1/m1), s2 = s (1 + 1/m2 - 1/m1), Q(x) =
+    sum_{x < n <= Mmax} n^-s1 and phi(g) g^-s1 = sum_{d | g} mu(d) d^-s1
+    (g/d)^(1-s1).  When every g = f h is admissible the sums over h <= H =
+    G // f are P1(H), P1 the prefix of h^(1-s1), and R_c(H) - H Q(X2 // f),
+    R_c(H) = sum_{h <= H} Q(c h).  Dots are ``np.sum`` (no BLAS threads)."""
     m1, m2 = model.params["m1"], model.params["m2"]
     s1 = s * (1 + 1.0 / m1)
     s2 = s * (1 + 1.0 / m2 - 1.0 / m1)
-    prefix = None
-    value = 0.0
-    for weight, g, M2, gp, X2 in blowup_cells(m1, m2, S, Bf, mode):
-        if prefix is None:
-            # the first cell, (g, c) = (1, 1), has the longest x2 tail
-            prefix = _power_prefix(X2, s1)
-        divs = signed_squarefree_divisors(gp)
-        core = 2 * count_coprime(M2, gp) + (1 if g == 1 else 0)
-        tail = _coprime_power_sum(prefix, s1, X2, divs)
-        tail -= _coprime_power_sum(prefix, s1, M2, divs)
-        at_c = core * float(M2) ** -s1 + 2.0 * tail
-        value += weight * float(M2 // g) ** -s2 * at_c
-    return float(value)
+    core = blowup_columns(m1, m2, S, Bf, mode, DEFAULT_BUDGET, passes=3)
+    Q = _power_suffix(core.mmax, s1)
+    dw = core.sign * core.d.astype(np.float64) ** -s1
+    if core.every_g:
+        P1 = _power_prefix(core.mmax, s1 - 1.0)
+    else:
+        h = core.g // core.d
+        phi_rows = dw * h.astype(np.float64) ** (1.0 - s1)
+    at_c = []
+    for c, weight, X, G, k in core.columns:
+        d, w = core.d[:k], dw[:k]
+        if core.every_g:
+            H = G // d
+            R = np.cumsum(Q[c : c * G + 1 : c])
+            phi_sum = np.sum(w * P1[H])
+            tail = np.sum(w * (R[H - 1] - H * Q[X // d]))
+        else:
+            phi_sum = np.sum(phi_rows[:k])
+            tail = np.sum(w * (Q[c * h[:k]] - Q[X // d]))
+        column = (2 * c * phi_sum + 1) * float(c) ** -s1 + 2 * tail
+        at_c.append(weight * float(c) ** -s2 * column)
+    return math.fsum(at_c)
 
 
 def residue_probe(

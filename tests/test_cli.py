@@ -177,17 +177,51 @@ def test_large_weight_counts_run_under_the_default_budget(capsys):
     [
         ("zeta", "--model", "p1", "--m", "1", "--probe", "2.5", "--bound", "1e9"),
         ("zeta", "--model", "blowup", "--m1", "1", "--m2", "1", "--probe", "1.5",
-         "--bound", "1e14"),
+         "--bound", "1e16"),
     ],
 )
 def test_huge_zeta_bound_exits_3_before_summing(capsys, argv):
     # m = 1 on the line: the Moebius reduction charges 2B + 1 = 2e9 steps (its
-    # sieve and prefix array would take about 9 GB); on the blow-up the
-    # closed-form bound on the prefix lookups is 1.5e9 at 1e14, charged before
-    # the 1e7 strata are built (1.3e8 at 1e12, which the budget admits)
+    # sieve and prefix array would take about 9 GB); on the blow-up the charge
+    # is 1.2e9 at 1e16, before the sieve to Mmax = 1e8 (1.2e8 at 1e14, which
+    # the budget admits)
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert "budget" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--grid", "geometric:3", "--bmax", "1e400"),
+        ("count", "--bmin", "1e-400", "--bmax", "10"),
+    ],
+)
+def test_geometric_grid_outside_the_float_range_exits_2(capsys, argv):
+    # the grid is spaced in floats: 1e400 overflows and 1e-400 rounds to 0
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("zeta", "--bound", "10", "--s", "nan"),
+        ("zeta", "--bound", "10", "--probe", "inf,nan"),
+        ("fit", "{csv}", "--a", "nan", "--b", "1"),
+        ("fit", "{csv}", "--a", "inf", "--b", "1"),
+        ("fit", "{csv}", "--a", "1e400", "--b", "1"),
+        ("fit", "{csv}", "--a", "2", "--b", "1", "--window", "10,1e400"),
+    ],
+)
+def test_non_finite_float_flags_exit_2(tmp_path, capsys, argv):
+    # JSON has no NaN or Infinity, so these are refused before any output
+    csv = tmp_path / "counts.csv"
+    csv.write_text("B,n_rational,n_campana,n_darmon\n10,127,55,45\n100,12175,1647,1247\n")
+    code, out, err = run(capsys, *(a.format(csv=csv) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_failed_allocation_exits_3(capsys):

@@ -1,5 +1,4 @@
 import io
-import itertools
 import math
 from fractions import Fraction
 
@@ -21,7 +20,7 @@ from orbicount.arith import (
 from orbicount.enumeration import (
     CSV_HEADER,
     all_denominators_admissible,
-    blowup_cells,
+    blowup_columns,
     count_blowup,
     count_p1,
     count_pn2,
@@ -38,6 +37,8 @@ from orbicount.enumeration import (
 from orbicount.errors import BudgetExceededError, DomainError
 from orbicount.fitting import zeta_partial_sum
 from orbicount.orbifold import PlaceSet, blowup_p2, projective_space
+
+from cell_walk import blowup_cells
 
 S0 = PlaceSet.of()
 S2 = PlaceSet.of([2])
@@ -280,19 +281,17 @@ def test_mertens_route_refuses_past_int64_range():
         count_p1(1, S0, 2**56, "rational", budget=None)
 
 
-def test_blowup_cells_carry_the_line_height_increments():
-    # over g = 1 the pairs of cell c are the line's points of height exactly
-    # c, so w(c) = N_line(c) - N_line(c - 1), and c is absent where that is 0
+def test_blowup_columns_carry_the_line_height_increments():
+    # the pairs of column c are the line's points of height exactly c, so
+    # w(c) = N_line(c) - N_line(c - 1), and c is absent where that is 0
     B = 10**6
     for m2 in (1, 2, 3):
         C1 = integer_kth_root(B**m2, 2 * m2 + 1)  # the cap of g = 1 for m1 = 1
         assert C1 >= 100
         for S in (S0, S2, S23):
             for mode in ("rational", "campana", "darmon"):
-                over_1 = itertools.takewhile(
-                    lambda cell: cell[1] == 1, blowup_cells(1, m2, S, B, mode)
-                )
-                got = {M2: w for w, _, M2, _, _ in over_1}
+                columns = blowup_columns(1, m2, S, B, mode).columns
+                got = {c: w for c, w, _, _, _ in columns}
                 line = [count_p1(m2, S, c, mode) for c in range(C1 + 1)]
                 increments = {c: line[c] - line[c - 1] for c in range(1, C1 + 1)}
                 assert got == {c: n for c, n in increments.items() if n}, (m2, S, mode)
@@ -335,10 +334,9 @@ def test_moebius_dots_equal_the_cell_walk_property(
 
 
 def test_blowup_zeta_charge_admits_1e10(monkeypatch):
-    # the height-zeta walk at 1e10 does 255,974 cells and about 3.5e6 prefix
-    # lookups; its charges (the closed-form bound, the 1e5 gcds, then the
-    # lookups 2^(omega(g)+1) C(g) plus the 1e5-entry prefix and the 2,154
-    # weights) all fit the default budget.  Only the first cell is drawn.
+    # the height-zeta sum's one charge at 1e10: the 2,154 weights, the sieve
+    # to Mmax = 1e5, the tables Q and P1 of 1e5 + 1 entries each and three
+    # passes over at most 3 (1e5 + 1) dot entries; the default budget admits it
     charged = []
     real_charge = enumeration.charge
 
@@ -347,9 +345,9 @@ def test_blowup_zeta_charge_admits_1e10(monkeypatch):
         real_charge(budget, amount)
 
     monkeypatch.setattr(enumeration, "charge", recording)
-    assert next(blowup_cells(1, 1, S0, 10**10, "darmon"))[:3] == (3, 1, 1)
-    assert charged == [10902262, 100000, 3460158]
-    assert max(charged) < enumeration.DEFAULT_BUDGET
+    z = zeta_partial_sum(blowup_p2(1, 1), S0, 1.5, 10**10)
+    assert charged == [2154 + 100000 + 2 * 100001 + 3 * 300003]
+    assert z.value == pytest.approx(16.59941961819641, rel=1e-11)
 
 
 def test_bounds_below_one_give_zero():

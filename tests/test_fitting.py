@@ -10,7 +10,6 @@ from orbicount.arith import count_coprime
 from orbicount.constants import ZETA2
 from orbicount.enumeration import (
     MODES,
-    blowup_cells,
     count_p1,
     count_series,
     iter_points,
@@ -23,6 +22,8 @@ from orbicount.fitting import (
     zeta_partial_sum,
 )
 from orbicount.orbifold import PlaceSet, blowup_p2, projective_space
+
+from cell_walk import blowup_cells
 
 S0 = PlaceSet.of()
 P1 = projective_space(1, 1)
@@ -113,6 +114,7 @@ def _zeta_blowup_by_tail_walk(model, S, s, B, mode):
         ((2, 1), S0, ["campana"]),
         ((1, 2), PlaceSet.of([2, 3]), MODES),
         ((2, 1), PlaceSet.of([2]), ["darmon"]),
+        ((2, 1), S0, ["rational"]),
     ],
 )
 @pytest.mark.parametrize("B", [30, Fraction(2001, 2), 10**5])
@@ -125,10 +127,18 @@ def test_blowup_tail_sums_match_the_tail_walk(weights, S, modes, B):
             assert z.value == pytest.approx(walk, rel=1e-12)
 
 
+def test_blowup_zeta_at_1e11():
+    # float64 prefix differences P(X2) - P(g c) drifted by 4.2e-7 here; the
+    # pinned value is the per-c sum in long double, and a long-double cell
+    # walk is within 5e-13 of it
+    z = zeta_partial_sum(blowup_p2(1, 1), S0, 1.5, 10**11)
+    assert z.value == pytest.approx(16.59978973356115, rel=1e-11)
+
+
 def test_zeta_budget_is_charged_before_any_work(monkeypatch):
-    # the line sum would allocate 1e9 prefix entries, and the blow-up sum's
-    # closed-form bound on its prefix lookups is 1.5e9 at 1e14: both are
-    # refused before the first of them
+    # the line sum would allocate 1e9 prefix entries, and the blow-up sum
+    # charges 1.2e9 at 1e16 (Mmax = 1e8: the sieve, the tables Q and P1 and
+    # three passes over 3e8 dot entries): both are refused before any of it
     def unreachable(*args, **kwargs):
         raise AssertionError("work started before the budget was charged")
 
@@ -137,7 +147,7 @@ def test_zeta_budget_is_charged_before_any_work(monkeypatch):
     with pytest.raises(BudgetExceededError):
         zeta_partial_sum(P1, S0, 2.5, 10**9)
     with pytest.raises(BudgetExceededError):
-        zeta_partial_sum(blowup_p2(1, 1), S0, 1.5, 10**14)
+        zeta_partial_sum(blowup_p2(1, 1), S0, 1.5, 10**16)
 
 
 def test_partial_sum_matches_bruteforce_line():

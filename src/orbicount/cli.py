@@ -5,8 +5,12 @@ CSV schema for counts: ``B,n_rational,n_campana,n_darmon``.  All JSON output
 uses lower_snake_case keys.  Exit codes: 0 success, 2 usage or domain error,
 3 resource cap exceeded (the enumeration budget, or an allocation that fails).
 
-An optional ``--config path`` file provides line-oriented ``key=value``
-defaults (same names as the long flags); explicit flags win.
+An optional ``--config path`` file holds ``key=value`` lines (blank and ``#``
+lines skipped), parsed as flags of the subcommand put before the typed ones.
+A key is a long-flag name, written with ``-`` or ``_``; a value is checked as
+the flag's value is; a boolean flag takes ``1``, ``true`` or ``yes``; a typed
+flag wins, abbreviated too; a key the subcommand has no flag for is ignored;
+and a required flag (``zeta --bound``) may come from the file.
 """
 
 from __future__ import annotations
@@ -250,7 +254,7 @@ def _cmd_local_factor(args) -> int:
         raise DomainError("local-factor requires --s")
     if not arith.is_prime(args.p):
         raise DomainError(f"--p must be a prime, got {args.p}")
-    s = float(args.s_value)
+    s = _parse_finite(args.s_value, "--s")
     if model.name == "p1":
         closed = localfactors.p1_factor(args.p, model.params["m"], s, in_S=args.in_s)
     elif model.name == "blowup":
@@ -349,23 +353,6 @@ def _emit(args, text: str) -> None:
 # parser assembly
 # --------------------------------------------------------------------------
 
-_CONFIG_COERCERS = {
-    "n": int,
-    "m": int,
-    "m1": int,
-    "m2": int,
-    "workers": int,
-    "budget": int,
-    "depth": int,
-    "p0": int,
-    "b": int,
-    "p": int,
-    "a": float,
-    "s_value": float,
-    "in_s": lambda v: v.lower() in ("1", "true", "yes"),
-    "paper_values": lambda v: v.lower() in ("1", "true", "yes"),
-}
-
 
 def _add_model_flags(sub, s_is_variable=False):
     """Model/weight flags.  --s names the finite primes of S on the counting
@@ -387,7 +374,8 @@ def _add_model_flags(sub, s_is_variable=False):
     sub.add_argument("--output", default=None, help="write output to this path")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple:
+    """Returns (the parser, its subcommand parsers by name)."""
     parser = argparse.ArgumentParser(
         prog="orbicount",
         description="bounded-height point counts and leading constants "
@@ -458,14 +446,23 @@ def _build_parser() -> argparse.ArgumentParser:
     z.add_argument("--probe", default=None, help="comma list of s values")
     z.set_defaults(func=_cmd_zeta)
 
-    return parser
+    return parser, subs.choices
 
 
-def _apply_config(args) -> None:
-    path = getattr(args, "config", None)
-    if not path:
-        return
-    overrides: Dict[str, str] = {}
+# Finds the --config file, abbreviated flag too, before the one full parse.
+_CONFIG_FINDER = argparse.ArgumentParser(prog="orbicount", add_help=False)
+_CONFIG_FINDER.add_argument("--config")
+
+
+def _config_argv(commands: dict, argv: List[str]) -> List[str]:
+    """``argv`` with its ``--config`` lines put in as flags right after the
+    subcommand: one parse checks them like typed flags, and typed ones win."""
+    path = _CONFIG_FINDER.parse_known_args(argv)[0].config
+    if not path or argv[0] not in commands:
+        return argv
+    # argparse offers no public lookup of a parser's flags by option string
+    flags = commands[argv[0]]._option_string_actions
+    tokens = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -473,30 +470,23 @@ def _apply_config(args) -> None:
                 continue
             if "=" not in line:
                 raise DomainError(f"bad config line: {line!r}")
-            key, _, value = line.partition("=")
-            overrides[key.strip().replace("-", "_")] = value.strip()
-    explicit = _explicit_flags(getattr(args, "_argv", sys.argv[1:]))
-    for key, raw in overrides.items():
-        if not hasattr(args, key) or key in explicit:
-            continue
-        coerce = _CONFIG_COERCERS.get(key, str)
-        setattr(args, key, coerce(raw))
-
-
-def _explicit_flags(argv: Sequence[str]) -> set:
-    out = set()
-    for token in argv:
-        if token.startswith("--"):
-            out.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    return out
+            key, _, value = (part.strip() for part in line.partition("="))
+            flag = "--" + key.replace("_", "-")
+            action = flags.get(flag)
+            if action is None:  # not a flag of this subcommand
+                continue
+            if action.nargs != 0:
+                tokens.append(f"{flag}={value}")
+            elif value.lower() in ("1", "true", "yes"):
+                tokens.append(flag)
+    return argv[:1] + tokens + argv[1:]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    args._argv = list(argv) if argv is not None else sys.argv[1:]
+    parser, commands = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        _apply_config(args)
+        args = parser.parse_args(_config_argv(commands, argv))
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

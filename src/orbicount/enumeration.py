@@ -1,16 +1,19 @@
 """Exact bounded-height point counts on the built-in geometries.
 
-One enumeration core per model; the counts, the height-zeta sums in
-``fitting`` and the debug dump are all built on it (points are counted, never
-materialized):
+One counting core per model (points are counted, never materialized).  The
+blow-up height-zeta sum in ``fitting`` runs on the blow-up core; the line
+height-zeta sums do not run on the line's divisor sum, but on
+``line_denominators`` and prefix arrays of n^-s (or a Moebius sieve when
+every q is admissible); the debug dump runs the oracle (see below):
 
 * line (p1) and plane (pn, n = 2): ``line_denominators`` lists the
   admissible last coordinates q, each with its distinct primes, for the
-  blow-up and the height-zeta sums.  A Darmon q is s d^m and a Campana q is
-  s times an m-full number, with s S-smooth and the other factor coprime to
-  S, so one walk over the primes builds these q together with their primes
-  and no Darmon or Campana path calls ``factorize``.  ``count_p1`` and
-  ``count_pn2`` share one body, which never visits a q: the count over q is
+  blow-up and the line height-zeta sum.  A Darmon q is s d^m and a Campana
+  q is s times an m-full number, with s S-smooth and the other factor
+  coprime to S, so one walk over the primes builds these q together with
+  their primes and no Darmon or Campana path calls ``factorize``.
+  ``count_p1`` and ``count_pn2`` share one body, which never visits a q: the
+  count over q is
   sum_{e | rad q} mu(e) T(floor(B/e)), T(x) = 2x on the line (plus the point
   0/1) and (2x + 1)^2 on the plane, and every admissible q is s a^m t in
   exactly one way (t = 1 in Darmon mode, else a product of b_j^j,
@@ -35,9 +38,11 @@ materialized):
   dot for the count and a few float64 dots for the height-zeta sum.
 
 ``iter_points`` is the point-by-point definitional oracle (exact gcd, mode
-and height checks on every candidate).  The naive_count_* oracles count what
-it yields and ``dump_points`` writes it; the sieved counters must agree with
-the oracles exactly, which the test suite checks.
+and height checks on every candidate, about 40 us each on a 2-CPU machine).
+The naive_count_* oracles count what it yields and ``dump_points`` writes
+it, so a dump takes the oracle's time over every candidate, not the core's
+(the core's count only checks the dump cap first); the sieved counters must
+agree with the oracles exactly, which the test suite checks.
 
 Every count runs in one process, with no pool: the ``workers`` parameters
 are kept for callers and change nothing.

@@ -1,8 +1,9 @@
 """Height-zeta partial sums and asymptotic coefficient fitting.
 
-The height-zeta sums run on the same enumeration cores as the counts in
-``enumeration``, weighting each point by H^-s instead of 1, on float64
-prefix or suffix arrays of n^-s, so no loop runs over single points:
+The height-zeta sums weight each point by H^-s instead of 1, on float64
+prefix or suffix arrays of n^-s, so no loop runs over single points.  The
+blow-up sum runs on the blow-up count's core in ``enumeration``; the line
+sums do not run on the line count's divisor sum:
 
 - when every q is admissible the line sum is 4 sum_{n <= B} phi(n) n^-s - 1,
   one Moebius sieve and one prefix array reduced over blocks of d (about

@@ -213,6 +213,8 @@ def test_geometric_grid_outside_the_float_range_exits_2(capsys, argv):
         ("fit", "{csv}", "--a", "inf", "--b", "1"),
         ("fit", "{csv}", "--a", "1e400", "--b", "1"),
         ("fit", "{csv}", "--a", "2", "--b", "1", "--window", "10,1e400"),
+        ("local-factor", "--p", "3", "--s", "inf"),
+        ("local-factor", "--p", "3", "--s", "1e400"),
     ],
 )
 def test_non_finite_float_flags_exit_2(tmp_path, capsys, argv):
@@ -504,6 +506,88 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
         capsys, "count", "--model", "p1", "--config", str(cfg), "--m", "3"
     )
     assert out.splitlines()[1] == "10,,,31"  # q in {1, 8}
+
+
+def run_config(tmp_path, capsys, text, *argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    return run(capsys, *argv, "--config", str(cfg))
+
+
+@pytest.mark.parametrize("text", ["func=x\n", "p0=5\n", "s_value=3\n"])
+def test_config_key_without_a_flag_is_ignored(tmp_path, capsys, text):
+    # func is an attribute of the parsed namespace, not a flag; p0 is a flag of
+    # constant, not of count; s_value is a destination, not a flag name
+    code, out, err = run_config(tmp_path, capsys, text + "grid=10\n", "count")
+    assert code == 0 and "Traceback" not in err
+    assert out.splitlines()[1] == "10,127,127,127"
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        ("column=junk\n", ("fit", "{csv}", "--a", "2", "--b", "1")),
+        ("format=xml\ngrid=10\n", ("count",)),
+        ("m=two\ngrid=10\n", ("count",)),
+    ],
+)
+def test_config_value_refused_like_the_flag(tmp_path, capsys, text, argv):
+    csv = tmp_path / "counts.csv"
+    csv.write_text("B,n_rational,n_campana,n_darmon\n10,127,55,45\n")
+    with pytest.raises(SystemExit) as exc:
+        run_config(tmp_path, capsys, text, *(a.format(csv=csv) for a in argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --" in err and "Traceback" not in err
+
+
+def test_config_before_the_subcommand_exits_2(tmp_path, capsys):
+    # --config is a flag of each subcommand, not of the program
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid=10\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "count"])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_config_line_without_equals_exits_2(tmp_path, capsys):
+    code, out, err = run_config(tmp_path, capsys, "grid\n", "count")
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad config line")
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [("s=2.5\nbound=100\n", ()), ("s=2.5\n", ("--bound", "100"))],
+)
+def test_config_supplies_s_and_the_required_bound(tmp_path, capsys, text, argv):
+    code, out, _ = run_config(tmp_path, capsys, text, "zeta", "--m", "2", *argv)
+    assert code == 0
+    _, typed, _ = run(capsys, "zeta", "--m", "2", "--s", "2.5", "--bound", "100")
+    assert out == typed
+    assert json.loads(out)["s"] == 2.5
+
+
+def test_abbreviated_flag_beats_config(tmp_path, capsys):
+    code, out, _ = run_config(
+        tmp_path, capsys, "grid=5\nmode=darmon\n", "count", "--gri", "100"
+    )
+    assert code == 0
+    assert out.splitlines()[1:] == ["100,,,12175"]
+
+
+@pytest.mark.parametrize(
+    "line, in_s",
+    [("in_s=yes", True), ("in-s=True", True), ("in_s=1", True), ("in_s=no", False)],
+)
+def test_config_boolean_flag(tmp_path, capsys, line, in_s):
+    argv = ("local-factor", "--m", "2", "--s", "2", "--p", "3")
+    code, out, _ = run_config(tmp_path, capsys, line + "\n", *argv)
+    assert code == 0
+    assert json.loads(out)["in_s"] is in_s
+    _, typed, _ = run(capsys, *argv, *(("--in-s",) if in_s else ()))
+    assert out == typed
 
 
 def test_dump_flag(tmp_path, capsys):

@@ -16,6 +16,7 @@ and a required flag (``zeta --bound``) may come from the file.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -374,8 +375,11 @@ def _add_model_flags(sub, s_is_variable=False):
     sub.add_argument("--output", default=None, help="write output to this path")
 
 
+@functools.cache
 def _build_parser() -> tuple:
-    """Returns (the parser, its subcommand parsers by name)."""
+    """Returns (the parser, its subcommand parsers by name), built on the
+    first call (about 2 ms of ``add_argument`` calls) and reused after it:
+    a parse reads the parsers and never changes them."""
     parser = argparse.ArgumentParser(
         prog="orbicount",
         description="bounded-height point counts and leading constants "

@@ -2,9 +2,10 @@
 
 One counting core per model (points are counted, never materialized).  The
 blow-up height-zeta sum in ``fitting`` runs on the blow-up core; the line
-height-zeta sums do not run on the line's divisor sum, but on
-``line_denominators`` and prefix arrays of n^-s (or a Moebius sieve when
-every q is admissible); the debug dump runs the oracle (see below):
+height-zeta sums do not run on the line's divisor sum, but on the rows
+(q, signed squarefree divisor of rad q) of ``line_divisor_rows`` (or a
+Moebius sieve when every q is admissible); the debug dump runs the oracle
+(see below):
 
 * line (p1) and plane (pn, n = 2): ``line_denominators`` lists the
   admissible last coordinates q, each with its distinct primes, for the
@@ -63,6 +64,7 @@ from .arith import (
     count_coprime,
     distinct_primes,
     integer_kth_root,
+    is_prime,
     mobius_sieve,
     primes_up_to,
     signed_squarefree_divisors,
@@ -87,6 +89,7 @@ __all__ = [
     "blowup_columns",
     "BlowupColumns",
     "line_denominators",
+    "line_divisor_rows",
     "all_denominators_admissible",
     "write_series_csv",
     "read_counts_csv",
@@ -232,6 +235,54 @@ def line_denominators(
     charge(budget, _denominator_bound(m, S.finite_primes, Bint, mode))
     step = m if mode == "darmon" else 1
     return _shaped_denominators(Bint, S.finite_primes, m, step, math.inf)
+
+
+def _omega_max(N: int) -> int:
+    """Most distinct primes of any n <= N: the k with the k-th primorial
+    <= N below the next."""
+    k, primorial, p = 0, 2, 2
+    while primorial <= N:
+        k, p = k + 1, p + 1
+        while not is_prime(p):
+            p += 1
+        primorial *= p
+    return k
+
+
+def line_divisor_rows(
+    m: int, S: PlaceSet, Bint: int, mode: str, budget: Optional[int] = None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, rows per q, f) over the Darmon or Campana denominators q <= Bint
+    of ``line_denominators``: for each q its 2^omega(q) signed squarefree
+    divisors f of rad q (sign mu(|f|)), flat and in the order of q, which
+    runs through the q of each omega(q) in turn, ascending within each.
+
+    Every prime of q outside S divides a number whose m-th power is at most
+    Bint, so q has at most omega_max(Bint^(1/m)) + |S| primes; the budget is
+    charged the denominator bound times 2 to that power before the walk.
+    The divisors of the q with k primes are built as one array of 2^k
+    columns; the arrays are int64, or object arrays when Bint passes int64."""
+    if all_denominators_admissible(m, mode):
+        raise DomainError("divisor rows are for Darmon or Campana denominators")
+    shift = _omega_max(integer_kth_root(Bint, m)) + len(S.finite_primes)
+    charge(budget, _denominator_bound(m, S.finite_primes, Bint, mode) << shift)
+    by_omega: Dict[int, Tuple[List[int], List[Tuple[int, ...]]]] = {}
+    for q, primes in line_denominators(m, S, Bint, mode):
+        qs, supports = by_omega.setdefault(len(primes), ([], []))
+        qs.append(q)
+        supports.append(primes)
+    dtype = np.int64 if Bint <= _INT64_MAX else object
+    q, per_q, f = [], [], []
+    for k in sorted(by_omega):
+        qs, supports = by_omega.pop(k)
+        primes = np.array(supports, dtype=dtype).reshape(len(qs), k)
+        divisors = np.ones((len(qs), 1), dtype=dtype)
+        for j in range(k):  # the order of ``signed_squarefree_divisors``
+            divisors = np.hstack((divisors, -divisors * primes[:, j : j + 1]))
+        q.append(np.array(qs, dtype=dtype))
+        per_q.append(np.full(len(qs), 1 << k, dtype=np.int64))
+        f.append(divisors.ravel())
+    return np.concatenate(q), np.concatenate(per_q), np.concatenate(f)
 
 
 # --------------------------------------------------------------------------

@@ -1,25 +1,31 @@
 """Height-zeta partial sums and asymptotic coefficient fitting.
 
-The height-zeta sums weight each point by H^-s instead of 1, on float64
-prefix or suffix arrays of n^-s, so no loop runs over single points.  The
-blow-up sum runs on the blow-up count's core in ``enumeration``; the line
-sums do not run on the line count's divisor sum:
+The height-zeta sums weight each point by H^-s instead of 1, so no loop runs
+over single points.  Each sum does its s-free work (the budget charge, the
+sieve, rows and columns) once and then runs per s, so ``residue_probe``
+builds it once for all its s values.  The blow-up sum runs on the blow-up
+count's core in ``enumeration``; the line sums do not run on the line
+count's divisor sum:
 
-- when every q is admissible the line sum is 4 sum_{n <= B} phi(n) n^-s - 1,
-  one Moebius sieve and one prefix array reduced over blocks of d (about
-  9 bytes per unit of B);
-- a Darmon or Campana line takes one prefix array of B + 1 entries
-  (8 bytes each) and 2^(omega(q) + 1) prefix lookups per denominator q of
-  ``line_denominators``, by inclusion-exclusion over the squarefree
-  divisors of q;
+- when every q is admissible the line sum is 4 sum_{n <= B} phi(n) n^-s - 1:
+  one Moebius sieve, and per s one prefix array reduced over blocks of d
+  (about 9 bytes per unit of B);
+- a Darmon or Campana line takes the rows (q, f) of ``line_divisor_rows``,
+  f over the signed squarefree divisors of rad q, and per s reads
+  P(x) = sum_{n <= x} n^-s at the row endpoints B // |f| and q // |f| only:
+  from a table up to 1024, by Euler-Maclaurin above it.  No array grows
+  with B: 23 bytes per row are kept, and the peak is about 80 bytes per row
+  with the walk's tuples (0.75 GB for 9.2e6 rows at m = 2, B = 1e12);
 - the blow-up takes the count's rows and columns c (``blowup_columns``)
   and a few float64 dots per column over a suffix array of n^-s1.
 
-Both charge ``enumeration.DEFAULT_BUDGET`` before allocating or looping:
-the line 2B + 1 (all admissible), or its denominators and then B + 1 plus
-the denominators; the blow-up the count's charge of ``blowup_columns`` with
-three passes over its dot entries (the dots, Q with the R_c and P1) and the
-two tables Q and P1.  These charges are upper bounds.
+Each charges ``enumeration.DEFAULT_BUDGET`` before allocating or looping:
+the line 2B + 1 (all admissible), or the denominator bound times
+2^(omega_max(B^(1/m)) + |S|) divisor rows before the denominators are
+walked; the blow-up the count's charge of ``blowup_columns`` with three
+passes over its dot entries (the dots, Q with the R_c and P1) and the two
+tables Q and P1.  These charges are upper bounds, one per sum: a probe of
+several s values charges as one s does.
 
 The fit works in ratio space: kappa is the mean of N(B) / (B^a (log B)^(b-1))
 over the grid points inside the window (top two decades by default), and the
@@ -32,18 +38,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .arith import count_coprime, mobius_sieve, signed_squarefree_divisors
+from .arith import mobius_sieve
 from .enumeration import (
     DEFAULT_BUDGET,
     CountSeries,
     all_denominators_admissible,
     blowup_columns,
     charge,
-    line_denominators,
+    line_divisor_rows,
 )
 from .errors import DomainError
 from .orbifold import OrbifoldModel, PlaceSet, a_invariant, b_invariant
@@ -76,40 +82,140 @@ def zeta_partial_sum(
     """sum of H(x)^-s over the mode's points with H(x) <= B (exact heights).
 
     Divergence for s below the critical exponent is the caller's concern: the
-    partial sum is finite and is returned as-is.
+    partial sum is finite and is returned as-is, unless it passes the float
+    range (DomainError).
     """
     s = float(s)
     Bf = Fraction(B)
-    if model.name == "p1":
-        value = _zeta_line(model, S, s, Bf, mode)
-    elif model.name == "blowup":
-        value = _zeta_blowup(model, S, s, Bf, mode)
-    else:
-        raise DomainError(f"no height-zeta summation for model {model.name!r}")
+    value = _finite(_zeta_sum(model, S, Bf, mode), s)
     return ZetaPartialSum(s=s, bound=float(Bf), value=value, mode=mode)
 
 
-def _zeta_line(model, S, s, Bf, mode) -> float:
-    Bint = math.floor(Bf)
+def _finite(zeta: Callable[[float], float], s: float) -> float:
+    """zeta(s), refused unless finite: for s far below 0, n^-s passes the
+    float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            value = zeta(s)
+        except OverflowError:
+            value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"the height-zeta sum at s = {s} passes the float range")
+    return value
+
+
+def _zeta_sum(model, S, Bf, mode) -> Callable[[float], float]:
+    """The partial sum as a function of s: the s-free work (the budget
+    charge, the sieve, rows and columns) is done here, once."""
+    if model.name == "p1":
+        return _zeta_line(model.params["m"], S, math.floor(Bf), mode)
+    if model.name == "blowup":
+        return _zeta_blowup(model.params["m1"], model.params["m2"], S, Bf, mode)
+    raise DomainError(f"no height-zeta summation for model {model.name!r}")
+
+
+def _zeta_line(m, S, Bint, mode) -> Callable[[float], float]:
+    """sum_q q^-s (2 phi_q(q) + [q = 1]) + 2 sum_q sum_{q < n <= B, (n, q) = 1}
+    n^-s over the admissible q, phi_q(x) the n <= x coprime to q.
+
+    When every q is admissible, 4 sum_{n <= B} phi(n) n^-s - 1 over one
+    Moebius sieve.  Otherwise the coprime tail of q is
+    sum_{f | rad q} mu(f) f^-s (P(B // f) - P(q // f)), P(x) = sum_{n <= x}
+    n^-s, over the rows (q, f) of ``line_divisor_rows``, and phi_q(q) is
+    sum_f mu(f) (q // f): P is read at the row endpoints only (``_PowerSum``),
+    and each row's difference is formed before it is weighted, so equal parts
+    cancel exactly."""
     if Bint < 1:
-        return 0.0
-    m = model.params["m"]
+        return lambda s: 0.0
     if all_denominators_admissible(m, mode):
         charge(DEFAULT_BUDGET, 2 * Bint + 1)
+        mu = mobius_sieve(Bint)
         # summed over every q the points of height n number 4 phi(n), less
         # one at n = 1 (the point 0 is counted once)
-        return 4.0 * _phi_power_sum(Bint, s) - 1.0
-    denominators = line_denominators(m, S, Bint, mode, DEFAULT_BUDGET)
-    charge(DEFAULT_BUDGET, Bint + 1 + len(denominators))
-    prefix = _power_prefix(Bint, s)
-    value = 0.0
-    for q, primes in denominators:
-        divs = signed_squarefree_divisors(primes)
-        at_q = 2 * count_coprime(q, primes) + (1 if q == 1 else 0)
-        value += float(q) ** -s * at_q
-        tail = _coprime_power_sum(prefix, s, Bint, divs)
-        value += 2.0 * (tail - _coprime_power_sum(prefix, s, q, divs))
-    return float(value)
+        return lambda s: 4.0 * _phi_power_sum(mu, s) - 1.0
+    q, per_q, f = line_divisor_rows(m, S, Bint, mode, DEFAULT_BUDGET)
+    sign = 2 * (f > 0).astype(np.int8) - 1
+    f = np.abs(f, out=f)
+    lo = q.repeat(per_q)
+    lo //= f
+    phi = np.add.reduceat(sign * lo, np.cumsum(per_q) - per_q)
+    at_q = 2.0 * phi.astype(np.float64) + (q == 1)  # 2 phi(q) may pass int64
+    q = q.astype(np.float64)
+    d, row_d = np.unique(f, return_inverse=True)
+    del f
+    row_d = row_d.astype(np.int32)  # the budget keeps the rows below 2^31
+    lo = _EndPoints(lo)
+    hi = _EndPoints(Bint // d)
+    d = d.astype(np.float64)
+
+    def at(s: float) -> float:
+        P = _PowerSum(s)
+        d_s = d**-s
+        head_hi, tail_hi = P.head[hi.head], P.tail(hi)
+        tails = [float(np.sum(at_q * q**-s))]
+        for i in range(0, len(sign), _BLOCK):
+            block = slice(i, i + _BLOCK)
+            j = row_d[block]
+            diff = head_hi[j] - P.head[lo.head[block]]
+            diff += tail_hi[j] - P.tail(lo, block)
+            tails.append(2.0 * float(np.sum(sign[block] * d_s[j] * diff)))
+        return math.fsum(tails)
+
+    return at
+
+
+_HEAD = 1024  # P(x) comes from a table up to here, by Euler-Maclaurin above
+# B_2k / (2k)! for k = 1..6: Euler-Maclaurin through B_12
+_EM = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000)
+
+
+class _EndPoints:
+    """Integer points x >= 0, s-free: the table index min(x, _HEAD), and
+    for y = max(x, _HEAD) its inverse 1/y and log(y / _HEAD)."""
+
+    def __init__(self, x: np.ndarray):
+        self.head = np.minimum(x, _HEAD).astype(np.int16)
+        y = np.maximum(x, _HEAD).astype(np.float64)
+        self.inverse = 1.0 / y
+        y /= _HEAD
+        self.log = np.log(y, out=y)
+
+
+class _PowerSum:
+    """P(x) = sum_{n <= x} n^-s for one real s as head[min(x, X0)] +
+    J(max(x, X0)) - J(X0), X0 = _HEAD: head is summed in long double, and
+    J(y) - J(x) is sum_{x < n <= y} n^-s for X0 <= x <= y by Euler-Maclaurin,
+    J(y) = int_X0^y t^-s dt + y^-s / 2 - sum_{k <= 6} B_2k / (2k)! (s)_(2k-1)
+    y^(1-s-2k).  The integral is X0^(1-s) expm1((1-s) log(y/X0)) / (1-s), so
+    s at or near 1 does not cancel.  What is left out is at most
+    2 zeta(14) / (2 pi)^14 |(s)_13| X0^(-s-13) < 1e-50 |(s)_13| X0^-s,
+    and 0 when s is a non-positive integer."""
+
+    def __init__(self, s: float):
+        n = np.arange(1, _HEAD + 1, dtype=np.longdouble)
+        self.head = np.zeros(_HEAD + 1)
+        self.head[1:] = np.cumsum(n**-s)
+        self.t = 1.0 - s
+        self.scale = float(_HEAD) ** self.t
+        rising, self.coeffs = s, []  # rising = (s)_(2k-1)
+        for k, c in enumerate(_EM, 1):
+            self.coeffs.append(c * rising)
+            rising *= (s + 2 * k - 1) * (s + 2 * k)
+
+    def tail(self, points: _EndPoints, block: slice = slice(None)) -> np.ndarray:
+        """J at the points' max(x, X0)."""
+        r, L = points.inverse[block], points.log[block]
+        if self.t == 0:
+            grown, integral = 1.0, L  # y^(1-s) / X0^(1-s), the integral
+        else:
+            grown = np.expm1(self.t * L)
+            integral = self.scale / self.t * grown
+            grown += 1.0
+        y2 = r * r
+        series = self.coeffs[-1]
+        for c in reversed(self.coeffs[:-1]):
+            series = series * y2 + c
+        return integral + self.scale * grown * r * (0.5 - r * series)
 
 
 def _power_prefix(X: int, s: float) -> np.ndarray:
@@ -131,35 +237,20 @@ def _power_suffix(X: int, s: float) -> np.ndarray:
     return suffix
 
 
-def _coprime_power_sum(
-    prefix: np.ndarray, s: float, X: int, divs: Sequence[int]
-) -> float:
-    """sum of n^-s over the n <= X coprime to the primes whose signed
-    squarefree divisors are ``divs``, from ``prefix = _power_prefix(., s)``:
-    sum_{f | rad} mu(f) f^-s prefix[X // f]."""
-    total = 0.0
-    for d in divs:
-        if d > 0:
-            total += d**-s * prefix[X // d]
-        else:
-            total -= (-d) ** -s * prefix[X // -d]
-    return total
+_BLOCK = 1 << 16
 
 
-_PHI_BLOCK = 1 << 16
-
-
-def _phi_power_sum(B: int, s: float) -> float:
+def _phi_power_sum(mu: np.ndarray, s: float) -> float:
     """sum_{n <= B} phi(n) n^-s = sum_{d <= B} mu(d) d^-s P(floor(B/d)), with
-    P(x) = sum_{n <= x} n^(1-s): one Moebius sieve and one prefix array
-    (9 bytes per entry), reduced over blocks of d with ``np.sum`` and
-    across blocks with ``math.fsum`` (a float64 ``np.dot`` would start BLAS
-    threads)."""
-    mu = mobius_sieve(B)
+    mu = mu(0..B) and P(x) = sum_{n <= x} n^(1-s): one prefix array (8 bytes
+    per entry beside the sieve's 1), reduced over blocks of d with ``np.sum``
+    and across blocks with ``math.fsum`` (a float64 ``np.dot`` would start
+    BLAS threads)."""
+    B = len(mu) - 1
     prefix = _power_prefix(B, s - 1.0)
     blocks = []
-    for lo in range(1, B + 1, _PHI_BLOCK):
-        d = np.arange(lo, min(lo + _PHI_BLOCK, B + 1))
+    for lo in range(1, B + 1, _BLOCK):
+        d = np.arange(lo, min(lo + _BLOCK, B + 1))
         terms = prefix[B // d]
         terms *= mu[lo : lo + len(d)]
         terms *= d.astype(np.float64) ** -s
@@ -167,7 +258,7 @@ def _phi_power_sum(B: int, s: float) -> float:
     return math.fsum(blocks)
 
 
-def _zeta_blowup(model, S, s, Bf, mode) -> float:
+def _zeta_blowup(m1, m2, S, Bf, mode) -> Callable[[float], float]:
     """sum_c w(c) c^-s2 [(2 c sum_{g <= G} phi(g) g^-s1 + 1) c^-s1
     + 2 sum_{rows <= k} mu(d) d^-s1 (Q(c g/d) - Q(X2 // d))] over the
     columns of ``blowup_columns``: the x2 with |x2| <= g c, then the tail by
@@ -176,31 +267,37 @@ def _zeta_blowup(model, S, s, Bf, mode) -> float:
     (g/d)^(1-s1).  When every g = f h is admissible the sums over h <= H =
     G // f are P1(H), P1 the prefix of h^(1-s1), and R_c(H) - H Q(X2 // f),
     R_c(H) = sum_{h <= H} Q(c h).  Dots are ``np.sum`` (no BLAS threads)."""
-    m1, m2 = model.params["m1"], model.params["m2"]
-    s1 = s * (1 + 1.0 / m1)
-    s2 = s * (1 + 1.0 / m2 - 1.0 / m1)
     core = blowup_columns(m1, m2, S, Bf, mode, DEFAULT_BUDGET, passes=3)
-    Q = _power_suffix(core.mmax, s1)
-    dw = core.sign * core.d.astype(np.float64) ** -s1
-    if core.every_g:
-        P1 = _power_prefix(core.mmax, s1 - 1.0)
-    else:
+    d = core.d.astype(np.float64)
+    if not core.every_g:
         h = core.g // core.d
-        phi_rows = dw * h.astype(np.float64) ** (1.0 - s1)
-    at_c = []
-    for c, weight, X, G, k in core.columns:
-        d, w = core.d[:k], dw[:k]
+        hf = h.astype(np.float64)
+
+    def at(s: float) -> float:
+        s1 = s * (1 + 1.0 / m1)
+        s2 = s * (1 + 1.0 / m2 - 1.0 / m1)
+        Q = _power_suffix(core.mmax, s1)
+        dw = core.sign * d**-s1
         if core.every_g:
-            H = G // d
-            R = np.cumsum(Q[c : c * G + 1 : c])
-            phi_sum = np.sum(w * P1[H])
-            tail = np.sum(w * (R[H - 1] - H * Q[X // d]))
+            P1 = _power_prefix(core.mmax, s1 - 1.0)
         else:
-            phi_sum = np.sum(phi_rows[:k])
-            tail = np.sum(w * (Q[c * h[:k]] - Q[X // d]))
-        column = (2 * c * phi_sum + 1) * float(c) ** -s1 + 2 * tail
-        at_c.append(weight * float(c) ** -s2 * column)
-    return math.fsum(at_c)
+            phi_rows = dw * hf ** (1.0 - s1)
+        at_c = []
+        for c, weight, X, G, k in core.columns:
+            dk, w = core.d[:k], dw[:k]
+            if core.every_g:
+                H = G // dk
+                R = np.cumsum(Q[c : c * G + 1 : c])
+                phi_sum = np.sum(w * P1[H])
+                tail = np.sum(w * (R[H - 1] - H * Q[X // dk]))
+            else:
+                phi_sum = np.sum(phi_rows[:k])
+                tail = np.sum(w * (Q[c * h[:k]] - Q[X // dk]))
+            column = (2 * c * phi_sum + 1) * float(c) ** -s1 + 2 * tail
+            at_c.append(weight * float(c) ** -s2 * column)
+        return math.fsum(at_c)
+
+    return at
 
 
 def residue_probe(
@@ -210,17 +307,15 @@ def residue_probe(
     B: Union[int, float, Fraction],
     mode: str = "darmon",
 ) -> List[Tuple[float, float]]:
-    """(s, (s - a)^b * partial zeta sum) along a grid of s above a.
+    """(s, (s - a)^b * partial zeta sum) along a grid of s above a, over
+    one s-free core (the same charge as one ``zeta_partial_sum``).
 
     Diagnostic only: expected to flatten toward the residue constant as
     s decreases to a with B large, with no convergence guarantee."""
     a = float(a_invariant(model))
     b = b_invariant(model)
-    out = []
-    for s in s_values:
-        z = zeta_partial_sum(model, S, float(s), B, mode)
-        out.append((float(s), (float(s) - a) ** b * z.value))
-    return out
+    zeta = _zeta_sum(model, S, Fraction(B), mode)
+    return [(float(s), (float(s) - a) ** b * _finite(zeta, float(s))) for s in s_values]
 
 
 # --------------------------------------------------------------------------

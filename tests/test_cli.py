@@ -7,6 +7,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
+from orbicount import cli, enumeration
 from orbicount.cli import main
 from orbicount.constants import ZETA2
 
@@ -190,6 +191,24 @@ def test_huge_zeta_bound_exits_3_before_summing(capsys, argv):
     assert "budget" in err and "Traceback" not in err
 
 
+def test_line_zeta_charges_its_rows_before_the_walk(capsys, monkeypatch):
+    # at 1e14 the Darmon line sum charges 1e7 denominators times 2^8 divisor
+    # rows each (2.6e9) and is refused before the walk; at 1e9 it charges
+    # 2.0e6 and runs (the O(B) prefix array it no longer builds charged 1e9 + 1);
+    # the value is the rows' Hurwitz zeta differences at 30 digits (mpmath)
+    code, out, err = run(capsys, "zeta", "--m", "2", "--s", "2.5", "--bound", "1e9")
+    assert code == 0 and "Traceback" not in err
+    assert json.loads(out)["value"] == pytest.approx(4.048370183760561, rel=1e-12)
+
+    def walk(*args, **kwargs):
+        raise AssertionError("walked the denominators before the charge")
+
+    monkeypatch.setattr(enumeration, "line_denominators", walk)
+    code, _, err = run(capsys, "zeta", "--m", "2", "--s", "2.5", "--bound", "1e14")
+    assert code == 3
+    assert "budget" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -224,6 +243,22 @@ def test_non_finite_float_flags_exit_2(tmp_path, capsys, argv):
     code, out, err = run(capsys, *(a.format(csv=csv) for a in argv))
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("zeta", "--m", "2", "--s", "-60", "--bound", "1e6"),
+        ("zeta", "--m", "2", "--s", "-400", "--bound", "1e6"),
+        ("zeta", "--model", "blowup", "--s", "-400", "--bound", "1e3"),
+        ("zeta", "--m", "1", "--probe", "2.5,-300", "--bound", "1e3"),
+    ],
+)
+def test_zeta_past_the_float_range_exits_2(capsys, argv):
+    # n^-s passes the float range: one error line, no NaN and no traceback
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: the height-zeta sum") and err.count("\n") == 1
 
 
 def test_failed_allocation_exits_3(capsys):
@@ -346,6 +381,39 @@ def test_constant_paper_values_never_integrate(capsys, monkeypatch):
     monkeypatch.setattr(mpmath, "quad", no_quad)
     for argv, want in zip(argvs, expected):
         assert run(capsys, *argv) == want
+
+
+def test_parser_built_once_and_reused(tmp_path, capsys):
+    # main builds its parser on the first call and reuses it; a parse must
+    # leave it as it was, so each output equals a run on a freshly built one
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid=100\nmode=darmon\nm=2\n")
+    argvs = [
+        ("count", "--model", "p1", "--m", "2", "--grid", "10,100"),
+        ("count", "--config", str(cfg)),
+        ("count", "--config", str(cfg), "--gri", "50"),
+        ("zeta", "--m", "2", "--s", "2.5", "--bound", "100"),
+        ("count", "--mode", "nonsense"),
+        ("local-factor", "--m", "2", "--s", "2", "--p", "3", "--in-s"),
+        ("count", "--model", "p1", "--m", "2", "--grid", "10,100"),
+    ]
+    cli._build_parser.cache_clear()
+    reused = [_run_catching_exit(capsys, argv) for argv in argvs]
+    assert cli._build_parser.cache_info().misses == 1
+    for argv, got in zip(argvs, reused):
+        cli._build_parser.cache_clear()
+        assert _run_catching_exit(capsys, argv) == got
+    assert reused[1][1].splitlines()[1:] == ["100,,,1247"]
+    assert reused[4][0] == 2
+    assert reused[-1] == reused[0]
+
+
+def _run_catching_exit(capsys, argv):
+    try:
+        return run(capsys, *argv)
+    except SystemExit as exc:  # argparse refuses the flags
+        out = capsys.readouterr()
+        return exc.code, out.out, out.err
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,12 +1,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbicount import fitting
-from orbicount.arith import count_coprime
+from orbicount import enumeration, fitting
+from orbicount.arith import count_coprime, factorize
 from orbicount.constants import ZETA2
 from orbicount.enumeration import (
     MODES,
@@ -90,6 +91,67 @@ def test_all_admissible_line_sum_is_the_totient_sum(B, s, case, S):
     assert z.value == pytest.approx(_totient_line_sum(B, s), rel=1e-12)
 
 
+def _line_sum_by_points(m, S, s, B, mode):
+    """The Darmon or Campana line sum as an fsum over the points p/q: each q
+    is tested by factoring it, and each height n >= q by a gcd."""
+    terms = []
+    for q in range(1, B + 1):
+        exponents = [e for p, e in factorize(q).items() if p not in S.finite_primes]
+        if any(e % m if mode == "darmon" else e < m for e in exponents):
+            continue
+        at_q = sum(1 for p in range(-q, q + 1) if math.gcd(p, q) == 1)
+        terms.append(at_q * float(q) ** -s)
+        n = np.arange(q + 1, B + 1)
+        terms += (2.0 * n[np.gcd(n, q) == 1].astype(np.float64) ** -s).tolist()
+    return math.fsum(terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    B=st.integers(1, 3000),
+    s=st.one_of(st.floats(-3, 12), st.sampled_from([1.0, 1 + 1e-12, 1 - 1e-12])),
+    m=st.sampled_from([2, 3]),
+    mode=st.sampled_from(["darmon", "campana"]),
+    S=st.sampled_from([S0, PlaceSet.of([2])]),
+)
+def test_darmon_campana_line_sum_is_the_point_sum(B, s, m, mode, S):
+    z = zeta_partial_sum(projective_space(1, m), S, s, B, mode)
+    assert z.value == pytest.approx(_line_sum_by_points(m, S, s, B, mode), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "m, S, B, mode",
+    [
+        (4, (), 2**63 - 1, "darmon"),  # 2 phi(q) passes int64 for q > 2^62
+        (2, (2, 3), 10**8, "campana"),
+        (10, (2,), 10**30, "darmon"),  # past int64: object rows
+    ],
+)
+def test_line_zeta_at_zero_is_the_count(m, S, B, mode):
+    # at s = 0 every point weighs 1, so the sum is the exact count
+    S = PlaceSet.of(S)
+    z = zeta_partial_sum(projective_space(1, m), S, 0.0, B, mode)
+    assert z.value == pytest.approx(count_p1(m, S, B, mode), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "m, S, s, B, mode, pinned",
+    [
+        # a float64 prefix array of n^-s over all n <= B drifted by 5.2e-8
+        # here, and a long-double one is within 1e-14 of the pinned value
+        (3, (2, 3), 2.5, 10**7, "campana", 5.229622601971644),
+        # past int64 the rows are object arrays
+        (10, (2,), 2.5, 10**30, "darmon", 4.564236000449878),
+        (10, (2,), 1.0, 10**30, "darmon", 70930.75762526017),
+    ],
+)
+def test_line_zeta_pinned(m, S, s, B, mode, pinned):
+    # each pinned value sums the same rows with Hurwitz zeta differences (or
+    # harmonic numbers at s = 1) at 30 digits in mpmath
+    z = zeta_partial_sum(projective_space(1, m), PlaceSet.of(S), s, B, mode)
+    assert z.value == pytest.approx(pinned, rel=1e-12)
+
+
 def _zeta_blowup_by_tail_walk(model, S, s, B, mode):
     """The blow-up sum with each cell's x2 tail walked one t at a time."""
     m1, m2 = model.params["m1"], model.params["m2"]
@@ -136,16 +198,20 @@ def test_blowup_zeta_at_1e11():
 
 
 def test_zeta_budget_is_charged_before_any_work(monkeypatch):
-    # the line sum would allocate 1e9 prefix entries, and the blow-up sum
-    # charges 1.2e9 at 1e16 (Mmax = 1e8: the sieve, the tables Q and P1 and
-    # three passes over 3e8 dot entries): both are refused before any of it
+    # the all-of-Q line sum would allocate 1e9 prefix entries, the Darmon
+    # line sum at 1e14 charges 2.6e9 divisor rows (1e7 denominators, 2^8
+    # rows each at most), and the blow-up sum charges 1.2e9 at 1e16
+    # (Mmax = 1e8: the sieve, the tables Q and P1 and three passes over 3e8
+    # dot entries): all are refused before any of it
     def unreachable(*args, **kwargs):
         raise AssertionError("work started before the budget was charged")
 
     monkeypatch.setattr(fitting.np, "arange", unreachable)
-    monkeypatch.setattr(fitting, "count_coprime", unreachable)
+    monkeypatch.setattr(enumeration, "line_denominators", unreachable)
     with pytest.raises(BudgetExceededError):
         zeta_partial_sum(P1, S0, 2.5, 10**9)
+    with pytest.raises(BudgetExceededError):
+        zeta_partial_sum(projective_space(1, 2), S0, 2.5, 10**14)
     with pytest.raises(BudgetExceededError):
         zeta_partial_sum(blowup_p2(1, 1), S0, 1.5, 10**16)
 

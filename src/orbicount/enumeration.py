@@ -7,28 +7,28 @@ height-zeta sums do not run on the line's divisor sum, but on the rows
 Moebius sieve when every q is admissible); the debug dump runs the oracle
 (see below):
 
-* line (p1) and plane (pn, n = 2): ``line_denominators`` lists the
+* projective n-space (p1 for n = 1, pn): ``line_denominators`` lists the
   admissible last coordinates q, each with its distinct primes, for the
   blow-up and the line height-zeta sum.  A Darmon q is s d^m and a Campana
   q is s times an m-full number, with s S-smooth and the other factor
   coprime to S, so one walk over the primes builds these q together with
-  their primes and no Darmon or Campana path calls ``factorize``.
-  ``count_p1`` and ``count_pn2`` share one body, which never visits a q: the
-  count over q is
-  sum_{e | rad q} mu(e) T(floor(B/e)), T(x) = 2x on the line (plus the point
-  0/1) and (2x + 1)^2 on the plane, and every admissible q is s a^m t in
-  exactly one way (t = 1 in Darmon mode, else a product of b_j^j,
-  j = m+1..2m-1; Ivic, The Riemann Zeta-Function, ch. 14).  The same walk
-  yields the shapes s t, and per shape the sum over a becomes a sum over
-  e2 <= A = (B/(s t))^(1/m) of mu(e2) T(floor(B/(e1 e2))) c_S(floor(A/e2))
-  for each e1 | rad(s t), over one Moebius sieve up to B^(1/m): one exact
-  int64 dot per shape with A > 128, and one pass per e2 across all the shapes
-  with smaller A.  When every q is admissible (rational mode, or weight 1)
-  they take the Moebius sums N(B) = 1 + 2 * sum_d mu(d) * floor(B/d)^2
-  (line) and its plane analogue, summed over the about 2 sqrt(B) runs of
-  equal floor(B/d) with Mertens values M(floor(B/k)): a Moebius sieve up to
-  about B^(2/3) and the recursion M(x) = 1 - sum_{j>=2} M(floor(x/j)) above
-  it (Deleglise and Rivat), so time and memory are O(B^(2/3)).
+  their primes and no path calls ``factorize``.  One core counts every n
+  (``count_p1`` and ``count_pn2`` are its n = 1 and n = 2) and never visits
+  a q: the points (x_1 : ... : x_n : q) number
+  sum_{e | rad q} mu(e) T(floor(B/e)), T(x) = (2x + 1)^n, for each q, and
+  every admissible q is s a^m t in exactly one way (t = 1 in Darmon mode,
+  else a product of b_j^j, j = m+1..2m-1; Ivic, The Riemann Zeta-Function,
+  ch. 14).  The same walk yields the shapes s t, and per shape the sum over
+  a becomes a sum over e2 <= A = (B/(s t))^(1/m) of mu(e2)
+  T(floor(B/(e1 e2))) c_S(floor(A/e2)) for each e1 | rad(s t), over one
+  Moebius sieve up to B^(1/m): one exact int64 dot per shape with A > 128,
+  and one pass per e2 across all the shapes with smaller A.  When every q is
+  admissible (rational mode, or weight 1) the count is the Moebius sum
+  N(B) = sum_d mu(d) floor(B/d) T(floor(B/d)), summed over the about
+  2 sqrt(B) runs of equal floor(B/d) with Mertens values M(floor(B/k)): a
+  Moebius sieve up to about B^(2/3) and the recursion
+  M(x) = 1 - sum_{j>=2} M(floor(x/j)) above it (Deleglise and Rivat), so
+  time and memory are O(B^(2/3)).
 * blow-up: ``blowup_columns`` is the one core under ``count_blowup`` and
   the height-zeta sum.  The leading pairs (x_0, x_1) = (g a, g b),
   gcd(a, b) = 1, lie in cells (g, c), c = max(a, |b|); X_2 depends on c
@@ -62,7 +62,6 @@ import numpy as np
 from . import geometry
 from .arith import (
     count_coprime,
-    distinct_primes,
     integer_kth_root,
     is_prime,
     mobius_sieve,
@@ -125,11 +124,23 @@ def _floor_bound(B: Union[int, float, Fraction]) -> int:
     return int(math.floor(Bf))
 
 
+def _readable(amount: int) -> str:
+    """amount itself up to 15 digits, else its first four digits and its power
+    of ten, found from the integer (a float overflows past 1e308)."""
+    if amount < 10**15:
+        return str(amount)
+    e = int(math.log10(amount))  # may be one off for a float near a power of ten
+    e += (10 ** (e + 1) <= amount) - (10**e > amount)
+    lead = amount // 10 ** (e - 3)
+    return f"{lead // 1000}.{lead % 1000:03d}e{e}"
+
+
 def charge(budget: Optional[int], amount: int) -> None:
     """Refuse predicted work of ``amount`` steps above the budget (None: no cap)."""
     if budget is not None and amount > budget:
         raise BudgetExceededError(
-            f"enumeration would take ~{amount} steps (budget {budget})"
+            f"enumeration would take ~{_readable(amount)} steps"
+            f" (budget {_readable(budget)})"
         )
 
 
@@ -145,14 +156,14 @@ def _shaped_denominators(
     prime of S and one of first, first + step, ... <= last at every other
     prime, ascending in q.
 
-    The Darmon q take (m, m, inf), the Campana q (m, 1, inf), and the shapes
-    s t of the divisor sum (m+1, 1, 2m-1), or no prime outside S in Darmon
-    mode (first > last).  One depth-first walk over the primes in ascending
-    order: each support is built prime by prime, so it is ascending and
-    equals ``distinct_primes(q)``.  When a prime's least entry overshoots, no
-    later prime fits if it is in S; otherwise only a later prime of S can,
-    with exponent 1 and possibly above limit^(1/first), so the walk skips
-    ahead to it."""
+    Every q takes (1, 1, inf), the Darmon q (m, m, inf), the Campana q
+    (m, 1, inf), and the shapes s t of the divisor sum (m+1, 1, 2m-1), or no
+    prime outside S in Darmon mode (first > last).  One depth-first walk over
+    the primes in ascending order: each support is built prime by prime, so
+    it is ascending and holds the distinct primes of q.  When a prime's least
+    entry overshoots, no later prime fits if it is in S; otherwise only a
+    later prime of S can, with exponent 1 and possibly above
+    limit^(1/first), so the walk skips ahead to it."""
     S = set(s_primes)
     ps = primes_up_to(integer_kth_root(limit, first)) if first <= last else []
     ps = sorted(set(ps) | {p for p in S if p <= limit})
@@ -189,8 +200,8 @@ def _shaped_denominators(
 
 
 def all_denominators_admissible(m: int, mode: str) -> bool:
-    """True when every q >= 1 is an admissible last coordinate of the line
-    and plane models: rational mode, or weight 1."""
+    """True when every q >= 1 is an admissible last coordinate of the
+    projective models: rational mode, or weight 1."""
     return mode == "rational" or m == 1
 
 
@@ -221,18 +232,18 @@ def _denominator_bound(m: int, s_primes: Sequence[int], limit: int, mode: str) -
 def line_denominators(
     m: int, S: PlaceSet, Bint: int, mode: str, budget: Optional[int] = None
 ) -> Iterable[Tuple[int, Tuple[int, ...]]]:
-    """Admissible last coordinates q <= Bint of the line and plane models,
+    """Admissible last coordinates q <= Bint of the projective models,
     ascending, each with its distinct primes: pairs (q, primes of q).
 
-    When ``all_denominators_admissible`` this is a lazy walk over every q
-    that factors each one; otherwise it is the list of Darmon or Campana
-    denominators away from S, whose primes come from building them.  The
-    budget is charged an upper bound on their number before any of them is
-    generated."""
+    Every q when ``all_denominators_admissible``, otherwise the Darmon or
+    Campana denominators away from S; either way one walk over the primes
+    builds them, so none is factored.  The budget is charged Bint, or an
+    upper bound on the Darmon or Campana denominators, before the walk."""
     if all_denominators_admissible(m, mode):
         charge(budget, Bint)
-        return ((q, distinct_primes(q)) for q in range(1, Bint + 1))
-    charge(budget, _denominator_bound(m, S.finite_primes, Bint, mode))
+        m = 1  # any exponent at every prime
+    else:
+        charge(budget, _denominator_bound(m, S.finite_primes, Bint, mode))
     step = m if mode == "darmon" else 1
     return _shaped_denominators(Bint, S.finite_primes, m, step, math.inf)
 
@@ -347,28 +358,20 @@ def _mobius_sum(N: int, term: Callable[[int], int]) -> int:
     return total
 
 
-def _count_line_all(Bint: int) -> int:
-    """All of Q with height max(|p|, q) <= Bint: 1 + 2 sum mu(d) floor(B/d)^2."""
-    return 1 + 2 * _mobius_sum(Bint, lambda f: f * f)
-
-
-def _count_plane_all(Bint: int) -> int:
-    """Rational-mode plane count: sum_d mu(d) floor(B/d) (2 floor(B/d) + 1)^2."""
-    return _mobius_sum(Bint, lambda f: f * (2 * f + 1) ** 2)
-
-
 _SMALL_A = 128  # shapes with A <= this are summed e2 by e2 across all of them
 _BLOCK = 1 << 16  # e2 per block of one shape's dot, rows per digit block
 _INT64_MAX = 2**63 - 1
-_LINE = (0, 2)  # T(x) = 2x: numerators of one sign with |p| <= x
-_PLANE = (1, 4, 4)  # T(x) = (2x + 1)^2: pairs in [-x, x]^2
 
 
-def _poly(coeffs: Sequence[int], x):
-    """sum_i coeffs[i] x^i, for an int or an array."""
-    value = 0
-    for c in reversed(coeffs):
-        value = value * x + c
+def _box(n: int, x):
+    """T(x) = (2x + 1)^n, the points of [-x, x]^n, for an int or an array;
+    int64 arrays by repeated products (numpy's integer power takes 4 to 10
+    times as long at n = 1 and 3)."""
+    if not isinstance(x, np.ndarray) or x.dtype == object:
+        return (2 * x + 1) ** n
+    side = value = 2 * x + 1
+    for _ in range(n - 1):
+        value = value * side
     return value
 
 
@@ -387,32 +390,39 @@ def _coprime_counter(s_primes: Sequence[int], limit: int) -> Callable:
     return lambda x: (x // P) * phi + table[x % P]
 
 
-def _head_length(coeffs: Sequence[int], X: int, A: int) -> int:
+def _head_length(n: int, X: int, A: int) -> int:
     """How many leading e of sum_{e <= A} w_e T(X // e), |w_e| <= A // e, go
     through Python ints so that the rest stays inside int64.
 
-    As e <= A <= X, T(X // e) <= (9/4) T(X) / e^d, d the degree of T, and
-    the terms after the first H sum to at most 4 T(X) A / max(H, 1)^d; H is
-    the least value that puts this below 2^63."""
+    T(x) = (2x + 1)^n.  As e <= A <= X, 2 (X // e) + 1 <= 3X / e, so
+    T(X // e) <= (3/2)^n T(X) / e^n, and the terms after the first H >= 1 sum
+    to at most (3/2)^n A T(X) / (n H^n); H is the least value that puts this
+    below 2^63, or 0 when all the terms, at most (1 + (3/2)^n / n) A T(X),
+    stay below it."""
     if X > _INT64_MAX:
         return A
-    cap = _poly(coeffs, X) * A
-    if cap < 2**61:
+    tail = 3**n * A * _box(n, X)  # n 2^n H^n times the bound past H
+    unit = n << (n + 63)
+    if tail + (n << n) * A * _box(n, X) < unit:
         return 0
-    return min(A, integer_kth_root(cap >> 61, len(coeffs) - 1) + 1)
+    return min(A, integer_kth_root(tail // unit, n) + 1)
 
 
-def _poly_dot(coeffs: Sequence[int], w: np.ndarray, f: np.ndarray) -> int:
-    """sum_r w_r T(f_r) exactly, T the polynomial of degree <= 2 with these
-    coefficients, for int64 arrays with 0 <= f and |w| <= _SMALL_A.
+def _box_dot(n: int, w: np.ndarray, f: np.ndarray) -> int:
+    """sum_r w_r T(f_r) exactly, T(x) = (2x + 1)^n, for arrays with 0 <= f
+    and int64 |w| <= _SMALL_A.
 
-    One int64 dot when no partial sum can overflow; otherwise the power sums
-    sum w f and sum w f^2 from the four 16-bit digits of f, per block of
-    _BLOCK rows, where every partial sum stays below 2^55."""
+    One int64 dot when no partial sum can overflow.  Otherwise, for n <= 2,
+    the power sums sum w f and sum w f^2 from the four 16-bit digits of f,
+    per block of _BLOCK rows, where every partial sum stays below 2^55; for
+    larger n, or f an object array, one dot in Python ints."""
     if len(f) == 0:
         return 0
-    if _poly(coeffs, int(f.max())) * _SMALL_A * len(f) <= _INT64_MAX:
-        return int(np.dot(w, _poly(coeffs, f)))
+    if f.dtype != object and _box(n, int(f.max())) * _SMALL_A * len(f) <= _INT64_MAX:
+        return int(np.dot(w, _box(n, f)))
+    if f.dtype == object or n > 2:
+        return int(np.dot(w.astype(object), _box(n, f.astype(object))))
+    coeffs = [math.comb(n, i) << i for i in range(n + 1)]
     shifts = (0, 16, 32, 48)
     total = 0
     for i in range(0, len(f), _BLOCK):
@@ -421,7 +431,7 @@ def _poly_dot(coeffs: Sequence[int], w: np.ndarray, f: np.ndarray) -> int:
         weighted = digits * wb
         linear = weighted.sum(axis=1).tolist()
         sums = [int(wb.sum()), sum(x << k for x, k in zip(linear, shifts))]
-        if len(coeffs) > 2:
+        if n == 2:
             pairs = (weighted @ digits.T).tolist()
             sums.append(sum(pairs[a][b] << (shifts[a] + shifts[b])
                             for a in range(4) for b in range(4)))
@@ -429,14 +439,14 @@ def _poly_dot(coeffs: Sequence[int], w: np.ndarray, f: np.ndarray) -> int:
     return total
 
 
-def _shape_dot(coeffs, Bint, A, divisors, t_primes, mu, c_S) -> int:
+def _shape_dot(n, Bint, A, divisors, t_primes, mu, c_S) -> int:
     """sum_{e1} mu(e1) sum_{e2 <= A, (e2, S t) = 1} mu(e2) T(Bint // (e1 e2))
     c_S(A // e2) for one shape, e1 over the signed divisors, by one int64 dot
     per block of e2 and divisor after a head in Python ints."""
     heads = []
     for d in divisors:
         X = Bint // abs(d)
-        heads.append((d, X, _head_length(coeffs, X, A)))
+        heads.append((d, X, _head_length(n, X, A)))
     total = 0
     for lo in range(1, A + 1, _BLOCK):
         e = np.arange(lo, min(A, lo + _BLOCK - 1) + 1, dtype=np.int64)
@@ -446,15 +456,14 @@ def _shape_dot(coeffs, Bint, A, divisors, t_primes, mu, c_S) -> int:
         w *= c_S(A // e)
         for d, X, H in heads:
             k = min(max(H - lo + 1, 0), len(e))
-            part = int(np.dot(w[k:], _poly(coeffs, X // e[k:]))) if k < len(e) else 0
+            part = int(np.dot(w[k:], _box(n, X // e[k:]))) if k < len(e) else 0
             if k:
-                head = X // e[:k].astype(object)
-                part += int(np.dot(w[:k].astype(object), _poly(coeffs, head)))
+                part += _box_dot(n, w[:k], X // e[:k].astype(object))
             total += part if d > 0 else -part
     return total
 
 
-def _small_shapes_sum(coeffs, Bint, shapes, in_S, mu, c_S) -> int:
+def _small_shapes_sum(n, Bint, shapes, in_S, mu, c_S) -> int:
     """The divisor sum over shapes (A, primes of s t) with A <= _SMALL_A, in
     descending A, over chunks of about _BLOCK rows (shape, e1)."""
     bits = {p: 1 << i for i, p in enumerate(primes_up_to(_SMALL_A))}
@@ -463,12 +472,12 @@ def _small_shapes_sum(coeffs, Bint, shapes, in_S, mu, c_S) -> int:
         rows += 1 << len(primes)
         if rows >= _BLOCK or i == len(shapes):
             chunk = shapes[start:i]
-            total += _small_chunk_sum(coeffs, Bint, chunk, in_S, bits, mu, c_S)
+            total += _small_chunk_sum(n, Bint, chunk, in_S, bits, mu, c_S)
             start, rows = i, 0
     return total
 
 
-def _small_chunk_sum(coeffs, Bint, shapes, in_S, bits, mu, c_S) -> int:
+def _small_chunk_sum(n, Bint, shapes, in_S, bits, mu, c_S) -> int:
     """One row per (shape, e1) with X = Bint // e1, its sign mu(e1), A and
     the bits of the primes <= _SMALL_A of t; rows whose X exceeds int64 are
     summed apart in Python ints."""
@@ -493,15 +502,15 @@ def _small_chunk_sum(coeffs, Bint, shapes, in_S, bits, mu, c_S) -> int:
     total = 0
     for rows, X_rows in ((fits, X[fits].astype(np.int64)), (~fits, X[~fits])):
         total += _rows_sum(
-            coeffs, X_rows, A[rows], sign[rows], t_bits[rows], bits, mu, c_S
+            n, X_rows, A[rows], sign[rows], t_bits[rows], bits, mu, c_S
         )
     return total
 
 
-def _rows_sum(coeffs, X, A, sign, t_bits, bits, mu, c_S) -> int:
+def _rows_sum(n, X, A, sign, t_bits, bits, mu, c_S) -> int:
     """sum over the rows, in descending A, of sign sum_{e2 <= A, (e2, S t) = 1}
     mu(e2) T(X // e2) c_S(A // e2): one pass per e2 over the rows with
-    A >= e2, by ``_poly_dot`` (object arrays: Python ints)."""
+    A >= e2, by ``_box_dot`` (object arrays: Python ints)."""
     if not len(A):
         return 0
     rows_from = np.searchsorted(-A, -np.arange(A[0] + 1), side="right")
@@ -510,25 +519,19 @@ def _rows_sum(coeffs, X, A, sign, t_bits, bits, mu, c_S) -> int:
     for e2 in range(1, int(A[0]) + 1):
         if not mu[e2]:
             continue
-        n = int(rows_from[e2])
-        w = sign[:n] * c_S(A[:n] // e2)
+        k = int(rows_from[e2])
+        w = sign[:k] * c_S(A[:k] // e2)
         if has_t and e2 > 1:
-            w *= (t_bits[:n] & sum(b for p, b in bits.items() if e2 % p == 0)) == 0
-        f = X[:n] // e2
-        if f.dtype == object:
-            part = int(np.dot(w.astype(object), _poly(coeffs, f)))
-        else:
-            part = _poly_dot(coeffs, w, f)
-        total += int(mu[e2]) * part
+            w *= (t_bits[:k] & sum(b for p, b in bits.items() if e2 % p == 0)) == 0
+        total += int(mu[e2]) * _box_dot(n, w, X[:k] // e2)
     return total
 
 
 def _divisor_sum(
-    coeffs: Sequence[int], m: int, S: PlaceSet, Bint: int, mode: str,
-    budget: Optional[int],
+    n: int, m: int, S: PlaceSet, Bint: int, mode: str, budget: Optional[int]
 ) -> int:
     """sum over the Darmon or Campana q <= Bint of sum_{e | rad q} mu(e)
-    T(Bint // e), T the polynomial with these coefficients, by the shape of q.
+    T(Bint // e), T(x) = (2x + 1)^n, by the shape of q.
 
     Each such q is s a^m t with s S-smooth, a coprime to S and t = prod_j
     b_j^j over j = m+1..2m-1 with the b_j squarefree, pairwise coprime and
@@ -557,30 +560,26 @@ def _divisor_sum(
     for A, primes in rows[:n_large]:
         t_primes = [p for p in primes if p not in in_S]
         divisors = signed_squarefree_divisors(primes)
-        total += _shape_dot(coeffs, Bint, A, divisors, t_primes, mu, c_S)
-    return total + _small_shapes_sum(coeffs, Bint, rows[n_large:], in_S, mu, c_S)
+        total += _shape_dot(n, Bint, A, divisors, t_primes, mu, c_S)
+    return total + _small_shapes_sum(n, Bint, rows[n_large:], in_S, mu, c_S)
 
 
-def _count_by_denominator(
-    coeffs: Sequence[int],
-    origin: int,
-    count_all: Callable[[int], int],
-    m: int,
-    S: PlaceSet,
-    B: Union[int, float, Fraction],
-    mode: str,
+def _count_pn(
+    n: int, m: int, S: PlaceSet, B: Union[int, float, Fraction], mode: str,
     budget: Optional[int],
 ) -> int:
-    """origin plus the divisor sum of T over the admissible q, or
-    count_all(Bint) when every q is admissible."""
+    """Points (x_1 : ... : x_n : q) of projective n-space with height <= B in
+    the given mode: the divisor sum of T(x) = (2x + 1)^n, the n-tuples in
+    [-x, x]^n, over the admissible q, or sum_d mu(d) floor(B/d) T(floor(B/d))
+    when every q is admissible."""
     _check_mode(mode)
     Bint = _floor_bound(B)
     if Bint < 1:
         return 0
     if all_denominators_admissible(m, mode):
         charge(budget, _mobius_sum_work(Bint))
-        return count_all(Bint)
-    return origin + _divisor_sum(coeffs, m, S, Bint, mode, budget)
+        return _mobius_sum(Bint, lambda v: v * _box(n, v))
+    return _divisor_sum(n, m, S, Bint, mode, budget)
 
 
 def count_p1(
@@ -593,8 +592,7 @@ def count_p1(
 ) -> int:
     """Points of the line model with global height <= B in the given mode.
     The count runs in one process for any ``workers``."""
-    # origin 1: the point 0/1, the one numerator 0 (q = 1)
-    return _count_by_denominator(_LINE, 1, _count_line_all, m, S, B, mode, budget)
+    return _count_pn(1, m, S, B, mode, budget)
 
 
 def count_pn2(
@@ -607,7 +605,7 @@ def count_pn2(
 ) -> int:
     """Plane model (projective, n = 2): last coordinate plays the role of q.
     The count runs in one process for any ``workers``."""
-    return _count_by_denominator(_PLANE, 0, _count_plane_all, m, S, B, mode, budget)
+    return _count_pn(2, m, S, B, mode, budget)
 
 
 # --------------------------------------------------------------------------
@@ -829,10 +827,10 @@ def count_points(
     """Dispatch a single count for a built-in model."""
     if model.name == "p1":
         return count_p1(model.params["m"], S, B, mode, workers, budget)
-    if model.name == "pn":
-        if model.dimension != 2:
-            raise DomainError("plane enumeration is implemented for n = 2 only")
+    if model.name == "pn" and model.dimension == 2:
         return count_pn2(model.params["m"], S, B, mode, workers, budget)
+    if model.name == "pn":
+        return _count_pn(model.dimension, model.params["m"], S, B, mode, budget)
     if model.name == "blowup":
         return count_blowup(
             model.params["m1"], model.params["m2"], S, B, mode, workers, budget

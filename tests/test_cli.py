@@ -151,18 +151,38 @@ def test_budget_cap_exits_3(capsys):
     assert "budget" in err
 
 
+def test_count_pn3_equals_the_oracle(capsys):
+    # iter_points at B = 5: 6,351 points in every mode for m = 1, and 3,743
+    # Darmon and Campana points for m = 2, S = {2}
+    code, out, err = run(
+        capsys, "count", "--model", "pn", "--n", "3", "--grid", "5", "--mode", "all"
+    )
+    assert code == 0 and "Traceback" not in err
+    assert out.splitlines()[1] == "5,6351,6351,6351"
+    code, out, _ = run(
+        capsys, "count", "--model", "pn", "--n", "3", "--m", "2", "--s", "2",
+        "--grid", "5", "--mode", "all",
+    )
+    assert code == 0
+    assert out.splitlines()[1] == "5,6351,3743,3743"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ("count", "--model", "p1", "--m", "2", "--mode", "darmon", "--grid", "1e400"),
         ("count", "--model", "p1", "--m", "2", "--mode", "campana", "--grid", "1e30"),
         ("count", "--model", "p1", "--m", "1", "--mode", "rational", "--grid", "1e400"),
+        ("count", "--grid", "1e700"),
     ],
 )
 def test_huge_bound_exits_3_before_enumerating(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert "budget" in err and "Traceback" not in err
+    # amounts past 15 digits print as a mantissa and a power of ten: at 1e700
+    # the Mertens route's charge has 468 digits (a 526-character line whole)
+    assert err.count("\n") == 1 and len(err) < 80
 
 
 

@@ -1,6 +1,7 @@
 import io
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from orbicount.enumeration import (
     count_points,
     count_series,
     dump_points,
+    iter_points,
     line_denominators,
     naive_count_blowup,
     naive_count_p1,
@@ -43,6 +45,11 @@ from cell_walk import blowup_cells
 S0 = PlaceSet.of()
 S2 = PlaceSet.of([2])
 S23 = PlaceSet.of([2, 3])
+
+
+def count_pn(n, m, S, B, mode):
+    """The count of projective n-space, as count_p1 and count_pn2 take it."""
+    return count_points(projective_space(n, m), S, B, mode)
 
 
 def test_exact_small_counts_line():
@@ -119,7 +126,7 @@ def test_darmon_and_campana_paths_never_factor(monkeypatch):
     def refuse(*args):
         raise AssertionError("factorized a generated denominator")
 
-    monkeypatch.setattr(enumeration, "distinct_primes", refuse)
+    assert not hasattr(enumeration, "distinct_primes")
     monkeypatch.setattr(arith, "factorize", refuse)
     assert count_p1(3, S2, 10**12, "campana") == 51669106212344925
     assert count_pn2(2, S0, 10**5, "darmon") == 10516750103593
@@ -169,6 +176,12 @@ def test_sieved_equals_naive_plane():
         for mode in ("rational", "campana", "darmon"):
             assert count_pn2(m, S0, 12, mode) == naive_count_pn2(m, S0, 12, mode)
     assert count_pn2(2, S2, 10, "darmon") == naive_count_pn2(2, S2, 10, "darmon")
+    # projective 3-space: B = 5 walks 6,655 candidates per mode
+    for S, mode in ((S0, "rational"), (S0, "darmon"), (S0, "campana"),
+                    (S2, "darmon"), (S2, "campana")):
+        for B in (3, 5):
+            naive = sum(1 for _ in iter_points(projective_space(3, 2), S, B, mode))
+            assert count_pn(3, 2, S, B, mode) == naive
 
 
 def _line_q_count(Bint, primes):
@@ -178,18 +191,25 @@ def _line_q_count(Bint, primes):
     return 2 * count_coprime(Bint, primes) + (0 if primes else 1)
 
 
-def _pn2_pair_count(Bint, primes):
-    """#{(x0, x1) in [-B, B]^2 : gcd(x0, x1, q) = 1} by inclusion-exclusion,
-    for the q with these distinct primes: the per-q plane counter."""
+def _tuple_count(n, Bint, primes):
+    """#{x in [-B, B]^n : gcd(x_1, ..., x_n, q) = 1} by inclusion-exclusion,
+    for the q with these distinct primes: the per-q counter of projective
+    n-space."""
     total = 0
     for d in signed_squarefree_divisors(primes):
-        k = 2 * (Bint // abs(d)) + 1
-        total += k * k if d > 0 else -(k * k)
+        k = (2 * (Bint // abs(d)) + 1) ** n
+        total += k if d > 0 else -k
     return total
 
 
+def _pn2_pair_count(Bint, primes):
+    """The per-q plane counter."""
+    return _tuple_count(2, Bint, primes)
+
+
 def _per_q_count(per_q, m, S, B, mode):
-    """The line or plane count as the sum of per_q over line_denominators."""
+    """The count of projective space as the sum of per_q over
+    line_denominators."""
     Bint = math.floor(Fraction(B))
     if Bint < 1:
         return 0
@@ -205,12 +225,15 @@ def _per_q_count(per_q, m, S, B, mode):
         st.integers(1, 2 * 10**4),
         st.fractions(min_value=Fraction(1, 2), max_value=2 * 10**4, max_denominator=50),
     ),
+    n=st.integers(3, 5),
 )
-def test_divisor_sum_equals_the_per_q_counts_property(m, s_primes, mode, B):
+def test_divisor_sum_equals_the_per_q_counts_property(m, s_primes, mode, B, n):
     S = PlaceSet.of(s_primes)
     assert count_p1(m, S, B, mode) == _per_q_count(_line_q_count, m, S, B, mode)
     Bp = B if B <= 3000 else Fraction(B) / 7  # the plane at B <= 3e3
     assert count_pn2(m, S, Bp, mode) == _per_q_count(_pn2_pair_count, m, S, Bp, mode)
+    per_q = partial(_tuple_count, n)
+    assert count_pn(n, m, S, B, mode) == _per_q_count(per_q, m, S, B, mode)
 
 
 @pytest.mark.parametrize(
@@ -219,11 +242,16 @@ def test_divisor_sum_equals_the_per_q_counts_property(m, s_primes, mode, B):
         (count_pn2, _pn2_pair_count, (3, S0, 10**9, "darmon")),
         (count_pn2, _pn2_pair_count, (3, S0, 10**9, "campana")),
         (count_p1, _line_q_count, (3, S2, 2 * 10**14, "darmon")),
+        pytest.param(partial(count_pn, 3), partial(_tuple_count, 3),
+                     (2, S2, 10**6, "campana"), id="pn3-campana-1e6"),
+        pytest.param(partial(count_pn, 4), partial(_tuple_count, 4),
+                     (3, S23, 10**5, "darmon"), id="pn4-darmon-1e5"),
     ],
 )
 def test_divisor_sum_is_exact_past_int64(count, per_q, args):
     # single terms T(B // e) c_S(A // e) of these sums exceed 2^63 (the plane's
-    # (2B + 1)^2 alone is 4e18 at B = 1e9), so a plain int64 dot goes wrong
+    # (2B + 1)^2 alone is 4e18 at B = 1e9, and (2B + 1)^n at n = 3 and 4 is
+    # 8e18 and 1.6e21 here), so a plain int64 dot goes wrong
     assert count(*args) == _per_q_count(per_q, *args)
 
 
@@ -443,10 +471,17 @@ def test_count_series_validates_grid():
         count_series(model, S0, [10, 10])
 
 
-def test_count_points_dispatch_and_plane_restriction():
+def test_count_points_dispatch():
     assert count_points(projective_space(1, 2), S0, 10, "darmon") == 45
-    with pytest.raises(DomainError):
-        count_points(projective_space(3, 1), S0, 10, "rational")
+    assert count_points(projective_space(2, 2), S0, 12, "darmon") == count_pn2(
+        2, S0, 12, "darmon")
+    # every n: these n = 3 counts are iter_points' (4.9 s together, so pinned
+    # rather than re-run), then the per-q sum past int64, where the degree-2
+    # digit fallback of _poly_dot would drop the cubic term
+    assert count_pn(3, 1, S0, 6, "rational") == 11903
+    assert count_pn(3, 2, S0, 8, "darmon") == 9097
+    assert count_pn(3, 2, S2, 8, "campana") == 17465
+    assert count_pn(3, 2, S2, 10**6, "campana") == 18388671055497685183039
     with pytest.raises(DomainError):
         count_points(projective_space(1, 1), S0, 10, "weird")
 

@@ -118,10 +118,27 @@ def _grid(args) -> tuple:
 # --------------------------------------------------------------------------
 
 
+def _check_digits(model: OrbifoldModel, bounds: Sequence[Fraction]) -> None:
+    """Refuse, before any counting, a count of projective n-space that could
+    pass Python's limit on the digits of a printed integer: the count is at
+    most B (2B + 1)^n, of at most n log10(2B + 1) + log10(B) + 1 digits."""
+    limit = sys.get_int_max_str_digits()
+    Bint = math.floor(bounds[-1])
+    if model.name not in ("p1", "pn") or not limit or Bint < 1:
+        return
+    digits = model.dimension * math.log10(2 * Bint + 1) + math.log10(Bint) + 1
+    if digits > limit:
+        raise DomainError(
+            f"a count at B = {Bint} may have up to {int(digits)} digits, past"
+            f" the {limit}-digit limit on printing an integer"
+        )
+
+
 def _cmd_count(args) -> int:
     model = _build_model(args)
     S = _build_places(args)
     bounds, labels = _grid(args)
+    _check_digits(model, bounds)
     series = enumeration.count_series(
         model,
         S,

@@ -7,12 +7,15 @@ height-zeta sums do not run on the line's divisor sum, but on the rows
 Moebius sieve when every q is admissible); the debug dump runs the oracle
 (see below):
 
-* projective n-space (p1 for n = 1, pn): ``line_denominators`` lists the
-  admissible last coordinates q, each with its distinct primes, for the
-  blow-up and the line height-zeta sum.  A Darmon q is s d^m and a Campana
-  q is s times an m-full number, with s S-smooth and the other factor
-  coprime to S, so one walk over the primes builds these q together with
-  their primes and no path calls ``factorize``.  One core counts every n
+* projective n-space (p1 for n = 1, pn): one walk over the primes
+  (``_denominator_walk``) gives the admissible last coordinates q as
+  arrays, each q with its distinct primes as one row of a prime matrix, for
+  the blow-up and the line height-zeta sum; ``line_denominators`` is a
+  tuple view of them.  A Darmon q is s d^m and a Campana q is s times an
+  m-full number, with s S-smooth and the other factor coprime to S, so the
+  walk joins the primes of S and the small primes to the rows one prime at
+  a time, and the larger primes, of which a q has at most one, in a single
+  step; no path calls ``factorize``.  One core counts every n
   (``count_p1`` and ``count_pn2`` are its n = 1 and n = 2) and never visits
   a q: the points (x_1 : ... : x_n : q) number
   sum_{e | rad q} mu(e) T(floor(B/e)), T(x) = (2x + 1)^n, for each q, and
@@ -22,7 +25,8 @@ Moebius sieve when every q is admissible); the debug dump runs the oracle
   a becomes a sum over e2 <= A = (B/(s t))^(1/m) of mu(e2)
   T(floor(B/(e1 e2))) c_S(floor(A/e2)) for each e1 | rad(s t), over one
   Moebius sieve up to B^(1/m): one exact int64 dot per shape with A > 128,
-  and one pass per e2 across all the shapes with smaller A.  When every q is
+  and for the shapes with smaller A, in blocks of rows (shape, e1) built
+  from the prime matrix, one pass per e2 across all of them.  When every q is
   admissible (rational mode, or weight 1) the count is the Moebius sum
   N(B) = sum_d mu(d) floor(B/d) T(floor(B/d)), summed over the about
   2 sqrt(B) runs of equal floor(B/d) with Mertens values M(floor(B/k)): a
@@ -51,22 +55,21 @@ are kept for callers and change nothing.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import geometry
 from .arith import (
-    count_coprime,
     integer_kth_root,
     is_prime,
     mobius_sieve,
     primes_up_to,
-    signed_squarefree_divisors,
     totient_sieve,
 )
 from .errors import BudgetExceededError, DomainError
@@ -149,54 +152,108 @@ def charge(budget: Optional[int], amount: int) -> None:
 # --------------------------------------------------------------------------
 
 
-def _shaped_denominators(
+def _join(rows: np.ndarray, powers: np.ndarray, of: np.ndarray, limit: int) -> np.ndarray:
+    """The rows (q v, omega + 1, primes with of[i] at column omega) for each
+    row (q, omega, primes) and each v = powers[i] <= limit // q, ``powers``
+    ascending and of[i] the prime of powers[i]."""
+    counts = powers.searchsorted(limit // rows[:, 0], side="right")
+    new = rows.repeat(counts, axis=0)
+    which = np.arange(len(new)) - (counts.cumsum() - counts).repeat(counts)
+    new[:, 0] *= powers[which]
+    new[np.arange(len(new)), (new[:, 1] + 2).astype(np.int64, copy=False)] = of[which]
+    new[:, 1] += 1
+    return new
+
+
+def _denominator_walk(
     limit: int, s_primes: Sequence[int], first: int, step: int, last: float
-) -> List[Tuple[int, Tuple[int, ...]]]:
-    """(q, primes of q) for the q <= limit whose exponent is any e >= 1 at each
-    prime of S and one of first, first + step, ... <= last at every other
-    prime, ascending in q.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The q <= limit whose exponent is any e >= 1 at each prime of S and one
+    of first, first + step, ... <= last at every other prime, ascending, as
+    arrays (q, primes, omega): row i of primes holds the omega[i] distinct
+    primes of q[i] in ascending order, padded with 1.  q and primes are
+    int64, or object arrays when limit passes int64; omega is int64.
 
     Every q takes (1, 1, inf), the Darmon q (m, m, inf), the Campana q
     (m, 1, inf), and the shapes s t of the divisor sum (m+1, 1, 2m-1), or no
-    prime outside S in Darmon mode (first > last).  One depth-first walk over
-    the primes in ascending order: each support is built prime by prime, so
-    it is ascending and holds the distinct primes of q.  When a prime's least
-    entry overshoots, no later prime fits if it is in S; otherwise only a
-    later prime of S can, with exponent 1 and possibly above
-    limit^(1/first), so the walk skips ahead to it."""
-    S = set(s_primes)
-    ps = primes_up_to(integer_kth_root(limit, first)) if first <= last else []
-    ps = sorted(set(ps) | {p for p in S if p <= limit})
-    next_s = [len(ps)] * (len(ps) + 1)  # index of the first S prime >= ps[j]
-    for j in reversed(range(len(ps))):
-        next_s[j] = j if ps[j] in S else next_s[j + 1]
-    # per prime: least entry, factor between entries, largest entry (None: any)
-    entries = [
-        (p, p, None) if p in S
-        else (p**first, p**step, None if last == math.inf else p**last)
-        for p in ps
-    ]
-    out: List[Tuple[int, Tuple[int, ...]]] = []
-    stack = [(0, 1, ())]  # (index of the next prime, q so far, its primes)
-    while stack:
-        j, val, support = stack.pop()
-        out.append((val, support))
-        while j < len(ps):
-            least, factor, top = entries[j]
-            v = val * least
-            if v > limit:
-                if ps[j] in S:
-                    break
-                j = next_s[j + 1]
-                continue
-            cap = limit if top is None else min(limit, val * top)
-            support_p = support + (ps[j],)
-            while v <= cap:
-                stack.append((j + 1, v, support_p))
-                v *= factor
-            j += 1
-    out.sort()
-    return out
+    prime outside S in Darmon mode (first > last).  The primes of S and the
+    other primes p with p^first <= sqrt(limit) join the rows one at a time in
+    ascending order, each row taking at most one of its allowed powers, and
+    a row that no later prime fits is set aside.  Two of the larger primes
+    exceed the limit together, so they join last, in one step over all
+    their allowed powers.  Nothing is factored."""
+    dtype = np.int64 if limit <= _INT64_MAX else object
+    in_S = {p for p in s_primes if p <= limit}
+    root = integer_kth_root(limit, first) if first <= last else 0
+    others = [p for p in primes_up_to(root) if p not in in_S]
+    cut = bisect.bisect_right(others, integer_kth_root(math.isqrt(limit), first))
+    small = []  # (allowed powers, their prime) per prime, ascending in the prime
+    for p in sorted(in_S.union(others[:cut])):
+        least, factor, top = (p, p, limit) if p in in_S else (
+            p**first, p**step, min(limit, p**last) if last < math.inf else limit)
+        powers = [least]
+        while powers[-1] * factor <= top:
+            powers.append(powers[-1] * factor)
+        small.append((np.array(powers, dtype=dtype), np.full(len(powers), p, dtype=dtype)))
+    large = np.array(others[cut:], dtype=dtype)
+    powers, of, e = [], [], first
+    while e <= last:  # a larger p has p^(2 first) > limit, so e < 2 first
+        k = int(np.searchsorted(large, integer_kth_root(limit, e), side="right"))
+        if not k:
+            break
+        powers.append(large[:k] ** e)
+        of.append(large[:k])
+        e += step
+    if powers:
+        powers, of = np.concatenate(powers), np.concatenate(of)
+        order = powers.argsort(kind="stable")
+        powers, of = powers[order], of[order]
+    # the least power that the i-th small prime or any later one adds
+    least_after = [int(powers[0]) if len(powers) else limit + 1]
+    for pw, _ in reversed(small):
+        least_after.append(min(least_after[-1], int(pw[0])))
+    rows = np.ones((int(limit >= 1), 2 + len(in_S) + _omega_max(root)), dtype=dtype)
+    rows[:, 1] = 0
+    parts = []
+    for (pw, p), least in zip(small, reversed(least_after[1:])):
+        fits = rows[:, 0] <= limit // least
+        if not fits.all():
+            parts.append(rows[~fits])
+            rows = rows[fits]
+        rows = np.concatenate((rows, _join(rows, pw, p, limit)))
+    parts.append(rows)
+    if len(powers):
+        joined = _join(rows, powers, of, limit)
+        if in_S and of[0] < max(in_S):  # a prime of S may come after the new one
+            pad = limit + 1 if dtype is object else _INT64_MAX  # above every prime
+            support = joined[:, 2:]
+            support[support == 1] = pad
+            support.sort(axis=1)
+            support[support == pad] = 1
+        parts.append(joined)
+    rows = np.concatenate(parts)
+    rows = rows[rows[:, 0].argsort(kind="stable")]
+    omega = rows[:, 1].astype(np.int64)
+    return rows[:, 0], rows[:, 2 : 2 + int(omega.max(initial=0))], omega
+
+
+def _signed_divisors(primes: np.ndarray, omega: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(per, d): the 2^omega[i] squarefree divisors of the product of row i of
+    ``primes`` (padded with 1), signed by mu, row after row, each row's in the
+    order of ``signed_squarefree_divisors``.  The rows with k primes are built
+    together as one array of 2^k columns."""
+    per = np.left_shift(1, omega)
+    start = np.cumsum(per) - per
+    d = np.empty(int(per.sum()), dtype=primes.dtype)
+    for k, count in enumerate(np.bincount(omega).tolist()):
+        if not count:
+            continue
+        rows = np.flatnonzero(omega == k) if count < len(omega) else slice(None)
+        divisors = np.ones((count, 1), dtype=primes.dtype)
+        for j in range(k):
+            divisors = np.hstack((divisors, -divisors * primes[rows, j : j + 1]))
+        d[start[rows, None] + np.arange(1 << k)] = divisors
+    return per, d
 
 
 def all_denominators_admissible(m: int, mode: str) -> bool:
@@ -229,23 +286,34 @@ def _denominator_bound(m: int, s_primes: Sequence[int], limit: int, mode: str) -
     return math.ceil(bound)
 
 
+def _admissible(
+    m: int, S: PlaceSet, Bint: int, mode: str
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays (q, primes, omega) of ``_denominator_walk`` over the
+    admissible last coordinates q <= Bint of the projective models: every q
+    when ``all_denominators_admissible``, otherwise the Darmon or Campana
+    denominators away from S."""
+    if all_denominators_admissible(m, mode):
+        m = 1  # any exponent at every prime
+    step = m if mode == "darmon" else 1
+    return _denominator_walk(Bint, S.finite_primes, m, step, math.inf)
+
+
 def line_denominators(
     m: int, S: PlaceSet, Bint: int, mode: str, budget: Optional[int] = None
-) -> Iterable[Tuple[int, Tuple[int, ...]]]:
+) -> List[Tuple[int, Tuple[int, ...]]]:
     """Admissible last coordinates q <= Bint of the projective models,
-    ascending, each with its distinct primes: pairs (q, primes of q).
-
-    Every q when ``all_denominators_admissible``, otherwise the Darmon or
-    Campana denominators away from S; either way one walk over the primes
-    builds them, so none is factored.  The budget is charged Bint, or an
-    upper bound on the Darmon or Campana denominators, before the walk."""
+    ascending, each with its distinct primes: pairs (q, primes of q), a
+    tuple view of the arrays the counts and sums take.  The budget is charged
+    Bint, or an upper bound on the Darmon or Campana denominators, before
+    the walk."""
     if all_denominators_admissible(m, mode):
         charge(budget, Bint)
-        m = 1  # any exponent at every prime
     else:
         charge(budget, _denominator_bound(m, S.finite_primes, Bint, mode))
-    step = m if mode == "darmon" else 1
-    return _shaped_denominators(Bint, S.finite_primes, m, step, math.inf)
+    q, primes, omega = _admissible(m, S, Bint, mode)
+    return [(v, tuple(row[:k]))
+            for v, row, k in zip(q.tolist(), primes.tolist(), omega.tolist())]
 
 
 def _omega_max(N: int) -> int:
@@ -263,37 +331,23 @@ def _omega_max(N: int) -> int:
 def line_divisor_rows(
     m: int, S: PlaceSet, Bint: int, mode: str, budget: Optional[int] = None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(q, rows per q, f) over the Darmon or Campana denominators q <= Bint
-    of ``line_denominators``: for each q its 2^omega(q) signed squarefree
-    divisors f of rad q (sign mu(|f|)), flat and in the order of q, which
-    runs through the q of each omega(q) in turn, ascending within each.
+    """(q, rows per q, f) over the Darmon or Campana denominators q <= Bint:
+    for each q its 2^omega(q) signed squarefree divisors f of rad q (sign
+    mu(|f|)), flat and in the order of q, which runs through the q of each
+    omega(q) in turn, ascending within each.
 
     Every prime of q outside S divides a number whose m-th power is at most
     Bint, so q has at most omega_max(Bint^(1/m)) + |S| primes; the budget is
     charged the denominator bound times 2 to that power before the walk.
-    The divisors of the q with k primes are built as one array of 2^k
-    columns; the arrays are int64, or object arrays when Bint passes int64."""
+    The arrays are int64, or object arrays when Bint passes int64."""
     if all_denominators_admissible(m, mode):
         raise DomainError("divisor rows are for Darmon or Campana denominators")
     shift = _omega_max(integer_kth_root(Bint, m)) + len(S.finite_primes)
     charge(budget, _denominator_bound(m, S.finite_primes, Bint, mode) << shift)
-    by_omega: Dict[int, Tuple[List[int], List[Tuple[int, ...]]]] = {}
-    for q, primes in line_denominators(m, S, Bint, mode):
-        qs, supports = by_omega.setdefault(len(primes), ([], []))
-        qs.append(q)
-        supports.append(primes)
-    dtype = np.int64 if Bint <= _INT64_MAX else object
-    q, per_q, f = [], [], []
-    for k in sorted(by_omega):
-        qs, supports = by_omega.pop(k)
-        primes = np.array(supports, dtype=dtype).reshape(len(qs), k)
-        divisors = np.ones((len(qs), 1), dtype=dtype)
-        for j in range(k):  # the order of ``signed_squarefree_divisors``
-            divisors = np.hstack((divisors, -divisors * primes[:, j : j + 1]))
-        q.append(np.array(qs, dtype=dtype))
-        per_q.append(np.full(len(qs), 1 << k, dtype=np.int64))
-        f.append(divisors.ravel())
-    return np.concatenate(q), np.concatenate(per_q), np.concatenate(f)
+    q, primes, omega = _admissible(m, S, Bint, mode)
+    by_omega = np.argsort(omega, kind="stable")
+    per_q, f = _signed_divisors(primes[by_omega], omega[by_omega])
+    return q[by_omega], per_q, f
 
 
 # --------------------------------------------------------------------------
@@ -360,6 +414,7 @@ def _mobius_sum(N: int, term: Callable[[int], int]) -> int:
 
 _SMALL_A = 128  # shapes with A <= this are summed e2 by e2 across all of them
 _BLOCK = 1 << 16  # e2 per block of one shape's dot, rows per digit block
+_GCD_BLOCK = 1 << 12  # entries per gcd table of the blow-up weights, cache-sized
 _INT64_MAX = 2**63 - 1
 
 
@@ -463,54 +518,11 @@ def _shape_dot(n, Bint, A, divisors, t_primes, mu, c_S) -> int:
     return total
 
 
-def _small_shapes_sum(n, Bint, shapes, in_S, mu, c_S) -> int:
-    """The divisor sum over shapes (A, primes of s t) with A <= _SMALL_A, in
-    descending A, over chunks of about _BLOCK rows (shape, e1)."""
-    bits = {p: 1 << i for i, p in enumerate(primes_up_to(_SMALL_A))}
-    total = start = rows = 0
-    for i, (_, primes) in enumerate(shapes, 1):
-        rows += 1 << len(primes)
-        if rows >= _BLOCK or i == len(shapes):
-            chunk = shapes[start:i]
-            total += _small_chunk_sum(n, Bint, chunk, in_S, bits, mu, c_S)
-            start, rows = i, 0
-    return total
-
-
-def _small_chunk_sum(n, Bint, shapes, in_S, bits, mu, c_S) -> int:
-    """One row per (shape, e1) with X = Bint // e1, its sign mu(e1), A and
-    the bits of the primes <= _SMALL_A of t; rows whose X exceeds int64 are
-    summed apart in Python ints."""
-    n_primes = [len(primes) for _, primes in shapes]
-    width = max(n_primes)
-    table = np.array([primes + (1,) * (width - len(primes)) for _, primes in shapes])
-    per_shape = np.left_shift(1, n_primes)
-    shape_of = np.repeat(np.arange(len(shapes)), per_shape)
-    first_row = np.repeat(np.cumsum(per_shape) - per_shape, per_shape)
-    subset = np.arange(len(shape_of)) - first_row
-    e1 = np.ones(len(shape_of), dtype=np.int64 if Bint <= _INT64_MAX else object)
-    sign = np.ones(len(shape_of), dtype=np.int64)
-    for j in range(width):  # the divisor of a row takes the j-th prime if bit j is set
-        has = (subset >> j) & 1 == 1
-        e1[has] *= table[shape_of[has], j]
-        sign[has] *= -1
-    X = Bint // e1
-    A = np.repeat(np.array([A for A, _ in shapes], dtype=np.int64), per_shape)
-    t_bits = [sum(bits.get(p, 0) for p in ps if p not in in_S) for _, ps in shapes]
-    t_bits = np.repeat(np.array(t_bits, dtype=np.int64), per_shape)
-    fits = X <= _INT64_MAX
-    total = 0
-    for rows, X_rows in ((fits, X[fits].astype(np.int64)), (~fits, X[~fits])):
-        total += _rows_sum(
-            n, X_rows, A[rows], sign[rows], t_bits[rows], bits, mu, c_S
-        )
-    return total
-
-
-def _rows_sum(n, X, A, sign, t_bits, bits, mu, c_S) -> int:
+def _rows_sum(n, X, A, sign, t_bits, e2_bits, mu, c_S) -> int:
     """sum over the rows, in descending A, of sign sum_{e2 <= A, (e2, S t) = 1}
     mu(e2) T(X // e2) c_S(A // e2): one pass per e2 over the rows with
-    A >= e2, by ``_box_dot`` (object arrays: Python ints)."""
+    A >= e2, by ``_box_dot`` (object arrays: Python ints).  A row's t_bits
+    and e2_bits[e2] mark the primes <= _SMALL_A of t and of e2."""
     if not len(A):
         return 0
     rows_from = np.searchsorted(-A, -np.arange(A[0] + 1), side="right")
@@ -522,7 +534,7 @@ def _rows_sum(n, X, A, sign, t_bits, bits, mu, c_S) -> int:
         k = int(rows_from[e2])
         w = sign[:k] * c_S(A[:k] // e2)
         if has_t and e2 > 1:
-            w *= (t_bits[:k] & sum(b for p, b in bits.items() if e2 % p == 0)) == 0
+            w *= (t_bits[:k] & e2_bits[e2]) == 0
         total += int(mu[e2]) * _box_dot(n, w, X[:k] // e2)
     return total
 
@@ -541,27 +553,61 @@ def _divisor_sum(
     shapes s t of sum_{e1} mu(e1) sum_{e2 <= A, (e2, S t) = 1} mu(e2)
     T(Bint // (e1 e2)) c_S(A // e2).  The budget is charged the bound on the
     denominators before the shapes are walked, then the (shape, e1) rows and
-    the sieve length before the sieve."""
+    the sieve length before the sieve.
+
+    The shapes come ascending, so A falls.  Each shape with A > _SMALL_A
+    takes its own dots (``_shape_dot``); the others are summed in blocks of
+    about _BLOCK rows (shape, e1), their A from one search of the shapes
+    against Bint // a^m over a <= _SMALL_A and their t marked by bits."""
     s_primes = S.finite_primes
     charge(budget, _denominator_bound(m, s_primes, Bint, mode))
     last = 2 * m - 1 if mode == "campana" else m  # Darmon: no prime outside S
-    shapes = _shaped_denominators(Bint, s_primes, m + 1, 1, last)
-    # ascending s t, so A falls and the shape 1 has the largest
-    rows = [(integer_kth_root(Bint // v, m), primes) for v, primes in shapes]
-    A_max = rows[0][0]
-    charge(budget, sum(1 << len(primes) for _, primes in rows) + A_max)
+    shapes, primes, omega = _denominator_walk(Bint, s_primes, m + 1, 1, last)
+    per = np.left_shift(1, omega)
+    A_max = integer_kth_root(Bint, m)  # the A of the shape 1
+    charge(budget, int(per.sum()) + A_max)
     mu = mobius_sieve(A_max)
     for p in s_primes:
         mu[::p] = 0
     c_S = _coprime_counter(s_primes, A_max)
     in_S = set(s_primes)
     total = 0
-    n_large = sum(1 for A, _ in rows if A > _SMALL_A)
-    for A, primes in rows[:n_large]:
-        t_primes = [p for p in primes if p not in in_S]
-        divisors = signed_squarefree_divisors(primes)
-        total += _shape_dot(n, Bint, A, divisors, t_primes, mu, c_S)
-    return total + _small_shapes_sum(n, Bint, rows[n_large:], in_S, mu, c_S)
+    n_large = int(np.searchsorted(shapes, Bint // (_SMALL_A + 1) ** m, side="right"))
+    _, divisors = _signed_divisors(primes[:n_large], omega[:n_large])
+    divisors, end = divisors.tolist(), 0
+    large = (a[:n_large].tolist() for a in (shapes, primes, omega))
+    for v, row, k in zip(*large):
+        start, end = end, end + (1 << k)
+        t_primes = [p for p in row[:k] if p not in in_S]
+        A = integer_kth_root(Bint // v, m)
+        total += _shape_dot(n, Bint, A, divisors[start:end], t_primes, mu, c_S)
+    shapes, primes, omega, per = (a[n_large:] for a in (shapes, primes, omega, per))
+    if not len(shapes):
+        return total
+    tops = np.array([Bint // a**m for a in range(_SMALL_A, 0, -1)], dtype=shapes.dtype)
+    A = _SMALL_A - np.searchsorted(tops, shapes, side="left")  # #{a : s t <= Bint // a^m}
+    bit, e2_bits = np.zeros(_SMALL_A + 2, dtype=np.int64), [0] * (_SMALL_A + 1)
+    for i, p in enumerate(primes_up_to(_SMALL_A)):
+        bit[p] = 0 if p in in_S else 1 << i
+        for e2 in range(p, _SMALL_A + 1, p):
+            e2_bits[e2] |= 1 << i
+    capped = np.minimum(primes, _SMALL_A + 1).astype(np.int64)
+    t_bits = np.bitwise_or.reduce(bit[capped], axis=1, initial=0)
+    row_ends = np.cumsum(per)
+    blocks = np.arange(0, row_ends[-1], _BLOCK)
+    edges = np.unique(np.searchsorted(row_ends, blocks, side="right"))
+    for lo, hi in zip(edges.tolist(), edges[1:].tolist() + [len(shapes)]):
+        per_row, e1 = _signed_divisors(primes[lo:hi], omega[lo:hi])
+        sign = np.where(e1 > 0, 1, -1)
+        X = Bint // np.abs(e1)
+        row_A, row_t = np.repeat(A[lo:hi], per_row), np.repeat(t_bits[lo:hi], per_row)
+        # rows whose X passes int64 are summed apart in Python ints
+        fits = X <= _INT64_MAX
+        for part, X_part in ((fits, X[fits].astype(np.int64)), (~fits, X[~fits])):
+            total += _rows_sum(
+                n, X_part, row_A[part], sign[part], row_t[part], e2_bits, mu, c_S
+            )
+    return total
 
 
 def _count_pn(
@@ -631,15 +677,25 @@ def _blowup_weights(m2: int, S: PlaceSet, cmax: int, mode: str) -> np.ndarray:
     """w(c) for 0 <= c <= cmax: the points b/a of height exactly c on the
     weight-m2 line, [c in A] (2 phi(c) + [c = 1]) + 2 #{a in A : a < c,
     gcd(a, c) = 1}.  When every a is admissible that is 4 phi(c), and 3 at
-    c = 1, from one totient sieve; otherwise one gcd row per a in A."""
+    c = 1, from one totient sieve; otherwise 2 phi(a) from it and one gcd
+    table (a, c > a) per block of about _GCD_BLOCK entries."""
+    phi = totient_sieve(cmax)
     if all_denominators_admissible(m2, mode):
-        w = 4 * totient_sieve(cmax)
+        w = 4 * phi
         w[1:2] = 3
         return w
+    a = _admissible(m2, S, cmax, mode)[0]
     w = np.zeros(cmax + 1, dtype=np.int64)
-    for a, ap in line_denominators(m2, S, cmax, mode):
-        w[a] += 2 * count_coprime(a, ap) + (a == 1)  # 2 phi(a) + [a = 1]
-        w[a + 1 :] += 2 * (np.gcd(a, np.arange(a + 1, cmax + 1)) == 1)
+    w[a] = 2 * phi[a]
+    w[1] += 1  # the point 0
+    step = max(1, _GCD_BLOCK // cmax)
+    for i in range(0, len(a), step):
+        block = a[i : i + step, None]
+        c = np.arange(block[0, 0] + 1, cmax + 1)
+        coprime = np.gcd(block, c) == 1
+        if len(block) > 1:  # the later rows of a block start at a c <= a
+            coprime &= c > block
+        w[cmax + 1 - len(c) :] += 2 * coprime.sum(axis=0)
     return w
 
 
@@ -697,6 +753,14 @@ def blowup_columns(
     if every_g:
         entries = -(-(Mmax + 1) * (E1 + E2) // E2)
         charge(budget, work + Mmax + passes * entries)
+    else:
+        charge(budget, work + _denominator_bound(m1, S.finite_primes, Mmax, mode))
+    # X2(c) = iroot(q, E1), q = B^(m1 m2) / c^E2, and G(c) = iroot(q / c^E1, E1)
+    # = X2(c) // c, which falls as c grows
+    X = [integer_kth_root(num // (den * c**E2), E1) for c in range(1, cmax + 1)]
+    G = np.array(X, dtype=np.int64 if Mmax <= _INT64_MAX else object)
+    G //= np.arange(1, cmax + 1)
+    if every_g:
         # each count term is at most X2 G <= Mmax^2, and sum 1/f^2 < 2
         if 2 * Mmax * Mmax > _INT64_MAX:
             raise MemoryError(f"the Moebius sieve for Mmax = {Mmax} exceeds any memory")
@@ -704,22 +768,18 @@ def blowup_columns(
         g = d = np.flatnonzero(mu)
         sign = mu[d].astype(np.int64)
     else:
-        charge(budget, work + _denominator_bound(m1, S.finite_primes, Mmax, mode))
-        gs = line_denominators(m1, S, Mmax, mode)  # C(g) caps max(a, b) over g
-        strata = [(g, gp, _iroot_ratio(num, den * g**E1, E1 + E2)) for g, gp in gs]
-        charge(budget, passes * sum(C << len(gp) for _, gp, C in strata))
-        rows = [signed_squarefree_divisors(gp) for _, gp, _ in strata]
-        g = np.repeat([stratum[0] for stratum in strata], [len(r) for r in rows])
-        signed = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64)
+        gs, primes, omega = _admissible(m1, S, Mmax, mode)
+        caps = np.searchsorted(-G, -gs, side="right")  # C(g) = #{c : G(c) >= g}
+        charge(budget, passes * sum((caps << omega).tolist()))  # exact, past int64 too
+        per, signed = _signed_divisors(primes, omega)
+        g = np.repeat(gs, per)
         sign, d = np.sign(signed), np.abs(signed)
         if len(d) * Mmax > _INT64_MAX:  # each count term is at most X2 <= Mmax
             raise MemoryError(f"{len(d)} divisor rows exceed any memory")
-    columns = []
-    for c, weight in enumerate(_blowup_weights(m2, S, cmax, mode).tolist()):
-        if weight:
-            q = num // (den * c**E2)
-            X, G = integer_kth_root(q, E1), integer_kth_root(q // c**E1, E1)
-            columns.append((c, weight, X, G, int(np.searchsorted(g, G, side="right"))))
+    k = np.searchsorted(g, G, side="right").tolist()
+    weights = _blowup_weights(m2, S, cmax, mode)[1:].tolist()
+    columns = [(c, weight, x, x // c, kc)
+               for c, weight, x, kc in zip(range(1, cmax + 1), weights, X, k) if weight]
     return BlowupColumns(every_g, Mmax, g, d, sign, columns)
 
 

@@ -14,8 +14,8 @@ count's divisor sum:
   f over the signed squarefree divisors of rad q, and per s reads
   P(x) = sum_{n <= x} n^-s at the row endpoints B // |f| and q // |f| only:
   from a table up to 1024, by Euler-Maclaurin above it.  No array grows
-  with B: 23 bytes per row are kept, and the peak is about 80 bytes per row
-  with the walk's tuples (0.75 GB for 9.2e6 rows at m = 2, B = 1e12);
+  with B: 23 bytes per row are kept, and the peak is about 65 bytes per row
+  (0.6 GB for 9.2e6 rows at m = 2, B = 1e12);
 - the blow-up takes the count's rows and columns c (``blowup_columns``)
   and a few float64 dots per column over a suffix array of n^-s1.
 

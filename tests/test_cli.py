@@ -167,6 +167,20 @@ def test_count_pn3_equals_the_oracle(capsys):
     assert out.splitlines()[1] == "5,6351,3743,3743"
 
 
+@pytest.mark.parametrize("argv", [("--n", "100000", "--grid", "10"),
+                                  ("--n", "1000", "--grid", "1e9")])
+def test_count_past_the_printable_digits_exits_2_at_once(capsys, monkeypatch, argv):
+    # up to n log10(2B + 1) + log10(B) + 1 digits, past the 4300 that Python
+    # prints of an integer by default: refused before any counting
+    def unreachable(*args, **kwargs):
+        raise AssertionError("counted before the digits were checked")
+
+    monkeypatch.setattr(enumeration, "count_series", unreachable)
+    code, out, err = run(capsys, "count", "--model", "pn", *argv, "--mode", "rational")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "digits" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -223,7 +237,7 @@ def test_line_zeta_charges_its_rows_before_the_walk(capsys, monkeypatch):
     def walk(*args, **kwargs):
         raise AssertionError("walked the denominators before the charge")
 
-    monkeypatch.setattr(enumeration, "line_denominators", walk)
+    monkeypatch.setattr(enumeration, "_denominator_walk", walk)
     code, _, err = run(capsys, "zeta", "--m", "2", "--s", "2.5", "--bound", "1e14")
     assert code == 3
     assert "budget" in err and "Traceback" not in err

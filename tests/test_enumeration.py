@@ -1,7 +1,7 @@
 import io
 import math
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from orbicount import arith, enumeration
 from orbicount.arith import (
     count_coprime,
     distinct_primes,
+    factorize,
     integer_kth_root,
     is_k_full,
     is_kth_power,
@@ -101,6 +102,47 @@ def test_denominators_carry_their_primes_property(m, s_primes, mode, limit):
     want = _definitional_denominators(limit, m, s_primes, mode)
     assert [q for q, _ in pairs] == want
     assert all(primes == distinct_primes(q) for q, primes in pairs)
+
+
+@lru_cache(maxsize=None)
+def _factorizations(limit):
+    return [factorize(q) for q in range(1, limit + 1)]
+
+
+def _definitional_walk(limit, s_primes, first, step, last):
+    """The q <= limit whose exponent at each prime outside S is one of first,
+    first + step, ... <= last, by factoring every q."""
+    def allowed(p, e):
+        return p in s_primes or (first <= e <= last and (e - first) % step == 0)
+
+    return [q for q, factors in enumerate(_factorizations(2 * 10**4)[:limit], 1)
+            if all(allowed(p, e) for p, e in factors.items())]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(2, 5),
+    s_primes=st.sets(st.sampled_from((2, 3, 5, 7))),
+    family=st.sampled_from(("darmon", "campana", "darmon shapes", "campana shapes")),
+    limit=st.integers(1, 2 * 10**4),
+)
+def test_denominator_walk_matches_its_definition_property(m, s_primes, family, limit):
+    # the line denominators (first exponent m) and the shapes s t of the
+    # divisor sum (exponents m+1..2m-1 outside S, none in Darmon mode); each
+    # row of the prime matrix holds the distinct primes of its q, ascending,
+    # then 1s
+    first, step, last = {
+        "darmon": (m, m, math.inf),
+        "campana": (m, 1, math.inf),
+        "darmon shapes": (m + 1, 1, m),
+        "campana shapes": (m + 1, 1, 2 * m - 1),
+    }[family]
+    walk = enumeration._denominator_walk(limit, sorted(s_primes), first, step, last)
+    q, primes, omega = (a.tolist() for a in walk)
+    assert q == _definitional_walk(limit, s_primes, first, step, last)
+    for v, row, k in zip(q, primes, omega):
+        assert tuple(row[:k]) == distinct_primes(v)
+        assert set(row[k:]) <= {1}
 
 
 def test_all_denominators_admissible_matches_line_denominators():
@@ -246,12 +288,18 @@ def test_divisor_sum_equals_the_per_q_counts_property(m, s_primes, mode, B, n):
                      (2, S2, 10**6, "campana"), id="pn3-campana-1e6"),
         pytest.param(partial(count_pn, 4), partial(_tuple_count, 4),
                      (3, S23, 10**5, "darmon"), id="pn4-darmon-1e5"),
+        pytest.param(count_p1, _line_q_count, (20, S23, 10**20, "darmon"),
+                     id="p1m20-darmon-1e20"),
+        pytest.param(partial(count_p1, budget=None), _line_q_count,
+                     (16, S23, 2**64 + 13, "campana"), id="p1m16-campana-2^64+13"),
     ],
 )
 def test_divisor_sum_is_exact_past_int64(count, per_q, args):
     # single terms T(B // e) c_S(A // e) of these sums exceed 2^63 (the plane's
     # (2B + 1)^2 alone is 4e18 at B = 1e9, and (2B + 1)^n at n = 3 and 4 is
-    # 8e18 and 1.6e21 here), so a plain int64 dot goes wrong
+    # 8e18 and 1.6e21 here), so a plain int64 dot goes wrong; in the last two
+    # B itself passes 2^63, so the shapes, their A and the rows (shape, e1)
+    # are object arrays
     assert count(*args) == _per_q_count(per_q, *args)
 
 

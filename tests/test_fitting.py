@@ -207,7 +207,7 @@ def test_zeta_budget_is_charged_before_any_work(monkeypatch):
         raise AssertionError("work started before the budget was charged")
 
     monkeypatch.setattr(fitting.np, "arange", unreachable)
-    monkeypatch.setattr(enumeration, "line_denominators", unreachable)
+    monkeypatch.setattr(enumeration, "_denominator_walk", unreachable)
     with pytest.raises(BudgetExceededError):
         zeta_partial_sum(P1, S0, 2.5, 10**9)
     with pytest.raises(BudgetExceededError):

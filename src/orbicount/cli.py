@@ -122,7 +122,9 @@ def _check_digits(model: OrbifoldModel, bounds: Sequence[Fraction]) -> None:
     """Refuse, before any counting, a count of projective n-space that could
     pass Python's limit on the digits of a printed integer: the count is at
     most B (2B + 1)^n, of at most n log10(2B + 1) + log10(B) + 1 digits."""
-    limit = sys.get_int_max_str_digits()
+    # no limit to check before Python 3.10.7, which added it
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit else 0
     Bint = math.floor(bounds[-1])
     if model.name not in ("p1", "pn") or not limit or Bint < 1:
         return
@@ -144,7 +146,6 @@ def _cmd_count(args) -> int:
         S,
         bounds,
         mode=args.mode,
-        workers=args.workers,
         budget=args.budget,
         labels=labels,
     )
@@ -282,9 +283,7 @@ def _cmd_local_factor(args) -> int:
     else:
         closed = localfactors.denef_factor(model, args.p, s, in_S=args.in_s)
     denef = localfactors.denef_factor(model, args.p, s, in_S=args.in_s)
-    oracle = localfactors.shell_sum_oracle(
-        model, args.p, s, localfactors.OracleConfig(depth=args.depth), in_S=args.in_s
-    )
+    oracle = localfactors.shell_sum_oracle(model, args.p, s, args.depth, in_S=args.in_s)
     payload = {
         "model": model.name,
         "params": dict(model.params),

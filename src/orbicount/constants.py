@@ -51,9 +51,7 @@ __all__ = [
     "ZETA2",
     "ZETA4",
     "riemann_zeta",
-    "EulerProductSpec",
     "euler_product",
-    "truncated_euler_product",
     "ConstantBreakdown",
     "leading_constant",
     "residue_exponents",
@@ -90,20 +88,6 @@ def riemann_zeta(s: float) -> float:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EulerProductSpec:
-    """A per-prime factor with a decay envelope |log factor(p)| <= C p^-sigma."""
-
-    factor: Callable[[int], float]
-    prime_cutoff: int = DEFAULT_PRIME_CUTOFF
-    decay_constant: float = 2.0
-    decay_exponent: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.decay_exponent <= 1:
-            raise ValueError("decay exponent must exceed 1")
-
-
 def euler_product(
     factors: Callable[[List[int]], Sequence[float]],
     prime_cutoff: int,
@@ -133,17 +117,6 @@ def euler_product(
     sigma = decay_exponent
     tail_log = decay_constant * prime_cutoff ** (1 - sigma) / (sigma - 1)
     return value, value * math.expm1(tail_log)
-
-
-def truncated_euler_product(spec: EulerProductSpec) -> Tuple[float, float]:
-    """``euler_product`` of a per-prime factor: spec.factor is called once
-    per prime, in ascending order."""
-    return euler_product(
-        lambda primes: [spec.factor(p) for p in primes],
-        spec.prime_cutoff,
-        spec.decay_constant,
-        spec.decay_exponent,
-    )
 
 
 # --------------------------------------------------------------------------

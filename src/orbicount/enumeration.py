@@ -49,8 +49,7 @@ it, so a dump takes the oracle's time over every candidate, not the core's
 (the core's count only checks the dump cap first); the sieved counters must
 agree with the oracles exactly, which the test suite checks.
 
-Every count runs in one process, with no pool: the ``workers`` parameters
-are kept for callers and change nothing.
+Every count runs in one process, with no pool.
 """
 
 from __future__ import annotations
@@ -633,11 +632,9 @@ def count_p1(
     S: PlaceSet,
     B: Union[int, float, Fraction],
     mode: str,
-    workers: int = 1,
     budget: Optional[int] = DEFAULT_BUDGET,
 ) -> int:
-    """Points of the line model with global height <= B in the given mode.
-    The count runs in one process for any ``workers``."""
+    """Points of the line model with global height <= B in the given mode."""
     return _count_pn(1, m, S, B, mode, budget)
 
 
@@ -646,11 +643,9 @@ def count_pn2(
     S: PlaceSet,
     B: Union[int, float, Fraction],
     mode: str,
-    workers: int = 1,
     budget: Optional[int] = DEFAULT_BUDGET,
 ) -> int:
-    """Plane model (projective, n = 2): last coordinate plays the role of q.
-    The count runs in one process for any ``workers``."""
+    """Plane model (projective, n = 2): last coordinate plays the role of q."""
     return _count_pn(2, m, S, B, mode, budget)
 
 
@@ -789,11 +784,10 @@ def count_blowup(
     S: PlaceSet,
     B: Union[int, float, Fraction],
     mode: str,
-    workers: int = 1,
     budget: Optional[int] = DEFAULT_BUDGET,
 ) -> int:
-    """Blow-up model points with global height <= B in the given mode, in
-    one process for any ``workers``: over the columns of ``blowup_columns``,
+    """Blow-up model points with global height <= B in the given mode, over
+    the columns of ``blowup_columns``:
     N = sum_c w(c) (1 + 2 P(c)), the 1 for x2 = 0 over g = 1, where P(c)
     counts the admissible g <= G(c) and x <= X2(c) coprime to g, one exact
     int64 dot: sum_f mu(f) floor(X2/f) floor(G/f) when every g is
@@ -881,20 +875,17 @@ def count_points(
     S: PlaceSet,
     B,
     mode: str,
-    workers: int = 1,
     budget: Optional[int] = DEFAULT_BUDGET,
 ) -> int:
     """Dispatch a single count for a built-in model."""
     if model.name == "p1":
-        return count_p1(model.params["m"], S, B, mode, workers, budget)
+        return count_p1(model.params["m"], S, B, mode, budget)
     if model.name == "pn" and model.dimension == 2:
-        return count_pn2(model.params["m"], S, B, mode, workers, budget)
+        return count_pn2(model.params["m"], S, B, mode, budget)
     if model.name == "pn":
         return _count_pn(model.dimension, model.params["m"], S, B, mode, budget)
     if model.name == "blowup":
-        return count_blowup(
-            model.params["m1"], model.params["m2"], S, B, mode, workers, budget
-        )
+        return count_blowup(model.params["m1"], model.params["m2"], S, B, mode, budget)
     raise DomainError(f"no enumerator for model {model.name!r}")
 
 
@@ -903,7 +894,6 @@ def count_series(
     S: PlaceSet,
     bounds: Sequence[Union[int, float, Fraction]],
     mode: str = "all",
-    workers: int = 1,
     budget: Optional[int] = DEFAULT_BUDGET,
     labels: Optional[Sequence[str]] = None,
 ) -> CountSeries:
@@ -923,7 +913,7 @@ def count_series(
     for b in fracs:
         counts: Dict[str, Optional[int]] = {m: None for m in MODES}
         for md in wanted:
-            counts[md] = count_points(model, S, b, md, workers, budget)
+            counts[md] = count_points(model, S, b, md, budget)
         records.append(
             CountRecord(
                 bound=b,
@@ -982,6 +972,8 @@ def read_counts_csv(fh) -> List[Dict[str, Optional[Union[float, int]]]]:
 # debug dump
 # --------------------------------------------------------------------------
 
+_DUMP_CAP = 10**6  # points a dump may write; the oracle takes about 40 us per candidate
+
 
 def dump_points(
     model: OrbifoldModel,
@@ -989,13 +981,12 @@ def dump_points(
     B,
     mode: str,
     fh,
-    cap: int = 10**6,
 ) -> int:
     """Write the counted points one per line (debug aid).  Refuses to start
-    when the count exceeds the cap."""
+    when the count exceeds ``_DUMP_CAP``."""
     total = count_points(model, S, B, mode)
-    if total > cap:
-        raise BudgetExceededError(f"{total} points exceed the dump cap {cap}")
+    if total > _DUMP_CAP:
+        raise BudgetExceededError(f"{total} points exceed the dump cap {_DUMP_CAP}")
     written = 0
     for pt in iter_points(model, S, B, mode):
         if model.name == "blowup":

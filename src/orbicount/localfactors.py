@@ -9,8 +9,8 @@ of one another:
   with t_a = p^(-m_a (s lam_a - rho_a + 1));
 * per-model closed forms (``p1_factor``, ``blowup_factor``);
 * ``shell_sum_oracle`` - a brute-force sum over valuation shells truncated at
-  a configurable depth, returning the value together with a rigorous
-  truncation bound.
+  a given depth, returning the value together with a rigorous truncation
+  bound; its predicted terms are charged to the default budget first.
 
 At a place in S the divisibility constraint on multiplicities is waived,
 which amounts to replacing every weight by 1 (``in_S=True``).
@@ -39,12 +39,12 @@ import mpmath
 import numpy as np
 from mpmath import mpf
 
+from .enumeration import DEFAULT_BUDGET, charge
 from .errors import DomainError
 from .orbifold import BoundaryComponent, OrbifoldModel, eval_count_poly
 
 __all__ = [
     "DPS",
-    "OracleConfig",
     "OracleResult",
     "ArchimedeanFactor",
     "denef_factor",
@@ -58,6 +58,9 @@ __all__ = [
 ]
 
 DPS = 30  # working precision (significant digits) for finite-place factors
+# budget steps per shell-sum term: one mpmath term takes about 4 us, one step
+# of the Mertens count about 18 ns
+_TERM_STEPS = 200
 
 Number = Union[int, float, Fraction]
 
@@ -66,15 +69,6 @@ def _to_mpf(x: Number) -> mpf:
     if isinstance(x, Fraction):
         return mpf(x.numerator) / mpf(x.denominator)
     return mpf(x)
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    depth: int = 60  # valuation-shell truncation
-
-    def __post_init__(self) -> None:
-        if self.depth < 10:
-            raise ValueError("oracle depth must be at least 10")
 
 
 @dataclass(frozen=True)
@@ -351,20 +345,30 @@ def shell_sum_oracle(
     model: OrbifoldModel,
     p: int,
     s: Number,
-    config: OracleConfig = OracleConfig(),
+    depth: int = 60,
     in_S: bool = False,
 ) -> OracleResult:
-    """Brute-force local factor with a rigorous truncation bound."""
-    with mpmath.workdps(DPS):
-        if model.name in ("p1", "pn"):
-            return _shell_projective(
-                model.dimension, model.params["m"], p, s, config.depth, in_S
-            )
-        if model.name == "blowup":
-            return _shell_blowup(
-                model.params["m1"], model.params["m2"], p, s, config.depth, in_S
-            )
+    """Brute-force local factor with a rigorous truncation bound, over the
+    valuation shells up to ``depth`` (at least 10).
+
+    Before any mpmath work the default budget is charged _TERM_STEPS steps
+    per predicted term: ``depth`` for projective space, and
+    depth^2 / (2 m1 m2) + 8 depth for the blow-up, whose rows i and columns
+    k step by the weights (1 in S)."""
+    if depth < 10:
+        raise ValueError("oracle depth must be at least 10")
+    if model.name in ("p1", "pn"):
+        terms, shell = depth, _shell_projective
+        args = (model.dimension, model.params["m"], p, s, depth, in_S)
+    elif model.name == "blowup":
+        m1, m2 = (1, 1) if in_S else (model.params["m1"], model.params["m2"])
+        terms, shell = depth * depth // (2 * m1 * m2) + 8 * depth, _shell_blowup
+        args = (model.params["m1"], model.params["m2"], p, s, depth, in_S)
+    else:
         raise DomainError(f"no shell oracle for model {model.name!r}")
+    charge(DEFAULT_BUDGET, _TERM_STEPS * terms)
+    with mpmath.workdps(DPS):
+        return shell(*args)
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbicount import constants, enumeration, fitting, geometry, localfactors
+from orbicount import cli, constants, enumeration, fitting, geometry, localfactors
 from orbicount.arith import primes_up_to
 from orbicount.constants import ZETA2
 from orbicount.orbifold import (
@@ -346,7 +346,7 @@ def _random_point(rng, model):
     return geometry.ProjectivePoint.from_affine((rat(), rat()))
 
 
-def test_criterion_8_invariant_suites():
+def test_criterion_8_invariant_suites(tmp_path):
     rng = random.Random(0xACCE9 + 8)
     models = [projective_space(1, 2), projective_space(2, 3), blowup_p2(2, 3)]
     n_points = 10**4
@@ -400,20 +400,24 @@ def test_criterion_8_invariant_suites():
                 lhs = abs(localfactors.normalized_factor(model, p, s) - 1)
                 assert lhs <= cap * float(p) ** float(-1 - delta)
                 decay_checks += 1
-    # determinism across worker counts
-    for workers in (1, 2, 8):
-        assert enumeration.count_p1(2, S0, 10**4, "darmon", workers=workers) == (
-            enumeration.count_p1(2, S0, 10**4, "darmon", workers=1)
-        )
-        assert enumeration.count_blowup(
-            1, 1, S0, 400, "rational", workers=workers
-        ) == enumeration.count_blowup(1, 1, S0, 400, "rational", workers=1)
+    # determinism across --workers values, through the CLI
+    for argv, row in (
+        (("--model", "p1", "--m", "2", "--mode", "darmon", "--grid", "10000"),
+         f"10000,,,{enumeration.count_p1(2, S0, 10**4, 'darmon')}"),
+        (("--model", "blowup", "--mode", "rational", "--grid", "400"),
+         f"400,{enumeration.count_blowup(1, 1, S0, 400, 'rational')},,"),
+    ):
+        for workers in (1, 2, 8):
+            path = tmp_path / f"workers{workers}.csv"
+            argv_w = ["count", *argv, "--workers", str(workers), "--output", str(path)]
+            assert cli.main(argv_w) == 0
+            assert path.read_text() == f"{enumeration.CSV_HEADER}\n{row}\n"
     report(
         8,
         True,
         f"height pairing + closed-form identities on {n_points} random points; "
         f"a/b invariants exact; {decay_checks} regularized-decay checks to 1e4; "
-        "worker determinism for 1/2/8",
+        "identical CLI output for --workers 1/2/8",
     )
 
 
@@ -425,13 +429,12 @@ def test_criterion_8_invariant_suites():
 def test_criterion_9_regularized_product():
     model = projective_space(1, 2)
     a = a_invariant(model)
-    spec = constants.EulerProductSpec(
-        factor=lambda p: float(localfactors.normalized_factor(model, p, a)),
-        prime_cutoff=10**6,
-        decay_constant=2.0,
-        decay_exponent=2.0,
+    value, bound = constants.euler_product(
+        lambda primes: [float(localfactors.normalized_factor(model, p, a)) for p in primes],
+        10**6,
+        2.0,
+        2.0,
     )
-    value, bound = constants.truncated_euler_product(spec)
     target = 1 / ZETA2
     ok = abs(value - target) <= bound
     report(

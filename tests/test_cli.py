@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import mpmath
 import pytest
 
-from orbicount import cli, enumeration
+from orbicount import cli, enumeration, localfactors
 from orbicount.cli import main
 from orbicount.constants import ZETA2
 
@@ -510,6 +511,43 @@ def test_local_factor_subcommand(capsys):
     assert payload["oracle"] == pytest.approx(1.5, rel=1e-12)
     assert payload["oracle_bound"] < 1e-10
     assert set(payload) >= {"p", "s", "closed_form", "denef", "oracle", "oracle_bound"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 8.0e6 terms of about 4 us each (33.6 s), charged 1.6e9 steps
+        ("--model", "blowup", "--m1", "1", "--m2", "1", "--depth", "4000"),
+        # 1e8 terms, charged 2e10 steps
+        ("--model", "p1", "--m", "2", "--depth", "100000000"),
+    ],
+)
+def test_runaway_local_factor_depth_exits_3_at_once(capsys, monkeypatch, argv):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("summed shells before the depth was charged")
+
+    monkeypatch.setattr(localfactors, "_shell_blowup", unreachable)
+    monkeypatch.setattr(localfactors, "_shell_projective", unreachable)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "local-factor", *argv, "--p", "2", "--s", "2")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "budget" in err and err.count("\n") == 1
+
+
+def test_local_factor_depth_below_ten_exits_2(capsys):
+    code, out, err = run(capsys, "local-factor", "--m", "2", "--p", "2", "--s", "2",
+                         "--depth", "5")
+    assert code == 2 and out == ""
+    assert err == "error: oracle depth must be at least 10\n"
+
+
+def test_count_without_a_digit_limit(capsys, monkeypatch):
+    # Python 3.10.0 to 3.10.6 have no sys.get_int_max_str_digits, and no limit
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    code, out, err = run(capsys, "count", "--model", "p1", "--m", "2", "--grid", "100")
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["B,n_rational,n_campana,n_darmon", "100,12175,1647,1247"]
 
 
 @pytest.mark.parametrize("p", ["0", "1", "-3", "4"])

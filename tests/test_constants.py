@@ -8,17 +8,16 @@ import pytest
 from orbicount.constants import (
     ZETA2,
     ZETA4,
-    EulerProductSpec,
     blowup_archimedean_reference,
     blowup_reference_constant,
     campana_s_factor,
+    euler_product,
     leading_constant,
     p1_campana_constant,
     p1_reference_constants,
     p1_s_factor,
     residue_exponents,
     riemann_zeta,
-    truncated_euler_product,
 )
 from orbicount.errors import DomainError
 from orbicount.localfactors import normalized_factor
@@ -54,23 +53,19 @@ def test_zeta_domain():
 
 
 def test_truncated_product_basel():
-    value, bound = truncated_euler_product(
-        EulerProductSpec(lambda p: 1 - p**-2.0, 10**6, 2.0, 2.0)
-    )
+    value, bound = euler_product(lambda primes: [1 - p**-2.0 for p in primes], 10**6, 2.0, 2.0)
     assert abs(value - 1 / ZETA2) < 1e-6 + bound
     assert bound > 0
 
 
 def test_truncated_product_trivial_and_errors():
     # the identity factor has decay envelope C = 0, hence a zero tail
-    value, bound = truncated_euler_product(
-        EulerProductSpec(lambda p: 1.0, 1000, 0.0, 2.0)
-    )
+    value, bound = euler_product(lambda primes: [1.0 for p in primes], 1000, 0.0, 2.0)
     assert value == 1.0 and bound == 0.0
     with pytest.raises(DomainError):
-        truncated_euler_product(EulerProductSpec(lambda p: -1.0, 100, 2.0, 2.0))
+        euler_product(lambda primes: [-1.0 for p in primes], 100, 2.0, 2.0)
     with pytest.raises(ValueError):
-        EulerProductSpec(lambda p: 1.0, 100, 2.0, 0.5)
+        euler_product(lambda primes: [1.0 for p in primes], 100, 2.0, 0.5)
 
 
 def test_residue_exponents_are_one():
@@ -159,13 +154,12 @@ def test_truncated_method_agrees_with_exact():
 )
 def test_truncated_method_matches_the_scalar_route(model, S):
     a = a_invariant(model)
-    spec = EulerProductSpec(
-        factor=lambda p: float(normalized_factor(model, p, a)),
-        prime_cutoff=10**4,
-        decay_constant=2.0 * len(model.components),
-        decay_exponent=2.0,
+    value, tail = euler_product(
+        lambda primes: [float(normalized_factor(model, p, a)) for p in primes],
+        10**4,
+        2.0 * len(model.components),
+        2.0,
     )
-    value, tail = truncated_euler_product(spec)
     bd = leading_constant(model, S, prime_cutoff=10**4, method="truncated")
     assert bd.finite_product == pytest.approx(value, rel=1e-12)
     assert bd.tail_bound == pytest.approx(tail, rel=1e-12)

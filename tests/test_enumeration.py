@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbicount import arith, enumeration
+from orbicount import arith, cli, enumeration
 from orbicount.arith import (
     count_coprime,
     distinct_primes,
@@ -433,29 +433,19 @@ def test_bounds_below_one_give_zero():
     assert count_blowup(1, 1, S0, 0.5, "rational") == 0
 
 
-def test_worker_determinism():
-    for workers in (1, 2, 8):
-        assert count_p1(2, S0, 10**4, "darmon", workers=workers) == count_p1(
-            2, S0, 10**4, "darmon", workers=1
-        )
-        assert count_blowup(1, 1, S0, 500, "rational", workers=workers) == count_blowup(
-            1, 1, S0, 500, "rational", workers=1
-        )
-        for mode in ("darmon", "campana"):  # the g strata form a list, not a range
-            assert count_blowup(2, 1, S2, 3000, mode, workers=workers) == count_blowup(
-                2, 1, S2, 3000, mode, workers=1
-            )
-            # m2 = 2: the admissible x0/g are sparse, so many cells are empty
-            assert count_blowup(1, 2, S2, 3000, mode, workers=workers) == count_blowup(
-                1, 2, S2, 3000, mode, workers=1
-            )
-
-
-def test_workers_change_nothing_and_start_no_pool():
+def test_workers_change_nothing_and_start_no_pool(capsys):
     # every count runs in one process: a huge --workers starts nothing
     for m1, m2, S, mode in ((1, 1, S0, "darmon"), (2, 1, S2, "campana")):
-        expected = count_blowup(m1, m2, S, 10**4, mode, workers=1)
-        assert count_blowup(m1, m2, S, 10**4, mode, workers=10**6) == expected
+        argv = ["count", "--model", "blowup", "--m1", str(m1), "--m2", str(m2),
+                "--s", ",".join(map(str, S.finite_primes)), "--mode", mode,
+                "--grid", "10000"]
+        outputs = []
+        for workers in ("1", "1000000"):
+            assert cli.main(argv + ["--workers", workers]) == 0
+            outputs.append(capsys.readouterr().out)
+        n = count_blowup(m1, m2, S, 10**4, mode)
+        row = {"darmon": f"10000,,,{n}", "campana": f"10000,,{n},"}[mode]
+        assert outputs[0] == outputs[1] == f"{CSV_HEADER}\n{row}\n"
     assert not any("Pool" in name or "Executor" in name for name in vars(enumeration))
 
 
@@ -612,15 +602,18 @@ def test_large_weights_run_under_the_default_budget():
     assert enumeration._denominator_bound(17, (), 10, "campana") == 2
     assert enumeration._denominator_bound(400, (2, 3, 5, 7, 11), 10**6, "darmon") == 224640
 
-def test_dump_points_matches_count_and_cap():
+def test_dump_points_matches_count_and_cap(monkeypatch):
     model = projective_space(1, 2)
     buf = io.StringIO()
     n = dump_points(model, S0, 10, "darmon", buf)
     lines = buf.getvalue().strip().splitlines()
     assert n == 45 and len(lines) == 45
     assert "0/1" in lines
-    with pytest.raises(BudgetExceededError):
-        dump_points(model, S0, 100, "darmon", io.StringIO(), cap=10)
+    # 1,216,767 points pass the 1e6 cap: refused before the oracle runs
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "iter_points", None)
+        with pytest.raises(BudgetExceededError, match="1216767 points exceed the dump cap"):
+            dump_points(projective_space(1, 1), S0, 1000, "rational", io.StringIO())
     blbuf = io.StringIO()
     nb = dump_points(blowup_p2(1, 1), S0, 1, "rational", blbuf)
     assert nb == 9 and len(blbuf.getvalue().strip().splitlines()) == 9

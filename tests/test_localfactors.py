@@ -5,10 +5,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from orbicount import localfactors
 from orbicount.arith import primes_up_to
 from orbicount.errors import DomainError
 from orbicount.localfactors import (
-    OracleConfig,
     archimedean_blowup,
     archimedean_projective,
     blowup_factor,
@@ -164,15 +164,26 @@ def test_oracle_in_s_matches_weight_one():
 
 def test_oracle_depth_consistency():
     model = blowup_p2(2, 1)
-    shallow = shell_sum_oracle(model, 2, 1.5, OracleConfig(depth=40))
-    deep = shell_sum_oracle(model, 2, 1.5, OracleConfig(depth=50))
+    shallow = shell_sum_oracle(model, 2, 1.5, depth=40)
+    deep = shell_sum_oracle(model, 2, 1.5, depth=50)
     assert abs(shallow.value - deep.value) <= shallow.bound
     assert deep.bound < shallow.bound
 
 
 def test_oracle_config_validation():
-    with pytest.raises(ValueError):
-        OracleConfig(depth=5)
+    with pytest.raises(ValueError, match="oracle depth must be at least 10"):
+        shell_sum_oracle(blowup_p2(2, 1), 2, 1.5, depth=5)
+
+
+def test_oracle_charges_its_terms_before_summing(monkeypatch):
+    # 200 steps a term: depth terms on the line, depth^2 / (2 m1 m2) + 8 depth
+    # on the blow-up, whose weights are 1 in S
+    charged = []
+    monkeypatch.setattr(localfactors, "charge", lambda budget, amount: charged.append(amount))
+    shell_sum_oracle(P1, 2, 2.5)
+    shell_sum_oracle(blowup_p2(2, 1), 2, 1.5, depth=40)
+    shell_sum_oracle(blowup_p2(2, 1), 2, 1.5, depth=40, in_S=True)
+    assert charged == [200 * 60, 200 * (400 + 320), 200 * (800 + 320)]
 
 
 def test_divergence_raises():

@@ -441,7 +441,6 @@ def _build_parser() -> tuple:
     _add_model_flags(lf, s_is_variable=True)
     lf.add_argument("--p", type=int, required=True)
     lf.add_argument("--in-s", dest="in_s", action="store_true")
-    lf.add_argument("--oracle", choices=("shell",), default="shell")
     lf.add_argument("--depth", type=int, default=60)
     lf.set_defaults(func=_cmd_local_factor)
 

@@ -107,7 +107,7 @@ def euler_product(
         raise ValueError(f"prime cutoff must be at least 1, got {prime_cutoff}")
     if decay_exponent <= 1:
         raise ValueError("decay exponent must exceed 1")
-    charge(DEFAULT_BUDGET, prime_cutoff)
+    charge(DEFAULT_BUDGET, prime_cutoff, f"the Euler product up to p0 = {prime_cutoff}")
     primes = primes_up_to(prime_cutoff)
     values = np.asarray(factors(primes), dtype=np.float64)
     bad = np.flatnonzero(~(values > 0))

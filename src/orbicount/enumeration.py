@@ -24,10 +24,10 @@ Moebius sieve when every q is admissible); the debug dump runs the oracle
   ch. 14).  The same walk yields the shapes s t, and per shape the sum over
   a becomes a sum over e2 <= A = (B/(s t))^(1/m) of mu(e2)
   T(floor(B/(e1 e2))) c_S(floor(A/e2)) for each e1 | rad(s t), over one
-  Moebius sieve up to B^(1/m): one exact int64 dot per shape with A > 128,
-  and for the shapes with smaller A, in blocks of rows (shape, e1) built
-  from the prime matrix, one pass per e2 across all of them.  When every q is
-  admissible (rational mode, or weight 1) the count is the Moebius sum
+  Moebius sieve up to B^(1/m).  One walk takes every shape: the entries
+  (shape, e2) in blocks, the divisors e1 of each shape as columns, and one
+  exact dot per block and column.  When every q is admissible (rational
+  mode, or weight 1) the count is the Moebius sum
   N(B) = sum_d mu(d) floor(B/d) T(floor(B/d)), summed over the about
   2 sqrt(B) runs of equal floor(B/d) with Mertens values M(floor(B/k)): a
   Moebius sieve up to about B^(2/3) and the recursion
@@ -137,11 +137,12 @@ def _readable(amount: int) -> str:
     return f"{lead // 1000}.{lead % 1000:03d}e{e}"
 
 
-def charge(budget: Optional[int], amount: int) -> None:
-    """Refuse predicted work of ``amount`` steps above the budget (None: no cap)."""
+def charge(budget: Optional[int], amount: int, work: str = "enumeration") -> None:
+    """Refuse predicted work of ``amount`` steps above the budget (None: no
+    cap); the message names the refused ``work``."""
     if budget is not None and amount > budget:
         raise BudgetExceededError(
-            f"enumeration would take ~{_readable(amount)} steps"
+            f"{work} would take ~{_readable(amount)} steps"
             f" (budget {_readable(budget)})"
         )
 
@@ -411,8 +412,7 @@ def _mobius_sum(N: int, term: Callable[[int], int]) -> int:
     return total
 
 
-_SMALL_A = 128  # shapes with A <= this are summed e2 by e2 across all of them
-_BLOCK = 1 << 16  # e2 per block of one shape's dot, rows per digit block
+_BLOCK = 1 << 16  # entries (shape, e2) per block, rows (shape, e1) per chunk
 _GCD_BLOCK = 1 << 12  # entries per gcd table of the blow-up weights, cache-sized
 _INT64_MAX = 2**63 - 1
 
@@ -444,98 +444,46 @@ def _coprime_counter(s_primes: Sequence[int], limit: int) -> Callable:
     return lambda x: (x // P) * phi + table[x % P]
 
 
-def _head_length(n: int, X: int, A: int) -> int:
-    """How many leading e of sum_{e <= A} w_e T(X // e), |w_e| <= A // e, go
-    through Python ints so that the rest stays inside int64.
-
-    T(x) = (2x + 1)^n.  As e <= A <= X, 2 (X // e) + 1 <= 3X / e, so
-    T(X // e) <= (3/2)^n T(X) / e^n, and the terms after the first H >= 1 sum
-    to at most (3/2)^n A T(X) / (n H^n); H is the least value that puts this
-    below 2^63, or 0 when all the terms, at most (1 + (3/2)^n / n) A T(X),
-    stay below it."""
-    if X > _INT64_MAX:
-        return A
-    tail = 3**n * A * _box(n, X)  # n 2^n H^n times the bound past H
-    unit = n << (n + 63)
-    if tail + (n << n) * A * _box(n, X) < unit:
-        return 0
-    return min(A, integer_kth_root(tail // unit, n) + 1)
+def _kth_roots(q: np.ndarray, m: int) -> np.ndarray:
+    """floor(q^(1/m)) as int64 for an int64 or object array of q >= 1.  The
+    float root is off by less than 1e-13 of itself below q = 1e308, so its
+    floor is exact unless it lies within 1e-12 of itself of an integer, where
+    ``integer_kth_root`` decides."""
+    root = q.astype(np.float64) ** (1 / m)
+    A = np.floor(root).astype(np.int64)
+    for i in np.flatnonzero(np.abs(root - np.rint(root)) <= 1e-12 * root).tolist():
+        A[i] = integer_kth_root(int(q[i]), m)
+    return A
 
 
-def _box_dot(n: int, w: np.ndarray, f: np.ndarray) -> int:
-    """sum_r w_r T(f_r) exactly, T(x) = (2x + 1)^n, for arrays with 0 <= f
-    and int64 |w| <= _SMALL_A.
+def _box_dot(n: int, w: np.ndarray, f: np.ndarray, size: float) -> int:
+    """sum_r w_r T(f_r) exactly, T(x) = (2x + 1)^n, for at most _BLOCK
+    entries of int64 w and f >= 0 (int64, or object: its entries past int64
+    go apart in Python ints), given a float ``size`` >= sum_r |w_r| T(f_r) up
+    to rounding.
 
-    One int64 dot when no partial sum can overflow.  Otherwise, for n <= 2,
-    the power sums sum w f and sum w f^2 from the four 16-bit digits of f,
-    per block of _BLOCK rows, where every partial sum stays below 2^55; for
-    larger n, or f an object array, one dot in Python ints."""
-    if len(f) == 0:
-        return 0
-    if f.dtype != object and _box(n, int(f.max())) * _SMALL_A * len(f) <= _INT64_MAX:
+    One int64 dot when size < 2^62: no partial sum can pass 2^63.  Else, for
+    n <= 2, sum w f and sum w f^2 from the four 16-bit digits of f, exact in
+    int64 while |w| <= 2^15, with the entries of larger |w| in Python ints;
+    for larger n, all in Python ints."""
+    if f.dtype == object:
+        fits = f <= _INT64_MAX
+        rest = int(np.dot(w[~fits].astype(object), _box(n, f[~fits])))
+        return rest + _box_dot(n, w[fits], f[fits].astype(np.int64), size)
+    if size < 2**62:
         return int(np.dot(w, _box(n, f)))
-    if f.dtype == object or n > 2:
+    if n > 2:
         return int(np.dot(w.astype(object), _box(n, f.astype(object))))
-    coeffs = [math.comb(n, i) << i for i in range(n + 1)]
-    shifts = (0, 16, 32, 48)
-    total = 0
-    for i in range(0, len(f), _BLOCK):
-        wb, fb = w[i : i + _BLOCK], f[i : i + _BLOCK]
-        digits = np.stack([(fb >> k) & 0xFFFF for k in shifts])
-        weighted = digits * wb
-        linear = weighted.sum(axis=1).tolist()
-        sums = [int(wb.sum()), sum(x << k for x, k in zip(linear, shifts))]
-        if n == 2:
-            pairs = (weighted @ digits.T).tolist()
-            sums.append(sum(pairs[a][b] << (shifts[a] + shifts[b])
-                            for a in range(4) for b in range(4)))
-        total += sum(c * p for c, p in zip(coeffs, sums))
-    return total
-
-
-def _shape_dot(n, Bint, A, divisors, t_primes, mu, c_S) -> int:
-    """sum_{e1} mu(e1) sum_{e2 <= A, (e2, S t) = 1} mu(e2) T(Bint // (e1 e2))
-    c_S(A // e2) for one shape, e1 over the signed divisors, by one int64 dot
-    per block of e2 and divisor after a head in Python ints."""
-    heads = []
-    for d in divisors:
-        X = Bint // abs(d)
-        heads.append((d, X, _head_length(n, X, A)))
-    total = 0
-    for lo in range(1, A + 1, _BLOCK):
-        e = np.arange(lo, min(A, lo + _BLOCK - 1) + 1, dtype=np.int64)
-        w = mu[lo : lo + len(e)].astype(np.int64)
-        for p in t_primes:
-            w[-lo % p :: p] = 0
-        w *= c_S(A // e)
-        for d, X, H in heads:
-            k = min(max(H - lo + 1, 0), len(e))
-            part = int(np.dot(w[k:], _box(n, X // e[k:]))) if k < len(e) else 0
-            if k:
-                part += _box_dot(n, w[:k], X // e[:k].astype(object))
-            total += part if d > 0 else -part
-    return total
-
-
-def _rows_sum(n, X, A, sign, t_bits, e2_bits, mu, c_S) -> int:
-    """sum over the rows, in descending A, of sign sum_{e2 <= A, (e2, S t) = 1}
-    mu(e2) T(X // e2) c_S(A // e2): one pass per e2 over the rows with
-    A >= e2, by ``_box_dot`` (object arrays: Python ints).  A row's t_bits
-    and e2_bits[e2] mark the primes <= _SMALL_A of t and of e2."""
-    if not len(A):
-        return 0
-    rows_from = np.searchsorted(-A, -np.arange(A[0] + 1), side="right")
-    has_t = bool(t_bits.any())
-    total = 0
-    for e2 in range(1, int(A[0]) + 1):
-        if not mu[e2]:
-            continue
-        k = int(rows_from[e2])
-        w = sign[:k] * c_S(A[:k] // e2)
-        if has_t and e2 > 1:
-            w *= (t_bits[:k] & e2_bits[e2]) == 0
-        total += int(mu[e2]) * _box_dot(n, w, X[:k] // e2)
-    return total
+    total, apart = 0, np.abs(w) > (1 << 15)
+    if apart.any():
+        total = int(np.dot(w[apart].astype(object), _box(n, f[apart].astype(object))))
+        w = np.where(apart, 0, w)
+    digits = [((f >> k) & 0xFFFF, k) for k in (0, 16, 32, 48)]
+    sums = [int(w.sum()), sum(int(np.dot(d, w)) << k for d, k in digits)]
+    if n == 2:
+        sums.append(sum(int(np.dot(d * e, w)) << (k + j)
+                        for (d, k), (e, j) in itertools.product(digits, repeat=2)))
+    return total + sum((math.comb(n, i) << i) * p for i, p in enumerate(sums))
 
 
 def _divisor_sum(
@@ -554,58 +502,64 @@ def _divisor_sum(
     denominators before the shapes are walked, then the (shape, e1) rows and
     the sieve length before the sieve.
 
-    The shapes come ascending, so A falls.  Each shape with A > _SMALL_A
-    takes its own dots (``_shape_dot``); the others are summed in blocks of
-    about _BLOCK rows (shape, e1), their A from one search of the shapes
-    against Bint // a^m over a <= _SMALL_A and their t marked by bits."""
+    One walk sums every shape, A from one exact root (``_kth_roots``).  The
+    shapes with k primes go in chunks of about _BLOCK rows, their 2^k signed
+    divisors e1 as columns (column j has sign (-1)^popcount(j)), and their
+    entries (shape, e2), e2 <= A over the nonzero Moebius values coprime to
+    S, in blocks of _BLOCK.  A block's weight w = mu(e2) c_S(A // e2), 0
+    where a prime of t divides e2, is shared by one exact dot (``_box_dot``)
+    per column against T(X // e2), X = Bint // |e1|, each of size at most
+    sum |w| T(Bint / e2)."""
     s_primes = S.finite_primes
     charge(budget, _denominator_bound(m, s_primes, Bint, mode))
     last = 2 * m - 1 if mode == "campana" else m  # Darmon: no prime outside S
     shapes, primes, omega = _denominator_walk(Bint, s_primes, m + 1, 1, last)
-    per = np.left_shift(1, omega)
     A_max = integer_kth_root(Bint, m)  # the A of the shape 1
-    charge(budget, int(per.sum()) + A_max)
+    charge(budget, int(np.left_shift(1, omega).sum()) + A_max)
     mu = mobius_sieve(A_max)
     for p in s_primes:
         mu[::p] = 0
+    e2_all = np.flatnonzero(mu)  # the e2 with mu(e2) = mu_all != 0
+    mu_all, mu = mu[e2_all], None
     c_S = _coprime_counter(s_primes, A_max)
-    in_S = set(s_primes)
+    A = _kth_roots(Bint // shapes, m)
+    entries = np.searchsorted(e2_all, A, side="right")
     total = 0
-    n_large = int(np.searchsorted(shapes, Bint // (_SMALL_A + 1) ** m, side="right"))
-    _, divisors = _signed_divisors(primes[:n_large], omega[:n_large])
-    divisors, end = divisors.tolist(), 0
-    large = (a[:n_large].tolist() for a in (shapes, primes, omega))
-    for v, row, k in zip(*large):
-        start, end = end, end + (1 << k)
-        t_primes = [p for p in row[:k] if p not in in_S]
-        A = integer_kth_root(Bint // v, m)
-        total += _shape_dot(n, Bint, A, divisors[start:end], t_primes, mu, c_S)
-    shapes, primes, omega, per = (a[n_large:] for a in (shapes, primes, omega, per))
-    if not len(shapes):
-        return total
-    tops = np.array([Bint // a**m for a in range(_SMALL_A, 0, -1)], dtype=shapes.dtype)
-    A = _SMALL_A - np.searchsorted(tops, shapes, side="left")  # #{a : s t <= Bint // a^m}
-    bit, e2_bits = np.zeros(_SMALL_A + 2, dtype=np.int64), [0] * (_SMALL_A + 1)
-    for i, p in enumerate(primes_up_to(_SMALL_A)):
-        bit[p] = 0 if p in in_S else 1 << i
-        for e2 in range(p, _SMALL_A + 1, p):
-            e2_bits[e2] |= 1 << i
-    capped = np.minimum(primes, _SMALL_A + 1).astype(np.int64)
-    t_bits = np.bitwise_or.reduce(bit[capped], axis=1, initial=0)
-    row_ends = np.cumsum(per)
-    blocks = np.arange(0, row_ends[-1], _BLOCK)
-    edges = np.unique(np.searchsorted(row_ends, blocks, side="right"))
-    for lo, hi in zip(edges.tolist(), edges[1:].tolist() + [len(shapes)]):
-        per_row, e1 = _signed_divisors(primes[lo:hi], omega[lo:hi])
-        sign = np.where(e1 > 0, 1, -1)
-        X = Bint // np.abs(e1)
-        row_A, row_t = np.repeat(A[lo:hi], per_row), np.repeat(t_bits[lo:hi], per_row)
-        # rows whose X passes int64 are summed apart in Python ints
-        fits = X <= _INT64_MAX
-        for part, X_part in ((fits, X[fits].astype(np.int64)), (~fits, X[~fits])):
-            total += _rows_sum(
-                n, X_part, row_A[part], sign[part], row_t[part], e2_bits, mu, c_S
-            )
+    for k in range(int(omega.max(initial=0)) + 1):
+        rows = np.flatnonzero(omega == k)
+        for lo in range(0, len(rows), max(_BLOCK >> k, 1)):
+            chunk = rows[lo : lo + max(_BLOCK >> k, 1)]
+            P = primes[chunk, :k]
+            if P.astype(np.float64).prod(axis=1).max(initial=1) < 2.0**62:
+                P = P.astype(np.int64)  # every e1 | rad(s t) fits int64
+            # the primes of t up to A_max first in each row; the others,
+            # A_max + 1, divide no e2
+            tp = np.minimum(P, A_max + 1).astype(np.int64)
+            tp[np.isin(tp, s_primes)] = A_max + 1
+            tp.sort(axis=1)
+            tp = tp[:, : int((tp <= A_max).sum(axis=1).max(initial=0))]
+            _, e1 = _signed_divisors(P, omega[chunk])
+            e1 = np.abs(e1).reshape(len(chunk), 1 << k)
+            X = Bint // (e1 if Bint <= _INT64_MAX else e1.astype(object))
+            # X = Bint // e1 passes int64 just where e1 <= Bint >> 63
+            columns = [X[:, j] if (e1[:, j] <= Bint >> 63).any()
+                       else X[:, j].astype(np.int64) for j in range(1 << k)]
+            signs = [(-1) ** bin(j).count("1") for j in range(1 << k)]
+            ends = np.cumsum(entries[chunk])
+            starts = ends - entries[chunk]
+            for b in range(0, int(ends[-1]), _BLOCK):
+                stop = min(b + _BLOCK, int(ends[-1]))
+                s0, s1 = np.searchsorted(ends, [b, stop - 1], side="right")
+                cuts = np.minimum(ends[s0 : s1 + 1], stop)
+                sh = np.repeat(np.arange(s0, s1 + 1), np.diff(cuts, prepend=b))
+                at = np.arange(b, stop) - starts[sh]
+                e2 = e2_all[at]
+                w = mu_all[at] * c_S(A[chunk][sh] // e2)
+                if tp.shape[1]:
+                    w[(e2[:, None] % tp[sh] == 0).any(axis=1)] = 0
+                size = float((np.abs(w) * _box(n, Bint / e2)).sum())
+                for sign, column in zip(signs, columns):
+                    total += sign * _box_dot(n, w, column[sh] // e2, size)
     return total
 
 

@@ -366,7 +366,7 @@ def shell_sum_oracle(
         args = (model.params["m1"], model.params["m2"], p, s, depth, in_S)
     else:
         raise DomainError(f"no shell oracle for model {model.name!r}")
-    charge(DEFAULT_BUDGET, _TERM_STEPS * terms)
+    charge(DEFAULT_BUDGET, _TERM_STEPS * terms, f"the shell-sum oracle at depth {depth}")
     with mpmath.workdps(DPS):
         return shell(*args)
 

@@ -477,7 +477,7 @@ def test_constant_prime_cutoff_contract(capsys, argv):
         code, out, err = run(capsys, *base, "--p0", p0)
         assert code == want and out == ""
         assert err.startswith("error:") and "Traceback" not in err
-    assert "budget" in err
+    assert "budget" in err and "Euler product up to p0 = 1000000000000" in err
     # p0 = 1: the empty product, with a positive tail bound
     code, out, err = run(capsys, *base, "--p0", "1")
     assert code == 0 and "Traceback" not in err
@@ -500,8 +500,6 @@ def test_local_factor_subcommand(capsys):
         "2",
         "--s",
         "2",
-        "--oracle",
-        "shell",
         "--depth",
         "60",
     )
@@ -533,6 +531,7 @@ def test_runaway_local_factor_depth_exits_3_at_once(capsys, monkeypatch, argv):
     assert time.perf_counter() - t0 < 1.0
     assert code == 3 and out == ""
     assert err.startswith("error:") and "budget" in err and err.count("\n") == 1
+    assert "shell-sum oracle at depth" in err
 
 
 def test_local_factor_depth_below_ten_exits_2(capsys):

@@ -292,15 +292,44 @@ def test_divisor_sum_equals_the_per_q_counts_property(m, s_primes, mode, B, n):
                      id="p1m20-darmon-1e20"),
         pytest.param(partial(count_p1, budget=None), _line_q_count,
                      (16, S23, 2**64 + 13, "campana"), id="p1m16-campana-2^64+13"),
+        pytest.param(count_pn2, _pn2_pair_count, (2, S0, 2 * 10**9, "campana"),
+                     id="pn2m2-campana-2e9"),
     ],
 )
 def test_divisor_sum_is_exact_past_int64(count, per_q, args):
     # single terms T(B // e) c_S(A // e) of these sums exceed 2^63 (the plane's
     # (2B + 1)^2 alone is 4e18 at B = 1e9, and (2B + 1)^n at n = 3 and 4 is
-    # 8e18 and 1.6e21 here), so a plain int64 dot goes wrong; in the last two
-    # B itself passes 2^63, so the shapes, their A and the rows (shape, e1)
-    # are object arrays
+    # 8e18 and 1.6e21 here), so a plain int64 dot goes wrong; in the p1 cases
+    # at 1e20 and 2^64 + 13 B itself passes 2^63, so the shapes and X = B // e1
+    # are object arrays; in the last, (2B + 1)^2 passes int64 and the weights
+    # c_S(A // e2) reach A = 44,721 > 2^15, so the digit sums set the entries
+    # with larger weights apart in Python ints
     assert count(*args) == _per_q_count(per_q, *args)
+
+
+def test_kth_roots_match_integer_kth_root():
+    # the shape roots are float roots corrected near an integer: perfect
+    # powers and their neighbours, int64 up to 2^63 and object arrays past it
+    for m in range(2, 10):
+        powers = [a**m for a in range(1, 10**4 + 1)]
+        qs = [v + d for v in powers for d in (-1, 0, 1) if v + d >= 1]
+        r = integer_kth_root(2**63, m)
+        qs += [v**m + d for v in (r, r + 1) for d in (-1, 0, 1)]
+        qs += list(range(2**63 - 50, 2**63 + 50)) + [10**20, 2**64 + 13, 10**30 + 1]
+        for part in ([q for q in qs if q < 2**63], [q for q in qs if q >= 2**63]):
+            dtype = np.int64 if part[-1] < 2**63 else object
+            roots = enumeration._kth_roots(np.array(part, dtype=dtype), m)
+            assert roots.tolist() == [integer_kth_root(q, m) for q in part], (m, dtype)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("mode", ["darmon", "campana"])
+def test_divisor_sum_where_the_shape_roots_are_exact(m, mode):
+    # B = 2^6 3^6 5^6: B // s is an exact square or cube for every S-smooth s
+    # whose exponents are B's less multiples of m, so the float roots of many
+    # shapes land on integers and take the exact correction
+    S235, B = PlaceSet.of([2, 3, 5]), 2**6 * 3**6 * 5**6
+    assert count_p1(m, S235, B, mode) == _per_q_count(_line_q_count, m, S235, B, mode)
 
 
 def test_divisor_sum_charges_the_budget_before_the_sieve(monkeypatch):

@@ -179,7 +179,8 @@ def test_oracle_charges_its_terms_before_summing(monkeypatch):
     # 200 steps a term: depth terms on the line, depth^2 / (2 m1 m2) + 8 depth
     # on the blow-up, whose weights are 1 in S
     charged = []
-    monkeypatch.setattr(localfactors, "charge", lambda budget, amount: charged.append(amount))
+    monkeypatch.setattr(localfactors, "charge",
+                        lambda budget, amount, work: charged.append(amount))
     shell_sum_oracle(P1, 2, 2.5)
     shell_sum_oracle(blowup_p2(2, 1), 2, 1.5, depth=40)
     shell_sum_oracle(blowup_p2(2, 1), 2, 1.5, depth=40, in_S=True)

@@ -34,10 +34,7 @@ __all__ = [
     "primes_up_to",
     "mobius_sieve",
     "totient_sieve",
-    "count_coprime",
-    "signed_squarefree_divisors",
     "integer_kth_root",
-    "euler_phi",
 ]
 
 SIEVE_BOUND = 10**6  # precomputed smallest-prime-factor table covers n < this
@@ -112,7 +109,8 @@ def is_prime(n: int) -> bool:
 
 
 def primes_up_to(n: int) -> List[int]:
-    """All primes <= n by a bytearray sieve of Eratosthenes."""
+    """All primes <= n by a bytearray sieve of Eratosthenes, read out by
+    numpy."""
     if n < 2:
         return []
     sieve = bytearray(b"\x01") * (n + 1)
@@ -121,7 +119,7 @@ def primes_up_to(n: int) -> List[int]:
         if sieve[p]:
             start = p * p
             sieve[start :: p] = b"\x00" * ((n - start) // p + 1)
-    return [i for i, v in enumerate(sieve) if v]
+    return np.flatnonzero(np.frombuffer(sieve, dtype=np.uint8)).tolist()
 
 
 _SPF: List[int] = []
@@ -272,13 +270,6 @@ def distinct_primes(n: int) -> Tuple[int, ...]:
     return tuple(factorize(n))
 
 
-def euler_phi(n: int) -> int:
-    phi = n
-    for p in factorize(n):
-        phi -= phi // p
-    return phi
-
-
 # --------------------------------------------------------------------------
 # valuations
 # --------------------------------------------------------------------------
@@ -386,26 +377,3 @@ def primitive_coords(xs: Sequence[Rational]) -> Tuple[int, ...]:
                 ints = [-w for w in ints]
             break
     return tuple(ints)
-
-
-# --------------------------------------------------------------------------
-# coprime counting
-# --------------------------------------------------------------------------
-
-
-def signed_squarefree_divisors(primes: Sequence[int]) -> List[int]:
-    """Squarefree divisors of prod(primes), sign-encoding the Moebius value."""
-    divs = [1]
-    for p in primes:
-        divs += [-d * p for d in divs]
-    return divs
-
-
-def count_coprime(limit: int, primes: Sequence[int]) -> int:
-    """#{1 <= k <= limit : gcd(k, prod primes) = 1} by inclusion-exclusion."""
-    if limit <= 0:
-        return 0
-    total = 0
-    for d in signed_squarefree_divisors(primes):
-        total += limit // d if d > 0 else -(limit // -d)
-    return total

@@ -10,14 +10,13 @@ Moebius sieve when every q is admissible); the debug dump runs the oracle
 * projective n-space (p1 for n = 1, pn): one walk over the primes
   (``_denominator_walk``) gives the admissible last coordinates q as
   arrays, each q with its distinct primes as one row of a prime matrix, for
-  the blow-up and the line height-zeta sum; ``line_denominators`` is a
-  tuple view of them.  A Darmon q is s d^m and a Campana q is s times an
-  m-full number, with s S-smooth and the other factor coprime to S, so the
-  walk joins the primes of S and the small primes to the rows one prime at
-  a time, and the larger primes, of which a q has at most one, in a single
-  step; no path calls ``factorize``.  One core counts every n
-  (``count_p1`` and ``count_pn2`` are its n = 1 and n = 2) and never visits
-  a q: the points (x_1 : ... : x_n : q) number
+  the blow-up and the line height-zeta sum.  A Darmon q is s d^m and a
+  Campana q is s times an m-full number, with s S-smooth and the other
+  factor coprime to S, so the walk joins the primes of S and the small
+  primes to the rows one prime at a time, and the larger primes, of which
+  a q has at most one, in a single step; no path calls ``factorize``.  One
+  core counts every n (``count_p1`` and ``count_pn2`` are its n = 1 and
+  n = 2) and never visits a q: the points (x_1 : ... : x_n : q) number
   sum_{e | rad q} mu(e) T(floor(B/e)), T(x) = (2x + 1)^n, for each q, and
   every admissible q is s a^m t in exactly one way (t = 1 in Darmon mode,
   else a product of b_j^j, j = m+1..2m-1; Ivic, The Riemann Zeta-Function,
@@ -40,7 +39,9 @@ Moebius sieve when every q is admissible); the debug dump runs the oracle
   over g inside the sum over c, as a Moebius sum (Pieropan, Smeets,
   Tanimoto and Varilly-Alvarado, Proc. LMS 2021), and no cell is visited:
   each column c reads a prefix of one table of rows, by one exact int64
-  dot for the count and a few float64 dots for the height-zeta sum.
+  dot for the count and a few float64 dots for the height-zeta sum.  The
+  column weights come from a totient sieve, or from the line's divisor rows
+  (a, f) by one ``searchsorted`` per distinct |f| (``_blowup_weights``).
 
 ``iter_points`` is the point-by-point definitional oracle (exact gcd, mode
 and height checks on every candidate, about 40 us each on a 2-CPU machine).
@@ -89,7 +90,6 @@ __all__ = [
     "iter_points",
     "blowup_columns",
     "BlowupColumns",
-    "line_denominators",
     "line_divisor_rows",
     "all_denominators_admissible",
     "write_series_csv",
@@ -239,9 +239,9 @@ def _denominator_walk(
 
 def _signed_divisors(primes: np.ndarray, omega: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(per, d): the 2^omega[i] squarefree divisors of the product of row i of
-    ``primes`` (padded with 1), signed by mu, row after row, each row's in the
-    order of ``signed_squarefree_divisors``.  The rows with k primes are built
-    together as one array of 2^k columns."""
+    ``primes`` (padded with 1), signed by mu, row after row; divisor j of a
+    row takes the primes at the set bits of j.  The rows with k primes are
+    built together as one array of 2^k columns."""
     per = np.left_shift(1, omega)
     start = np.cumsum(per) - per
     d = np.empty(int(per.sum()), dtype=primes.dtype)
@@ -286,36 +286,6 @@ def _denominator_bound(m: int, s_primes: Sequence[int], limit: int, mode: str) -
     return math.ceil(bound)
 
 
-def _admissible(
-    m: int, S: PlaceSet, Bint: int, mode: str
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The arrays (q, primes, omega) of ``_denominator_walk`` over the
-    admissible last coordinates q <= Bint of the projective models: every q
-    when ``all_denominators_admissible``, otherwise the Darmon or Campana
-    denominators away from S."""
-    if all_denominators_admissible(m, mode):
-        m = 1  # any exponent at every prime
-    step = m if mode == "darmon" else 1
-    return _denominator_walk(Bint, S.finite_primes, m, step, math.inf)
-
-
-def line_denominators(
-    m: int, S: PlaceSet, Bint: int, mode: str, budget: Optional[int] = None
-) -> List[Tuple[int, Tuple[int, ...]]]:
-    """Admissible last coordinates q <= Bint of the projective models,
-    ascending, each with its distinct primes: pairs (q, primes of q), a
-    tuple view of the arrays the counts and sums take.  The budget is charged
-    Bint, or an upper bound on the Darmon or Campana denominators, before
-    the walk."""
-    if all_denominators_admissible(m, mode):
-        charge(budget, Bint)
-    else:
-        charge(budget, _denominator_bound(m, S.finite_primes, Bint, mode))
-    q, primes, omega = _admissible(m, S, Bint, mode)
-    return [(v, tuple(row[:k]))
-            for v, row, k in zip(q.tolist(), primes.tolist(), omega.tolist())]
-
-
 def _omega_max(N: int) -> int:
     """Most distinct primes of any n <= N: the k with the k-th primorial
     <= N below the next."""
@@ -328,26 +298,30 @@ def _omega_max(N: int) -> int:
     return k
 
 
+def _divisor_rows_bound(m: int, s_primes: Sequence[int], limit: int, mode: str) -> int:
+    """Upper bound on the rows of ``line_divisor_rows`` up to limit.  Every
+    prime of q outside S divides a number whose m-th power is at most limit,
+    so q has at most omega_max(limit^(1/m)) + |S| primes: the denominator
+    bound times 2 to that power."""
+    shift = _omega_max(integer_kth_root(limit, m)) + len(s_primes)
+    return _denominator_bound(m, s_primes, limit, mode) << shift
+
+
 def line_divisor_rows(
     m: int, S: PlaceSet, Bint: int, mode: str, budget: Optional[int] = None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(q, rows per q, f) over the Darmon or Campana denominators q <= Bint:
-    for each q its 2^omega(q) signed squarefree divisors f of rad q (sign
-    mu(|f|)), flat and in the order of q, which runs through the q of each
-    omega(q) in turn, ascending within each.
-
-    Every prime of q outside S divides a number whose m-th power is at most
-    Bint, so q has at most omega_max(Bint^(1/m)) + |S| primes; the budget is
-    charged the denominator bound times 2 to that power before the walk.
-    The arrays are int64, or object arrays when Bint passes int64."""
+    """(q, rows per q, f) over the Darmon or Campana denominators q <= Bint,
+    ascending: for each q its 2^omega(q) signed squarefree divisors f of
+    rad q (sign mu(|f|)), flat and in the order of q.  The budget is charged
+    ``_divisor_rows_bound`` before the walk.  The arrays are int64, or object
+    arrays when Bint passes int64."""
     if all_denominators_admissible(m, mode):
         raise DomainError("divisor rows are for Darmon or Campana denominators")
-    shift = _omega_max(integer_kth_root(Bint, m)) + len(S.finite_primes)
-    charge(budget, _denominator_bound(m, S.finite_primes, Bint, mode) << shift)
-    q, primes, omega = _admissible(m, S, Bint, mode)
-    by_omega = np.argsort(omega, kind="stable")
-    per_q, f = _signed_divisors(primes[by_omega], omega[by_omega])
-    return q[by_omega], per_q, f
+    charge(budget, _divisor_rows_bound(m, S.finite_primes, Bint, mode))
+    step = m if mode == "darmon" else 1
+    q, primes, omega = _denominator_walk(Bint, S.finite_primes, m, step, math.inf)
+    per_q, f = _signed_divisors(primes, omega)
+    return q, per_q, f
 
 
 # --------------------------------------------------------------------------
@@ -413,7 +387,6 @@ def _mobius_sum(N: int, term: Callable[[int], int]) -> int:
 
 
 _BLOCK = 1 << 16  # entries (shape, e2) per block, rows (shape, e1) per chunk
-_GCD_BLOCK = 1 << 12  # entries per gcd table of the blow-up weights, cache-sized
 _INT64_MAX = 2**63 - 1
 
 
@@ -622,29 +595,42 @@ def _blowup_mmax(Bf: Fraction, m1: int) -> int:
     return _iroot_ratio(Bm1.numerator, Bm1.denominator, m1 + 1)
 
 
+def _weights_work(m2: int, s_primes: Sequence[int], cmax: int, mode: str) -> int:
+    """Predicted steps of ``_blowup_weights``: the totient sieve, or the
+    divisor rows and sum cmax // |f| <= cmax H(n) <= cmax n.bit_length()
+    searchsorted entries over the n <= min(rows, cmax) distinct |f|."""
+    if all_denominators_admissible(m2, mode):
+        return cmax
+    rows = _divisor_rows_bound(m2, s_primes, cmax, mode)
+    return rows + cmax * min(rows, cmax).bit_length()
+
+
 def _blowup_weights(m2: int, S: PlaceSet, cmax: int, mode: str) -> np.ndarray:
     """w(c) for 0 <= c <= cmax: the points b/a of height exactly c on the
     weight-m2 line, [c in A] (2 phi(c) + [c = 1]) + 2 #{a in A : a < c,
     gcd(a, c) = 1}.  When every a is admissible that is 4 phi(c), and 3 at
-    c = 1, from one totient sieve; otherwise 2 phi(a) from it and one gcd
-    table (a, c > a) per block of about _GCD_BLOCK entries."""
-    phi = totient_sieve(cmax)
+    c = 1, from one totient sieve.  Otherwise both parts come from the rows
+    (a, f) of ``line_divisor_rows``: phi(a) = sum_f mu(f) a / |f|, and the
+    a < c coprime to c number sum_{(a, f)} mu(f) [|f| divides c] [a < c],
+    one searchsorted of the sorted a / |f| against 1..cmax // |f| for each
+    distinct |f|."""
     if all_denominators_admissible(m2, mode):
-        w = 4 * phi
+        w = 4 * totient_sieve(cmax)
         w[1:2] = 3
         return w
-    a = _admissible(m2, S, cmax, mode)[0]
+    a, per, f = line_divisor_rows(m2, S, cmax, mode)
+    at = a.repeat(per)
     w = np.zeros(cmax + 1, dtype=np.int64)
-    w[a] = 2 * phi[a]
+    w[a] = 2 * np.add.reduceat(at // f, np.cumsum(per) - per)  # f divides a
     w[1] += 1  # the point 0
-    step = max(1, _GCD_BLOCK // cmax)
-    for i in range(0, len(a), step):
-        block = a[i : i + step, None]
-        c = np.arange(block[0, 0] + 1, cmax + 1)
-        coprime = np.gcd(block, c) == 1
-        if len(block) > 1:  # the later rows of a block start at a c <= a
-            coprime &= c > block
-        w[cmax + 1 - len(c) :] += 2 * coprime.sum(axis=0)
+    e = np.abs(f)
+    order = np.lexsort((at, e))
+    e, k, sign = e[order], at[order] // e[order], np.sign(f[order])
+    starts = np.flatnonzero(np.diff(e, prepend=0)).tolist()
+    for lo, hi in zip(starts, starts[1:] + [len(e)]):
+        d = int(e[lo])  # the a < c = d j are the k < j
+        below = k[lo:hi].searchsorted(np.arange(1, cmax // d + 1))
+        w[d::d] += 2 * int(sign[lo]) * below
     return w
 
 
@@ -680,12 +666,12 @@ def blowup_columns(
     row per stratum g and signed squarefree divisor d of g.
 
     The budget is charged before any sieve, list or table: the weight
-    table, the g source (the sieve length Mmax, or the bound on the
-    admissible g), passes - 1 tables of Mmax + 1 entries and passes times
-    the dot entries sum_c G(c) <= (Mmax + 1)(1 + E1/E2), or on the sparse
-    route, once the strata are built, sum_g 2^omega(g) C(g).  ``passes`` is
-    how often the caller goes over each entry: 1 for the count, 3 for the
-    height-zeta sum."""
+    table (``_weights_work``), the g source (the sieve length Mmax, or the
+    bound on the admissible g), passes - 1 tables of Mmax + 1 entries and
+    passes times the dot entries sum_c G(c) <= (Mmax + 1)(1 + E1/E2), or on
+    the sparse route, once the strata are built, sum_g 2^omega(g) C(g).
+    ``passes`` is how often the caller goes over each entry: 1 for the
+    count, 3 for the height-zeta sum."""
     _check_mode(mode)
     Bf = Fraction(B)
     every_g = all_denominators_admissible(m1, mode)
@@ -696,9 +682,7 @@ def blowup_columns(
     num, den = (Bf ** (m1 * m2)).as_integer_ratio()
     Mmax = _blowup_mmax(Bf, m1)
     cmax = _iroot_ratio(num, den, E1 + E2)
-    per_a = 1 if all_denominators_admissible(m2, mode) else _denominator_bound(
-        m2, S.finite_primes, cmax, mode)  # the totient sieve, or a gcd row per a
-    work = cmax * per_a + (passes - 1) * (Mmax + 1)
+    work = _weights_work(m2, S.finite_primes, cmax, mode) + (passes - 1) * (Mmax + 1)
     if every_g:
         entries = -(-(Mmax + 1) * (E1 + E2) // E2)
         charge(budget, work + Mmax + passes * entries)
@@ -717,7 +701,8 @@ def blowup_columns(
         g = d = np.flatnonzero(mu)
         sign = mu[d].astype(np.int64)
     else:
-        gs, primes, omega = _admissible(m1, S, Mmax, mode)
+        step = m1 if mode == "darmon" else 1
+        gs, primes, omega = _denominator_walk(Mmax, S.finite_primes, m1, step, math.inf)
         caps = np.searchsorted(-G, -gs, side="right")  # C(g) = #{c : G(c) >= g}
         charge(budget, passes * sum((caps << omega).tolist()))  # exact, past int64 too
         per, signed = _signed_divisors(primes, omega)

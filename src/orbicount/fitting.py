@@ -11,7 +11,8 @@ count's divisor sum:
   one Moebius sieve, and per s one prefix array reduced over blocks of d
   (about 9 bytes per unit of B);
 - a Darmon or Campana line takes the rows (q, f) of ``line_divisor_rows``,
-  f over the signed squarefree divisors of rad q, and per s reads
+  ascending in q, f over the signed squarefree divisors of rad q (each q's
+  rows are reduced together, so their order does not matter), and per s reads
   P(x) = sum_{n <= x} n^-s at the row endpoints B // |f| and q // |f| only:
   from a table up to 1024, by Euler-Maclaurin above it.  No array grows
   with B: 23 bytes per row are kept, and the peak is about 65 bytes per row

@@ -45,7 +45,6 @@ __all__ = [
     "local_height",
     "GlobalHeight",
     "global_height",
-    "global_height_by_places",
     "relevant_primes",
     "parse_point",
 ]
@@ -336,19 +335,6 @@ def global_height(point: Point, model: OrbifoldModel) -> GlobalHeight:
             archimedean=arch,
         )
     raise ValueError(f"no height rule for model {model.name!r}")
-
-
-def global_height_by_places(
-    point: Point, model: OrbifoldModel
-) -> Tuple[Dict[int, Fraction], float]:
-    """Place-by-place evaluation: exact finite exponents per prime + the
-    archimedean float.  Serves as the oracle for the closed form."""
-    exponents: Dict[int, Fraction] = {}
-    for p in relevant_primes(point, model):
-        lh = local_height(point, model, p)
-        if lh.exponent:
-            exponents[p] = lh.exponent
-    return exponents, local_height(point, model, ARCH).value
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,9 @@ height-zeta sum, which both run over the columns c of
 from fractions import Fraction
 
 from orbicount.arith import integer_kth_root
-from orbicount.enumeration import blowup_columns, line_denominators
+from orbicount.enumeration import blowup_columns
+
+from references import denominators
 
 
 def blowup_cells(m1, m2, S, B, mode):
@@ -32,7 +34,7 @@ def blowup_cells(m1, m2, S, B, mode):
     columns = blowup_columns(m1, m2, S, B, mode, budget=None).columns
     cells = [(c, weight, integer_kth_root(num // (den * c**E2), E1))
              for c, weight, _, _, _ in columns]
-    for g, gp in line_denominators(m1, S, Mmax, mode):
+    for g, gp in denominators(m1, S, Mmax, mode):
         for c, weight, X2 in cells:
             if g**E1 * c ** (E1 + E2) * den > num:
                 break

@@ -26,6 +26,8 @@ from orbicount.orbifold import (
     projective_space,
 )
 
+from references import global_height_by_places
+
 S0 = PlaceSet.of()
 
 
@@ -354,7 +356,7 @@ def test_criterion_8_invariant_suites(tmp_path):
         model = models[i % 3]
         pt = _random_point(rng, model)
         gh = geometry.global_height(pt, model)
-        finite, arch = geometry.global_height_by_places(pt, model)
+        finite, arch = global_height_by_places(pt, model)
         prod = arch
         for p in geometry.relevant_primes(pt, model):
             mult = geometry.multiplicities(pt, model, p)

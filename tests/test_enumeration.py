@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 
 from orbicount import arith, cli, enumeration
 from orbicount.arith import (
-    count_coprime,
     distinct_primes,
     factorize,
     integer_kth_root,
     is_k_full,
     is_kth_power,
     mobius_sieve,
-    signed_squarefree_divisors,
 )
 from orbicount.enumeration import (
     CSV_HEADER,
@@ -30,7 +28,6 @@ from orbicount.enumeration import (
     count_series,
     dump_points,
     iter_points,
-    line_denominators,
     naive_count_blowup,
     naive_count_p1,
     naive_count_pn2,
@@ -42,6 +39,7 @@ from orbicount.fitting import zeta_partial_sum
 from orbicount.orbifold import PlaceSet, blowup_p2, projective_space
 
 from cell_walk import blowup_cells
+from references import count_coprime, denominators, signed_squarefree_divisors
 
 S0 = PlaceSet.of()
 S2 = PlaceSet.of([2])
@@ -67,7 +65,7 @@ def test_blowup_small_bounds():
 
 
 def _qs(m, S, limit, mode):
-    return [q for q, _ in line_denominators(m, S, limit, mode)]
+    return [q for q, _ in denominators(m, S, limit, mode)]
 
 
 def _definitional_denominators(limit, m, s_primes, mode):
@@ -98,7 +96,7 @@ def test_denominator_generators_match_definitions():
     limit=st.integers(1, 2 * 10**4),
 )
 def test_denominators_carry_their_primes_property(m, s_primes, mode, limit):
-    pairs = list(line_denominators(m, PlaceSet.of(s_primes), limit, mode))
+    pairs = denominators(m, PlaceSet.of(s_primes), limit, mode)
     want = _definitional_denominators(limit, m, s_primes, mode)
     assert [q for q, _ in pairs] == want
     assert all(primes == distinct_primes(q) for q, primes in pairs)
@@ -145,12 +143,12 @@ def test_denominator_walk_matches_its_definition_property(m, s_primes, family, l
         assert set(row[k:]) <= {1}
 
 
-def test_all_denominators_admissible_matches_line_denominators():
+def test_all_denominators_admissible_matches_the_denominator_walk():
     # the counts take the all-of-Q route exactly when the predicate holds, so
     # it must agree with the denominator source on every (m, mode)
     for m in (1, 2, 3):
         for mode in ("rational", "darmon", "campana"):
-            pairs = list(line_denominators(m, S0, 200, mode))
+            pairs = denominators(m, S0, 200, mode)
             every_q = [q for q, _ in pairs] == list(range(1, 201))
             assert all_denominators_admissible(m, mode) == every_q
             assert all(primes == distinct_primes(q) for q, primes in pairs)
@@ -250,12 +248,12 @@ def _pn2_pair_count(Bint, primes):
 
 
 def _per_q_count(per_q, m, S, B, mode):
-    """The count of projective space as the sum of per_q over
-    line_denominators."""
+    """The count of projective space as the sum of per_q over the admissible
+    q of ``denominators``."""
     Bint = math.floor(Fraction(B))
     if Bint < 1:
         return 0
-    return sum(per_q(Bint, primes) for _, primes in line_denominators(m, S, Bint, mode))
+    return sum(per_q(Bint, primes) for _, primes in denominators(m, S, Bint, mode))
 
 
 @settings(max_examples=150, deadline=None)
@@ -402,6 +400,67 @@ def test_blowup_columns_carry_the_line_height_increments():
                 line = [count_p1(m2, S, c, mode) for c in range(C1 + 1)]
                 increments = {c: line[c] - line[c - 1] for c in range(1, C1 + 1)}
                 assert got == {c: n for c, n in increments.items() if n}, (m2, S, mode)
+
+
+def _brute_weights(m2, s_primes, cmax, mode):
+    """{c: the reduced b/a with max(a, |b|) = c <= cmax and a admissible},
+    by one gcd table over every admissible a and every |b| <= cmax."""
+    a = np.array(_definitional_denominators(cmax, m2, s_primes, mode))[:, None]
+    b = np.arange(-cmax, cmax + 1)
+    c = np.maximum(a, np.abs(b))[np.gcd(a, b) == 1]
+    counts = np.bincount(c, minlength=cmax + 1)
+    return {k: int(n) for k, n in enumerate(counts.tolist()) if n}
+
+
+@pytest.mark.parametrize("m2", [2, 3, 4])
+@pytest.mark.parametrize("mode", ["darmon", "campana"])
+def test_blowup_weights_match_their_definition(m2, mode):
+    # m1 = 1: cmax = floor(B^(m2/(2 m2 + 1))), from 1 up to about 2,000
+    for s_primes in ((), (2,), (2, 3), (3, 5)):
+        for target in (1, 2, 37, 2000):
+            B = math.ceil(target ** ((2 * m2 + 1) / m2))
+            columns = blowup_columns(1, m2, PlaceSet.of(s_primes), B, mode).columns
+            cmax = integer_kth_root(B**m2, 2 * m2 + 1)
+            assert {c: w for c, w, _, _, _ in columns} == _brute_weights(
+                m2, s_primes, cmax, mode), (s_primes, cmax)
+
+
+def test_blowup_counts_with_restricted_weights():
+    # parent values, before the weights came from the divisor rows
+    assert count_blowup(1, 2, S23, 10**12, "darmon") == 53244187457819
+    assert count_blowup(2, 2, S2, 10**11, "campana") == 7682394397571
+
+
+def test_weight_charge_covers_the_rows_and_the_searchsorted_entries():
+    # the weight table builds the divisor rows (a, f) and writes cmax // |f|
+    # entries for each distinct |f|; its charge, made before any walk, covers both
+    for m2 in (2, 3, 5):
+        for s_primes in ((), (2,), (2, 3), (3, 5), (2, 3, 5, 7, 11)):
+            S = PlaceSet.of(s_primes)
+            for mode in ("darmon", "campana"):
+                for cmax in (1, 2, 10, 100, 1000, 10**4, 10**5):
+                    _, _, f = enumeration.line_divisor_rows(m2, S, cmax, mode)
+                    written = sum(cmax // e for e in np.unique(np.abs(f)).tolist())
+                    work = enumeration._weights_work(m2, s_primes, cmax, mode)
+                    assert work >= len(f) + written, (m2, s_primes, mode, cmax)
+
+
+def test_blowup_charge_comes_before_the_weight_rows(monkeypatch):
+    # (1, 2) Campana at 1e8: the weight table's charge, the sieve to
+    # Mmax = 1e4 and (Mmax + 1)(1 + E1/E2) = 50,005 dot entries
+    cmax, Mmax = integer_kth_root(10**16, 5), 10**4
+    amount = enumeration._weights_work(2, (), cmax, "campana") + Mmax + 5 * (Mmax + 1)
+
+    def unreachable(*args):
+        raise AssertionError("work started before the budget was charged")
+
+    with monkeypatch.context() as patch:
+        for name in ("_denominator_walk", "mobius_sieve", "totient_sieve"):
+            patch.setattr(enumeration, name, unreachable)
+        with pytest.raises(BudgetExceededError, match=str(amount)):
+            count_blowup(1, 2, S0, 10**8, "campana", budget=amount - 1)
+    assert count_blowup(1, 2, S0, 10**8, "campana", budget=amount) == count_blowup(
+        1, 2, S0, 10**8, "campana", budget=None)
 
 
 def test_blowup_count_at_1e8():

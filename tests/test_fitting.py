@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbicount import enumeration, fitting
-from orbicount.arith import count_coprime, factorize
+from orbicount.arith import factorize
 from orbicount.constants import ZETA2
 from orbicount.enumeration import (
     MODES,
@@ -25,6 +25,7 @@ from orbicount.fitting import (
 from orbicount.orbifold import PlaceSet, blowup_p2, projective_space
 
 from cell_walk import blowup_cells
+from references import count_coprime
 
 S0 = PlaceSet.of()
 P1 = projective_space(1, 1)

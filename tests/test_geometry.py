@@ -13,7 +13,6 @@ from orbicount.geometry import (
     BlowupPoint,
     ProjectivePoint,
     global_height,
-    global_height_by_places,
     is_campana,
     is_darmon,
     local_height,
@@ -24,6 +23,8 @@ from orbicount.geometry import (
     relevant_primes,
 )
 from orbicount.orbifold import PlaceSet, blowup_p2, projective_space
+
+from references import global_height_by_places
 
 S0 = PlaceSet.of()
 

@@ -13,7 +13,7 @@ fit N/(B log B) together with per-decade slopes of N/B against log B (the
 slope estimator cancels the linear term c2*B, which is large here: the
 single-term ratio overshoots every candidate for B <= 1e9), and names the
 candidate the data supports.  Each count prints its wall time (about
-0.5 s at 1e13 and 1.3 s at 1e14 on a 2-CPU Linux machine).
+0.25 s at 1e13 and 0.6 s at 1e14 on a 2-CPU Linux machine).
 
 Usage:
     python scripts/blowup_adjudication.py --bmax 1e13

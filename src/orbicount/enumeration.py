@@ -38,10 +38,12 @@ Moebius sieve when every q is admissible); the debug dump runs the oracle
   alone, and c <= C(g) exactly when g <= G(c), so both sums swap the sum
   over g inside the sum over c, as a Moebius sum (Pieropan, Smeets,
   Tanimoto and Varilly-Alvarado, Proc. LMS 2021), and no cell is visited:
-  each column c reads a prefix of one table of rows, by one exact int64
-  dot for the count and a few float64 dots for the height-zeta sum.  The
-  column weights come from a totient sieve, or from the line's divisor rows
-  (a, f) by one ``searchsorted`` per distinct |f| (``_blowup_weights``).
+  each column c reads a prefix of one table of rows.  The count sums every
+  (column, row) entry in one pass, in blocks of exact int64 terms added per
+  column by ``np.add.reduceat``; the height-zeta sum takes a few float64
+  dots per column.  X_2(c) for every c comes from one exact vectorised root.
+  The column weights come from a totient sieve, or from the line's divisor
+  rows (a, f) by one ``searchsorted`` per distinct |f| (``_blowup_weights``).
 
 ``iter_points`` is the point-by-point definitional oracle (exact gcd, mode
 and height checks on every candidate, about 40 us each on a 2-CPU machine).
@@ -386,8 +388,9 @@ def _mobius_sum(N: int, term: Callable[[int], int]) -> int:
     return total
 
 
-_BLOCK = 1 << 16  # entries (shape, e2) per block, rows (shape, e1) per chunk
+_BLOCK = 1 << 16  # entries per block, rows (shape, e1) per chunk
 _INT64_MAX = 2**63 - 1
+_FLOAT_TOP = 2**1000  # integers past it take no float route
 
 
 def _box(n: int, x):
@@ -421,12 +424,31 @@ def _kth_roots(q: np.ndarray, m: int) -> np.ndarray:
     """floor(q^(1/m)) as int64 for an int64 or object array of q >= 1.  The
     float root is off by less than 1e-13 of itself below q = 1e308, so its
     floor is exact unless it lies within 1e-12 of itself of an integer, where
-    ``integer_kth_root`` decides."""
-    root = q.astype(np.float64) ** (1 / m)
+    ``integer_kth_root`` decides, as it does for every q past _FLOAT_TOP."""
+    huge = q > _FLOAT_TOP if q.dtype == object else False
+    root = np.where(huge, 1, q).astype(np.float64) ** (1 / m)
     A = np.floor(root).astype(np.int64)
-    for i in np.flatnonzero(np.abs(root - np.rint(root)) <= 1e-12 * root).tolist():
+    near = np.abs(root - np.rint(root)) <= 1e-12 * root
+    for i in np.flatnonzero(near | huge).tolist():
         A[i] = integer_kth_root(int(q[i]), m)
     return A
+
+
+def _ragged_blocks(
+    counts: np.ndarray,
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The entries (i, j), j < counts[i], in order, in blocks of _BLOCK: per
+    block the arrays (i, j) of its entries and ``runs``, the entries of each
+    i from i[0] to i[-1] in the block."""
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    total = int(ends[-1]) if len(ends) else 0
+    for b in range(0, total, _BLOCK):
+        stop = min(b + _BLOCK, total)
+        s0, s1 = np.searchsorted(ends, [b, stop - 1], side="right")
+        runs = np.minimum(ends[s0 : s1 + 1], stop) - np.maximum(starts[s0 : s1 + 1], b)
+        i = np.repeat(np.arange(s0, s1 + 1), runs)
+        yield i, np.arange(b, stop) - starts[i], runs
 
 
 def _box_dot(n: int, w: np.ndarray, f: np.ndarray, size: float) -> int:
@@ -518,19 +540,13 @@ def _divisor_sum(
             columns = [X[:, j] if (e1[:, j] <= Bint >> 63).any()
                        else X[:, j].astype(np.int64) for j in range(1 << k)]
             signs = [(-1) ** bin(j).count("1") for j in range(1 << k)]
-            ends = np.cumsum(entries[chunk])
-            starts = ends - entries[chunk]
-            for b in range(0, int(ends[-1]), _BLOCK):
-                stop = min(b + _BLOCK, int(ends[-1]))
-                s0, s1 = np.searchsorted(ends, [b, stop - 1], side="right")
-                cuts = np.minimum(ends[s0 : s1 + 1], stop)
-                sh = np.repeat(np.arange(s0, s1 + 1), np.diff(cuts, prepend=b))
-                at = np.arange(b, stop) - starts[sh]
+            for sh, at, _ in _ragged_blocks(entries[chunk]):
                 e2 = e2_all[at]
                 w = mu_all[at] * c_S(A[chunk][sh] // e2)
                 if tp.shape[1]:
                     w[(e2[:, None] % tp[sh] == 0).any(axis=1)] = 0
-                size = float((np.abs(w) * _box(n, Bint / e2)).sum())
+                size = math.inf if Bint > _FLOAT_TOP else float(
+                    (np.abs(w) * _box(n, Bint / e2)).sum())
                 for sign, column in zip(signs, columns):
                     total += sign * _box_dot(n, w, column[sh] // e2, size)
     return total
@@ -637,14 +653,34 @@ def _blowup_weights(m2: int, S: PlaceSet, cmax: int, mode: str) -> np.ndarray:
 @dataclass(frozen=True)
 class BlowupColumns:
     """Rows (g[i], d[i], sign[i]), ascending in g, and columns
-    (c, w(c), X2(c), G(c), k): column c reads the k rows with g <= G(c)."""
+    (c[j], w[j], X2[j], G[j], k[j]), ascending in c, over the c with
+    w(c) > 0: column c reads the k rows with g <= G(c) = X2(c) // c.  All
+    int64 arrays."""
 
     every_g: bool
     mmax: int
     g: np.ndarray
     d: np.ndarray
     sign: np.ndarray
-    columns: List[Tuple[int, int, int, int, int]]
+    c: np.ndarray
+    w: np.ndarray
+    X2: np.ndarray
+    G: np.ndarray
+    k: np.ndarray
+
+
+def _column_roots(num: int, den: int, E1: int, E2: int, c: np.ndarray) -> np.ndarray:
+    """X2(c) = floor((num / (den c^E2))^(1/E1)) for the int64 array c, all
+    with den c^(E1+E2) <= num, from one exact root (``_kth_roots``) over
+    int64 quotients when num fits int64, else over object quotients, _BLOCK
+    columns at a time."""
+    if num <= _INT64_MAX:
+        return _kth_roots(num // (den * c**E2), E1)
+    X2 = np.empty(len(c), dtype=np.int64)
+    for lo in range(0, len(c), _BLOCK):
+        block = c[lo : lo + _BLOCK].astype(object)
+        X2[lo : lo + _BLOCK] = _kth_roots(num // (den * block**E2), E1)
+    return X2
 
 
 def blowup_columns(
@@ -661,9 +697,10 @@ def blowup_columns(
     g^E1 c^(E1+E2) <= B^(m1 m2), E1 = (m1 + 1) m2, E2 = m1 m2 + m1 - m2,
     that is g <= G(c); its w(c) pairs take the x2 coprime to g with
     |x2| <= X2(c), g c <= X2(c) <= X2(1) = Mmax.  The columns are the
-    c <= C(1) with w(c) > 0; the rows are the squarefree f <= Mmax with
-    g = d = f and sign mu(f) when every g is admissible, and otherwise one
-    row per stratum g and signed squarefree divisor d of g.
+    c <= C(1) with w(c) > 0, X2 from one exact vectorised root; the rows are
+    the squarefree f <= Mmax with g = d = f and sign mu(f) when every g is
+    admissible, and otherwise one row per stratum g and signed squarefree
+    divisor d of g.
 
     The budget is charged before any sieve, list or table: the weight
     table (``_weights_work``), the g source (the sieve length Mmax, or the
@@ -671,13 +708,15 @@ def blowup_columns(
     passes times the dot entries sum_c G(c) <= (Mmax + 1)(1 + E1/E2), or on
     the sparse route, once the strata are built, sum_g 2^omega(g) C(g).
     ``passes`` is how often the caller goes over each entry: 1 for the
-    count, 3 for the height-zeta sum."""
+    count, 3 for the height-zeta sum.  The count's int64 sums bound Mmax
+    (MemoryError past it): 2 Mmax^2 on the every-g route, rows times Mmax
+    on the sparse route."""
     _check_mode(mode)
     Bf = Fraction(B)
     every_g = all_denominators_admissible(m1, mode)
     if Bf < 1:
         none = np.zeros(0, dtype=np.int64)
-        return BlowupColumns(every_g, 0, none, none, none, [])
+        return BlowupColumns(every_g, 0, none, none, none, none, none, none, none, none)
     E1, E2 = (m1 + 1) * m2, m1 * m2 + m1 - m2
     num, den = (Bf ** (m1 * m2)).as_integer_ratio()
     Mmax = _blowup_mmax(Bf, m1)
@@ -686,17 +725,19 @@ def blowup_columns(
     if every_g:
         entries = -(-(Mmax + 1) * (E1 + E2) // E2)
         charge(budget, work + Mmax + passes * entries)
-    else:
-        charge(budget, work + _denominator_bound(m1, S.finite_primes, Mmax, mode))
-    # X2(c) = iroot(q, E1), q = B^(m1 m2) / c^E2, and G(c) = iroot(q / c^E1, E1)
-    # = X2(c) // c, which falls as c grows
-    X = [integer_kth_root(num // (den * c**E2), E1) for c in range(1, cmax + 1)]
-    G = np.array(X, dtype=np.int64 if Mmax <= _INT64_MAX else object)
-    G //= np.arange(1, cmax + 1)
-    if every_g:
         # each count term is at most X2 G <= Mmax^2, and sum 1/f^2 < 2
         if 2 * Mmax * Mmax > _INT64_MAX:
             raise MemoryError(f"the Moebius sieve for Mmax = {Mmax} exceeds any memory")
+    else:
+        charge(budget, work + _denominator_bound(m1, S.finite_primes, Mmax, mode))
+        if Mmax > _INT64_MAX:  # each count term is at most X2 <= Mmax
+            raise MemoryError(f"the divisor rows up to Mmax = {Mmax} exceed any memory")
+    # X2(c) = iroot(q, E1), q = B^(m1 m2) / c^E2, and G(c) = iroot(q / c^E1, E1)
+    # = X2(c) // c, which falls as c grows
+    c = np.arange(1, cmax + 1, dtype=np.int64)
+    X2 = _column_roots(num, den, E1, E2, c)
+    G = X2 // c
+    if every_g:
         mu = mobius_sieve(Mmax)
         g = d = np.flatnonzero(mu)
         sign = mu[d].astype(np.int64)
@@ -708,13 +749,13 @@ def blowup_columns(
         per, signed = _signed_divisors(primes, omega)
         g = np.repeat(gs, per)
         sign, d = np.sign(signed), np.abs(signed)
-        if len(d) * Mmax > _INT64_MAX:  # each count term is at most X2 <= Mmax
+        if len(d) * Mmax > _INT64_MAX:
             raise MemoryError(f"{len(d)} divisor rows exceed any memory")
-    k = np.searchsorted(g, G, side="right").tolist()
-    weights = _blowup_weights(m2, S, cmax, mode)[1:].tolist()
-    columns = [(c, weight, x, x // c, kc)
-               for c, weight, x, kc in zip(range(1, cmax + 1), weights, X, k) if weight]
-    return BlowupColumns(every_g, Mmax, g, d, sign, columns)
+    w = _blowup_weights(m2, S, cmax, mode)[1:]
+    keep = np.flatnonzero(w)
+    G = G[keep]
+    k = np.searchsorted(g, G, side="right")
+    return BlowupColumns(every_g, Mmax, g, d, sign, c[keep], w[keep], X2[keep], G, k)
 
 
 def count_blowup(
@@ -728,16 +769,23 @@ def count_blowup(
     """Blow-up model points with global height <= B in the given mode, over
     the columns of ``blowup_columns``:
     N = sum_c w(c) (1 + 2 P(c)), the 1 for x2 = 0 over g = 1, where P(c)
-    counts the admissible g <= G(c) and x <= X2(c) coprime to g, one exact
-    int64 dot: sum_f mu(f) floor(X2/f) floor(G/f) when every g is
-    admissible, else sum mu(d) floor(X2/|d|) over the rows (g, d)."""
+    counts the admissible g <= G(c) and x <= X2(c) coprime to g:
+    sum_f mu(f) floor(X2/f) floor(G/f) when every g is admissible, else
+    sum mu(d) floor(X2/|d|) over the rows (g, d).  One pass sums every
+    (column, row < k) entry, in blocks of _BLOCK entries, each block's terms
+    added into the int64 P of its columns by one ``np.add.reduceat``;
+    ``blowup_columns`` bounds every partial sum of a column below 2^63."""
     core = blowup_columns(m1, m2, S, B, mode, budget)
-    total = 0
-    for c, weight, X, G, k in core.columns:
-        f = core.d[:k]
-        terms = (X // f) * (G // f) if core.every_g else X // f
-        total += weight * (1 + 2 * int(np.dot(core.sign[:k], terms)))
-    return total
+    P = np.zeros(len(core.c), dtype=np.int64)
+    for col, row, runs in _ragged_blocks(core.k):
+        d = core.d[row]
+        terms = core.X2[col] // d
+        if core.every_g:
+            terms *= core.G[col] // d
+        terms *= core.sign[row]
+        # every column reads the row g = 1, so no run is empty
+        P[col[0] : col[-1] + 1] += np.add.reduceat(terms, np.cumsum(runs) - runs)
+    return int(core.w.sum()) + 2 * int(np.dot(core.w.astype(object), P))
 
 
 # --------------------------------------------------------------------------

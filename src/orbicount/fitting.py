@@ -284,7 +284,8 @@ def _zeta_blowup(m1, m2, S, Bf, mode) -> Callable[[float], float]:
         else:
             phi_rows = dw * hf ** (1.0 - s1)
         at_c = []
-        for c, weight, X, G, k in core.columns:
+        columns = (core.c, core.w, core.X2, core.G, core.k)
+        for c, weight, X, G, k in zip(*(a.tolist() for a in columns)):
             dk, w = core.d[:k], dw[:k]
             if core.every_g:
                 H = G // dk

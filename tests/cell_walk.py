@@ -31,9 +31,9 @@ def blowup_cells(m1, m2, S, B, mode):
     num, den = (Bf ** (m1 * m2)).as_integer_ratio()
     Bm1 = Bf**m1
     Mmax = integer_kth_root(Bm1.numerator // Bm1.denominator, m1 + 1)
-    columns = blowup_columns(m1, m2, S, B, mode, budget=None).columns
+    core = blowup_columns(m1, m2, S, B, mode, budget=None)
     cells = [(c, weight, integer_kth_root(num // (den * c**E2), E1))
-             for c, weight, _, _, _ in columns]
+             for c, weight in zip(core.c.tolist(), core.w.tolist())]
     for g, gp in denominators(m1, S, Mmax, mode):
         for c, weight, X2 in cells:
             if g**E1 * c ** (E1 + E2) * den > num:

@@ -338,6 +338,34 @@ def test_blowup_weight_past_float_range(capsys):
     assert json.loads(out)["value"] > 0
 
 
+def test_line_count_past_float_range(capsys):
+    # B = 10^400 passes the float range, so the shape roots and the block
+    # sizes of the divisor sum take the exact integer route.  The Darmon q
+    # are 2^e a^200 with a odd and a <= 100; the q = 2^e a^200 with e >= 1
+    # share rad q = 2 rad a, and q = a^200 has rad a: the direct sum of
+    # sum_{e | rad q} mu(e) (2 floor(B/e) + 1) over them, in Python ints
+    code, out, err = run(
+        capsys, "count", "--model", "p1", "--m", "200", "--s", "2", "--grid", "1e400",
+        "--mode", "darmon",
+    )
+    assert code == 0 and "Traceback" not in err
+    B, expected = 10**400, 0
+    odd_primes = [p for p in range(3, 100, 2) if all(p % r for r in range(3, p, 2))]
+    for a in range(1, 101, 2):
+        primes = [p for p in odd_primes if a % p == 0]
+        powers_of_2 = (B // a**200).bit_length() - 1  # e >= 1 with 2^e a^200 <= B
+        for rad, copies in ((primes, 1), ([2] + primes, powers_of_2)):
+            per_q = 0
+            for subset in range(1 << len(rad)):
+                e = 1
+                for j, p in enumerate(rad):
+                    if subset >> j & 1:
+                        e *= -p
+                per_q += (1 if e > 0 else -1) * (2 * (B // abs(e)) + 1)
+            expected += copies * per_q
+    assert out.splitlines()[1] == f"1e400,,,{expected}"
+
+
 def test_classify_line_point(capsys):
     code, out, _ = run(capsys, "classify", "--model", "p1", "--m", "2", "4/9")
     assert code == 0

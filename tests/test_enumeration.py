@@ -320,6 +320,20 @@ def test_kth_roots_match_integer_kth_root():
             assert roots.tolist() == [integer_kth_root(q, m) for q in part], (m, dtype)
 
 
+def test_kth_roots_past_the_float_range():
+    # past 2^1000 the float conversion would overflow (or come close), so
+    # those q take integer_kth_root: 10^400 and its neighbours, and perfect
+    # powers near 2^1023 and near 2^999 (still the float route) with theirs,
+    # for m with every root inside int64
+    for m in (23, 24, 37, 200):
+        qs = [10**400 + d for d in (-1, 0, 1)]
+        for top in (2**1023, 2**999):
+            r = integer_kth_root(top, m)
+            qs += [v**m + d for v in (r, r + 1) for d in (-1, 0, 1)]
+        roots = enumeration._kth_roots(np.array(qs, dtype=object), m)
+        assert roots.tolist() == [integer_kth_root(q, m) for q in qs], m
+
+
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("mode", ["darmon", "campana"])
 def test_divisor_sum_where_the_shape_roots_are_exact(m, mode):
@@ -328,6 +342,22 @@ def test_divisor_sum_where_the_shape_roots_are_exact(m, mode):
     # shapes land on integers and take the exact correction
     S235, B = PlaceSet.of([2, 3, 5]), 2**6 * 3**6 * 5**6
     assert count_p1(m, S235, B, mode) == _per_q_count(_line_q_count, m, S235, B, mode)
+
+
+def test_block_ends_change_no_divisor_sum(monkeypatch):
+    # blocks of 1, 7 and 64 entries (shape, e2) cut the shapes at many places,
+    # and chunks of _BLOCK >> k rows cut the shapes with k primes
+    cases = [(count, per_q, m, S, B, mode)
+             for count, per_q in ((count_p1, _line_q_count), (count_pn2, _pn2_pair_count))
+             for m in (2, 3) for S in (S0, S2, S23) for mode in ("darmon", "campana")
+             for B in (10, Fraction(121, 2), 300, 3000)]
+    expected = [count(m, S, B, mode) for count, _, m, S, B, mode in cases]
+    assert expected == [_per_q_count(per_q, m, S, B, mode)
+                        for _, per_q, m, S, B, mode in cases]
+    for block in (1, 7, 64):
+        monkeypatch.setattr(enumeration, "_BLOCK", block)
+        got = [count(m, S, B, mode) for count, _, m, S, B, mode in cases]
+        assert got == expected, block
 
 
 def test_divisor_sum_charges_the_budget_before_the_sieve(monkeypatch):
@@ -395,8 +425,8 @@ def test_blowup_columns_carry_the_line_height_increments():
         assert C1 >= 100
         for S in (S0, S2, S23):
             for mode in ("rational", "campana", "darmon"):
-                columns = blowup_columns(1, m2, S, B, mode).columns
-                got = {c: w for c, w, _, _, _ in columns}
+                core = blowup_columns(1, m2, S, B, mode)
+                got = dict(zip(core.c.tolist(), core.w.tolist()))
                 line = [count_p1(m2, S, c, mode) for c in range(C1 + 1)]
                 increments = {c: line[c] - line[c - 1] for c in range(1, C1 + 1)}
                 assert got == {c: n for c, n in increments.items() if n}, (m2, S, mode)
@@ -419,9 +449,9 @@ def test_blowup_weights_match_their_definition(m2, mode):
     for s_primes in ((), (2,), (2, 3), (3, 5)):
         for target in (1, 2, 37, 2000):
             B = math.ceil(target ** ((2 * m2 + 1) / m2))
-            columns = blowup_columns(1, m2, PlaceSet.of(s_primes), B, mode).columns
+            core = blowup_columns(1, m2, PlaceSet.of(s_primes), B, mode)
             cmax = integer_kth_root(B**m2, 2 * m2 + 1)
-            assert {c: w for c, w, _, _, _ in columns} == _brute_weights(
+            assert dict(zip(core.c.tolist(), core.w.tolist())) == _brute_weights(
                 m2, s_primes, cmax, mode), (s_primes, cmax)
 
 
@@ -497,6 +527,42 @@ def test_moebius_dots_equal_the_cell_walk_property(
     S = PlaceSet.of(s_primes)
     B = Fraction(numerator, denominator)
     assert count_blowup(m1, m2, S, B, mode) == _cell_walk_count(m1, m2, S, B, mode)
+
+
+@pytest.mark.parametrize("weights", [(1, 1), (1, 2), (2, 1), (2, 3)])
+def test_block_ends_change_no_blowup_count(weights, monkeypatch):
+    # blocks of 1, 7 and 64 (column, row) entries cut the columns at many
+    # places; for (2, 3), B^6 passes int64 from B = 1500 on, so the column
+    # roots take the object route, in blocks of _BLOCK columns too
+    m1, m2 = weights
+    cases = [(S, B, mode) for S in (S0, S2, S23) for mode in ("rational", "campana", "darmon")
+             for B in (1, 10, Fraction(121, 2), 300, 3000)]
+    expected = [count_blowup(m1, m2, S, B, mode) for S, B, mode in cases]
+    assert expected == [_cell_walk_count(m1, m2, S, B, mode) for S, B, mode in cases]
+    for block in (1, 7, 64):
+        monkeypatch.setattr(enumeration, "_BLOCK", block)
+        got = [count_blowup(m1, m2, S, B, mode) for S, B, mode in cases]
+        assert got == expected, block
+
+
+@pytest.mark.parametrize(
+    "m1, m2, B",
+    [(1, 2, 10**10), (2, 2, 10**6), (1, 2, Fraction(10**10 + 1, 3)), (2, 3, 3000),
+     (1, 1, 2**30), (1, 1, 10**12)],
+)
+def test_blowup_column_roots_are_exact(m1, m2, B):
+    # X2(c) = iroot(B^(m1 m2) / c^E2, E1) from one vectorised root: object
+    # quotients where B^(m1 m2) passes 2^63 (the first four), and for (1, 1)
+    # at 2^30 and 1e12 quotients B // c that are exact squares
+    E1, E2 = (m1 + 1) * m2, m1 * m2 + m1 - m2
+    num, den = (Fraction(B) ** (m1 * m2)).as_integer_ratio()
+    core = blowup_columns(m1, m2, S0, B, "rational")
+    qs = [num // (den * c**E2) for c in core.c.tolist()]
+    assert core.X2.tolist() == [integer_kth_root(q, E1) for q in qs]
+    if m1 * m2 == 1:
+        assert sum(integer_kth_root(q, 2) ** 2 == q for q in qs) >= 5
+    else:
+        assert num > 2**63
 
 
 def test_blowup_zeta_charge_admits_1e10(monkeypatch):

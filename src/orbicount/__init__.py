@@ -25,7 +25,7 @@ from .geometry import (
 )
 from .enumeration import count_points, count_series
 from .constants import leading_constant, riemann_zeta
-from .fitting import fit_counts, fit_series, zeta_partial_sum
+from .fitting import fit_counts, zeta_partial_sum
 
 __version__ = "0.1.0"
 
@@ -56,7 +56,6 @@ __all__ = [
     "leading_constant",
     "riemann_zeta",
     "fit_counts",
-    "fit_series",
     "zeta_partial_sum",
     "__version__",
 ]

@@ -141,14 +141,7 @@ def _cmd_count(args) -> int:
     S = _build_places(args)
     bounds, labels = _grid(args)
     _check_digits(model, bounds)
-    series = enumeration.count_series(
-        model,
-        S,
-        bounds,
-        mode=args.mode,
-        budget=args.budget,
-        labels=labels,
-    )
+    records = enumeration.count_series(model, S, bounds, args.mode, args.budget, labels)
     if args.dump:
         if len(bounds) != 1:
             raise DomainError("--dump requires a single-point grid")
@@ -161,19 +154,15 @@ def _cmd_count(args) -> int:
             "s_primes": list(S.finite_primes),
             "mode": args.mode,
             "records": [
-                {
-                    "b": label,
-                    "n_rational": rec.n_rational,
-                    "n_campana": rec.n_campana,
-                    "n_darmon": rec.n_darmon,
-                }
-                for label, rec in zip(series.labels, series.records)
+                {"b": rec.label,
+                 **{f"n_{md}": rec.counts.get(md) for md in enumeration.MODES}}
+                for rec in records
             ],
         }
         _emit(args, json.dumps(payload, indent=2) + "\n")
     else:
         buf = io.StringIO()
-        enumeration.write_series_csv(series, buf)
+        enumeration.write_series_csv(records, buf)
         _emit(args, buf.getvalue())
     return 0
 
@@ -302,9 +291,7 @@ def _cmd_local_factor(args) -> int:
 def _cmd_fit(args) -> int:
     with open(args.csv) as fh:
         rows = enumeration.read_counts_csv(fh)
-    column = {"darmon": "n_darmon", "campana": "n_campana", "rational": "n_rational"}[
-        args.column
-    ]
+    column = f"n_{args.column}"
     pts = [(row["bound"], row[column]) for row in rows if row[column] is not None]
     window = None
     if args.window:

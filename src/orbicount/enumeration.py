@@ -46,7 +46,8 @@ Moebius sieve when every q is admissible); the debug dump runs the oracle
   rows (a, f) by one ``searchsorted`` per distinct |f| (``_blowup_weights``).
 
 ``iter_points`` is the point-by-point definitional oracle (exact gcd, mode
-and height checks on every candidate, about 40 us each on a 2-CPU machine).
+and height checks on every candidate; on a 2-CPU machine about 5-7 us per
+primitive candidate on projective space, 11-20 us on the blow-up).
 The naive_count_* oracles count what it yields and ``dump_points`` writes
 it, so a dump takes the oracle's time over every candidate, not the core's
 (the core's count only checks the dump cap first); the sieved counters must
@@ -79,7 +80,6 @@ from .orbifold import OrbifoldModel, PlaceSet, blowup_p2, projective_space
 
 __all__ = [
     "CountRecord",
-    "CountSeries",
     "MODES",
     "count_p1",
     "count_pn2",
@@ -104,23 +104,19 @@ __all__ = [
 
 MODES = ("rational", "campana", "darmon")
 DEFAULT_BUDGET = 10**9
-CSV_HEADER = "B,n_rational,n_campana,n_darmon"
+# a mode's column in the CSV, the JSON records and ``read_counts_csv`` rows
+# is n_<mode>
+CSV_HEADER = ",".join(["B"] + [f"n_{mode}" for mode in MODES])
 
 
 @dataclass(frozen=True)
 class CountRecord:
+    """One grid point: its bound, the label it is printed with, and the count
+    of each counted mode (a mode not counted is absent)."""
+
     bound: Fraction
-    n_rational: Optional[int] = None
-    n_campana: Optional[int] = None
-    n_darmon: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class CountSeries:
-    model: OrbifoldModel
-    s_primes: Tuple[int, ...]
-    records: Tuple[CountRecord, ...]
-    labels: Tuple[str, ...]
+    label: str
+    counts: Dict[str, int]
 
 
 def _floor_bound(B: Union[int, float, Fraction]) -> int:
@@ -654,8 +650,8 @@ def _blowup_weights(m2: int, S: PlaceSet, cmax: int, mode: str) -> np.ndarray:
 class BlowupColumns:
     """Rows (g[i], d[i], sign[i]), ascending in g, and columns
     (c[j], w[j], X2[j], G[j], k[j]), ascending in c, over the c with
-    w(c) > 0: column c reads the k rows with g <= G(c) = X2(c) // c.  All
-    int64 arrays."""
+    w(c) > 0: column c reads the k rows with g <= G(c) = X2(c) // c.  The
+    signs are int8 arrays, all others int64."""
 
     every_g: bool
     mmax: int
@@ -740,7 +736,7 @@ def blowup_columns(
     if every_g:
         mu = mobius_sieve(Mmax)
         g = d = np.flatnonzero(mu)
-        sign = mu[d].astype(np.int64)
+        sign = mu[d]
     else:
         step = m1 if mode == "darmon" else 1
         gs, primes, omega = _denominator_walk(Mmax, S.finite_primes, m1, step, math.inf)
@@ -748,7 +744,7 @@ def blowup_columns(
         charge(budget, passes * sum((caps << omega).tolist()))  # exact, past int64 too
         per, signed = _signed_divisors(primes, omega)
         g = np.repeat(gs, per)
-        sign, d = np.sign(signed), np.abs(signed)
+        sign, d = np.sign(signed).astype(np.int8), np.abs(signed)
         if len(d) * Mmax > _INT64_MAX:
             raise MemoryError(f"{len(d)} divisor rows exceed any memory")
     w = _blowup_weights(m2, S, cmax, mode)[1:]
@@ -810,7 +806,10 @@ def _candidates(model: OrbifoldModel, Bf: Fraction) -> Iterator[geometry.Point]:
         for q in range(1, Bint + 1):
             for xs in itertools.product(box, repeat=model.dimension):
                 if math.gcd(q, *xs) == 1:
-                    yield geometry.ProjectivePoint.from_rationals(xs + (q,))
+                    coords = xs + (q,)
+                    if next(filter(None, coords)) < 0:
+                        coords = tuple(-x for x in coords)
+                    yield geometry.ProjectivePoint(coords)
     elif model.name == "blowup":
         Mmax = _blowup_mmax(Bf, model.params["m1"])
         box = range(-Mmax, Mmax + 1)
@@ -883,10 +882,10 @@ def count_series(
     mode: str = "all",
     budget: Optional[int] = DEFAULT_BUDGET,
     labels: Optional[Sequence[str]] = None,
-) -> CountSeries:
+) -> Tuple[CountRecord, ...]:
     """Counts over a strictly increasing grid of bounds.
 
-    mode "all" fills every column; a single mode fills just that one.
+    mode "all" counts every mode; a single mode counts just that one.
     """
     if not bounds:
         raise DomainError("empty bound grid")
@@ -896,20 +895,10 @@ def count_series(
     if labels is None:
         labels = [_format_bound(b) for b in fracs]
     wanted = MODES if mode == "all" else (mode,)
-    records = []
-    for b in fracs:
-        counts: Dict[str, Optional[int]] = {m: None for m in MODES}
-        for md in wanted:
-            counts[md] = count_points(model, S, b, md, budget)
-        records.append(
-            CountRecord(
-                bound=b,
-                n_rational=counts["rational"],
-                n_campana=counts["campana"],
-                n_darmon=counts["darmon"],
-            )
-        )
-    return CountSeries(model, S.finite_primes, tuple(records), tuple(labels))
+    return tuple(
+        CountRecord(b, label, {md: count_points(model, S, b, md, budget) for md in wanted})
+        for b, label in zip(fracs, labels)
+    )
 
 
 def _format_bound(b: Fraction) -> str:
@@ -923,12 +912,10 @@ def _format_bound(b: Fraction) -> str:
 # --------------------------------------------------------------------------
 
 
-def write_series_csv(series: CountSeries, fh) -> None:
+def write_series_csv(records: Sequence[CountRecord], fh) -> None:
     fh.write(CSV_HEADER + "\n")
-    for label, rec in zip(series.labels, series.records):
-        cells = [label]
-        for v in (rec.n_rational, rec.n_campana, rec.n_darmon):
-            cells.append("" if v is None else str(v))
+    for rec in records:
+        cells = [rec.label] + [str(rec.counts.get(md, "")) for md in MODES]
         fh.write(",".join(cells) + "\n")
 
 
@@ -942,16 +929,12 @@ def read_counts_csv(fh) -> List[Dict[str, Optional[Union[float, int]]]]:
         if not line:
             continue
         cells = line.split(",")
-        if len(cells) != 4:
+        if len(cells) != 1 + len(MODES):
             raise DomainError(f"malformed CSV row: {line!r}")
-        rows.append(
-            {
-                "bound": float(Fraction(cells[0])),
-                "n_rational": int(cells[1]) if cells[1] else None,
-                "n_campana": int(cells[2]) if cells[2] else None,
-                "n_darmon": int(cells[3]) if cells[3] else None,
-            }
-        )
+        row: Dict[str, Optional[Union[float, int]]] = {"bound": float(Fraction(cells[0]))}
+        for md, cell in zip(MODES, cells[1:]):
+            row[f"n_{md}"] = int(cell) if cell else None
+        rows.append(row)
     return rows
 
 
@@ -959,7 +942,7 @@ def read_counts_csv(fh) -> List[Dict[str, Optional[Union[float, int]]]]:
 # debug dump
 # --------------------------------------------------------------------------
 
-_DUMP_CAP = 10**6  # points a dump may write; the oracle takes about 40 us per candidate
+_DUMP_CAP = 10**6  # points a dump may write; the oracle takes 5-20 us per candidate
 
 
 def dump_points(

@@ -46,7 +46,6 @@ import numpy as np
 from .arith import mobius_sieve
 from .enumeration import (
     DEFAULT_BUDGET,
-    CountSeries,
     all_denominators_admissible,
     blowup_columns,
     charge,
@@ -61,7 +60,6 @@ __all__ = [
     "residue_probe",
     "FitResult",
     "fit_counts",
-    "fit_series",
 ]
 
 
@@ -372,40 +370,3 @@ def fit_counts(
         window=(lo, hi),
         n_points=len(sel),
     )
-
-
-def fit_series(
-    series: CountSeries,
-    mode: str = "darmon",
-    a: Optional[Union[float, Fraction]] = None,
-    b: Optional[int] = None,
-    window: Optional[Tuple[float, float]] = None,
-) -> FitResult:
-    """Fit one column of a count series, defaulting a and b to the model's
-    invariants."""
-    column = {
-        "rational": "n_rational",
-        "campana": "n_campana",
-        "darmon": "n_darmon",
-    }[mode]
-    pts = []
-    for rec in series.records:
-        v = getattr(rec, column)
-        if v is not None:
-            pts.append((float(rec.bound), v))
-    if a is None:
-        if mode == "rational":
-            # rational counts have the epsilon = 0 exponent
-            if series.model.name in ("p1", "pn"):
-                a = Fraction(series.model.dimension + 1)
-            elif series.model.params == {"m1": 1, "m2": 1}:
-                a = Fraction(1)
-            else:
-                raise DomainError(
-                    "pass a explicitly to fit rational counts on the blow-up"
-                )
-        else:
-            a = a_invariant(series.model)
-    if b is None:
-        b = b_invariant(series.model)
-    return fit_counts(pts, a, b, window)

@@ -26,8 +26,8 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 from .arith import (
     distinct_primes,
     int_valuation,
+    is_prime,
     primitive_coords,
-    valuation,
 )
 from .errors import BoundaryPointError, PointParseError
 from .orbifold import OrbifoldModel, PlaceSet
@@ -61,8 +61,8 @@ class ProjectivePoint:
     def __post_init__(self) -> None:
         if len(self.coords) < 2:
             raise ValueError("need at least two homogeneous coordinates")
-        norm = primitive_coords(self.coords)
-        if norm != tuple(self.coords):
+        # an all-zero tuple fails on its gcd 0 before next() looks for a sign
+        if math.gcd(*self.coords) != 1 or next(filter(None, self.coords)) < 0:
             raise ValueError("coordinates are not in primitive normalized form")
 
     @classmethod
@@ -85,16 +85,20 @@ class ProjectivePoint:
 
 @dataclass(frozen=True)
 class BlowupPoint:
-    """Affine pair (u, w) plus the primitive triple of (1 : u : w)."""
+    """Affine pair (u, w) plus the primitive triple of (1 : u : w), which is
+    (L, u L, w L) for L the lcm of the denominators of u and w."""
 
     u: Fraction
     w: Fraction
     triple: Tuple[int, int, int] = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "u", Fraction(self.u))
-        object.__setattr__(self, "w", Fraction(self.w))
-        object.__setattr__(self, "triple", primitive_coords((1, self.u, self.w)))
+        u, w = Fraction(self.u), Fraction(self.w)
+        L = math.lcm(u.denominator, w.denominator)
+        triple = (L, u.numerator * (L // u.denominator), w.numerator * (L // w.denominator))
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "triple", triple)
 
     @classmethod
     def from_affine(cls, u, w) -> "BlowupPoint":
@@ -109,6 +113,13 @@ Point = Union[ProjectivePoint, BlowupPoint]
 # --------------------------------------------------------------------------
 
 
+def _check_prime(p: int) -> None:
+    """Refuse a place that is not a prime: ``int_valuation`` does not check,
+    and at p = 1 it would never return."""
+    if not is_prime(p):
+        raise ValueError(f"valuation requires a prime, got {p}")
+
+
 def multiplicities_pn(point: ProjectivePoint, p: int) -> Dict[str, int]:
     """Contact order with the hyperplane: max(0, v_p(x_n/x_i) over i < n).
 
@@ -117,12 +128,13 @@ def multiplicities_pn(point: ProjectivePoint, p: int) -> Dict[str, int]:
     """
     if not point.in_open_cell:
         raise BoundaryPointError("point lies on the boundary divisor x_n = 0")
-    xn = point.coords[-1]
+    _check_prime(p)
+    vn = int_valuation(point.coords[-1], p)
     best = 0
     for xi in point.coords[:-1]:
         if xi == 0:
             continue
-        v = valuation(Fraction(xn, xi), p)
+        v = vn - int_valuation(xi, p)
         if v > best:
             best = v
     return {"D": best}
@@ -133,6 +145,7 @@ def multiplicities_blowup(point: BlowupPoint, p: int) -> Dict[str, int]:
 
     n(D1) = min(v(x_0), v(x_1)); n(D2) = max(0, v(x_0) - v(x_1)).
     """
+    _check_prime(p)
     x0, x1, _ = point.triple
     v0 = int_valuation(x0, p)
     if x1 == 0:
@@ -211,11 +224,9 @@ class LocalHeight:
 
 
 def _blowup_exponents(model: OrbifoldModel) -> Tuple[Fraction, Fraction]:
-    m1 = model.params["m1"]
-    m2 = model.params["m2"]
-    e1 = 1 + Fraction(1, m1)
-    e2 = 1 + Fraction(1, m2) - Fraction(1, m1)
-    return e1, e2
+    """(1 + 1/m1, 1 + 1/m2 - 1/m1) = (lam(D1), lam(D2) - lam(D1))."""
+    lam1 = model.component("D1").lam
+    return lam1, model.component("D2").lam - lam1
 
 
 def local_height(point: Point, model: OrbifoldModel, place: Union[int, float]) -> LocalHeight:
@@ -232,13 +243,7 @@ def local_height(point: Point, model: OrbifoldModel, place: Union[int, float]) -
             val = max(1.0, *(abs(xi / xn) for xi in point.coords[:-1]))
             return LocalHeight(ARCH, val, None)
         p = int(place)
-        exp = 0
-        for xi in point.coords[:-1]:
-            if xi == 0:
-                continue
-            v = valuation(Fraction(xn, xi), p)  # = v_p of |x_i/x_n|_p exponent
-            if v > exp:
-                exp = v
+        exp = multiplicities_pn(point, p)["D"]  # max(0, v_p(x_n / x_i) over i < n)
         return LocalHeight(p, float(p) ** exp, Fraction(exp))
     if model.name == "blowup":
         e1, e2 = _blowup_exponents(model)
@@ -247,6 +252,7 @@ def local_height(point: Point, model: OrbifoldModel, place: Union[int, float]) -
             val = max(1.0, abs(u), abs(w)) ** float(e1) * max(1.0, abs(u)) ** float(e2)
             return LocalHeight(ARCH, val, None)
         p = int(place)
+        _check_prime(p)
         x0, x1, x2 = point.triple
         v0 = int_valuation(x0, p)
         # |u|_p, |w|_p exceed 1 exactly when v(x0) exceeds the other valuation;

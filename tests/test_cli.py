@@ -129,6 +129,29 @@ def test_count_json_format(capsys):
     assert payload["records"][0]["b"] == "10"
 
 
+def test_count_json_single_mode_keys_and_nulls(capsys):
+    code, out, _ = run(
+        capsys, "count", "--model", "p1", "--m", "2", "--grid", "10", "--mode",
+        "campana", "--format", "json",
+    )
+    assert code == 0
+    record = json.loads(out)["records"][0]
+    assert list(record) == ["b", "n_rational", "n_campana", "n_darmon"]
+    assert record == {"b": "10", "n_rational": None, "n_campana": 55, "n_darmon": None}
+    assert '"n_rational": null' in out and '"n_darmon": null' in out
+
+
+def test_fit_uncounted_column_exits_2(tmp_path, capsys):
+    csv = tmp_path / "darmon.csv"
+    code, _, _ = run(
+        capsys, "count", "--model", "p1", "--m", "2", "--grid", "10,100", "--mode",
+        "darmon", "--output", str(csv),
+    )
+    assert code == 0
+    code, out, err = run(capsys, "fit", str(csv), "--a", "2", "--b", "1", "--column", "rational")
+    assert (code, out, err) == (2, "", "error: no count points to fit\n")
+
+
 def test_invalid_weight_exits_2(capsys):
     code, _, err = run(capsys, "count", "--model", "p1", "--m", "0", "--grid", "10")
     assert code == 2

@@ -19,6 +19,7 @@ from orbicount.arith import (
 )
 from orbicount.enumeration import (
     CSV_HEADER,
+    MODES,
     all_denominators_admissible,
     blowup_columns,
     count_blowup,
@@ -640,17 +641,18 @@ def test_blowup_s_factor_trend():
 
 def test_count_series_columns_and_invariants():
     model = projective_space(1, 2)
-    series = count_series(model, S0, [10, 100], mode="all")
-    rec = series.records[0]
-    assert (rec.n_rational, rec.n_campana, rec.n_darmon) == (127, 55, 45)
-    for r in series.records:
-        assert r.n_darmon <= r.n_campana <= r.n_rational
-    for col in ("n_rational", "n_campana", "n_darmon"):
-        values = [getattr(r, col) for r in series.records]
+    records = count_series(model, S0, [10, 100], mode="all")
+    rec = records[0]
+    counts = rec.counts
+    assert (counts["rational"], counts["campana"], counts["darmon"]) == (127, 55, 45)
+    for r in records:
+        assert r.counts["darmon"] <= r.counts["campana"] <= r.counts["rational"]
+    for mode in MODES:
+        values = [r.counts[mode] for r in records]
         assert values == sorted(values)  # monotone in the bound
     single = count_series(model, S0, [10], mode="darmon")
-    assert single.records[0].n_darmon == 45
-    assert single.records[0].n_rational is None
+    assert single[0].counts["darmon"] == 45
+    assert "rational" not in single[0].counts
 
 
 def test_count_series_validates_grid():
@@ -669,7 +671,7 @@ def test_count_points_dispatch():
         2, S0, 12, "darmon")
     # every n: these n = 3 counts are iter_points' (4.9 s together, so pinned
     # rather than re-run), then the per-q sum past int64, where the degree-2
-    # digit fallback of _poly_dot would drop the cubic term
+    # digit fallback of _box_dot would drop the cubic term
     assert count_pn(3, 1, S0, 6, "rational") == 11903
     assert count_pn(3, 2, S0, 8, "darmon") == 9097
     assert count_pn(3, 2, S2, 8, "campana") == 17465
@@ -680,9 +682,9 @@ def test_count_points_dispatch():
 
 def test_csv_roundtrip():
     model = projective_space(1, 2)
-    series = count_series(model, S0, [10, 100], mode="all")
+    records = count_series(model, S0, [10, 100], mode="all")
     buf = io.StringIO()
-    write_series_csv(series, buf)
+    write_series_csv(records, buf)
     text = buf.getvalue()
     assert text.splitlines()[0] == CSV_HEADER
     assert text.splitlines()[1] == "10,127,55,45"

@@ -12,13 +12,11 @@ from orbicount.constants import ZETA2
 from orbicount.enumeration import (
     MODES,
     count_p1,
-    count_series,
     iter_points,
 )
 from orbicount.errors import BudgetExceededError, DomainError
 from orbicount.fitting import (
     fit_counts,
-    fit_series,
     residue_probe,
     zeta_partial_sum,
 )
@@ -300,18 +298,3 @@ def test_fit_real_counts_window_recovers_schanuel():
     ]
     fit = fit_counts(pts, 2, 1, window=(1e3, 1e5))
     assert abs(fit.coefficient / (2 / ZETA2) - 1) < 0.02
-
-
-def test_fit_series_defaults():
-    model = projective_space(1, 2)
-    series = count_series(model, S0, [100, 1000, 10**4], mode="darmon")
-    fit = fit_series(series, "darmon")
-    assert fit.a_used == 1.5 and fit.b_used == 1
-    assert fit.coefficient == pytest.approx(2 / ZETA2, rel=0.05)
-    rational = count_series(model, S0, [100, 1000], mode="rational")
-    frat = fit_series(rational, "rational")
-    assert frat.a_used == 2.0
-    with pytest.raises(DomainError):
-        fit_series(
-            count_series(blowup_p2(2, 1), S0, [50, 100], mode="rational"), "rational"
-        )

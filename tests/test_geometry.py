@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orbicount.arith import int_valuation, is_k_full, is_kth_power, valuation
+from orbicount.arith import int_valuation, is_k_full, is_kth_power, primitive_coords, valuation
 from orbicount.errors import BoundaryPointError, PointParseError
 from orbicount.geometry import (
     ARCH,
@@ -45,6 +45,17 @@ def test_multiplicities_pn_examples():
     assert multiplicities_pn(ProjectivePoint((4, 9)), 2) == {"D": 0}
     for p in (2, 3, 5):
         assert multiplicities_pn(ProjectivePoint((1, 0, 1)), p) == {"D": 0}
+
+
+@pytest.mark.parametrize("p", [1, 0, -3, 4])
+def test_non_prime_places_are_refused(p):
+    # int_valuation does not check its prime, and at p = 1 it never returns
+    for model, pt in ((projective_space(1, 2), ProjectivePoint((4, 9))),
+                      (blowup_p2(1, 2), BlowupPoint(Fraction(1, 4), 3))):
+        with pytest.raises(ValueError, match="requires a prime"):
+            multiplicities(pt, model, p)
+        with pytest.raises(ValueError, match="requires a prime"):
+            local_height(pt, model, p)
 
 
 def test_multiplicities_pn_boundary_error():
@@ -290,6 +301,24 @@ def test_scaling_invariance_via_normalization():
             tuple(scale * c for c in pt.coords)
         )
         assert scaled == pt or scaled.coords == pt.coords
+
+
+@given(st.lists(st.integers(-30, 30), min_size=2, max_size=4))
+def test_projective_point_accepts_exactly_primitive_tuples(xs):
+    # the integer checks agree with normalising through primitive_coords
+    t = tuple(xs)
+    primitive = any(t) and primitive_coords(t) == t
+    try:
+        ProjectivePoint(t)
+    except ValueError:
+        assert not primitive
+    else:
+        assert primitive
+
+
+@given(st.fractions(max_denominator=10**6), st.fractions(max_denominator=10**6))
+def test_blowup_triple_is_the_primitive_triple(u, w):
+    assert BlowupPoint(u, w).triple == primitive_coords((1, u, w))
 
 
 # --------------------------------------------------------------------------

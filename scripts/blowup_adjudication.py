@@ -33,7 +33,12 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--bmax", default="1e6")
     args = ap.parse_args()
-    bmax = int(Fraction(args.bmax))
+    try:
+        bmax = int(Fraction(args.bmax))
+    except (ValueError, ZeroDivisionError):
+        ap.error(f"--bmax must be a number, got {args.bmax!r}")
+    if bmax <= 10**4:  # the top-window slope reads three grid points from 1e3
+        ap.error(f"--bmax must exceed 1e4, got {args.bmax}")
     S0 = PlaceSet.of()
     model = blowup_p2(1, 1)
 

@@ -14,7 +14,6 @@ from .orbifold import (
     projective_space,
 )
 from .geometry import (
-    BlowupPoint,
     ProjectivePoint,
     global_height,
     is_campana,
@@ -43,7 +42,6 @@ __all__ = [
     "blowup_p2",
     "critical_set",
     "projective_space",
-    "BlowupPoint",
     "ProjectivePoint",
     "global_height",
     "is_campana",

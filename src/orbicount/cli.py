@@ -183,8 +183,9 @@ def _cmd_classify(args) -> int:
         lh = geometry.local_height(point, model, p)
         heights[str(p)] = {"value": lh.value, "exponent": str(lh.exponent)}
         mults[str(p)] = geometry.multiplicities(point, model, p)
-    if isinstance(point, geometry.BlowupPoint):
-        point_text = f"{point.u},{point.w}"
+    if model.name == "blowup":
+        x0, x1, x2 = point.coords
+        point_text = f"{Fraction(x1, x0)},{Fraction(x2, x0)}"
     else:
         point_text = ":".join(str(c) for c in point.coords)
     payload = {

@@ -46,8 +46,8 @@ Moebius sieve when every q is admissible); the debug dump runs the oracle
   rows (a, f) by one ``searchsorted`` per distinct |f| (``_blowup_weights``).
 
 ``iter_points`` is the point-by-point definitional oracle (exact gcd, mode
-and height checks on every candidate; on a 2-CPU machine about 5-7 us per
-primitive candidate on projective space, 11-20 us on the blow-up).
+and height checks on every candidate, in integers; on a 2-CPU machine about
+5-7 us per primitive candidate on projective space, 6-10 us on the blow-up).
 The naive_count_* oracles count what it yields and ``dump_points`` writes
 it, so a dump takes the oracle's time over every candidate, not the core's
 (the core's count only checks the dump cap first); the sieved counters must
@@ -738,11 +738,9 @@ def blowup_columns(
         g = d = np.flatnonzero(mu)
         sign = mu[d]
     else:
-        step = m1 if mode == "darmon" else 1
-        gs, primes, omega = _denominator_walk(Mmax, S.finite_primes, m1, step, math.inf)
+        gs, per, signed = line_divisor_rows(m1, S, Mmax, mode)
         caps = np.searchsorted(-G, -gs, side="right")  # C(g) = #{c : G(c) >= g}
-        charge(budget, passes * sum((caps << omega).tolist()))  # exact, past int64 too
-        per, signed = _signed_divisors(primes, omega)
+        charge(budget, passes * sum((caps * per).tolist()))  # exact, past int64 too
         g = np.repeat(gs, per)
         sign, d = np.sign(signed).astype(np.int8), np.abs(signed)
         if len(d) * Mmax > _INT64_MAX:
@@ -797,33 +795,32 @@ def _mode_ok(point, model: OrbifoldModel, S: PlaceSet, mode: str) -> bool:
     return geometry.is_campana(point, model, S)
 
 
-def _candidates(model: OrbifoldModel, Bf: Fraction) -> Iterator[geometry.Point]:
+def _candidates(model: OrbifoldModel, Bf: Fraction) -> Iterator[geometry.ProjectivePoint]:
     """Every primitive point whose coordinates lie in the box the height
-    bound allows, in a fixed order."""
+    bound allows, in a fixed order: the denominator q (x_n on projective
+    space, x0 on the blow-up) in the outer loop, the other coordinates in
+    [-top, top] inside it."""
     if model.name in ("p1", "pn"):
-        Bint = _floor_bound(Bf)
-        box = range(-Bint, Bint + 1)
-        for q in range(1, Bint + 1):
-            for xs in itertools.product(box, repeat=model.dimension):
-                if math.gcd(q, *xs) == 1:
-                    coords = xs + (q,)
-                    if next(filter(None, coords)) < 0:
-                        coords = tuple(-x for x in coords)
-                    yield geometry.ProjectivePoint(coords)
+        top = _floor_bound(Bf)
     elif model.name == "blowup":
-        Mmax = _blowup_mmax(Bf, model.params["m1"])
-        box = range(-Mmax, Mmax + 1)
-        for x0 in range(1, Mmax + 1):
-            for x1, x2 in itertools.product(box, repeat=2):
-                if math.gcd(x0, x1, x2) == 1:
-                    yield geometry.BlowupPoint(Fraction(x1, x0), Fraction(x2, x0))
+        top = _blowup_mmax(Bf, model.params["m1"])
     else:
         raise DomainError(f"no point oracle for model {model.name!r}")
+    box = range(-top, top + 1)
+    for q in range(1, top + 1):
+        for xs in itertools.product(box, repeat=model.dimension):
+            if math.gcd(q, *xs) == 1:
+                if model.name == "blowup":
+                    yield geometry.ProjectivePoint((q, *xs))
+                elif next(filter(None, xs), q) > 0:
+                    yield geometry.ProjectivePoint((*xs, q))
+                else:
+                    yield geometry.ProjectivePoint((*(-x for x in xs), -q))
 
 
 def iter_points(
     model: OrbifoldModel, S: PlaceSet, B, mode: str
-) -> Iterator[geometry.Point]:
+) -> Iterator[geometry.ProjectivePoint]:
     """Definitional oracle: every point of the model with global height <= B
     in the given mode, found by testing each candidate point by point."""
     _check_mode(mode)
@@ -942,7 +939,7 @@ def read_counts_csv(fh) -> List[Dict[str, Optional[Union[float, int]]]]:
 # debug dump
 # --------------------------------------------------------------------------
 
-_DUMP_CAP = 10**6  # points a dump may write; the oracle takes 5-20 us per candidate
+_DUMP_CAP = 10**6  # points a dump may write; the oracle takes 5-10 us per candidate
 
 
 def dump_points(
@@ -960,7 +957,8 @@ def dump_points(
     written = 0
     for pt in iter_points(model, S, B, mode):
         if model.name == "blowup":
-            fh.write(f"{pt.u},{pt.w}\n")
+            x0, x1, x2 = pt.coords
+            fh.write(f"{Fraction(x1, x0)},{Fraction(x2, x0)}\n")
         elif model.name == "p1":
             u = Fraction(*pt.coords)
             fh.write(f"{u.numerator}/{u.denominator}\n")

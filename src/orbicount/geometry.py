@@ -1,10 +1,15 @@
 """Points of the built-in geometries: boundary multiplicities, the Darmon
 and Campana predicates, and local/global heights.
 
-Conventions.  On projective n-space a point of the open cell is written in
-primitive integer coordinates (x_0 : ... : x_n) with the boundary hyperplane
-at x_n = 0.  On the blow-up a point is an affine pair (u, w) carried together
-with the primitive triple of (1 : u : w).
+Conventions.  Both models compactify a vector group, so a point of the open
+cell is one ``ProjectivePoint``: primitive integer coordinates, first
+nonzero entry positive.  On projective n-space it is (x_0 : ... : x_n) with
+the boundary hyperplane at x_n = 0; on the blow-up it is the point
+(x0 : x1 : x2) = (1 : u : w) of the plane it blows up, so x0 > 0 is the lcm
+of the denominators of u and w.  Each model reads the denominator of its
+affine coordinates from that tuple, x_n on projective space and x0 on the
+blow-up, and a zero denominator (or a blow-up tuple that is not a triple)
+lies off the open cell.
 
 The finite part of every height is held exactly as integer bases with
 rational exponents, so "height <= bound" decisions never pass through
@@ -19,9 +24,9 @@ H_p = p^(sum lam_a * n_a); the test suite keeps it to demonstrate that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from .arith import (
     distinct_primes,
@@ -34,8 +39,6 @@ from .orbifold import OrbifoldModel, PlaceSet
 
 __all__ = [
     "ProjectivePoint",
-    "BlowupPoint",
-    "Point",
     "multiplicities",
     "multiplicities_pn",
     "multiplicities_blowup",
@@ -74,38 +77,21 @@ class ProjectivePoint:
         """Affine coordinates (u_1, ..., u_n) of the open cell, x_n = 1 slice."""
         return cls.from_rationals(tuple(us) + (1,))
 
-    @property
-    def n(self) -> int:
-        return len(self.coords) - 1
 
-    @property
-    def in_open_cell(self) -> bool:
-        return self.coords[-1] != 0
-
-
-@dataclass(frozen=True)
-class BlowupPoint:
-    """Affine pair (u, w) plus the primitive triple of (1 : u : w), which is
-    (L, u L, w L) for L the lcm of the denominators of u and w."""
-
-    u: Fraction
-    w: Fraction
-    triple: Tuple[int, int, int] = field(init=False)
-
-    def __post_init__(self) -> None:
-        u, w = Fraction(self.u), Fraction(self.w)
-        L = math.lcm(u.denominator, w.denominator)
-        triple = (L, u.numerator * (L // u.denominator), w.numerator * (L // w.denominator))
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "triple", triple)
-
-    @classmethod
-    def from_affine(cls, u, w) -> "BlowupPoint":
-        return cls(Fraction(u), Fraction(w))
+def _pn_denominator(point: ProjectivePoint) -> int:
+    """x_n, refused on the boundary hyperplane x_n = 0."""
+    if not point.coords[-1]:
+        raise BoundaryPointError("point lies on the boundary divisor x_n = 0")
+    return point.coords[-1]
 
 
-Point = Union[ProjectivePoint, BlowupPoint]
+def _blowup_denominator(point: ProjectivePoint) -> int:
+    """x0 of the triple (x0 : x1 : x2) = (1 : u : w), refused unless the
+    point is a triple with x0 != 0 (then x0 > 0)."""
+    if len(point.coords) != 3 or not point.coords[0]:
+        raise BoundaryPointError(
+            f"{point.coords} is not a blow-up point (x0 : x1 : x2) = (1 : u : w)")
+    return point.coords[0]
 
 
 # --------------------------------------------------------------------------
@@ -113,11 +99,12 @@ Point = Union[ProjectivePoint, BlowupPoint]
 # --------------------------------------------------------------------------
 
 
-def _check_prime(p: int) -> None:
-    """Refuse a place that is not a prime: ``int_valuation`` does not check,
+def _prime(p: int) -> int:
+    """p, refused unless it is a prime: ``int_valuation`` does not check,
     and at p = 1 it would never return."""
     if not is_prime(p):
         raise ValueError(f"valuation requires a prime, got {p}")
+    return p
 
 
 def multiplicities_pn(point: ProjectivePoint, p: int) -> Dict[str, int]:
@@ -126,35 +113,22 @@ def multiplicities_pn(point: ProjectivePoint, p: int) -> Dict[str, int]:
     Scaling invariant as written; for primitive coordinates it equals
     v_p(x_n).
     """
-    if not point.in_open_cell:
-        raise BoundaryPointError("point lies on the boundary divisor x_n = 0")
-    _check_prime(p)
-    vn = int_valuation(point.coords[-1], p)
-    best = 0
-    for xi in point.coords[:-1]:
-        if xi == 0:
-            continue
-        v = vn - int_valuation(xi, p)
-        if v > best:
-            best = v
-    return {"D": best}
+    vn = int_valuation(_pn_denominator(point), _prime(p))
+    return {"D": max([0] + [vn - int_valuation(x, p) for x in point.coords[:-1] if x])}
 
 
-def multiplicities_blowup(point: BlowupPoint, p: int) -> Dict[str, int]:
+def multiplicities_blowup(point: ProjectivePoint, p: int) -> Dict[str, int]:
     """Contact orders with the exceptional curve (D1) and the strict transform (D2).
 
     n(D1) = min(v(x_0), v(x_1)); n(D2) = max(0, v(x_0) - v(x_1)).
     """
-    _check_prime(p)
-    x0, x1, _ = point.triple
-    v0 = int_valuation(x0, p)
-    if x1 == 0:
-        return {"D1": v0, "D2": 0}
-    v1 = int_valuation(x1, p)
+    v0 = int_valuation(_blowup_denominator(point), _prime(p))
+    x1 = point.coords[1]
+    v1 = int_valuation(x1, p) if x1 else v0  # x1 = 0 gives (v0, 0) as v(x1) = inf
     return {"D1": min(v0, v1), "D2": max(0, v0 - v1)}
 
 
-def multiplicities(point: Point, model: OrbifoldModel, p: int) -> Dict[str, int]:
+def multiplicities(point: ProjectivePoint, model: OrbifoldModel, p: int) -> Dict[str, int]:
     if model.name in ("p1", "pn"):
         return multiplicities_pn(point, p)
     if model.name == "blowup":
@@ -162,14 +136,12 @@ def multiplicities(point: Point, model: OrbifoldModel, p: int) -> Dict[str, int]
     raise ValueError(f"no multiplicity rule for model {model.name!r}")
 
 
-def relevant_primes(point: Point, model: OrbifoldModel) -> Tuple[int, ...]:
+def relevant_primes(point: ProjectivePoint, model: OrbifoldModel) -> Tuple[int, ...]:
     """Primes where some boundary multiplicity can be nonzero."""
     if model.name in ("p1", "pn"):
-        if not point.in_open_cell:
-            raise BoundaryPointError("point lies on the boundary divisor x_n = 0")
-        return distinct_primes(abs(point.coords[-1]))
+        return distinct_primes(abs(_pn_denominator(point)))
     if model.name == "blowup":
-        return distinct_primes(point.triple[0])
+        return distinct_primes(_blowup_denominator(point))
     raise ValueError(f"no prime support rule for model {model.name!r}")
 
 
@@ -178,37 +150,32 @@ def relevant_primes(point: Point, model: OrbifoldModel) -> Tuple[int, ...]:
 # --------------------------------------------------------------------------
 
 
-def is_darmon(point: Point, model: OrbifoldModel, S: PlaceSet) -> bool:
+def _semi_integral(
+    point: ProjectivePoint, model: OrbifoldModel, S: PlaceSet,
+    fits: Callable[[int, int], bool],
+) -> bool:
+    """Every multiplicity n at p outside S passes fits(n, m) for the finite
+    weight m of its component, and is zero where the weight is infinite."""
+    for p in relevant_primes(point, model):
+        if p in S:
+            continue
+        mult = multiplicities(point, model, p)
+        for comp in model.components:
+            n = mult[comp.label]
+            if not (n == 0 if comp.m is None else fits(n, comp.m)):
+                return False
+    return True
+
+
+def is_darmon(point: ProjectivePoint, model: OrbifoldModel, S: PlaceSet) -> bool:
     """Every multiplicity at p outside S is divisible by the component weight
     (and zero where the weight is infinite)."""
-    for p in relevant_primes(point, model):
-        if p in S:
-            continue
-        mult = multiplicities(point, model, p)
-        for comp in model.components:
-            n = mult[comp.label]
-            if comp.m is None:
-                if n != 0:
-                    return False
-            elif n % comp.m != 0:
-                return False
-    return True
+    return _semi_integral(point, model, S, lambda n, m: n % m == 0)
 
 
-def is_campana(point: Point, model: OrbifoldModel, S: PlaceSet) -> bool:
+def is_campana(point: ProjectivePoint, model: OrbifoldModel, S: PlaceSet) -> bool:
     """Every multiplicity at p outside S is zero or at least the weight."""
-    for p in relevant_primes(point, model):
-        if p in S:
-            continue
-        mult = multiplicities(point, model, p)
-        for comp in model.components:
-            n = mult[comp.label]
-            if comp.m is None:
-                if n != 0:
-                    return False
-            elif 0 < n < comp.m:
-                return False
-    return True
+    return _semi_integral(point, model, S, lambda n, m: n == 0 or n >= m)
 
 
 # --------------------------------------------------------------------------
@@ -229,16 +196,24 @@ def _blowup_exponents(model: OrbifoldModel) -> Tuple[Fraction, Fraction]:
     return lam1, model.component("D2").lam - lam1
 
 
-def local_height(point: Point, model: OrbifoldModel, place: Union[int, float]) -> LocalHeight:
+def _blowup_archimedean(point: ProjectivePoint, e1: Fraction, e2: Fraction) -> float:
+    """max(1,|u|,|w|)^e1 * max(1,|u|)^e2 for (1 : u : w) = (x0 : x1 : x2);
+    |x1| / x0 is correctly rounded, so it is the float of |u|."""
+    x0, x1, x2 = point.coords
+    u, w = abs(x1) / x0, abs(x2) / x0
+    return max(1.0, u, w) ** float(e1) * max(1.0, u) ** float(e2)
+
+
+def local_height(
+    point: ProjectivePoint, model: OrbifoldModel, place: Union[int, float]
+) -> LocalHeight:
     """One local height factor.
 
     Projective space: max(1, |x_0/x_n|, ..., |x_{n-1}/x_n|) at the place.
     Blow-up: max(1,|u|,|w|)^(1+1/m1) * max(1,|u|)^(1+1/m2-1/m1).
     """
     if model.name in ("p1", "pn"):
-        if not point.in_open_cell:
-            raise BoundaryPointError("point lies on the boundary divisor x_n = 0")
-        xn = point.coords[-1]
+        xn = _pn_denominator(point)
         if place == ARCH:
             val = max(1.0, *(abs(xi / xn) for xi in point.coords[:-1]))
             return LocalHeight(ARCH, val, None)
@@ -246,24 +221,16 @@ def local_height(point: Point, model: OrbifoldModel, place: Union[int, float]) -
         exp = multiplicities_pn(point, p)["D"]  # max(0, v_p(x_n / x_i) over i < n)
         return LocalHeight(p, float(p) ** exp, Fraction(exp))
     if model.name == "blowup":
+        x0 = _blowup_denominator(point)
         e1, e2 = _blowup_exponents(model)
         if place == ARCH:
-            u, w = float(point.u), float(point.w)
-            val = max(1.0, abs(u), abs(w)) ** float(e1) * max(1.0, abs(u)) ** float(e2)
-            return LocalHeight(ARCH, val, None)
-        p = int(place)
-        _check_prime(p)
-        x0, x1, x2 = point.triple
+            return LocalHeight(ARCH, _blowup_archimedean(point, e1, e2), None)
+        p = _prime(int(place))
         v0 = int_valuation(x0, p)
-        # |u|_p, |w|_p exceed 1 exactly when v(x0) exceeds the other valuation;
-        # coordinates equal to zero never attain the max.
-        a1 = max(
-            0,
-            v0 - (int_valuation(x1, p) if x1 else v0),
-            v0 - (int_valuation(x2, p) if x2 else v0),
-        )
-        b1 = max(0, v0 - (int_valuation(x1, p) if x1 else v0))
-        exp = a1 * e1 + b1 * e2
+        # |u|_p = p^(v(x0) - v(x1)) and |w|_p likewise; a zero coordinate
+        # never attains the max
+        d1, d2 = (v0 - int_valuation(x, p) if x else 0 for x in point.coords[1:])
+        exp = max(0, d1, d2) * e1 + max(0, d1) * e2
         return LocalHeight(p, float(p) ** float(exp), exp)
     raise ValueError(f"no height rule for model {model.name!r}")
 
@@ -287,27 +254,26 @@ class GlobalHeight:
             out *= float(base) ** float(exp)
         return out
 
-    def compare(self, bound: Fraction) -> int:
-        """Exact sign of (height - bound); bound must be rational."""
-        bound = Fraction(bound)
-        if bound <= 0:
+    def compare(self, bound: Union[int, Fraction]) -> int:
+        """Exact sign of (height - bound), in integers: with D the lcm of the
+        exponent denominators, the sign of prod base^(D exp) - bound^D."""
+        num, den = bound.numerator, bound.denominator
+        if num <= 0:
             return 1
-        denom = 1
-        for _, exp in self.factors:
-            denom = denom * exp.denominator // math.gcd(denom, exp.denominator)
-        lhs = 1
+        D = math.lcm(*(exp.denominator for _, exp in self.factors))
+        lhs = den**D
         for base, exp in self.factors:
-            lhs *= base ** int(exp * denom)
-        rhs = bound**denom
+            lhs *= base ** (exp.numerator * (D // exp.denominator))
+        rhs = num**D
         if lhs == rhs:
             return 0
         return -1 if lhs < rhs else 1
 
-    def le(self, bound: Fraction) -> bool:
+    def le(self, bound: Union[int, Fraction]) -> bool:
         return self.compare(bound) <= 0
 
 
-def global_height(point: Point, model: OrbifoldModel) -> GlobalHeight:
+def global_height(point: ProjectivePoint, model: OrbifoldModel) -> GlobalHeight:
     """Product of all local heights, via the closed form.
 
     Projective space: max over |x_i| of a primitive coordinate vector.
@@ -315,30 +281,24 @@ def global_height(point: Point, model: OrbifoldModel) -> GlobalHeight:
     with g = gcd(x_0, x_1).
     """
     if model.name in ("p1", "pn"):
-        if not point.in_open_cell:
-            raise BoundaryPointError("point lies on the boundary divisor x_n = 0")
+        xn = abs(_pn_denominator(point))
         big = max(abs(c) for c in point.coords)
-        xn = abs(point.coords[-1])
         return GlobalHeight(
             factors=((big, Fraction(1)),),
             finite_factors=((xn, Fraction(1)),),
             archimedean=big / xn,
         )
     if model.name == "blowup":
+        x0 = _blowup_denominator(point)
         e1, e2 = _blowup_exponents(model)
-        x0, x1, x2 = point.triple
+        _, x1, x2 = point.coords
         big = max(x0, abs(x1), abs(x2))
         big2 = max(x0, abs(x1))
         g = math.gcd(x0, x1)
-        lam1 = model.component("D1").lam
-        lam2 = model.component("D2").lam
-        arch = max(1.0, abs(float(point.u)), abs(float(point.w))) ** float(e1) * max(
-            1.0, abs(float(point.u))
-        ) ** float(e2)
         return GlobalHeight(
             factors=((big, e1), (big2 // g, e2)),
-            finite_factors=((g, lam1), (x0 // g, lam2)),
-            archimedean=arch,
+            finite_factors=((g, e1), (x0 // g, model.component("D2").lam)),
+            archimedean=_blowup_archimedean(point, e1, e2),
         )
     raise ValueError(f"no height rule for model {model.name!r}")
 
@@ -355,17 +315,18 @@ def _parse_fraction(text: str) -> Fraction:
         raise PointParseError(f"cannot parse rational {text!r}: {exc}") from exc
 
 
-def parse_point(model: OrbifoldModel, text: str) -> Point:
+def parse_point(model: OrbifoldModel, text: str) -> ProjectivePoint:
     """Parse the model's point syntax.
 
-    p1: "p/q";  pn: "x0:x1:...:xn";  blowup: "u,w" with rational entries.
+    p1: "p/q";  pn: "x0:x1:...:xn";  blowup: "u,w" with rational entries,
+    the point (1 : u : w).
     """
     text = text.strip()
     if model.name == "blowup":
         parts = text.split(",")
         if len(parts) != 2:
             raise PointParseError("blow-up points are written 'u,w'")
-        return BlowupPoint(_parse_fraction(parts[0]), _parse_fraction(parts[1]))
+        return ProjectivePoint.from_rationals((1, *map(_parse_fraction, parts)))
     if model.name in ("p1", "pn"):
         if ":" in text:
             parts = [_parse_fraction(t) for t in text.split(":")]
@@ -381,7 +342,6 @@ def parse_point(model: OrbifoldModel, text: str) -> Point:
             if model.dimension != 1:
                 raise PointParseError("affine input is only supported on the line")
             pt = ProjectivePoint.from_affine((_parse_fraction(text),))
-        if not pt.in_open_cell:
-            raise BoundaryPointError("point lies on boundary divisor")
+        _pn_denominator(pt)
         return pt
     raise PointParseError(f"no parser for model {model.name!r}")

@@ -8,7 +8,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from orbicount import enumeration
 from orbicount.arith import factorize
-from orbicount.geometry import ARCH, Point, local_height, relevant_primes
+from orbicount.geometry import ARCH, ProjectivePoint, local_height, relevant_primes
 from orbicount.orbifold import OrbifoldModel, PlaceSet
 
 
@@ -38,7 +38,7 @@ def euler_phi(n: int) -> int:
 
 
 def global_height_by_places(
-    point: Point, model: OrbifoldModel
+    point: ProjectivePoint, model: OrbifoldModel
 ) -> Tuple[Dict[int, Fraction], float]:
     """Place-by-place evaluation: exact finite exponents per prime + the
     archimedean float.  Serves as the oracle for the closed form."""

@@ -283,7 +283,7 @@ def _naive_all_modes_blowup(m1, m2, S, B):
             for x2 in range(-mmax, mmax + 1):
                 if math.gcd(math.gcd(x0, x1), x2) != 1:
                     continue
-                pt = geometry.BlowupPoint(Fraction(x1, x0), Fraction(x2, x0))
+                pt = geometry.ProjectivePoint((x0, x1, x2))
                 if not geometry.global_height(pt, model).le(Bf):
                     continue
                 counts["rational"] += 1
@@ -342,7 +342,7 @@ def _random_point(rng, model):
         return Fraction(rng.randint(-maxn, maxn), rng.randint(1, maxn))
 
     if model.name == "blowup":
-        return geometry.BlowupPoint(rat(), rat())
+        return geometry.ProjectivePoint.from_rationals((1, rat(), rat()))
     if model.dimension == 1:
         return geometry.ProjectivePoint.from_affine((rat(),))
     return geometry.ProjectivePoint.from_affine((rat(), rat()))

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,10 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from orbicount.arith import int_valuation, is_k_full, is_kth_power, primitive_coords, valuation
+from orbicount.cli import main
 from orbicount.errors import BoundaryPointError, PointParseError
 from orbicount.geometry import (
     ARCH,
-    BlowupPoint,
     ProjectivePoint,
     global_height,
     is_campana,
@@ -51,7 +54,7 @@ def test_multiplicities_pn_examples():
 def test_non_prime_places_are_refused(p):
     # int_valuation does not check its prime, and at p = 1 it never returns
     for model, pt in ((projective_space(1, 2), ProjectivePoint((4, 9))),
-                      (blowup_p2(1, 2), BlowupPoint(Fraction(1, 4), 3))):
+                      (blowup_p2(1, 2), ProjectivePoint((4, 1, 12)))):
         with pytest.raises(ValueError, match="requires a prime"):
             multiplicities(pt, model, p)
         with pytest.raises(ValueError, match="requires a prime"):
@@ -64,13 +67,11 @@ def test_multiplicities_pn_boundary_error():
 
 
 def test_multiplicities_blowup_examples():
-    pt = BlowupPoint(Fraction(1, 4), Fraction(3, 2))
-    assert pt.triple == (4, 1, 6)
+    pt = ProjectivePoint.from_rationals((1, Fraction(1, 4), Fraction(3, 2)))
+    assert pt.coords == (4, 1, 6)
     assert multiplicities_blowup(pt, 2) == {"D1": 0, "D2": 2}
-    assert multiplicities_blowup(BlowupPoint(4, 1), 2) == {"D1": 0, "D2": 0}
-    assert multiplicities_blowup(
-        BlowupPoint(Fraction(2, 9), Fraction(5, 9)), 3
-    ) == {"D1": 0, "D2": 2}
+    assert multiplicities_blowup(ProjectivePoint((1, 4, 1)), 2) == {"D1": 0, "D2": 0}
+    assert multiplicities_blowup(ProjectivePoint((9, 2, 5)), 3) == {"D1": 0, "D2": 2}
 
 
 def multiplicities_blowup_transposed(point, p):
@@ -79,7 +80,7 @@ def multiplicities_blowup_transposed(point, p):
     This reading breaks the identity local_height = p^(sum lam_a n_a); it is
     kept so the inconsistency can be demonstrated, not used for counting.
     """
-    x0, x1, _ = point.triple
+    x0, x1, _ = point.coords
     v0 = int_valuation(x0, p)
     if x1 == 0:
         return {"D1": v0, "D2": 0}
@@ -93,7 +94,7 @@ def test_blowup_transposed_variant_breaks_height_pairing():
     model = blowup_p2(2, 3)
     lam1 = model.component("D1").lam
     lam2 = model.component("D2").lam
-    pt = BlowupPoint(Fraction(2), Fraction(1))  # triple (1, 2, 1), v2(x1) = 1
+    pt = ProjectivePoint((1, 2, 1))  # (1 : u : w) with u = 2, w = 1; v2(x1) = 1
     exp = local_height(pt, model, 2).exponent
     good = multiplicities_blowup(pt, 2)
     bad = multiplicities_blowup_transposed(pt, 2)
@@ -107,7 +108,8 @@ def test_multiplicity_equals_height_exponent_randomly():
     for _ in range(400):
         model = rng.choice(models)
         if model.name == "blowup":
-            pt = BlowupPoint(random_rational(rng), random_rational(rng))
+            pt = ProjectivePoint.from_rationals(
+                (1, random_rational(rng), random_rational(rng)))
         elif model.dimension == 1:
             pt = ProjectivePoint.from_affine((random_rational(rng),))
         else:
@@ -146,7 +148,8 @@ def test_darmon_subset_campana_random():
     for _ in range(500):
         model = rng.choice(models)
         if model.name == "blowup":
-            pt = BlowupPoint(random_rational(rng, 500), random_rational(rng, 500))
+            pt = ProjectivePoint.from_rationals(
+                (1, random_rational(rng, 500), random_rational(rng, 500)))
         else:
             pt = ProjectivePoint.from_affine((random_rational(rng, 500),))
         if is_darmon(pt, model, S0):
@@ -207,7 +210,7 @@ def test_blowup_global_reformulation():
         g3 = math.gcd(math.gcd(x0, x1), x2)
         if g3 != 1:
             continue
-        pt = BlowupPoint(Fraction(x1, x0), Fraction(x2, x0))
+        pt = ProjectivePoint((x0, x1, x2))
         g = math.gcd(x0, x1)
         expected = is_kth_power(g, 2) and is_kth_power(x0 // g, 3)
         assert is_darmon(pt, model, S0) == expected
@@ -236,7 +239,7 @@ def test_global_height_examples_line():
 
 def test_blowup_height_examples():
     model = blowup_p2(1, 1)
-    pt = BlowupPoint(Fraction(1, 2), Fraction(3))
+    pt = ProjectivePoint((2, 1, 6))  # (1 : 1/2 : 3)
     assert local_height(pt, model, ARCH).value == pytest.approx(9.0)
     lh2 = local_height(pt, model, 2)
     assert lh2.exponent == 3 and lh2.value == 8.0
@@ -249,7 +252,8 @@ def test_closed_form_equals_place_by_place():
     for _ in range(400):
         model = rng.choice(models)
         if model.name == "blowup":
-            pt = BlowupPoint(random_rational(rng), random_rational(rng))
+            pt = ProjectivePoint.from_rationals(
+                (1, random_rational(rng), random_rational(rng)))
         elif model.dimension == 1:
             pt = ProjectivePoint.from_affine((random_rational(rng),))
         else:
@@ -275,15 +279,15 @@ def test_closed_form_equals_place_by_place():
 
 def test_height_comparison_is_exact_at_ties():
     model = blowup_p2(2, 1)
-    # triple (9, 1, 4): H = 9^(3/2) * 9^(3/2) = 729 despite fractional exponents
-    pt = BlowupPoint(Fraction(1, 9), Fraction(4, 9))
+    # (9 : 1 : 4): H = 9^(3/2) * 9^(3/2) = 729 despite fractional exponents
+    pt = ProjectivePoint((9, 1, 4))
     gh = global_height(pt, model)
     assert gh.compare(Fraction(729)) == 0
     assert gh.le(Fraction(729))
     assert not gh.le(Fraction(729) - Fraction(1, 10**9))
     assert gh.compare(Fraction(729) + Fraction(1, 10**9)) == -1
     # an irrational height separates two nearby rational bounds exactly
-    pt2 = BlowupPoint(Fraction(1, 4), Fraction(3, 2))  # H = 24^(3/2)
+    pt2 = ProjectivePoint((4, 1, 6))  # (1 : 1/4 : 3/2), H = 24^(3/2)
     gh2 = global_height(pt2, model)
     lo = math.isqrt(24**3 * 10**12)  # floor(H * 10^6), via integer sqrt
     assert not gh2.le(Fraction(lo, 10**6))
@@ -317,8 +321,33 @@ def test_projective_point_accepts_exactly_primitive_tuples(xs):
 
 
 @given(st.fractions(max_denominator=10**6), st.fractions(max_denominator=10**6))
-def test_blowup_triple_is_the_primitive_triple(u, w):
-    assert BlowupPoint(u, w).triple == primitive_coords((1, u, w))
+def test_blowup_points_parse_and_print_back(u, w):
+    # a blow-up point "u,w" is the primitive triple (1 : u : w), and classify
+    # prints u,w back as it was written
+    model = blowup_p2(2, 3)
+    assert parse_point(model, f"{u},{w}").coords == primitive_coords((1, u, w))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["classify", "--model", "blowup", "--m1", "2", "--m2", "3",
+                     "--", f"{u},{w}"])
+    assert code == 0 and json.loads(out.getvalue())["point"] == f"{u},{w}"
+
+
+@pytest.mark.parametrize("coords", [(0, 1, 0), (0, 1, -3), (1, 2), (1, 2, 3, 4)])
+def test_blowup_points_off_the_open_cell_are_refused(coords):
+    # x0 = 0 or a tuple that is not a triple: refused before any valuation
+    # (int_valuation(0, p) never returns)
+    model, pt = blowup_p2(1, 2), ProjectivePoint(coords)
+    for check in (lambda: multiplicities(pt, model, 2),
+                  lambda: multiplicities_blowup(pt, 2),
+                  lambda: relevant_primes(pt, model),
+                  lambda: local_height(pt, model, 2),
+                  lambda: local_height(pt, model, ARCH),
+                  lambda: global_height(pt, model),
+                  lambda: is_darmon(pt, model, S0),
+                  lambda: is_campana(pt, model, S0)):
+        with pytest.raises(BoundaryPointError):
+            check()
 
 
 # --------------------------------------------------------------------------
@@ -334,8 +363,8 @@ def test_parse_point_formats():
     p2 = projective_space(2, 1)
     assert parse_point(p2, "2:4:6").coords == (1, 2, 3)
     bl = blowup_p2(1, 1)
-    pt = parse_point(bl, "1/4,3/2")
-    assert (pt.u, pt.w) == (Fraction(1, 4), Fraction(3, 2))
+    assert parse_point(bl, "1/4,3/2").coords == (4, 1, 6)
+    assert parse_point(bl, "-1/4, 3").coords == (4, -1, 12)
 
 
 def test_parse_point_errors():

@@ -36,7 +36,12 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--bmax", default="1e6")
     args = ap.parse_args()
-    B = int(Fraction(args.bmax))
+    try:
+        B = int(Fraction(args.bmax))
+    except (ValueError, ZeroDivisionError):
+        ap.error(f"--bmax must be a number, got {args.bmax!r}")
+    if B < 1:  # every row divides by a power of B
+        ap.error(f"--bmax must be at least 1, got {args.bmax}")
     S0 = PlaceSet.of()
     S2 = PlaceSet.of([2])
     S23 = PlaceSet.of([2, 3])

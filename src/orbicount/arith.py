@@ -2,12 +2,14 @@
 
 p-adic valuations of rationals, integer factorization (sieve-backed trial
 division with a Brent/Pollard-rho fallback), perfect-power and k-full tests,
-primitive normalization of rational coordinate vectors, and the small
-sieve/Moebius helpers the enumeration code leans on.
+primitive normalization of rational coordinate vectors, the small
+sieve/Moebius helpers the enumeration code leans on, and the segmented
+prime blocks the Euler products walk.
 
 All functions are pure and operate on arbitrary-precision integers or
 ``fractions.Fraction``; nothing here touches floating point except the
-initial guess inside integer root extraction, which is corrected exactly.
+initial guess inside integer root extraction, which is corrected exactly,
+and the float64 prime blocks, which hold every prime <= 2^53 exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,12 +34,14 @@ __all__ = [
     "primitive_coords",
     "is_prime",
     "primes_up_to",
+    "prime_blocks",
     "mobius_sieve",
     "totient_sieve",
     "integer_kth_root",
 ]
 
 SIEVE_BOUND = 10**6  # precomputed smallest-prime-factor table covers n < this
+PRIME_SEGMENT = 2**18  # odd numbers per segment of prime_blocks
 
 
 class Infinity:
@@ -120,6 +124,35 @@ def primes_up_to(n: int) -> List[int]:
             start = p * p
             sieve[start :: p] = b"\x00" * ((n - start) // p + 1)
     return np.flatnonzero(np.frombuffer(sieve, dtype=np.uint8)).tolist()
+
+
+def prime_blocks(n: int) -> Iterator[np.ndarray]:
+    """All primes <= n, ascending, as nonempty float64 arrays, one per
+    segment of PRIME_SEGMENT odd numbers, so memory stays flat in n.
+
+    An odd-only segmented sieve of Eratosthenes: the base primes come from
+    ``primes_up_to(isqrt(n))``, and the odd prime p strikes the odd numbers
+    from p^2 on.  The odd number 2i + 1 sits at index i; its odd multiples
+    sit at the indices congruent to (p - 1)/2 mod p, the first at (p^2 - 1)/2.
+    """
+    if n < 2:
+        return
+    odd = np.array(primes_up_to(math.isqrt(n))[1:], dtype=np.int64)
+    first = (odd * odd - 1) // 2
+    end = (n + 1) // 2  # the odd numbers <= n are the indices below this
+    for lo in range(0, end, PRIME_SEGMENT):
+        size = min(PRIME_SEGMENT, end - lo)
+        seg = np.ones(size, dtype=bool)
+        live = int(np.searchsorted(first, lo + size))
+        rel = first[:live] - lo
+        offsets = np.maximum(rel, rel % odd[:live])
+        for p, o in zip(odd[:live].tolist(), offsets.tolist()):
+            seg[o::p] = False
+        block = 2.0 * np.flatnonzero(seg) + (2 * lo + 1)
+        if lo == 0:  # 1 is not prime, 2 is
+            block = np.concatenate(([2.0], block[1:]))
+        if block.size:
+            yield block
 
 
 _SPF: List[int] = []

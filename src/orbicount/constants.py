@@ -11,7 +11,7 @@ The assembled constant is a product of three blocks:
   projective model gives 1 - p^(-n-1) (so the product is 1/zeta(n+1)) and
   the blow-up gives (1 - p^-2)^2 (so 1/zeta(2)^2).  The truncated-product
   route is kept alongside with an explicit tail bound; it evaluates the
-  factors in float64 over the array of primes up to the cutoff;
+  factors in float64 over segmented blocks of the primes up to the cutoff;
 * the archimedean height integral at s = a, and one correction ratio per
   finite place of S (constraint-waived factor over the generic one).
 
@@ -25,12 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import mpmath
 import numpy as np
 
-from .arith import primes_up_to
+from .arith import prime_blocks
 from .enumeration import DEFAULT_BUDGET, charge
 from .errors import DomainError
 from .localfactors import (
@@ -89,18 +89,20 @@ def riemann_zeta(s: float) -> float:
 
 
 def euler_product(
-    factors: Callable[[List[int]], Sequence[float]],
+    factors: Callable[[np.ndarray], Sequence[float]],
     prime_cutoff: int,
     decay_constant: float,
     decay_exponent: float,
 ) -> Tuple[float, float]:
     """(prod_{p <= prime_cutoff} f(p), absolute tail bound), where
-    ``factors(primes)`` gives the values f(p) at the ascending primes up to
-    the cutoff and |log f(p)| <= decay_constant p^-decay_exponent beyond it.
+    |log f(p)| <= decay_constant p^-decay_exponent beyond the cutoff.
 
-    The cutoff is charged to the default budget before the sieve is built.
-    Log-factors are summed in ascending prime order (deterministic
-    reduction); the tail uses the integral bound
+    ``factors`` is called once per block of ``prime_blocks(prime_cutoff)``:
+    it takes an ascending float64 array of primes and gives the values f(p)
+    at them, one per prime.  The cutoff is charged to the default budget
+    before any sieving.  Each block's log-factors are summed by ``np.sum``
+    and the block sums by ``math.fsum``, in ascending prime order
+    (deterministic reduction); the tail uses the integral bound
     sum_{p > P0} C p^-sigma <= C P0^(1-sigma) / (sigma - 1).
     """
     if prime_cutoff < 1:
@@ -108,12 +110,14 @@ def euler_product(
     if decay_exponent <= 1:
         raise ValueError("decay exponent must exceed 1")
     charge(DEFAULT_BUDGET, prime_cutoff, f"the Euler product up to p0 = {prime_cutoff}")
-    primes = primes_up_to(prime_cutoff)
-    values = np.asarray(factors(primes), dtype=np.float64)
-    bad = np.flatnonzero(~(values > 0))
-    if bad.size:
-        raise DomainError(f"nonpositive Euler factor at p={primes[bad[0]]}")
-    value = math.exp(math.fsum(np.log(values).tolist()))
+    log_sums = []
+    for primes in prime_blocks(prime_cutoff):
+        values = np.asarray(factors(primes), dtype=np.float64)
+        bad = np.flatnonzero(~(values > 0))
+        if bad.size:
+            raise DomainError(f"nonpositive Euler factor at p={int(primes[bad[0]])}")
+        log_sums.append(float(np.sum(np.log(values))))
+    value = math.exp(math.fsum(log_sums))
     sigma = decay_exponent
     tail_log = decay_constant * prime_cutoff ** (1 - sigma) / (sigma - 1)
     return value, value * math.expm1(tail_log)
@@ -282,8 +286,7 @@ def p1_campana_constant(
     if m < 2:
         raise DomainError("the m-full closed form requires m >= 2")
 
-    def factors(primes: List[int]) -> np.ndarray:
-        p = np.asarray(primes, dtype=np.float64)
+    def factors(p: np.ndarray) -> np.ndarray:
         x = p ** (-1.0 / m)
         geom = sum(x**k for k in range(1, m))
         return 1 - p**-2.0 + (1 - 1.0 / p) * geom / p
@@ -300,8 +303,7 @@ def blowup_reference_constant(
 ) -> Tuple[float, float]:
     """Published blow-up candidate ((1+m1)(1+m2)/(2 m1 m2)) prod (1 - 2/p^2 + 1/p^3)
     with a truncation tail bound.  Compare against the assembled constant."""
-    def factors(primes: List[int]) -> np.ndarray:
-        p = np.asarray(primes, dtype=np.float64)
+    def factors(p: np.ndarray) -> np.ndarray:
         return 1 - 2.0 / p**2 + 1.0 / p**3
 
     value, tail = euler_product(factors, prime_cutoff, decay_constant=3.0, decay_exponent=2.0)

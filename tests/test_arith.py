@@ -1,8 +1,9 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbicount import arith
@@ -15,6 +16,7 @@ from orbicount.arith import (
     is_kth_power,
     is_prime,
     mobius_sieve,
+    prime_blocks,
     primes_up_to,
     primitive_coords,
     totient_sieve,
@@ -190,6 +192,57 @@ def test_primes_and_mobius():
     assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
     mu = mobius_sieve(10)
     assert list(mu) == [0, 1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+
+
+def _checked_blocks(n):
+    """prime_blocks(n) as one list, after checking its block structure:
+    nonempty ascending float64 blocks that do not overlap, the first from 2."""
+    blocks = list(prime_blocks(n))
+    for block in blocks:
+        assert block.dtype == np.float64 and block.size
+        assert np.all(np.diff(block) > 0)
+    for left, right in zip(blocks, blocks[1:]):
+        assert left[-1] < right[0]
+    if blocks:
+        assert blocks[0][0] == 2.0
+    return [int(p) for block in blocks for p in block]
+
+
+def test_prime_blocks_at_the_segment_ends():
+    # a segment holds PRIME_SEGMENT odd numbers, so the k-th one ends at the
+    # number 2k PRIME_SEGMENT
+    ends = [2 * k * arith.PRIME_SEGMENT for k in (1, 2)]
+    cutoffs = [0, 1, 2, 3, 4] + [end + d for end in ends for d in range(-2, 3)]
+    # 727^2 = 528529 is the first odd square past the first segment end
+    cutoffs.append(727**2)
+    for n in cutoffs:
+        assert _checked_blocks(n) == primes_up_to(n), n
+    assert len(list(prime_blocks(3 * 2 * arith.PRIME_SEGMENT))) == 3
+    # 2^20 + 1 = 17 * 61681 alone in the third segment: no empty block
+    assert len(list(prime_blocks(2**20 + 1))) == 2
+
+
+def test_prime_blocks_with_a_prime_square_on_a_segment_start(monkeypatch):
+    # 30 odd numbers per segment: 59^2 = 3481 and 61^2 = 3721 are the odd
+    # numbers 2 * 1740 + 1 and 2 * 1860 + 1, the first of segments 58 and 62
+    monkeypatch.setattr(arith, "PRIME_SEGMENT", 30)
+    for n in (3481, 3482, 3721, 3722, 3723, 4000):
+        assert _checked_blocks(n) == primes_up_to(n), n
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 3 * 2 * arith.PRIME_SEGMENT))
+def test_prime_blocks_match_the_plain_sieve(n):
+    assert _checked_blocks(n) == primes_up_to(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(segment=st.integers(1, 40), data=st.data())
+def test_prime_blocks_match_the_plain_sieve_on_small_segments(segment, data):
+    n = data.draw(st.integers(0, 3 * 2 * segment + 50))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "PRIME_SEGMENT", segment)
+        assert _checked_blocks(n) == primes_up_to(n)
 
 
 def _mobius_loop_sieve(n):

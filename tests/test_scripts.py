@@ -34,3 +34,10 @@ def test_blowup_adjudication_refuses_small_bmax(bmax):
     out = run_script("blowup_adjudication.py", "--bmax", bmax)
     assert out.returncode == 2 and out.stdout == ""
     assert "error: --bmax" in out.stderr and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("bmax", ["0", "-5", "x"])
+def test_line_asymptotics_refuses_unusable_bmax(bmax):
+    out = run_script("line_asymptotics.py", "--bmax", bmax)
+    assert out.returncode == 2 and out.stdout == ""
+    assert "error: --bmax" in out.stderr and "Traceback" not in out.stderr

@@ -46,10 +46,15 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _parse_finite(text, flag: str) -> float:
-    """A float flag value, refused unless finite (JSON has no NaN or Infinity)."""
-    value = float(text)
+    """A float flag value, refused unless it parses and is finite (JSON has
+    no NaN or Infinity)."""
+    refused = DomainError(f"{flag} must be a finite number, got {text!r}")
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise refused from exc
     if not math.isfinite(value):
-        raise DomainError(f"{flag} must be a finite number, got {text!r}")
+        raise refused
     return value
 
 

@@ -38,10 +38,11 @@ Moebius sieve when every q is admissible); the debug dump runs the oracle
   alone, and c <= C(g) exactly when g <= G(c), so both sums swap the sum
   over g inside the sum over c, as a Moebius sum (Pieropan, Smeets,
   Tanimoto and Varilly-Alvarado, Proc. LMS 2021), and no cell is visited:
-  each column c reads a prefix of one table of rows.  The count sums every
-  (column, row) entry in one pass, in blocks of exact int64 terms added per
-  column by ``np.add.reduceat``; the height-zeta sum takes a few float64
-  dots per column.  X_2(c) for every c comes from one exact vectorised root.
+  each column c reads a prefix of one table of rows.  The count and the
+  height-zeta sum both sum every (column, row) entry in one pass, in the
+  blocks of ``ragged_blocks``, each block's terms (exact int64 for the
+  count, float64 for the sum) added per column by ``np.add.reduceat``.
+  X_2(c) for every c comes from one exact vectorised root.
   The column weights come from a totient sieve, or from the line's divisor
   rows (a, f) by one ``searchsorted`` per distinct |f| (``_blowup_weights``).
 
@@ -92,6 +93,7 @@ __all__ = [
     "iter_points",
     "blowup_columns",
     "BlowupColumns",
+    "ragged_blocks",
     "line_divisor_rows",
     "all_denominators_admissible",
     "write_series_csv",
@@ -430,7 +432,7 @@ def _kth_roots(q: np.ndarray, m: int) -> np.ndarray:
     return A
 
 
-def _ragged_blocks(
+def ragged_blocks(
     counts: np.ndarray,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The entries (i, j), j < counts[i], in order, in blocks of _BLOCK: per
@@ -536,7 +538,7 @@ def _divisor_sum(
             columns = [X[:, j] if (e1[:, j] <= Bint >> 63).any()
                        else X[:, j].astype(np.int64) for j in range(1 << k)]
             signs = [(-1) ** bin(j).count("1") for j in range(1 << k)]
-            for sh, at, _ in _ragged_blocks(entries[chunk]):
+            for sh, at, _ in ragged_blocks(entries[chunk]):
                 e2 = e2_all[at]
                 w = mu_all[at] * c_S(A[chunk][sh] // e2)
                 if tp.shape[1]:
@@ -771,7 +773,7 @@ def count_blowup(
     ``blowup_columns`` bounds every partial sum of a column below 2^63."""
     core = blowup_columns(m1, m2, S, B, mode, budget)
     P = np.zeros(len(core.c), dtype=np.int64)
-    for col, row, runs in _ragged_blocks(core.k):
+    for col, row, runs in ragged_blocks(core.k):
         d = core.d[row]
         terms = core.X2[col] // d
         if core.every_g:

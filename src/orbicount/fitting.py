@@ -18,13 +18,16 @@ count's divisor sum:
   with B: 23 bytes per row are kept, and the peak is about 65 bytes per row
   (0.6 GB for 9.2e6 rows at m = 2, B = 1e12);
 - the blow-up takes the count's rows and columns c (``blowup_columns``)
-  and a few float64 dots per column over a suffix array of n^-s1.
+  and, per s, one pass over every (column, row) entry in the count's
+  blocks (``ragged_blocks``): each block's float64 terms read a suffix
+  array of n^-s1 (and, when every g is admissible, R_c, one cumsum per
+  column) and are added per column by ``np.add.reduceat``.
 
 Each charges ``enumeration.DEFAULT_BUDGET`` before allocating or looping:
 the line 2B + 1 (all admissible), or the denominator bound times
 2^(omega_max(B^(1/m)) + |S|) divisor rows before the denominators are
 walked; the blow-up the count's charge of ``blowup_columns`` with three
-passes over its dot entries (the dots, Q with the R_c and P1) and the two
+passes over its entries (the terms, Q with the R_c and P1) and the two
 tables Q and P1.  These charges are upper bounds, one per sum: a probe of
 several s values charges as one s does.
 
@@ -50,6 +53,7 @@ from .enumeration import (
     blowup_columns,
     charge,
     line_divisor_rows,
+    ragged_blocks,
 )
 from .errors import DomainError
 from .orbifold import OrbifoldModel, PlaceSet, a_invariant, b_invariant
@@ -182,7 +186,8 @@ class _EndPoints:
 
 class _PowerSum:
     """P(x) = sum_{n <= x} n^-s for one real s as head[min(x, X0)] +
-    J(max(x, X0)) - J(X0), X0 = _HEAD: head is summed in long double, and
+    J(max(x, X0)) - J(X0), X0 = _HEAD: head takes the powers n^-s in float64
+    (each within half an ulp) and sums them in long double, and
     J(y) - J(x) is sum_{x < n <= y} n^-s for X0 <= x <= y by Euler-Maclaurin,
     J(y) = int_X0^y t^-s dt + y^-s / 2 - sum_{k <= 6} B_2k / (2k)! (s)_(2k-1)
     y^(1-s-2k).  The integral is X0^(1-s) expm1((1-s) log(y/X0)) / (1-s), so
@@ -191,9 +196,9 @@ class _PowerSum:
     and 0 when s is a non-positive integer."""
 
     def __init__(self, s: float):
-        n = np.arange(1, _HEAD + 1, dtype=np.longdouble)
+        n = np.arange(1, _HEAD + 1, dtype=np.float64)
         self.head = np.zeros(_HEAD + 1)
-        self.head[1:] = np.cumsum(n**-s)
+        self.head[1:] = np.cumsum(n**-s, dtype=np.longdouble)
         self.t = 1.0 - s
         self.scale = float(_HEAD) ** self.t
         rising, self.coeffs = s, []  # rising = (s)_(2k-1)
@@ -265,39 +270,88 @@ def _zeta_blowup(m1, m2, S, Bf, mode) -> Callable[[float], float]:
     sum_{x < n <= Mmax} n^-s1 and phi(g) g^-s1 = sum_{d | g} mu(d) d^-s1
     (g/d)^(1-s1).  When every g = f h is admissible the sums over h <= H =
     G // f are P1(H), P1 the prefix of h^(1-s1), and R_c(H) - H Q(X2 // f),
-    R_c(H) = sum_{h <= H} Q(c h).  Dots are ``np.sum`` (no BLAS threads)."""
+    R_c(H) = sum_{h <= H} Q(c h) (``_RowSums``).
+
+    Per s, one pass takes every (column, row) entry in the count's blocks
+    (``ragged_blocks``), and each block's two terms are added into the
+    per-column arrays phi_sum and tail by one ``np.add.reduceat`` each; the
+    columns are then combined as arrays under one ``math.fsum``."""
     core = blowup_columns(m1, m2, S, Bf, mode, DEFAULT_BUDGET, passes=3)
-    d = core.d.astype(np.float64)
+    c = core.c.astype(np.float64)
     if not core.every_g:
         h = core.g // core.d
-        hf = h.astype(np.float64)
 
     def at(s: float) -> float:
         s1 = s * (1 + 1.0 / m1)
         s2 = s * (1 + 1.0 / m2 - 1.0 / m1)
         Q = _power_suffix(core.mmax, s1)
-        dw = core.sign * d**-s1
+        dw = core.d**-s1  # int64 to float64 in the ufunc's buffer
+        dw *= core.sign
         if core.every_g:
             P1 = _power_prefix(core.mmax, s1 - 1.0)
+            R = _RowSums(Q, core.c, core.G)
         else:
-            phi_rows = dw * hf ** (1.0 - s1)
-        at_c = []
-        columns = (core.c, core.w, core.X2, core.G, core.k)
-        for c, weight, X, G, k in zip(*(a.tolist() for a in columns)):
-            dk, w = core.d[:k], dw[:k]
+            phi_rows = h ** (1.0 - s1)
+            phi_rows *= dw
+        phi_sum, tail = np.zeros(len(c)), np.zeros(len(c))
+        for col, row, runs in ragged_blocks(core.k):
+            dr, w = core.d[row], dw[row]
+            X = core.X2[col]
+            X //= dr
             if core.every_g:
-                H = G // dk
-                R = np.cumsum(Q[c : c * G + 1 : c])
-                phi_sum = np.sum(w * P1[H])
-                tail = np.sum(w * (R[H - 1] - H * Q[X // dk]))
+                H = core.G[col]
+                H //= dr
+                phi = P1[H]
+                phi *= w
+                terms = R.at(col, H, int(runs[0]))
+                terms -= H * Q[X]
             else:
-                phi_sum = np.sum(phi_rows[:k])
-                tail = np.sum(w * (Q[c * h[:k]] - Q[X // dk]))
-            column = (2 * c * phi_sum + 1) * float(c) ** -s1 + 2 * tail
-            at_c.append(weight * float(c) ** -s2 * column)
-        return math.fsum(at_c)
+                phi = phi_rows[row]
+                terms = Q[core.c[col] * h[row]]
+                terms -= Q[X]
+            terms *= w
+            # every column reads the row g = 1, so no run is empty
+            starts = np.cumsum(runs) - runs
+            columns = slice(col[0], col[-1] + 1)
+            phi_sum[columns] += np.add.reduceat(phi, starts)
+            tail[columns] += np.add.reduceat(terms, starts)
+        column = (2 * c * phi_sum + 1) * c**-s1 + 2 * tail
+        return math.fsum((core.w * c**-s2 * column).tolist())
 
     return at
+
+
+class _RowSums:
+    """R_c(H) = sum_{h <= H} Q(c h), 1 <= H <= G(c), at the entries of one
+    block after another: one cumsum per column.  Only a block's first column
+    can continue from the block before, so the last column's R_c is kept
+    for the next block, and the others are built into one buffer per block.
+    One instance serves one s (Q depends on it)."""
+
+    def __init__(self, Q: np.ndarray, c: np.ndarray, G: np.ndarray):
+        self.Q, self.c, self.G = Q, c, G
+        self.kept, self.R = -1, None  # the column whose R_c is kept, and it
+
+    def at(self, col: np.ndarray, H: np.ndarray, first_run: int) -> np.ndarray:
+        """R_c(H) at a block's entries (columns col, ascending), whose first
+        first_run entries are its first column's."""
+        first, last = int(col[0]), int(col[-1])
+        kept = first_run if self.kept == first else 0  # entries read from self.R
+        lo = first + (kept > 0)  # the first column built here
+        G = self.G[lo : last + 1]
+        offset = np.cumsum(G) - G
+        buffer = np.empty(int(G.sum()))
+        for c, g, o in zip(self.c[lo : last + 1].tolist(), G.tolist(), offset.tolist()):
+            np.cumsum(self.Q[c : c * g + 1 : c], out=buffer[o : o + g])
+        out, at = np.empty(len(H)), H - 1
+        if kept:
+            np.take(self.R, at[:kept], out=out[:kept])
+        at = at[kept:]
+        at += offset[col[kept:] - lo]
+        np.take(buffer, at, out=out[kept:])
+        if last >= lo:
+            self.kept, self.R = last, buffer[int(offset[-1]) :]
+        return out
 
 
 def residue_probe(

@@ -304,6 +304,23 @@ def test_non_finite_float_flags_exit_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("zeta", "--bound", "10", "--s", "x"), "--s"),
+        (("zeta", "--bound", "10", "--s", ""), "--s"),
+        (("zeta", "--bound", "10", "--probe", ","), "--probe"),
+        (("zeta", "--bound", "10", "--probe", "2,,3"), "--probe"),
+        (("local-factor", "--p", "3", "--s", "x"), "--s"),
+    ],
+)
+def test_unparsed_float_flags_exit_2_naming_the_flag(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} must be a finite number, got ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("zeta", "--m", "2", "--s", "-60", "--bound", "1e6"),

@@ -275,9 +275,9 @@ def _cmd_local_factor(args) -> int:
         closed = localfactors.blowup_factor(
             args.p, model.params["m1"], model.params["m2"], s, in_S=args.in_s
         )
-    else:
-        closed = localfactors.denef_factor(model, args.p, s, in_S=args.in_s)
     denef = localfactors.denef_factor(model, args.p, s, in_S=args.in_s)
+    if model.name == "pn":  # the stratum sum is its closed form
+        closed = denef
     oracle = localfactors.shell_sum_oracle(model, args.p, s, args.depth, in_S=args.in_s)
     payload = {
         "model": model.name,

@@ -207,8 +207,12 @@ class _PowerSum:
             rising *= (s + 2 * k - 1) * (s + 2 * k)
 
     def tail(self, points: _EndPoints, block: slice = slice(None)) -> np.ndarray:
-        """J at the points' max(x, X0)."""
+        """J at the points' max(x, X0); 0 where X0^(1-s) underflows, since
+        sum_{X0 < n <= y} n^-s < X0^(1-s) / (s - 1) for s > 1 (and the
+        Euler-Maclaurin coefficients may have overflowed to inf there)."""
         r, L = points.inverse[block], points.log[block]
+        if self.scale == 0:
+            return np.zeros_like(r)
         if self.t == 0:
             grown, integral = 1.0, L  # y^(1-s) / X0^(1-s), the integral
         else:

@@ -1,26 +1,27 @@
 """Local factors of the height integral.
 
-Finite places get three independent evaluation routes, kept as cross-checks
-of one another:
+At a finite place the factor is one stratum sum, driven by the model's
+stratum table: for each subset B of components,
+count_B(p) / p^(n - |B|) * prod_{a in B} (1 - 1/p) t_a / (1 - t_a)
+with t_a = p^(-m_a (s lam_a - rho_a + 1)).  One evaluator computes it, and
+with it the regularizer prod_a (1 - t_a), in either of two precisions:
 
-* ``denef_factor`` - the generic finite sum over boundary strata, driven by
-  the model's stratum table: for each subset B of components,
-  count_B(p) / p^(n - |B|) * prod_{a in B} (1 - 1/p) t_a / (1 - t_a)
-  with t_a = p^(-m_a (s lam_a - rho_a + 1));
+* in mpmath (30 significant digits by default) at one prime, for
+  ``denef_factor`` and ``normalized_factor``, so that oracle agreement can
+  be asserted far below double precision;
+* in float64 over a whole array of primes at once, for
+  ``normalized_factors``, which the Euler products use.
+
+Two independent routes cross-check it:
+
 * per-model closed forms (``p1_factor``, ``blowup_factor``);
 * ``shell_sum_oracle`` - a brute-force sum over valuation shells truncated at
   a given depth, returning the value together with a rigorous truncation
-  bound; its predicted terms are charged to the default budget first.
+  bound (which includes a small precision cushion); its predicted terms are
+  charged to the default budget first.
 
 At a place in S the divisibility constraint on multiplicities is waived,
 which amounts to replacing every weight by 1 (``in_S=True``).
-
-These routes run in mpmath (30 significant digits by default) so oracle
-agreement can be asserted far below double precision; reported bounds
-include a small precision cushion on top of the analytic tail.  The Euler
-products use ``normalized_factors`` instead: the same stratum sum, evaluated
-in float64 over a whole array of primes at once, and cross-checked against
-``normalized_factor`` prime by prime.
 
 Archimedean factors return a piecewise closed form next to a lazy
 quadrature cross-check: each smooth region reduces to integrals over
@@ -33,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import mpmath
 import numpy as np
@@ -41,7 +42,7 @@ from mpmath import mpf
 
 from .enumeration import DEFAULT_BUDGET, charge
 from .errors import DomainError
-from .orbifold import BoundaryComponent, OrbifoldModel, eval_count_poly
+from .orbifold import BoundaryComponent, OrbifoldModel
 
 __all__ = [
     "DPS",
@@ -115,42 +116,42 @@ def _exponent(comp: BoundaryComponent, s: Number, in_S: bool) -> Optional[Fracti
     return exponent
 
 
-def _series_terms(
-    model: OrbifoldModel, p: int, s: Number, in_S: bool
-) -> Dict[str, Optional[mpf]]:
-    """Per component: A_a = (1 - 1/p) t_a / (1 - t_a), or None when the weight
-    is infinite (no admissible contact order) outside S."""
-    pv = mpf(p)
-    out: Dict[str, Optional[mpf]] = {}
+def _stratum_sum(
+    model: OrbifoldModel, p: Union[mpf, np.ndarray], s: Number, in_S: bool, lib
+) -> Tuple:
+    """The stratum sum and prod_a (1 - t_a), at one mpf p under
+    ``workdps(DPS)`` (``lib`` = mpmath) or at a float64 array of primes
+    (``lib`` = numpy).  With log t_a = -e_a log p, 1 - t_a is
+    -expm1(log t_a), exact to a few ulps when t_a is close to 1.  A stratum
+    drops out when one of its components has infinite weight outside S."""
+    real = _to_mpf if lib is mpmath else float
+    log_p = lib.log(p)
+    weight = 1 - 1 / p
+    series, regularizer = {}, 1
     for comp in model.components:
         exponent = _exponent(comp, s, in_S)
         if exponent is None:
-            out[comp.label] = None
             continue
-        t = pv**-_to_mpf(exponent)
-        out[comp.label] = (1 - 1 / pv) * t / (1 - t)
-    return out
+        log_t = -real(exponent) * log_p
+        one_minus_t = -lib.expm1(log_t)
+        series[comp.label] = weight * lib.exp(log_t) / one_minus_t
+        regularizer = regularizer * one_minus_t
+    total = 0
+    for subset, coeffs in model.strata.items():
+        if not subset <= series.keys():
+            continue
+        shift = model.dimension - len(subset)
+        piece = sum(c * p ** (j - shift) for j, c in enumerate(coeffs) if c)
+        for label in subset:
+            piece = piece * series[label]
+        total = total + piece
+    return total, regularizer
 
 
 def denef_factor(model: OrbifoldModel, p: int, s: Number, in_S: bool = False) -> mpf:
-    """Finite-place factor as the stratum-table sum."""
+    """Finite-place factor as the stratum sum."""
     with mpmath.workdps(DPS):
-        terms = _series_terms(model, p, s, in_S)
-        pv = mpf(p)
-        n = model.dimension
-        total = mpf(0)
-        for subset, coeffs in model.strata.items():
-            piece = eval_count_poly(coeffs, p) / pv ** (n - len(subset))
-            dead = False
-            for label in subset:
-                a = terms[label]
-                if a is None:
-                    dead = True
-                    break
-                piece *= a
-            if not dead:
-                total += piece
-        return total
+        return _stratum_sum(model, mpf(p), s, in_S, mpmath)[0]
 
 
 def p1_factor(p: int, m: int, s: Number, in_S: bool = False) -> mpf:
@@ -191,50 +192,16 @@ def normalized_factor(model: OrbifoldModel, p: int, s: Number, in_S: bool = Fals
     """denef_factor times prod_a (1 - t_a): the zeta-regularized local factor,
     equal to 1 + O(p^(-1-delta')) in the convergence region."""
     with mpmath.workdps(DPS):
-        value = denef_factor(model, p, s, in_S)
-        pv = mpf(p)
-        for comp in model.components:
-            exponent = _exponent(comp, s, in_S)
-            if exponent is not None:
-                value *= 1 - pv**-_to_mpf(exponent)
-        return value
+        total, regularizer = _stratum_sum(model, mpf(p), s, in_S, mpmath)
+        return total * regularizer
 
 
 def normalized_factors(
     model: OrbifoldModel, primes: Sequence[int], s: Number, in_S: bool = False
 ) -> np.ndarray:
-    """``normalized_factor`` at every prime of ``primes`` at once, in float64.
-
-    The stratum sum of ``denef_factor``: each stratum B contributes
-    count_B(p) / p^(n - |B|) times (1 - 1/p) t_a / (1 - t_a) per component a
-    in B, and drops out when one of them has infinite weight outside S.  The
-    sum is then multiplied by prod_a (1 - t_a).  With log t_a = -e_a log p,
-    1 - t_a is evaluated as -expm1(-e_a log p), which stays exact to a few
-    ulps when t_a is close to 1.
-    """
+    """``normalized_factor`` at every prime of ``primes`` at once, in float64."""
     p = np.asarray(primes, dtype=np.float64)
-    log_p = np.log(p)
-    weight = 1 - 1 / p
-    series: Dict[str, Optional[np.ndarray]] = {}
-    regularizer = np.ones_like(p)
-    for comp in model.components:
-        exponent = _exponent(comp, s, in_S)
-        if exponent is None:
-            series[comp.label] = None
-            continue
-        log_t = -float(exponent) * log_p
-        one_minus_t = -np.expm1(log_t)
-        series[comp.label] = weight * np.exp(log_t) / one_minus_t
-        regularizer *= one_minus_t
-    total = np.zeros_like(p)
-    for subset, coeffs in model.strata.items():
-        if any(series[label] is None for label in subset):
-            continue
-        shift = model.dimension - len(subset)
-        piece = sum(c * p ** float(j - shift) for j, c in enumerate(coeffs) if c)
-        for label in subset:
-            piece = piece * series[label]
-        total += piece
+    total, regularizer = _stratum_sum(model, p, s, in_S, np)
     return total * regularizer
 
 

@@ -336,6 +336,26 @@ def test_zeta_past_the_float_range_exits_2(capsys, argv):
     assert err.startswith("error: the height-zeta sum") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("mode", ["darmon", "campana"])
+@pytest.mark.parametrize("s", ["1e29", "1e308"])
+def test_zeta_at_huge_s_is_the_count_at_height_one(capsys, mode, s):
+    # only the three points of height 1 are left; the line sum's
+    # Euler-Maclaurin coefficients overflow there and must not make it NaN
+    code, out, err = run(capsys, "zeta", "--m", "2", "--s", s, "--bound", "100", "--mode", mode)
+    assert code == 0 and err == ""
+    assert json.loads(out)["value"] == 3.0
+
+
+@pytest.mark.parametrize("mode", ["darmon", "campana"])
+def test_zeta_probe_reaching_huge_s_exits_0(capsys, mode):
+    code, out, err = run(
+        capsys, "zeta", "--m", "2", "--probe", "2.5,1e29", "--bound", "100", "--mode", mode
+    )
+    assert code == 0 and err == ""
+    probe = json.loads(out)["probe"]
+    assert probe[1] == {"s": 1e29, "value": 3e29}  # (s - a)^b times 3
+
+
 def test_failed_allocation_exits_3(capsys):
     # the height-zeta line sum would ask for a 1e17-entry array (800 PB); the
     # budget refuses it first

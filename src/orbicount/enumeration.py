@@ -23,15 +23,17 @@ Moebius sieve when every q is admissible); the debug dump runs the oracle
   ch. 14).  The same walk yields the shapes s t, and per shape the sum over
   a becomes a sum over e2 <= A = (B/(s t))^(1/m) of mu(e2)
   T(floor(B/(e1 e2))) c_S(floor(A/e2)) for each e1 | rad(s t), over one
-  Moebius sieve up to B^(1/m).  One walk takes every shape: the entries
-  (shape, e2) in blocks, the divisors e1 of each shape as columns, and one
-  exact dot per block and column.  When every q is admissible (rational
-  mode, or weight 1) the count is the Moebius sum
-  N(B) = sum_d mu(d) floor(B/d) T(floor(B/d)), summed over the about
-  2 sqrt(B) runs of equal floor(B/d) with Mertens values M(floor(B/k)): a
-  Moebius sieve up to about B^(2/3) and the recursion
-  M(x) = 1 - sum_{j>=2} M(floor(x/j)) above it (Deleglise and Rivat), so
-  time and memory are O(B^(2/3)).
+  Moebius sieve up to B^(1/m).  One walk and one sieve at the top bound of
+  a count grid take every shape of every bound (the shapes of a smaller
+  bound are a prefix of the walk): the entries (shape, e2) in blocks, the
+  divisors e1 of each shape as columns, and one exact dot per block and
+  column.  When every q is admissible (rational mode, or weight 1) the
+  count is the Moebius sum N(B) = sum_d mu(d) floor(B/d) T(floor(B/d)),
+  one exact dot over the about 2 sqrt(B) runs of equal floor(B/d) with
+  Mertens values M(floor(B/k)): a Moebius sieve up to about B^(2/3) and the
+  recursion M(x) = 1 - sum_{j>=2} M(floor(x/j)) above it (Deleglise and
+  Rivat), its sieve parts summed for runs of k at once
+  (``_mertens_at_quotients``), so time and memory are O(B^(2/3)).
 * blow-up: ``blowup_columns`` is the one core under ``count_blowup`` and
   the height-zeta sum.  The leading pairs (x_0, x_1) = (g a, g b),
   gcd(a, b) = 1, lie in cells (g, c), c = max(a, |b|); X_2 depends on c
@@ -342,21 +344,83 @@ def _mobius_sum_work(N: int) -> int:
     return L + 4 * math.isqrt(N * (N // (L + 1))) + 2 * math.isqrt(N)
 
 
-def _mobius_sum(N: int, term: Callable[[int], int]) -> int:
+def _row_sums(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """sum(a[i, lo[i] : hi[i]]) in int64 for each row i of the 2-D array a,
+    0 <= lo[i] <= hi[i] <= a.shape[1], by one ``np.add.reduceat``; 0 for an
+    empty range."""
+    rows, width = a.shape
+    starts = np.arange(rows, dtype=np.int64) * width
+    at = np.stack((starts + lo, starts + hi), axis=1).ravel()
+    if at[-1] == a.size:  # the last range runs to the end of the array
+        at = at[:-1]
+    # an index past the end can only start an empty range, whose sum is masked
+    sums = np.add.reduceat(a.ravel(), np.minimum(at, a.size - 1), dtype=np.int64)
+    return np.where(lo < hi, sums[::2], 0)
+
+
+def _mertens_at_quotients(N: int, L: int, mu: np.ndarray, M: np.ndarray) -> List[int]:
+    """M(N // k) for 1 <= k <= K = N // (L + 1) (list entry k; entry 0 is 0),
+    from the Moebius values mu and the Mertens values M = cumsum(mu) up to L.
+
+    At x = N // k the recursion M(x) = 1 - sum_{j=2}^{x} M(floor(x/j)), with
+    r = isqrt(x) and J = x // (r+1), takes the j <= jk = min(J, K // k) from
+    the points M(N // (k j)), j >= 2 (k j <= K), the j in (jk, J] from the
+    sieve, and the rest by value v = floor(x/j) <= r, which after summation
+    by parts is sum_{v <= r} mu(v) floor(x/v) - floor(x/(r+1)) M(r).  The
+    sieve parts never read the points, so they are summed first: runs of
+    consecutive k share one rectangle x // (1..width) of at most _BLOCK / 4
+    entries, width the run's largest r, each row summed over its own
+    columns by ``_row_sums``; a row too wide to share a rectangle takes one
+    dot and one gather.  (At the default _BLOCK a rectangle's int64 arrays
+    take 128 KB; a full block was slower up to N = 1e8, as fast at 1e10 and
+    held more memory.)  Only the sum over the points is then a loop over k,
+    from K down to 1."""
+    K = N // (L + 1)
+    if not K:
+        return [0]
+    k = np.arange(1, K + 1, dtype=np.int64)
+    x = N // k
+    r = np.sqrt(x).astype(np.int64)  # the float root is at most one off
+    r -= r * r > x
+    r += (r + 1) * (r + 1) <= x
+    J = x // (r + 1)
+    jk = np.minimum(J, K // k)  # j <= jk: floor(x/j) = floor(N/(k j)) > L
+    base = (x // (r + 1)) * M[r]
+    ar = np.arange(1, int(r[0]) + 2, dtype=np.int64)  # ar[i] = i + 1
+    lo = 0
+    while lo < K:
+        width = int(r[lo])
+        hi = min(K, lo + (_BLOCK >> 2) // width)
+        if hi - lo < 2:  # the row fills a rectangle by itself
+            quotients = int(x[lo]) // ar[:width]  # J <= r, so (jk, J] is inside
+            base[lo] -= int(np.dot(mu[1 : width + 1], quotients))
+            base[lo] -= int(M[quotients[int(jk[lo]) : int(J[lo])]].sum())
+            lo += 1
+            continue
+        quotients = x[lo:hi, None] // ar[:width]
+        base[lo:hi] -= _row_sums(M.take(quotients, mode="clip"), jk[lo:hi], J[lo:hi])
+        quotients *= mu[1 : width + 1]
+        base[lo:hi] -= _row_sums(quotients, 0, r[lo:hi])
+        lo = hi
+    big = [0] * (K + 1)
+    for kk, b, j in zip(range(K, 0, -1), base[::-1].tolist(), jk[::-1].tolist()):
+        big[kk] = 1 + b - sum(big[2 * kk : j * kk + 1 : kk])
+    return big
+
+
+def _mobius_sum(N: int, term: Callable[[np.ndarray], np.ndarray]) -> int:
     """sum_{d <= N} mu(d) term(floor(N/d)), exactly, in O(N^(2/3)) time and
-    memory.
+    memory; ``term`` maps an int64, float64 or object array elementwise.
 
     The Mertens function M(x) = sum_{d <= x} mu(d) comes from a Moebius sieve
-    for x <= L, and at the K points x = floor(N/k) > L from the recursion
-    M(x) = 1 - sum_{j=2}^{x} M(floor(x/j)), for k = K down to 1: with
-    r = isqrt(x), the j <= x // (r+1) are summed one by one (floor(x/j) =
-    floor(N/(k j)) is an earlier point or lies in the sieve), the others by
-    value v = floor(x/j) <= r, which after summation by parts gives
-    sum_{v <= r} mu(v) floor(x/v) - floor(x/(r+1)) M(r).  The sum itself
-    takes d <= N // (s+1), s = isqrt(N), one at a time and the remaining d
-    in runs of equal v = floor(N/d) <= s, each weighted by
-    M(floor(N/v)) - M(floor(N/(v+1))).  Every int64 partial sum stays below
-    N (2 + 2 ln N), so N < 2^56 keeps the arrays exact.
+    for x <= L and from ``_mertens_at_quotients`` at the points
+    x = floor(N/k) > L.  The sum takes d <= N // (s+1), s = isqrt(N), one at
+    a time and the remaining d in runs of equal v = floor(N/d) <= s, each
+    weighted by M(floor(N/v)) - M(floor(N/(v+1))), as one exact weighted
+    dot: the entries whose float bound |weight| term(v) is at most 2^62 over
+    the number of entries go into one int64 dot, the others into one over
+    object arrays.  Every int64 partial sum of the recursion stays below
+    N (2 + 2 ln N), so N < 2^56 keeps its arrays exact.
     """
     if N >= 2**56:
         raise MemoryError(f"the Mertens sieve for B = {N} exceeds any memory")
@@ -364,26 +428,20 @@ def _mobius_sum(N: int, term: Callable[[int], int]) -> int:
     K = N // (L + 1)
     mu = mobius_sieve(L)
     M = np.cumsum(mu, dtype=np.int32 if L < 2**31 else np.int64)
+    big = np.array(_mertens_at_quotients(N, L, mu, M), dtype=np.int64)
     s = math.isqrt(N)
     ar = np.arange(1, s + 2, dtype=np.int64)  # ar[i] = i + 1
-    big = np.zeros(K + 1, dtype=np.int64)  # big[k] = M(N // k) for k <= K
-    for k in range(K, 0, -1):
-        x = N // k
-        r = math.isqrt(x)
-        J = x // (r + 1)
-        jk = min(J, K // k)  # j <= jk: floor(x/j) = floor(N/(k j)) > L
-        total = int(big[2 * k : jk * k + 1 : k].sum()) + int(M[x // ar[jk:J]].sum())
-        total += int(np.dot(mu[1 : r + 1], x // ar[:r])) - (x // (r + 1)) * int(M[r])
-        big[k] = 1 - total
-    total = 0
-    for d, mu_d in enumerate(mu[1 : N // (s + 1) + 1].tolist(), 1):
-        if mu_d:
-            total += mu_d * term(N // d)
+    D = N // (s + 1)
     at_quotients = np.concatenate((big[1:], M[N // ar[K : s + 1]]))  # v = 1..s+1
-    for v, run in enumerate((at_quotients[:-1] - at_quotients[1:]).tolist(), 1):
-        if run:
-            total += run * term(v)
-    return total
+    w = np.concatenate((mu[1 : D + 1], at_quotients[:-1] - at_quotients[1:]))
+    del mu, M  # the dot's arrays take the sieve's room
+    v = np.concatenate((N // ar[:D], ar[:s]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = np.abs(w) * term(v.astype(np.float64))
+    small = size <= 2.0**62 / len(w)  # these entries sum below 2^62 in int64
+    rest = ~small
+    return int(np.dot(w[small], term(v[small]))) + int(
+        np.dot(w[rest].astype(object), term(v[rest].astype(object))))
 
 
 _BLOCK = 1 << 16  # entries per block, rows (shape, e1) per chunk
@@ -421,13 +479,22 @@ def _coprime_counter(s_primes: Sequence[int], limit: int) -> Callable:
 def _kth_roots(q: np.ndarray, m: int) -> np.ndarray:
     """floor(q^(1/m)) as int64 for an int64 or object array of q >= 1.  The
     float root is off by less than 1e-13 of itself below q = 1e308, so its
-    floor is exact unless it lies within 1e-12 of itself of an integer, where
-    ``integer_kth_root`` decides, as it does for every q past _FLOAT_TOP."""
+    floor is exact unless it lies within 1e-12 of itself of an integer c.
+    There the floor is c - [c^m > q] in int64 for q <= 2^62, and
+    ``integer_kth_root`` decides for larger q, for object arrays and for
+    every q past _FLOAT_TOP."""
     huge = q > _FLOAT_TOP if q.dtype == object else False
     root = np.where(huge, 1, q).astype(np.float64) ** (1 / m)
     A = np.floor(root).astype(np.int64)
     near = np.abs(root - np.rint(root)) <= 1e-12 * root
-    for i in np.flatnonzero(near | huge).tolist():
+    slow = np.flatnonzero(near | huge)
+    if q.dtype != object and len(slow):
+        # below 2^62 the root is within 0.003 of c = rint(root), and c^m < 2^63
+        fits = q[slow] <= 2**62
+        fix, slow = slow[fits], slow[~fits]
+        c = np.rint(root[fix]).astype(np.int64)
+        A[fix] = c - (c**m > q[fix])
+    for i in slow.tolist():
         A[i] = integer_kth_root(int(q[i]), m)
     return A
 
@@ -480,9 +547,10 @@ def _box_dot(n: int, w: np.ndarray, f: np.ndarray, size: float) -> int:
 
 
 def _divisor_sum(
-    n: int, m: int, S: PlaceSet, Bint: int, mode: str, budget: Optional[int]
-) -> int:
-    """sum over the Darmon or Campana q <= Bint of sum_{e | rad q} mu(e)
+    n: int, m: int, S: PlaceSet, grid: Sequence[int], mode: str, budget: Optional[int]
+) -> List[int]:
+    """For each bound Bint of the ascending grid (every Bint >= 1), the sum
+    over the Darmon or Campana q <= Bint of sum_{e | rad q} mu(e)
     T(Bint // e), T(x) = (2x + 1)^n, by the shape of q.
 
     Each such q is s a^m t with s S-smooth, a coprime to S and t = prod_j
@@ -491,23 +559,25 @@ def _divisor_sum(
     e = e1 e2 with e1 | rad(s t) and e2 | rad(a) coprime to s t, and counting
     the a <= A = (Bint / (s t))^(1/m) that e2 divides, gives the sum over the
     shapes s t of sum_{e1} mu(e1) sum_{e2 <= A, (e2, S t) = 1} mu(e2)
-    T(Bint // (e1 e2)) c_S(A // e2).  The budget is charged the bound on the
-    denominators before the shapes are walked, then the (shape, e1) rows and
-    the sieve length before the sieve.
+    T(Bint // (e1 e2)) c_S(A // e2).  The caller charges the bound on the
+    denominators at the top bound before the walk; here the (shape, e1) rows
+    and the sieve length of the top bound are charged before the sieve.
 
-    One walk sums every shape, A from one exact root (``_kth_roots``).  The
-    shapes with k primes go in chunks of about _BLOCK rows, their 2^k signed
-    divisors e1 as columns (column j has sign (-1)^popcount(j)), and their
-    entries (shape, e2), e2 <= A over the nonzero Moebius values coprime to
-    S, in blocks of _BLOCK.  A block's weight w = mu(e2) c_S(A // e2), 0
+    One walk at the top bound sums every shape of every bound: the shapes of
+    a smaller bound are a prefix of the sorted walk, and the one Moebius
+    sieve up to the top A serves every bound.  The shapes with k primes go
+    in chunks of about _BLOCK rows, whose primes, primes of t and 2^k signed
+    divisors e1 (column j has sign (-1)^popcount(j)) are built once.  Per
+    bound, the chunk's shapes <= Bint (a prefix of it) take A from one exact
+    root (``_kth_roots``), and their entries (shape, e2), e2 <= A over the
+    nonzero Moebius values coprime to S, go in blocks of _BLOCK.  A block's weight w = mu(e2) c_S(A // e2), 0
     where a prime of t divides e2, is shared by one exact dot (``_box_dot``)
     per column against T(X // e2), X = Bint // |e1|, each of size at most
     sum |w| T(Bint / e2)."""
-    s_primes = S.finite_primes
-    charge(budget, _denominator_bound(m, s_primes, Bint, mode))
+    s_primes, top = S.finite_primes, grid[-1]
     last = 2 * m - 1 if mode == "campana" else m  # Darmon: no prime outside S
-    shapes, primes, omega = _denominator_walk(Bint, s_primes, m + 1, 1, last)
-    A_max = integer_kth_root(Bint, m)  # the A of the shape 1
+    shapes, primes, omega = _denominator_walk(top, s_primes, m + 1, 1, last)
+    A_max = integer_kth_root(top, m)  # the A of the shape 1
     charge(budget, int(np.left_shift(1, omega).sum()) + A_max)
     mu = mobius_sieve(A_max)
     for p in s_primes:
@@ -515,9 +585,8 @@ def _divisor_sum(
     e2_all = np.flatnonzero(mu)  # the e2 with mu(e2) = mu_all != 0
     mu_all, mu = mu[e2_all], None
     c_S = _coprime_counter(s_primes, A_max)
-    A = _kth_roots(Bint // shapes, m)
-    entries = np.searchsorted(e2_all, A, side="right")
-    total = 0
+    counts = np.searchsorted(shapes, grid, side="right")  # shapes <= Bint: a prefix
+    totals = [0] * len(grid)
     for k in range(int(omega.max(initial=0)) + 1):
         rows = np.flatnonzero(omega == k)
         for lo in range(0, len(rows), max(_BLOCK >> k, 1)):
@@ -533,39 +602,60 @@ def _divisor_sum(
             tp = tp[:, : int((tp <= A_max).sum(axis=1).max(initial=0))]
             _, e1 = _signed_divisors(P, omega[chunk])
             e1 = np.abs(e1).reshape(len(chunk), 1 << k)
-            X = Bint // (e1 if Bint <= _INT64_MAX else e1.astype(object))
-            # X = Bint // e1 passes int64 just where e1 <= Bint >> 63
-            columns = [X[:, j] if (e1[:, j] <= Bint >> 63).any()
-                       else X[:, j].astype(np.int64) for j in range(1 << k)]
             signs = [(-1) ** bin(j).count("1") for j in range(1 << k)]
-            for sh, at, _ in ragged_blocks(entries[chunk]):
-                e2 = e2_all[at]
-                w = mu_all[at] * c_S(A[chunk][sh] // e2)
-                if tp.shape[1]:
-                    w[(e2[:, None] % tp[sh] == 0).any(axis=1)] = 0
-                size = math.inf if Bint > _FLOAT_TOP else float(
-                    (np.abs(w) * _box(n, Bint / e2)).sum())
-                for sign, column in zip(signs, columns):
-                    total += sign * _box_dot(n, w, column[sh] // e2, size)
-    return total
+            for b, Bint in enumerate(grid):
+                here = chunk[chunk < counts[b]]  # the chunk's shapes <= Bint
+                if not len(here):
+                    continue
+                A = _kth_roots(Bint // shapes[here], m)
+                e1_here = e1[: len(here)]
+                X = Bint // (e1_here if Bint <= _INT64_MAX else e1_here.astype(object))
+                # X = Bint // e1 passes int64 just where e1 <= Bint >> 63
+                columns = [X[:, j] if (e1_here[:, j] <= Bint >> 63).any()
+                           else X[:, j].astype(np.int64) for j in range(1 << k)]
+                for sh, at, _ in ragged_blocks(np.searchsorted(e2_all, A, side="right")):
+                    e2 = e2_all[at]
+                    w = mu_all[at] * c_S(A[sh] // e2)
+                    if tp.shape[1]:
+                        w[(e2[:, None] % tp[sh] == 0).any(axis=1)] = 0
+                    size = math.inf if Bint > _FLOAT_TOP else float(
+                        (np.abs(w) * _box(n, Bint / e2)).sum())
+                    for sign, column in zip(signs, columns):
+                        totals[b] += sign * _box_dot(n, w, column[sh] // e2, size)
+    return totals
 
 
 def _count_pn(
-    n: int, m: int, S: PlaceSet, B: Union[int, float, Fraction], mode: str,
-    budget: Optional[int],
-) -> int:
-    """Points (x_1 : ... : x_n : q) of projective n-space with height <= B in
-    the given mode: the divisor sum of T(x) = (2x + 1)^n, the n-tuples in
-    [-x, x]^n, over the admissible q, or sum_d mu(d) floor(B/d) T(floor(B/d))
-    when every q is admissible."""
-    _check_mode(mode)
-    Bint = _floor_bound(B)
-    if Bint < 1:
-        return 0
-    if all_denominators_admissible(m, mode):
-        charge(budget, _mobius_sum_work(Bint))
-        return _mobius_sum(Bint, lambda v: v * _box(n, v))
-    return _divisor_sum(n, m, S, Bint, mode, budget)
+    n: int, m: int, S: PlaceSet, bounds: Sequence[Union[int, float, Fraction]],
+    modes: Sequence[str], budget: Optional[int],
+) -> Dict[str, List[int]]:
+    """Per mode, the points (x_1 : ... : x_n : q) of projective n-space with
+    height <= B for each B of the ascending grid ``bounds``: the divisor sum
+    of T(x) = (2x + 1)^n, the n-tuples in [-x, x]^n, over the admissible q,
+    or sum_d mu(d) floor(B/d) T(floor(B/d)) when every q is admissible.
+
+    Every mode is charged at the top bound before any mode is counted (the
+    Moebius sum's work, or the bound on the denominators before the walk),
+    so a grid is refused exactly when its top bound is.  A Darmon or
+    Campana grid takes one ``_divisor_sum``; a Moebius grid one
+    ``_mobius_sum`` per bound.  A bound below 1 counts 0."""
+    for mode in modes:
+        _check_mode(mode)
+    Bints = [_floor_bound(B) for B in bounds]
+    grid = [Bint for Bint in Bints if Bint >= 1]
+    if not grid:
+        return {mode: [0] * len(Bints) for mode in modes}
+    for mode in modes:
+        charge(budget, _mobius_sum_work(grid[-1]) if all_denominators_admissible(m, mode)
+               else _denominator_bound(m, S.finite_primes, grid[-1], mode))
+    counts = {}
+    for mode in modes:
+        if all_denominators_admissible(m, mode):
+            sums = [_mobius_sum(Bint, lambda v: v * _box(n, v)) for Bint in grid]
+        else:
+            sums = _divisor_sum(n, m, S, grid, mode, budget)
+        counts[mode] = [0] * (len(Bints) - len(grid)) + sums
+    return counts
 
 
 def count_p1(
@@ -576,7 +666,7 @@ def count_p1(
     budget: Optional[int] = DEFAULT_BUDGET,
 ) -> int:
     """Points of the line model with global height <= B in the given mode."""
-    return _count_pn(1, m, S, B, mode, budget)
+    return _count_pn(1, m, S, [B], [mode], budget)[mode][0]
 
 
 def count_pn2(
@@ -587,7 +677,7 @@ def count_pn2(
     budget: Optional[int] = DEFAULT_BUDGET,
 ) -> int:
     """Plane model (projective, n = 2): last coordinate plays the role of q."""
-    return _count_pn(2, m, S, B, mode, budget)
+    return _count_pn(2, m, S, [B], [mode], budget)[mode][0]
 
 
 # --------------------------------------------------------------------------
@@ -868,7 +958,7 @@ def count_points(
     if model.name == "pn" and model.dimension == 2:
         return count_pn2(model.params["m"], S, B, mode, budget)
     if model.name == "pn":
-        return _count_pn(model.dimension, model.params["m"], S, B, mode, budget)
+        return _count_pn(model.dimension, model.params["m"], S, [B], [mode], budget)[mode][0]
     if model.name == "blowup":
         return count_blowup(model.params["m1"], model.params["m2"], S, B, mode, budget)
     raise DomainError(f"no enumerator for model {model.name!r}")
@@ -894,10 +984,13 @@ def count_series(
     if labels is None:
         labels = [_format_bound(b) for b in fracs]
     wanted = MODES if mode == "all" else (mode,)
-    return tuple(
-        CountRecord(b, label, {md: count_points(model, S, b, md, budget) for md in wanted})
-        for b, label in zip(fracs, labels)
-    )
+    if model.name in ("p1", "pn"):  # one walk per mode over the whole grid
+        per_mode = _count_pn(model.dimension, model.params["m"], S, fracs, wanted, budget)
+        counts = [{md: per_mode[md][i] for md in wanted} for i in range(len(fracs))]
+    else:
+        counts = [{md: count_points(model, S, b, md, budget) for md in wanted}
+                  for b in fracs]
+    return tuple(CountRecord(b, label, c) for b, label, c in zip(fracs, labels, counts))
 
 
 def _format_bound(b: Fraction) -> str:

@@ -96,7 +96,7 @@ def zeta_partial_sum(
 
 def _finite(zeta: Callable[[float], float], s: float) -> float:
     """zeta(s), refused unless finite: for s far below 0, n^-s passes the
-    float range."""
+    float range, and for huge s so may the residue probe's (s - a)^b."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             value = zeta(s)
@@ -373,7 +373,11 @@ def residue_probe(
     a = float(a_invariant(model))
     b = b_invariant(model)
     zeta = _zeta_sum(model, S, Fraction(B), mode)
-    return [(float(s), (float(s) - a) ** b * _finite(zeta, float(s))) for s in s_values]
+
+    def scaled(s: float) -> float:
+        return (s - a) ** b * zeta(s)
+
+    return [(float(s), _finite(scaled, float(s))) for s in s_values]
 
 
 # --------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+import operator
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import mpmath
@@ -64,6 +65,13 @@ DPS = 30  # working precision (significant digits) for finite-place factors
 _TERM_STEPS = 200
 
 Number = Union[int, float, Fraction]
+
+
+def _prime(p) -> mpf:
+    """The prime p as an mpf: a Python or NumPy integer through
+    ``operator.index``, or a float as it is (the Euler products pass their
+    primes as float64)."""
+    return mpf(p if isinstance(p, float) else operator.index(p))
 
 
 def _to_mpf(x: Number) -> mpf:
@@ -151,7 +159,7 @@ def _stratum_sum(
 def denef_factor(model: OrbifoldModel, p: int, s: Number, in_S: bool = False) -> mpf:
     """Finite-place factor as the stratum sum."""
     with mpmath.workdps(DPS):
-        return _stratum_sum(model, mpf(p), s, in_S, mpmath)[0]
+        return _stratum_sum(model, _prime(p), s, in_S, mpmath)[0]
 
 
 def p1_factor(p: int, m: int, s: Number, in_S: bool = False) -> mpf:
@@ -161,7 +169,7 @@ def p1_factor(p: int, m: int, s: Number, in_S: bool = False) -> mpf:
         sv = _to_mpf(s)
         if sv <= 1:
             raise DomainError("line local factor requires s > 1")
-        pv = mpf(p)
+        pv = _prime(p)
         t = pv ** (m_eff * (1 - sv))
         return 1 + (1 - 1 / pv) * t / (1 - t)
 
@@ -179,7 +187,7 @@ def blowup_factor(p: int, m1: int, m2: int, s: Number, in_S: bool = False) -> mp
         e2 = m2e * (sv * lam2 - 2)
         if e1 <= 0 or e2 <= 0:
             raise DomainError("blow-up local factor diverges at this s")
-        pv = mpf(p)
+        pv = _prime(p)
         t1 = pv**-e1
         t2 = pv**-e2
         w = 1 - 1 / pv
@@ -192,7 +200,7 @@ def normalized_factor(model: OrbifoldModel, p: int, s: Number, in_S: bool = Fals
     """denef_factor times prod_a (1 - t_a): the zeta-regularized local factor,
     equal to 1 + O(p^(-1-delta')) in the convergence region."""
     with mpmath.workdps(DPS):
-        total, regularizer = _stratum_sum(model, mpf(p), s, in_S, mpmath)
+        total, regularizer = _stratum_sum(model, _prime(p), s, in_S, mpmath)
         return total * regularizer
 
 
@@ -217,7 +225,7 @@ def _shell_projective(
     contact order l gated by m | l."""
     m_eff = 1 if in_S else m
     sv = _to_mpf(s)
-    pv = mpf(p)
+    pv = _prime(p)
     if sv <= n:
         raise DomainError("projective local factor requires s > n")
     shell = 1 - pv**-n
@@ -247,7 +255,7 @@ def _shell_blowup(
     m1e = 1 if in_S else m1
     m2e = 1 if in_S else m2
     sv = _to_mpf(s)
-    pv = mpf(p)
+    pv = _prime(p)
     lam1 = _to_mpf(1 + Fraction(1, m1))
     lam2 = _to_mpf(2 + Fraction(1, m2))
     x1 = pv ** (-sv * lam1)  # per-unit n1 height decay

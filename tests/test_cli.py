@@ -356,6 +356,19 @@ def test_zeta_probe_reaching_huge_s_exits_0(capsys, mode):
     assert probe[1] == {"s": 1e29, "value": 3e29}  # (s - a)^b times 3
 
 
+@pytest.mark.parametrize("mode", ["darmon", "campana"])
+def test_zeta_probe_past_the_float_range_exits_2(capsys, mode):
+    # (s - a)^b times the sum passes the float range at s = 1e308; JSON has
+    # no Infinity, so the probe is refused and names the s
+    code, out, err = run(
+        capsys, "zeta", "--m", "2", "--probe", "2.5,1e29,1e308", "--bound", "100",
+        "--mode", mode,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "s = 1e+308" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_failed_allocation_exits_3(capsys):
     # the height-zeta line sum would ask for a 1e17-entry array (800 PB); the
     # budget refuses it first

@@ -335,6 +335,32 @@ def test_kth_roots_past_the_float_range():
         assert roots.tolist() == [integer_kth_root(q, m) for q in qs], m
 
 
+def test_kth_roots_decide_near_integers_in_int64_up_to_2_62(monkeypatch):
+    # perfect powers and their neighbours up to 2^62 take c - [c^m > q] with
+    # c the rounded root, not integer_kth_root; just past 2^62 they still do
+    calls = []
+
+    def counted(q, m):
+        calls.append(q)
+        return integer_kth_root(q, m)
+
+    monkeypatch.setattr(enumeration, "integer_kth_root", counted)
+    for m in range(2, 7):
+        top = integer_kth_root(2**62, m)
+        bases = list(range(1, 2000)) + list(range(top - 1000, top + 1))
+        qs = [a**m + d for a in bases for d in (-1, 0, 1) if 1 <= a**m + d <= 2**62]
+        qs += list(range(2**62 - 20, 2**62 + 1))
+        roots = enumeration._kth_roots(np.array(qs, dtype=np.int64), m)
+        assert roots.tolist() == [integer_kth_root(q, m) for q in qs], m
+        assert not calls, m
+        past = [(top + 1) ** m + d for d in (-1, 0, 1)] + [2**62 + 1, 2**62 + 2]
+        past += [a**m + d for a in range(top + 1, top + 50) for d in (-1, 0, 1)]
+        past = [q for q in past if 2**62 < q < 2**63]
+        roots = enumeration._kth_roots(np.array(past, dtype=np.int64), m)
+        assert roots.tolist() == [integer_kth_root(q, m) for q in past], m
+        calls.clear()
+
+
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("mode", ["darmon", "campana"])
 def test_divisor_sum_where_the_shape_roots_are_exact(m, mode):
@@ -405,6 +431,50 @@ def test_rational_counts_match_direct_moebius_sum():
 @given(B=st.integers(1, 2 * 10**5))
 def test_rational_counts_match_direct_moebius_sum_property(B):
     assert _rational_counts_match_reference(B)
+
+
+@lru_cache(maxsize=1)
+def _moebius_table(N):
+    mu = mobius_sieve(N)
+    return mu, np.cumsum(mu, dtype=np.int32)
+
+
+def _mertens_reference_matches(N):
+    mu, M = _moebius_table(3 * 10**6 + 7)
+    L = enumeration._mertens_sieve_limit(N)
+    want = [0] + [int(M[N // k]) for k in range(1, N // (L + 1) + 1)]
+    return enumeration._mertens_at_quotients(N, L, mu[: L + 1], M[: L + 1]) == want
+
+
+def test_row_sums_over_any_ranges():
+    # every 0 <= lo <= hi <= width, empty ranges and ranges that end the
+    # array included
+    rng = np.random.default_rng(1)
+    for _ in range(2000):
+        rows, width = (int(v) for v in rng.integers(1, 6, 2))
+        a = rng.integers(-9, 9, (rows, width)).astype(np.int32)
+        lo = rng.integers(0, width + 1, rows)
+        hi = np.array([rng.integers(low, width + 1) for low in lo])
+        want = [int(a[i, lo[i] : hi[i]].sum()) for i in range(rows)]
+        assert enumeration._row_sums(a, lo, hi).tolist() == want, (a, lo, hi)
+
+
+@pytest.mark.parametrize("block", [None, 1, 28, 256])
+def test_mertens_at_quotients_in_any_block(block, monkeypatch):
+    # rectangles of _BLOCK / 4 entries: 0 sends every row apart, 7 and 64
+    # cut runs of rows at many places; the points M(N // k) match the direct
+    # O(N) Mertens values for B = 1..2000, around the cubes, where the sieve
+    # length moves, and at a few larger N, and the counts over them match
+    # the direct Moebius sums around the cubes
+    # (test_rational_counts_match_direct_moebius_sum takes every B <= 2000
+    # at the default block)
+    if block is not None:
+        monkeypatch.setattr(enumeration, "_BLOCK", block)
+    cubes = [B for k in range(2, 61) for B in (k**3 - 1, k**3, k**3 + 1)]
+    for B in list(range(1, 2001)) + cubes + [10**6, 10**6 + 1, 3 * 10**6 + 7]:
+        assert _mertens_reference_matches(B), (block, B)
+    for B in cubes:
+        assert _rational_counts_match_reference(B), (block, B)
 
 
 def test_rational_line_count_at_1e8():
@@ -653,6 +723,65 @@ def test_count_series_columns_and_invariants():
     single = count_series(model, S0, [10], mode="darmon")
     assert single[0].counts["darmon"] == 45
     assert "rational" not in single[0].counts
+
+
+# 1/2 counts 0; 60 and 121/2 floor alike; no shape s t lies in (62, 63]
+_GRID = [Fraction(1, 2), 1, 10, 60, Fraction(121, 2), 62, 63]
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (1, 3), (2, 2)])
+def test_count_series_walks_each_grid_once(n, m, block, monkeypatch):
+    # one walk and one sieve per mode at the top bound give every bound the
+    # count of its own count_points, in every mode and S, with the chunks
+    # and blocks cut at many places
+    for S in (S0, S2, S23):
+        shapes = enumeration._denominator_walk(63, S.finite_primes, m + 1, 1, 2 * m - 1)[0]
+        assert not ((shapes > 62) & (shapes <= 63)).any()
+    if block is not None:
+        monkeypatch.setattr(enumeration, "_BLOCK", block)
+    model = projective_space(n, m)
+    for S in (S0, S2, S23):
+        records = count_series(model, S, _GRID, mode="all")
+        for rec, B in zip(records, _GRID):
+            assert rec.counts == {md: count_points(model, S, B, md) for md in MODES}, (S, B)
+        assert records[0].counts == dict.fromkeys(MODES, 0)
+        assert records[3].counts == records[4].counts
+        for mode in MODES:
+            single = count_series(model, S, _GRID, mode=mode)
+            assert [r.counts for r in single] == [{mode: r.counts[mode]} for r in records]
+
+
+def test_count_series_grid_of_large_bounds():
+    # the line workload's grids: shapes of 1e6 and 1e7 are prefixes of the
+    # walk at 1e8, and 1e12 at m = 3
+    grids = [(2, S2, [10**6, 10**7, 10**8]), (2, S23, [10**6, 10**7, 10**8]),
+             (3, S2, [10**9, 10**10, 10**12])]
+    for m, S, grid in grids:
+        for mode in ("campana", "darmon"):
+            records = count_series(projective_space(1, m), S, grid, mode=mode)
+            assert [r.counts[mode] for r in records] == [count_p1(m, S, B, mode)
+                                                         for B in grid]
+
+
+def test_count_series_charges_every_mode_at_the_top_bound_first(monkeypatch):
+    # at B = 1e6 the Moebius sum's work fits a budget that the Campana
+    # denominator bound with S = {2,3,5,7,11,13} passes: the grid is refused
+    # before any mode sieves or walks, though the rational mode, counted
+    # first, would fit, and though the first bound would fit in every mode
+    S = PlaceSet.of([2, 3, 5, 7, 11, 13])
+    rational = enumeration._mobius_sum_work(10**6)
+    assert rational < enumeration._denominator_bound(2, S.finite_primes, 10**6, "campana")
+    assert enumeration._denominator_bound(2, S.finite_primes, 10**3, "campana") < rational
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sieved or walked before the charge")
+
+    monkeypatch.setattr(enumeration, "_denominator_walk", unreachable)
+    monkeypatch.setattr(enumeration, "mobius_sieve", unreachable)
+    for n in (1, 2):
+        with pytest.raises(BudgetExceededError):
+            count_series(projective_space(n, 2), S, [10**3, 10**6], "all", budget=rational)
 
 
 def test_count_series_validates_grid():

@@ -187,6 +187,24 @@ def test_oracle_charges_its_terms_before_summing(monkeypatch):
     assert charged == [200 * 60, 200 * (400 + 320), 200 * (800 + 320)]
 
 
+@pytest.mark.parametrize("as_prime", [int, np.int64, np.int32, np.float64])
+def test_numpy_primes_give_the_int_values(as_prime):
+    # every factor and oracle takes an integer prime through operator.index,
+    # so a NumPy integer gives the same mpf, bit for bit, as does the float64
+    # prime of the Euler products
+    bu = blowup_p2(1, 2)
+    for p in (2, 3, 7):
+        q = as_prime(p)
+        for model, s in ((projective_space(1, 2), 3), (projective_space(2, 2), 4), (bu, 2)):
+            for in_S in (False, True):
+                assert denef_factor(model, q, s, in_S) == denef_factor(model, p, s, in_S)
+                assert normalized_factor(model, q, s, in_S) == normalized_factor(model, p, s, in_S)
+                assert shell_sum_oracle(model, q, s, 20, in_S) == shell_sum_oracle(
+                    model, p, s, 20, in_S)
+        assert p1_factor(q, 2, 3) == p1_factor(p, 2, 3)
+        assert blowup_factor(q, 1, 2, 2) == blowup_factor(p, 1, 2, 2)
+
+
 def test_divergence_raises():
     with pytest.raises(DomainError):
         denef_factor(P1, 2, 1.0)

@@ -31,11 +31,16 @@ from .orbifold import OrbifoldModel, PlaceSet, blowup_p2, projective_space
 __all__ = ["main"]
 
 
-def _parse_primes(text: str) -> List[int]:
+def _parse_primes(text: str, flag: str) -> List[int]:
+    """A comma list of primes, refused unless each entry is an integer (the
+    place set then checks that each is prime)."""
     text = text.strip()
     if not text:
         return []
-    return [int(t) for t in text.split(",")]
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError as exc:
+        raise DomainError(f"{flag} must be a comma list of primes, got {text!r}") from exc
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -71,8 +76,8 @@ def _build_model(args) -> OrbifoldModel:
 def _build_places(args) -> PlaceSet:
     text = getattr(args, "s_primes", None)
     if text is None:
-        text = getattr(args, "s", "") or ""
-    return PlaceSet.of(_parse_primes(text))
+        return PlaceSet.of(_parse_primes(args.s, "--s"))
+    return PlaceSet.of(_parse_primes(text, "--s-primes"))
 
 
 def _grid(args) -> tuple:
@@ -366,8 +371,8 @@ def _emit(args, text: str) -> None:
 
 def _add_model_flags(sub, s_is_variable=False):
     """Model/weight flags.  --s names the finite primes of S on the counting
-    subcommands; on local-factor and zeta it is the real variable s, and the
-    place set (when needed) moves to --s-primes."""
+    subcommands; on local-factor and zeta it is the real variable s, and
+    zeta takes the place set as --s-primes."""
     sub.add_argument("--model", choices=("p1", "pn", "blowup"), default="p1")
     sub.add_argument("--n", type=int, default=2, help="dimension for model pn")
     sub.add_argument("--m", type=int, default=1, help="weight for p1/pn")
@@ -375,9 +380,6 @@ def _add_model_flags(sub, s_is_variable=False):
     sub.add_argument("--m2", type=int, default=1, help="second blow-up weight")
     if s_is_variable:
         sub.add_argument("--s", dest="s_value", default=None, help="the variable s")
-        sub.add_argument(
-            "--s-primes", default="", help="finite primes of S, comma separated"
-        )
     else:
         sub.add_argument("--s", default="", help="finite primes of S, comma separated")
     sub.add_argument("--config", default=None, help="key=value defaults file")
@@ -451,6 +453,7 @@ def _build_parser() -> tuple:
 
     z = subs.add_parser("zeta", help="height-zeta partial sums / residue probe")
     _add_model_flags(z, s_is_variable=True)
+    z.add_argument("--s-primes", default="", help="finite primes of S, comma separated")
     z.add_argument("--bound", required=True)
     z.add_argument(
         "--mode", choices=("darmon", "campana", "rational"), default="darmon"

@@ -176,12 +176,12 @@ def _denominator_walk(
     primes of q[i] in ascending order, padded with 1.  q and primes are
     int64, or object arrays when limit passes int64; omega is int64.
 
-    Every q takes (1, 1, inf), the Darmon q (m, m, inf), the Campana q
-    (m, 1, inf), and the shapes s t of the divisor sum (m+1, 1, 2m-1), or no
-    prime outside S in Darmon mode (first > last).  The primes of S and the
-    other primes p with p^first <= sqrt(limit) join the rows one at a time in
-    ascending order, each row taking at most one of its allowed powers, and
-    a row that no later prime fits is set aside.  Two of the larger primes
+    The Darmon q take (m, m, inf), the Campana q (m, 1, inf), and the
+    shapes s t of the divisor sum (m+1, 1, 2m-1), or no prime outside S in
+    Darmon mode (first > last).  The primes of S and the other primes p with
+    p^first <= sqrt(limit) join the rows one at a time in ascending order,
+    each row taking at most one of its allowed powers, and a row that no
+    later prime fits is set aside.  Two of the larger primes
     exceed the limit together, so they join last, in one step over all
     their allowed powers.  Nothing is factored."""
     dtype = np.int64 if limit <= _INT64_MAX else object
@@ -337,7 +337,7 @@ def _mertens_sieve_limit(N: int) -> int:
 
 
 def _mobius_sum_work(N: int) -> int:
-    """Predicted steps of ``_mobius_sum(N, ...)``: the sieve length, the
+    """Predicted steps of ``_mobius_sum`` at the bound N: the sieve length, the
     recursion's 2 sqrt(N/k) array entries for each k <= K (at most
     4 sqrt(N K)) and the 2 sqrt(N) final terms."""
     L = _mertens_sieve_limit(N)
@@ -408,40 +408,48 @@ def _mertens_at_quotients(N: int, L: int, mu: np.ndarray, M: np.ndarray) -> List
     return big
 
 
-def _mobius_sum(N: int, term: Callable[[np.ndarray], np.ndarray]) -> int:
-    """sum_{d <= N} mu(d) term(floor(N/d)), exactly, in O(N^(2/3)) time and
-    memory; ``term`` maps an int64, float64 or object array elementwise.
+def _mobius_sum(n: int, grid: Sequence[int]) -> List[int]:
+    """sum_{d <= N} mu(d) floor(N/d) T(floor(N/d)), T(x) = (2x + 1)^n, exactly,
+    for each N of the ascending grid, in O(top^(2/3)) time and memory.
 
-    The Mertens function M(x) = sum_{d <= x} mu(d) comes from a Moebius sieve
-    for x <= L and from ``_mertens_at_quotients`` at the points
-    x = floor(N/k) > L.  The sum takes d <= N // (s+1), s = isqrt(N), one at
-    a time and the remaining d in runs of equal v = floor(N/d) <= s, each
-    weighted by M(floor(N/v)) - M(floor(N/(v+1))), as one exact weighted
-    dot: the entries whose float bound |weight| term(v) is at most 2^62 over
-    the number of entries go into one int64 dot, the others into one over
+    The Mertens function M(x) = sum_{d <= x} mu(d) comes from one Moebius
+    sieve for x <= L = ``_mertens_sieve_limit(top)``, shared by every bound,
+    and from ``_mertens_at_quotients`` at the points x = floor(N/k) > L.
+    The sum takes d <= N // (s+1), s = isqrt(N), one at a time and the
+    remaining d in runs of equal v = floor(N/d) <= s, each weighted by
+    M(floor(N/v)) - M(floor(N/(v+1))), as one exact weighted dot: the
+    entries whose float bound |weight| v T(v) is at most 2^62 over the
+    number of entries go into one int64 dot, the others into one over
     object arrays.  Every int64 partial sum of the recursion stays below
     N (2 + 2 ln N), so N < 2^56 keeps its arrays exact.
     """
-    if N >= 2**56:
-        raise MemoryError(f"the Mertens sieve for B = {N} exceeds any memory")
-    L = _mertens_sieve_limit(N)
-    K = N // (L + 1)
+    top = grid[-1]
+    if top >= 2**56:
+        raise MemoryError(f"the Mertens sieve for B = {top} exceeds any memory")
+    L = _mertens_sieve_limit(top)
     mu = mobius_sieve(L)
     M = np.cumsum(mu, dtype=np.int32 if L < 2**31 else np.int64)
-    big = np.array(_mertens_at_quotients(N, L, mu, M), dtype=np.int64)
-    s = math.isqrt(N)
-    ar = np.arange(1, s + 2, dtype=np.int64)  # ar[i] = i + 1
-    D = N // (s + 1)
-    at_quotients = np.concatenate((big[1:], M[N // ar[K : s + 1]]))  # v = 1..s+1
-    w = np.concatenate((mu[1 : D + 1], at_quotients[:-1] - at_quotients[1:]))
-    del mu, M  # the dot's arrays take the sieve's room
-    v = np.concatenate((N // ar[:D], ar[:s]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        size = np.abs(w) * term(v.astype(np.float64))
-    small = size <= 2.0**62 / len(w)  # these entries sum below 2^62 in int64
-    rest = ~small
-    return int(np.dot(w[small], term(v[small]))) + int(
-        np.dot(w[rest].astype(object), term(v[rest].astype(object))))
+    sums = []
+    for i, N in enumerate(grid):
+        K = N // (L + 1)
+        big = np.array(_mertens_at_quotients(N, L, mu, M), dtype=np.int64)
+        s = math.isqrt(N)
+        ar = np.arange(1, s + 2, dtype=np.int64)  # ar[j] = j + 1
+        D = N // (s + 1)
+        at_quotients = np.concatenate((big[1:], M[N // ar[K : s + 1]]))  # v = 1..s+1
+        w = np.concatenate((mu[1 : D + 1], at_quotients[:-1] - at_quotients[1:]))
+        if i == len(grid) - 1:
+            del mu, M  # the top bound's dot takes the sieve's room
+        v = np.concatenate((N // ar[:D], ar[:s]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            vf = v.astype(np.float64)
+            size = np.abs(w) * (vf * _box(n, vf))
+        small = size <= 2.0**62 / len(w)  # these entries sum below 2^62 in int64
+        rest = ~small
+        vs, vr = v[small], v[rest].astype(object)
+        sums.append(int(np.dot(w[small], vs * _box(n, vs)))
+                    + int(np.dot(w[rest].astype(object), vr * _box(n, vr))))
+    return sums
 
 
 _BLOCK = 1 << 16  # entries per block, rows (shape, e1) per chunk
@@ -637,8 +645,9 @@ def _count_pn(
     Every mode is charged at the top bound before any mode is counted (the
     Moebius sum's work, or the bound on the denominators before the walk),
     so a grid is refused exactly when its top bound is.  A Darmon or
-    Campana grid takes one ``_divisor_sum``; a Moebius grid one
-    ``_mobius_sum`` per bound.  A bound below 1 counts 0."""
+    Campana grid takes one ``_divisor_sum`` and a Moebius grid one
+    ``_mobius_sum``, each walking or sieving once at the top bound.  A
+    bound below 1 counts 0."""
     for mode in modes:
         _check_mode(mode)
     Bints = [_floor_bound(B) for B in bounds]
@@ -651,7 +660,7 @@ def _count_pn(
     counts = {}
     for mode in modes:
         if all_denominators_admissible(m, mode):
-            sums = [_mobius_sum(Bint, lambda v: v * _box(n, v)) for Bint in grid]
+            sums = _mobius_sum(n, grid)
         else:
             sums = _divisor_sum(n, m, S, grid, mode, budget)
         counts[mode] = [0] * (len(Bints) - len(grid)) + sums
@@ -953,11 +962,7 @@ def count_points(
     budget: Optional[int] = DEFAULT_BUDGET,
 ) -> int:
     """Dispatch a single count for a built-in model."""
-    if model.name == "p1":
-        return count_p1(model.params["m"], S, B, mode, budget)
-    if model.name == "pn" and model.dimension == 2:
-        return count_pn2(model.params["m"], S, B, mode, budget)
-    if model.name == "pn":
+    if model.name in ("p1", "pn"):
         return _count_pn(model.dimension, model.params["m"], S, [B], [mode], budget)[mode][0]
     if model.name == "blowup":
         return count_blowup(model.params["m1"], model.params["m2"], S, B, mode, budget)

@@ -321,6 +321,29 @@ def test_unparsed_float_flags_exit_2_naming_the_flag(capsys, argv, flag):
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("count", "--s", "x", "--grid", "10"), "--s"),
+        (("count", "--s", "2,,3", "--grid", "10"), "--s"),
+        (("classify", "--s", "2;3", "1/2"), "--s"),
+        (("zeta", "--bound", "10", "--s", "2", "--s-primes", "y"), "--s-primes"),
+    ],
+)
+def test_unparsed_prime_flags_exit_2_naming_the_flag(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} must be a comma list of primes, got ")
+    assert "Traceback" not in err
+
+
+def test_local_factor_refuses_a_place_set(capsys):
+    # local-factor takes membership of S as --in-s; it has no --s-primes to ignore
+    with pytest.raises(SystemExit) as exc:
+        main(["local-factor", "--p", "2", "--s", "2", "--s-primes", "2"])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("zeta", "--m", "2", "--s", "-60", "--bound", "1e6"),

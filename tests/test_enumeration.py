@@ -764,6 +764,26 @@ def test_count_series_grid_of_large_bounds():
                                                          for B in grid]
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_rational_grid_sieves_once(n, monkeypatch):
+    # a rational grid shares one sieve up to L = L(top), so a lower bound N
+    # reads K = N // (L + 1) points of the recursion: bounds below L and on
+    # both sides of the changes of K from 0 to 1, 1 to 2 and 99 to 100 count
+    # as their own count_points, which sieve up to their own L
+    top = 10**6
+    L = enumeration._mertens_sieve_limit(top)
+    grid = [1, 10, L, L + 1, 2 * L + 1, 2 * L + 2, 100 * L + 99, 100 * L + 100, top]
+    assert [B // (L + 1) for B in grid[2:-1]] == [0, 1, 1, 2, 99, 100]
+    model = projective_space(n, 1)
+    want = [count_points(model, S0, B, "rational") for B in grid]
+    sieves = []
+    monkeypatch.setattr(enumeration, "mobius_sieve",
+                        lambda N: sieves.append(N) or mobius_sieve(N))
+    records = count_series(model, S0, grid, mode="rational")
+    assert [r.counts["rational"] for r in records] == want
+    assert sieves == [L]
+
+
 def test_count_series_charges_every_mode_at_the_top_bound_first(monkeypatch):
     # at B = 1e6 the Moebius sum's work fits a budget that the Campana
     # denominator bound with S = {2,3,5,7,11,13} passes: the grid is refused

@@ -1,12 +1,17 @@
-"""The experiment scripts run end to end on small bounds, and refuse a bound
-they cannot use with a usage error."""
+"""The experiment scripts run end to end on small bounds, print the counts
+that ``count_points`` gives, and refuse a bound they cannot use with a usage
+error, or one the package refuses with one error line."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from orbicount.enumeration import count_points
+from orbicount.orbifold import PlaceSet, blowup_p2, projective_space
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,3 +46,33 @@ def test_line_asymptotics_refuses_unusable_bmax(bmax):
     out = run_script("line_asymptotics.py", "--bmax", bmax)
     assert out.returncode == 2 and out.stdout == ""
     assert "error: --bmax" in out.stderr and "Traceback" not in out.stderr
+
+
+def _printed_counts(name, bmax):
+    """(model, S, mode, B, N) for every N(B) = N that the script prints."""
+    out = run_script(name, "--bmax", bmax)
+    assert out.returncode == 0, out.stderr
+    if name == "blowup_adjudication.py":
+        rows = re.findall(r"^N\((\d+)\) = (\d+)", out.stdout, re.M)
+        return [(blowup_p2(1, 1), PlaceSet.of(), "darmon", int(b), int(n)) for b, n in rows]
+    rows = re.findall(r"^m=(\d+) (\w+), S=\{inf([\d,]*)\}: N\((\d+)\) = (\d+)", out.stdout, re.M)
+    return [(projective_space(1, int(m)), PlaceSet.of([int(p) for p in s.split(",") if p]),
+             mode, int(b), int(n)) for m, mode, s, b, n in rows]
+
+
+@pytest.mark.parametrize("name, bmax, rows", [
+    ("blowup_adjudication.py", "30000", 3),
+    ("line_asymptotics.py", "3000", 5),
+])
+def test_printed_counts_equal_count_points(name, bmax, rows):
+    printed = _printed_counts(name, bmax)
+    assert len(printed) == rows
+    for model, S, mode, B, n in printed:
+        assert n == count_points(model, S, B, mode), (model.name, S, mode, B)
+
+
+def test_line_asymptotics_refused_count_exits_3():
+    # the Mertens sieve refuses B >= 2^56 at once
+    out = run_script("line_asymptotics.py", "--bmax", "1e17")
+    assert out.returncode == 3
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1

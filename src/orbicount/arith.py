@@ -345,6 +345,8 @@ def integer_kth_root(n: int, k: int) -> int:
         raise ValueError("integer_kth_root requires n >= 0 and k >= 1")
     if k == 1 or n < 2:
         return n
+    if n.bit_length() <= k:  # n < 2^k, before any power of a huge k
+        return 1
     if k == 2:
         return math.isqrt(n)
     # Newton's method on integers, started just above the root from a float

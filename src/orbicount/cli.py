@@ -67,7 +67,10 @@ def _build_model(args) -> OrbifoldModel:
     if args.model == "p1":
         return projective_space(1, args.m)
     if args.model == "pn":
-        return projective_space(args.n, args.m)
+        try:
+            return projective_space(args.n, args.m)
+        except OverflowError as exc:  # (0,) * n past the index range
+            raise DomainError(f"--n {args.n} is too large") from exc
     if args.model == "blowup":
         return blowup_p2(args.m1, args.m2)
     raise DomainError(f"unknown model {args.model!r}")
@@ -84,9 +87,10 @@ def _grid(args) -> tuple:
     """Returns (bounds ascending, labels)."""
     spec = args.grid
     if spec.startswith("geometric:"):
-        k = int(spec.split(":", 1)[1])
-        if k < 1:
-            raise DomainError("geometric grid needs at least one point")
+        k = spec.split(":", 1)[1].strip()
+        if not k.isdigit() or int(k) < 1:
+            raise DomainError(f"--grid {spec}: a geometric grid needs an integer k >= 1")
+        k = int(k)
         if args.bmax is None:
             raise DomainError("geometric grid requires --bmax")
         lo = _parse_fraction(args.bmin)

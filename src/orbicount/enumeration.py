@@ -23,10 +23,10 @@ Moebius sieve when every q is admissible); the debug dump runs the oracle
   ch. 14).  The same walk yields the shapes s t, and per shape the sum over
   a becomes a sum over e2 <= A = (B/(s t))^(1/m) of mu(e2)
   T(floor(B/(e1 e2))) c_S(floor(A/e2)) for each e1 | rad(s t), over one
-  Moebius sieve up to B^(1/m).  One walk and one sieve at the top bound of
-  a count grid take every shape of every bound (the shapes of a smaller
-  bound are a prefix of the walk): the entries (shape, e2) in blocks, the
-  divisors e1 of each shape as columns, and one exact dot per block and
+  Moebius sieve up to B^(1/m).  As e1 and the e2 taking part depend on
+  R = rad(s t) alone, one walk and one sieve at the top bound of a count
+  grid take every radical R of every bound: the entries (R, e2) in blocks
+  with R's weights c_S summed, e1 as columns, one exact dot per block and
   column.  When every q is admissible (rational mode, or weight 1) the
   count is the Moebius sum N(B) = sum_d mu(d) floor(B/d) T(floor(B/d)),
   one exact dot over the about 2 sqrt(B) runs of equal floor(B/d) with
@@ -452,7 +452,7 @@ def _mobius_sum(n: int, grid: Sequence[int]) -> List[int]:
     return sums
 
 
-_BLOCK = 1 << 16  # entries per block, rows (shape, e1) per chunk
+_BLOCK = 1 << 16  # entries per block, rows (radical, e1) per chunk
 _INT64_MAX = 2**63 - 1
 _FLOAT_TOP = 2**1000  # integers past it take no float route
 
@@ -559,28 +559,29 @@ def _divisor_sum(
 ) -> List[int]:
     """For each bound Bint of the ascending grid (every Bint >= 1), the sum
     over the Darmon or Campana q <= Bint of sum_{e | rad q} mu(e)
-    T(Bint // e), T(x) = (2x + 1)^n, by the shape of q.
+    T(Bint // e), T(x) = (2x + 1)^n, by the radical of the shape of q.
 
     Each such q is s a^m t with s S-smooth, a coprime to S and t = prod_j
     b_j^j over j = m+1..2m-1 with the b_j squarefree, pairwise coprime and
     coprime to S (t = 1 in Darmon mode), in exactly one way.  Splitting
-    e = e1 e2 with e1 | rad(s t) and e2 | rad(a) coprime to s t, and counting
-    the a <= A = (Bint / (s t))^(1/m) that e2 divides, gives the sum over the
-    shapes s t of sum_{e1} mu(e1) sum_{e2 <= A, (e2, S t) = 1} mu(e2)
-    T(Bint // (e1 e2)) c_S(A // e2).  The caller charges the bound on the
-    denominators at the top bound before the walk; here the (shape, e1) rows
-    and the sieve length of the top bound are charged before the sieve.
+    e = e1 e2 with e1 | R = rad(s t) and e2 | rad(a) coprime to S R (as e2 is
+    coprime to S, (e2, t) = 1 exactly when (e2, R) = 1), and counting the
+    a <= A_u = (Bint / u)^(1/m), u = s t, that e2 divides, gives the sum over
+    the radicals R of sum_{e1} mu(e1) sum_{e2} mu(e2) T(Bint // (e1 e2))
+    W_R(e2), W_R(e2) the sum of c_S(A_u // e2) (0 past A_u) over the shapes
+    u <= Bint of radical R.  The caller charges the denominators before the
+    walk; here the (shape, e1) rows and the sieve length are charged first.
 
-    One walk at the top bound sums every shape of every bound: the shapes of
-    a smaller bound are a prefix of the sorted walk, and the one Moebius
-    sieve up to the top A serves every bound.  The shapes with k primes go
-    in chunks of about _BLOCK rows, whose primes, primes of t and 2^k signed
-    divisors e1 (column j has sign (-1)^popcount(j)) are built once.  Per
-    bound, the chunk's shapes <= Bint (a prefix of it) take A from one exact
-    root (``_kth_roots``), and their entries (shape, e2), e2 <= A over the
-    nonzero Moebius values coprime to S, go in blocks of _BLOCK.  A block's weight w = mu(e2) c_S(A // e2), 0
-    where a prime of t divides e2, is shared by one exact dot (``_box_dot``)
-    per column against T(X // e2), X = Bint // |e1|, each of size at most
+    One walk and one Moebius sieve at the top bound serve every bound.  The
+    radicals with k primes, by least shape (those of a smaller bound come
+    first), go in chunks of about _BLOCK >> k, whose primes, primes outside
+    S and 2^k signed divisors e1 (column j has sign (-1)^popcount(j)) are
+    built once.  Per bound, the chunk's shapes <= Bint take A from exact
+    roots (``_kth_roots``), and the entries (R, e2), e2 <= A of R's least
+    shape, go in blocks of _BLOCK: the least shape's c_S inline, the
+    others' added by ``np.add.at``.  w = mu(e2) W_R(e2), 0 where a prime of
+    R outside S divides e2, is shared by one exact dot (``_box_dot``) per
+    column against T(X // e2), X = Bint // e1, each of size at most
     sum |w| T(Bint / e2)."""
     s_primes, top = S.finite_primes, grid[-1]
     last = 2 * m - 1 if mode == "campana" else m  # Darmon: no prime outside S
@@ -593,37 +594,66 @@ def _divisor_sum(
     e2_all = np.flatnonzero(mu)  # the e2 with mu(e2) = mu_all != 0
     mu_all, mu = mu[e2_all], None
     c_S = _coprime_counter(s_primes, A_max)
-    counts = np.searchsorted(shapes, grid, side="right")  # shapes <= Bint: a prefix
+    # radicals r by (k, least shape lead[r]); r's shapes: by_r[cut[r] : cut[r + 1]]
+    R = np.ones(len(shapes), dtype=primes.dtype)
+    for j in range(primes.shape[1]):
+        R *= primes[:, j]
+    by_R = R.argsort()
+    ends = np.flatnonzero(np.concatenate(([True], R[by_R[1:]] != R[by_R[:-1]], [True])))
+    lead = np.minimum.reduceat(by_R, ends[:-1])
+    order = (omega[lead] * len(shapes) + lead).argsort()
+    lead, many = lead[order], np.diff(ends)[order]
+    cut = np.append(0, many.cumsum())
+    by_r = by_R[np.repeat(ends[:-1][order] - cut[:-1], many) + np.arange(len(shapes))]
+    extra = by_r != np.repeat(lead, many)
     totals = [0] * len(grid)
     for k in range(int(omega.max(initial=0)) + 1):
-        rows = np.flatnonzero(omega == k)
-        for lo in range(0, len(rows), max(_BLOCK >> k, 1)):
-            chunk = rows[lo : lo + max(_BLOCK >> k, 1)]
-            P = primes[chunk, :k]
+        k0, k1 = np.searchsorted(omega[lead], [k, k + 1])
+        for lo in range(k0, k1, max(_BLOCK >> k, 1)):
+            hi = min(lo + max(_BLOCK >> k, 1), k1)
+            P = primes[lead[lo:hi], :k]
             if P.astype(np.float64).prod(axis=1).max(initial=1) < 2.0**62:
-                P = P.astype(np.int64)  # every e1 | rad(s t) fits int64
-            # the primes of t up to A_max first in each row; the others,
-            # A_max + 1, divide no e2
+                P = P.astype(np.int64)  # every e1 | R fits int64
+            # the primes of R outside S up to A_max first in each row; the
+            # others, A_max + 1, divide no e2
             tp = np.minimum(P, A_max + 1).astype(np.int64)
-            tp[np.isin(tp, s_primes)] = A_max + 1
+            tp[(tp[..., None] == s_primes).any(axis=2)] = A_max + 1
             tp.sort(axis=1)
             tp = tp[:, : int((tp <= A_max).sum(axis=1).max(initial=0))]
-            _, e1 = _signed_divisors(P, omega[chunk])
-            e1 = np.abs(e1).reshape(len(chunk), 1 << k)
+            _, e1 = _signed_divisors(P, omega[lead[lo:hi]])
+            e1 = np.abs(e1).reshape(hi - lo, 1 << k)
             signs = [(-1) ** bin(j).count("1") for j in range(1 << k)]
-            for b, Bint in enumerate(grid):
-                here = chunk[chunk < counts[b]]  # the chunk's shapes <= Bint
-                if not len(here):
+            # the chunk's least shapes, then the others and their radicals 0, 1, ...
+            c = slice(cut[lo], cut[hi])
+            u = np.concatenate((shapes[lead[lo:hi]], shapes[by_r[c][extra[c]]]))
+            u_r = np.repeat(np.arange(hi - lo), many[lo:hi] - 1)
+            heads = np.searchsorted(u[: hi - lo], grid, side="right")
+            for b, (Bint, h) in enumerate(zip(grid, heads)):
+                if not h:
                     continue
-                A = _kth_roots(Bint // shapes[here], m)
-                e1_here = e1[: len(here)]
-                X = Bint // (e1_here if Bint <= _INT64_MAX else e1_here.astype(object))
+                fits = u <= Bint  # the least shapes <= Bint are the first h
+                A_u = _kth_roots(Bint // u[fits], m)
+                A, xA, xr = A_u[:h], A_u[h:], u_r[fits[hi - lo :]]
+                X = Bint // (e1[:h] if Bint <= _INT64_MAX else e1[:h].astype(object))
                 # X = Bint // e1 passes int64 just where e1 <= Bint >> 63
-                columns = [X[:, j] if (e1_here[:, j] <= Bint >> 63).any()
+                columns = [X[:, j] if (e1[:h, j] <= Bint >> 63).any()
                            else X[:, j].astype(np.int64) for j in range(1 << k)]
-                for sh, at, _ in ragged_blocks(np.searchsorted(e2_all, A, side="right")):
+                counts = np.searchsorted(e2_all, A, side="right")
+                x_at = (counts.cumsum() - counts)[xr]  # extra shapes' entries [x_at, x_to)
+                x_to = x_at + np.searchsorted(e2_all, xA, side="right")
+                for b0, (sh, at, _) in zip(itertools.count(0, _BLOCK), ragged_blocks(counts)):
                     e2 = e2_all[at]
-                    w = mu_all[at] * c_S(A[sh] // e2)
+                    w = c_S(A[sh] // e2)
+                    x0, x1 = np.searchsorted(xr, [sh[0], sh[-1] + 1]) if len(xr) else (0, 0)
+                    if x1 > x0:  # in pieces of at most 2 _BLOCK entries (shape, e2)
+                        off = np.maximum(x_at[x0:x1] - b0, 0)
+                        runs = np.minimum(np.maximum(x_to[x0:x1] - b0, 0), len(sh)) - off
+                        cuts = (np.flatnonzero(np.diff(runs.cumsum() // _BLOCK)) + 1).tolist()
+                        for y in map(slice, [0] + cuts, cuts + [x1 - x0]):
+                            r = runs[y]
+                            pos = np.arange(r.sum()) + np.repeat(off[y] - r.cumsum() + r, r)
+                            np.add.at(w, pos, c_S(np.repeat(xA[x0:x1][y], r) // e2[pos]))
+                    w *= mu_all[at]
                     if tp.shape[1]:
                         w[(e2[:, None] % tp[sh] == 0).any(axis=1)] = 0
                     size = math.inf if Bint > _FLOAT_TOP else float(
@@ -1021,16 +1051,20 @@ def read_counts_csv(fh) -> List[Dict[str, Optional[Union[float, int]]]]:
     if header != CSV_HEADER:
         raise DomainError(f"unexpected CSV header: {header!r}")
     rows = []
-    for line in fh:
+    for number, line in enumerate(fh, start=2):
         line = line.strip()
         if not line:
             continue
+        where = f"{getattr(fh, 'name', 'CSV')}, line {number}"
         cells = line.split(",")
         if len(cells) != 1 + len(MODES):
-            raise DomainError(f"malformed CSV row: {line!r}")
-        row: Dict[str, Optional[Union[float, int]]] = {"bound": float(Fraction(cells[0]))}
-        for md, cell in zip(MODES, cells[1:]):
-            row[f"n_{md}"] = int(cell) if cell else None
+            raise DomainError(f"{where}: malformed CSV row: {line!r}")
+        try:
+            row: Dict[str, Optional[Union[float, int]]] = {"bound": float(Fraction(cells[0]))}
+            for md, cell in zip(MODES, cells[1:]):
+                row[f"n_{md}"] = int(cell) if cell else None
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise DomainError(f"{where}: cannot read {line!r} ({exc})") from exc
         rows.append(row)
     return rows
 

@@ -147,6 +147,18 @@ def test_integer_kth_root_exact():
             assert r**k <= n < (r + 1) ** k
 
 
+def test_integer_kth_root_of_a_huge_index():
+    # n < 2^k has root 1 without a Newton step: at k = 1e7 one step would
+    # raise a guess of 2 to the power k - 1
+    assert integer_kth_root(2**10**7 - 1, 10**7) == 1
+    for k in (3, 64, 10**4):
+        assert integer_kth_root(2**k - 1, k) == 1
+        assert integer_kth_root(2**k, k) == 2
+        assert integer_kth_root(2**k + 1, k) == 2
+    for k in (3, 64, 1000):
+        assert integer_kth_root(3**k - 1, k) == 2 and integer_kth_root(3**k, k) == 3
+
+
 @given(n=st.integers(0, 2**2000), k=st.integers(1, 64))
 def test_integer_kth_root_huge(n, k):
     r = integer_kth_root(n, k)

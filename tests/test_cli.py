@@ -281,6 +281,46 @@ def test_geometric_grid_outside_the_float_range_exits_2(capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_geometric_grid_count_that_is_no_integer_names_grid(capsys):
+    code, out, err = run(capsys, "count", "--grid", "geometric:x", "--bmax", "100")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --grid geometric:x") and "Traceback" not in err
+
+
+def test_fit_names_the_file_and_line_of_a_bad_cell(tmp_path, capsys):
+    csv = tmp_path / "counts.csv"
+    csv.write_text("B,n_rational,n_campana,n_darmon\n10,127,55,45\n\n100,12175,x,1247\n")
+    code, out, err = run(capsys, "fit", str(csv), "--a", "1", "--b", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {csv}, line 4: ") and "'x'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--grid", "10"),
+        ("constant", "--method", "truncated"),
+        ("local-factor", "--p", "3", "--s", "2"),
+        ("zeta", "--bound", "10", "--s", "2"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_dimension_past_the_index_range_exits_2(capsys, argv):
+    # (0,) * n in the model's stratum table cannot take n = 1e20
+    n = "99999999999999999999"
+    code, out, err = run(capsys, argv[0], "--model", "pn", "--n", n, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: --n {n} is too large\n"
+
+
+def test_count_of_a_huge_weight(capsys):
+    # m = 1e7: every integer root of the count is 1, found without raising
+    # a Newton guess to the power m - 1 (seconds before)
+    code, out, _ = run(capsys, "count", "--model", "p1", "--m", "10000000",
+                       "--mode", "darmon", "--grid", "100")
+    assert code == 0 and out.splitlines()[1] == "100,,,201"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -372,8 +372,10 @@ def test_divisor_sum_where_the_shape_roots_are_exact(m, mode):
 
 
 def test_block_ends_change_no_divisor_sum(monkeypatch):
-    # blocks of 1, 7 and 64 entries (shape, e2) cut the shapes at many places,
-    # and chunks of _BLOCK >> k rows cut the shapes with k primes
+    # blocks of 1, 7 and 64 entries (radical, e2) cut the radicals at many
+    # places (with S = {2}, m = 2 and B = 3000 the radical 2 has 16 entries
+    # e2 <= A = 38 and ten more shapes, 4, 8, ..., whose weights are cut
+    # with it), and chunks of _BLOCK >> k radicals cut those with k primes
     cases = [(count, per_q, m, S, B, mode)
              for count, per_q in ((count_p1, _line_q_count), (count_pn2, _pn2_pair_count))
              for m in (2, 3) for S in (S0, S2, S23) for mode in ("darmon", "campana")
@@ -385,6 +387,60 @@ def test_block_ends_change_no_divisor_sum(monkeypatch):
         monkeypatch.setattr(enumeration, "_BLOCK", block)
         got = [count(m, S, B, mode) for count, _, m, S, B, mode in cases]
         assert got == expected, block
+
+
+S5 = PlaceSet.of([2, 3, 5, 7, 11])
+
+
+@pytest.mark.parametrize(
+    "count, per_q, args",
+    [
+        # 2,891 shapes on 211 radicals, up to 260 shapes on one
+        (count_p1, _line_q_count, (2, S5, 10**6, "campana")),
+        (count_pn2, _pn2_pair_count, (2, S5, 10**6, "darmon")),
+        # 44,703 shapes on 38 radicals, up to 10,808 shapes on one
+        (partial(count_p1, budget=None), _line_q_count, (9, S5, 10**12, "campana")),
+        # past 2^63 the shapes and radicals are object arrays: 18,824 shapes
+        # on 57 radicals
+        (partial(count_p1, budget=None), _line_q_count,
+         (12, PlaceSet.of([2, 3, 5]), 2**64 + 13, "campana")),
+        # every radical of S = {} and m = 2 has one shape, t = b^3
+        (count_p1, _line_q_count, (2, S0, 10**6, "campana")),
+        (count_pn2, _pn2_pair_count, (2, S0, 10**6, "campana")),
+    ],
+)
+def test_divisor_sum_by_radical_equals_the_per_q_counts(count, per_q, args):
+    assert count(*args) == _per_q_count(per_q, *args)
+
+
+def test_divisor_sum_weights_past_2_15_on_the_digit_route(monkeypatch):
+    # the plane at S = {2}, m = 2, B = 1e9: one c_S(A // e2) is at most
+    # c_S(31,622) = 15,811 < 2^15, but the radical 2 sums it over the 29
+    # shapes 2, 4, ..., 2^29, past 2^15, and sum |w| T(B / e2) passes 2^62,
+    # so those entries go apart in Python ints beside the 16-bit digits
+    seen = []
+
+    def recorded(n, w, f, size):
+        seen.append((size >= 2**62, int(np.abs(w).max(initial=0))))
+        return box_dot(n, w, f, size)
+
+    box_dot = enumeration._box_dot
+    monkeypatch.setattr(enumeration, "_box_dot", recorded)
+    args = (2, S2, 10**9, "darmon")
+    assert count_pn2(*args) == _per_q_count(_pn2_pair_count, *args)
+    assert any(digits and w > 2**15 for digits, w in seen)
+
+
+def test_divisor_sum_grids_that_drop_whole_radicals():
+    # the radicals of S = {2,3,5,7,11} with their least shape above a bound
+    # (2 3 5 7 11 = 2310 above 300, say) take no part in its count
+    for count, per_q in ((count_p1, _line_q_count), (count_pn2, _pn2_pair_count)):
+        model = projective_space(1 if count is count_p1 else 2, 2)
+        for mode in ("darmon", "campana"):
+            grid = [1, 10, 300, 3000, 10**5]
+            records = count_series(model, S5, grid, mode)
+            assert [rec.counts[mode] for rec in records] == [
+                _per_q_count(per_q, 2, S5, B, mode) for B in grid], mode
 
 
 def test_divisor_sum_charges_the_budget_before_the_sieve(monkeypatch):

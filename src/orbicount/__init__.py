@@ -3,7 +3,7 @@ compactifications, with local height integrals and leading-constant
 verification against the counting asymptotic c/(a (b-1)!) B^a (log B)^(b-1).
 """
 
-from .arith import INFINITY, factorize, is_k_full, is_kth_power, primitive_coords, valuation
+from .arith import INFINITY, factorize, primitive_coords, valuation
 from .orbifold import (
     OrbifoldModel,
     PlaceSet,
@@ -31,8 +31,6 @@ __version__ = "0.1.0"
 __all__ = [
     "INFINITY",
     "factorize",
-    "is_k_full",
-    "is_kth_power",
     "primitive_coords",
     "valuation",
     "OrbifoldModel",

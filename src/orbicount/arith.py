@@ -1,10 +1,10 @@
 """Exact integer and rational arithmetic primitives.
 
 p-adic valuations of rationals, integer factorization (sieve-backed trial
-division with a Brent/Pollard-rho fallback), perfect-power and k-full tests,
-primitive normalization of rational coordinate vectors, the small
-sieve/Moebius helpers the enumeration code leans on, and the segmented
-prime blocks the Euler products walk.
+division with a Brent/Pollard-rho fallback), primitive normalization of
+rational coordinate vectors, the small sieve/Moebius helpers the
+enumeration code leans on, and the segmented prime blocks the Euler
+products walk.
 
 All functions are pure and operate on arbitrary-precision integers or
 ``fractions.Fraction``; nothing here touches floating point except the
@@ -29,8 +29,6 @@ __all__ = [
     "int_valuation",
     "factorize",
     "distinct_primes",
-    "is_kth_power",
-    "is_k_full",
     "primitive_coords",
     "is_prime",
     "primes_up_to",
@@ -361,27 +359,6 @@ def integer_kth_root(n: int, k: int) -> int:
         if s >= r:
             return r
         r = s
-
-
-def is_kth_power(n: int, k: int) -> bool:
-    """True iff every exponent in factorize(n) is divisible by k.
-
-    Computed by exact k-th root extraction, which is equivalent for n >= 1.
-    """
-    if n < 1 or k < 1:
-        raise ValueError("is_kth_power requires n >= 1 and k >= 1")
-    if k == 1 or n == 1:
-        return True
-    return integer_kth_root(n, k) ** k == n
-
-
-def is_k_full(n: int, k: int) -> bool:
-    """True iff every exponent in factorize(n) is >= k (n=1 vacuously)."""
-    if n < 1 or k < 1:
-        raise ValueError("is_k_full requires n >= 1 and k >= 1")
-    if k == 1 or n == 1:
-        return True
-    return all(e >= k for e in factorize(n).values())
 
 
 # --------------------------------------------------------------------------

@@ -214,7 +214,7 @@ def leading_constant(
     total *= finite * arch
     for _, f in s_factors:
         total *= f
-    return ConstantBreakdown(
+    breakdown = ConstantBreakdown(
         model_name=model.name,
         params=dict(model.params),
         s_primes=S.finite_primes,
@@ -227,6 +227,11 @@ def leading_constant(
         s_factors=s_factors,
         total=total,
     )
+    parts = (finite, tail, arch, total, breakdown.count_coefficient, *(f for _, f in s_factors))
+    if not all(map(math.isfinite, parts)):  # JSON has no Infinity or NaN
+        raise DomainError(f"the leading constant of {model.name} {dict(model.params)}"
+                          " passes the float range")
+    return breakdown
 
 
 # --------------------------------------------------------------------------

@@ -56,6 +56,8 @@ it, so a dump takes the oracle's time over every candidate, not the core's
 (the core's count only checks the dump cap first); the sieved counters must
 agree with the oracles exactly, which the test suite checks.
 
+``count_points`` and ``count_series`` take one grid path, which counts
+modes with the same points once, after charging each at the top bound.
 Every count runs in one process, with no pool.
 """
 
@@ -664,37 +666,15 @@ def _divisor_sum(
 
 
 def _count_pn(
-    n: int, m: int, S: PlaceSet, bounds: Sequence[Union[int, float, Fraction]],
-    modes: Sequence[str], budget: Optional[int],
-) -> Dict[str, List[int]]:
-    """Per mode, the points (x_1 : ... : x_n : q) of projective n-space with
-    height <= B for each B of the ascending grid ``bounds``: the divisor sum
-    of T(x) = (2x + 1)^n, the n-tuples in [-x, x]^n, over the admissible q,
-    or sum_d mu(d) floor(B/d) T(floor(B/d)) when every q is admissible.
-
-    Every mode is charged at the top bound before any mode is counted (the
-    Moebius sum's work, or the bound on the denominators before the walk),
-    so a grid is refused exactly when its top bound is.  A Darmon or
-    Campana grid takes one ``_divisor_sum`` and a Moebius grid one
-    ``_mobius_sum``, each walking or sieving once at the top bound.  A
-    bound below 1 counts 0."""
-    for mode in modes:
-        _check_mode(mode)
-    Bints = [_floor_bound(B) for B in bounds]
-    grid = [Bint for Bint in Bints if Bint >= 1]
-    if not grid:
-        return {mode: [0] * len(Bints) for mode in modes}
-    for mode in modes:
-        charge(budget, _mobius_sum_work(grid[-1]) if all_denominators_admissible(m, mode)
-               else _denominator_bound(m, S.finite_primes, grid[-1], mode))
-    counts = {}
-    for mode in modes:
-        if all_denominators_admissible(m, mode):
-            sums = _mobius_sum(n, grid)
-        else:
-            sums = _divisor_sum(n, m, S, grid, mode, budget)
-        counts[mode] = [0] * (len(Bints) - len(grid)) + sums
-    return counts
+    n: int, m: int, S: PlaceSet, grid: Sequence[int], mode: str, budget: Optional[int]
+) -> List[int]:
+    """The points (x_1 : ... : x_n : q) of projective n-space in one mode with
+    height <= B for each B of the ascending grid of integers >= 1: one
+    ``_divisor_sum`` over the admissible q, or one ``_mobius_sum`` when every
+    q is admissible, walking or sieving once at the top bound."""
+    if all_denominators_admissible(m, mode):
+        return _mobius_sum(n, grid)
+    return _divisor_sum(n, m, S, grid, mode, budget)
 
 
 def count_p1(
@@ -705,7 +685,7 @@ def count_p1(
     budget: Optional[int] = DEFAULT_BUDGET,
 ) -> int:
     """Points of the line model with global height <= B in the given mode."""
-    return _count_pn(1, m, S, [B], [mode], budget)[mode][0]
+    return count_points(projective_space(1, m), S, B, mode, budget)
 
 
 def count_pn2(
@@ -716,7 +696,7 @@ def count_pn2(
     budget: Optional[int] = DEFAULT_BUDGET,
 ) -> int:
     """Plane model (projective, n = 2): last coordinate plays the role of q."""
-    return _count_pn(2, m, S, [B], [mode], budget)[mode][0]
+    return count_points(projective_space(2, m), S, B, mode, budget)
 
 
 # --------------------------------------------------------------------------
@@ -810,6 +790,30 @@ def _column_roots(num: int, den: int, E1: int, E2: int, c: np.ndarray) -> np.nda
     return X2
 
 
+def _blowup_charge(
+    m1: int, m2: int, S: PlaceSet, Bf: Fraction, mode: str, budget: Optional[int],
+    passes: int = 1,
+) -> Tuple[int, int, int, int, int, int]:
+    """(E1, E2, num, den, Mmax, cmax) of ``blowup_columns`` at B = Bf >= 1,
+    num / den = B^(m1 m2), once its charge and int64 checks have passed."""
+    E1, E2 = (m1 + 1) * m2, m1 * m2 + m1 - m2
+    num, den = (Bf ** (m1 * m2)).as_integer_ratio()
+    Mmax = _blowup_mmax(Bf, m1)
+    cmax = _iroot_ratio(num, den, E1 + E2)
+    work = _weights_work(m2, S.finite_primes, cmax, mode) + (passes - 1) * (Mmax + 1)
+    if all_denominators_admissible(m1, mode):
+        entries = -(-(Mmax + 1) * (E1 + E2) // E2)
+        charge(budget, work + Mmax + passes * entries)
+        # each count term is at most X2 G <= Mmax^2, and sum 1/f^2 < 2
+        if 2 * Mmax * Mmax > _INT64_MAX:
+            raise MemoryError(f"the Moebius sieve for Mmax = {Mmax} exceeds any memory")
+    else:
+        charge(budget, work + _denominator_bound(m1, S.finite_primes, Mmax, mode))
+        if Mmax > _INT64_MAX:  # each count term is at most X2 <= Mmax
+            raise MemoryError(f"the divisor rows up to Mmax = {Mmax} exceed any memory")
+    return E1, E2, num, den, Mmax, cmax
+
+
 def blowup_columns(
     m1: int,
     m2: int,
@@ -844,21 +848,7 @@ def blowup_columns(
     if Bf < 1:
         none = np.zeros(0, dtype=np.int64)
         return BlowupColumns(every_g, 0, none, none, none, none, none, none, none, none)
-    E1, E2 = (m1 + 1) * m2, m1 * m2 + m1 - m2
-    num, den = (Bf ** (m1 * m2)).as_integer_ratio()
-    Mmax = _blowup_mmax(Bf, m1)
-    cmax = _iroot_ratio(num, den, E1 + E2)
-    work = _weights_work(m2, S.finite_primes, cmax, mode) + (passes - 1) * (Mmax + 1)
-    if every_g:
-        entries = -(-(Mmax + 1) * (E1 + E2) // E2)
-        charge(budget, work + Mmax + passes * entries)
-        # each count term is at most X2 G <= Mmax^2, and sum 1/f^2 < 2
-        if 2 * Mmax * Mmax > _INT64_MAX:
-            raise MemoryError(f"the Moebius sieve for Mmax = {Mmax} exceeds any memory")
-    else:
-        charge(budget, work + _denominator_bound(m1, S.finite_primes, Mmax, mode))
-        if Mmax > _INT64_MAX:  # each count term is at most X2 <= Mmax
-            raise MemoryError(f"the divisor rows up to Mmax = {Mmax} exceed any memory")
+    E1, E2, num, den, Mmax, cmax = _blowup_charge(m1, m2, S, Bf, mode, budget, passes)
     # X2(c) = iroot(q, E1), q = B^(m1 m2) / c^E2, and G(c) = iroot(q / c^E1, E1)
     # = X2(c) // c, which falls as c grows
     c = np.arange(1, cmax + 1, dtype=np.int64)
@@ -984,6 +974,41 @@ def _check_mode(mode: str) -> None:
         raise DomainError(f"unknown mode {mode!r}")
 
 
+def _count_grid(
+    model: OrbifoldModel, S: PlaceSet, bounds: Sequence[Union[int, float, Fraction]],
+    modes: Sequence[str], budget: Optional[int],
+) -> Dict[str, List[int]]:
+    """Per mode, the counts over the ascending grid ``bounds``.  Modes that
+    admit the same multiplicities on every component share one count.  Each
+    distinct count is charged at the top bound before any is counted; the
+    line and plane count the whole grid, the blow-up each bound."""
+    for mode in modes:
+        _check_mode(mode)
+    keys = [tuple("rational" if all_denominators_admissible(c.m, mode) else mode
+                  for c in model.components) for mode in modes]
+    first: Dict[Tuple[str, ...], str] = {}
+    for key, mode in zip(keys, modes):
+        first.setdefault(key, mode)
+    if model.name == "blowup":
+        m1, m2, top = model.params["m1"], model.params["m2"], Fraction(bounds[-1])
+        for mode in first.values() if top >= 1 else ():
+            _blowup_charge(m1, m2, S, top, mode, budget)
+        counts = {mode: [count_blowup(m1, m2, S, B, mode, budget) for B in bounds]
+                  for mode in first.values()}
+    elif model.name in ("p1", "pn"):
+        n, m = model.dimension, model.params["m"]
+        grid = [Bint for Bint in map(_floor_bound, bounds) if Bint >= 1]
+        for mode in first.values() if grid else ():
+            charge(budget, _mobius_sum_work(grid[-1]) if all_denominators_admissible(m, mode)
+                   else _denominator_bound(m, S.finite_primes, grid[-1], mode))
+        below = [0] * (len(bounds) - len(grid))
+        counts = {mode: below + (_count_pn(n, m, S, grid, mode, budget) if grid else [])
+                  for mode in first.values()}
+    else:
+        raise DomainError(f"no enumerator for model {model.name!r}")
+    return {mode: counts[first[key]] for key, mode in zip(keys, modes)}
+
+
 def count_points(
     model: OrbifoldModel,
     S: PlaceSet,
@@ -991,12 +1016,8 @@ def count_points(
     mode: str,
     budget: Optional[int] = DEFAULT_BUDGET,
 ) -> int:
-    """Dispatch a single count for a built-in model."""
-    if model.name in ("p1", "pn"):
-        return _count_pn(model.dimension, model.params["m"], S, [B], [mode], budget)[mode][0]
-    if model.name == "blowup":
-        return count_blowup(model.params["m1"], model.params["m2"], S, B, mode, budget)
-    raise DomainError(f"no enumerator for model {model.name!r}")
+    """Count a built-in model at one bound, as a grid of one."""
+    return _count_grid(model, S, [B], [mode], budget)[mode][0]
 
 
 def count_series(
@@ -1009,7 +1030,8 @@ def count_series(
 ) -> Tuple[CountRecord, ...]:
     """Counts over a strictly increasing grid of bounds.
 
-    mode "all" counts every mode; a single mode counts just that one.
+    mode "all" counts every mode; a single mode counts just that one.  Modes
+    with the same points are counted once (``_count_grid``).
     """
     if not bounds:
         raise DomainError("empty bound grid")
@@ -1019,12 +1041,8 @@ def count_series(
     if labels is None:
         labels = [_format_bound(b) for b in fracs]
     wanted = MODES if mode == "all" else (mode,)
-    if model.name in ("p1", "pn"):  # one walk per mode over the whole grid
-        per_mode = _count_pn(model.dimension, model.params["m"], S, fracs, wanted, budget)
-        counts = [{md: per_mode[md][i] for md in wanted} for i in range(len(fracs))]
-    else:
-        counts = [{md: count_points(model, S, b, md, budget) for md in wanted}
-                  for b in fracs]
+    per_mode = _count_grid(model, S, fracs, wanted, budget)
+    counts = [{md: per_mode[md][i] for md in wanted} for i in range(len(fracs))]
     return tuple(CountRecord(b, label, c) for b, label, c in zip(fracs, labels, counts))
 
 

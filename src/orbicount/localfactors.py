@@ -368,7 +368,8 @@ def archimedean_projective(n: int, s: float) -> ArchimedeanFactor:
     s = float(s)
     if s <= n:
         raise DomainError("archimedean factor requires s > n")
-    closed = 2.0**n * (1 + n / (s - n))
+    with np.errstate(over="ignore"):  # inf past the float range, for the caller to refuse
+        closed = float(np.ldexp(1 + n / (s - n), n))
 
     def integrate() -> float:
         if n == 1:

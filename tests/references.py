@@ -1,5 +1,5 @@
-"""Test references that the package itself no longer calls: per-q coprime
-counts, the Euler phi of one n, the place-by-place global height, the
+"""Test references that the package itself no longer calls: the
+perfect-power and k-full tests, per-q coprime counts, the Euler phi of one n, the place-by-place global height, the
 admissible denominators with their primes as tuples, and the blow-up
 height-zeta sum one column at a time."""
 
@@ -10,9 +10,30 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from orbicount import enumeration, fitting
-from orbicount.arith import factorize
+from orbicount.arith import factorize, integer_kth_root
 from orbicount.geometry import ARCH, ProjectivePoint, local_height, relevant_primes
 from orbicount.orbifold import OrbifoldModel, PlaceSet
+
+
+def is_kth_power(n: int, k: int) -> bool:
+    """True iff every exponent in factorize(n) is divisible by k.
+
+    Computed by exact k-th root extraction, which is equivalent for n >= 1.
+    """
+    if n < 1 or k < 1:
+        raise ValueError("is_kth_power requires n >= 1 and k >= 1")
+    if k == 1 or n == 1:
+        return True
+    return integer_kth_root(n, k) ** k == n
+
+
+def is_k_full(n: int, k: int) -> bool:
+    """True iff every exponent in factorize(n) is >= k (n=1 vacuously)."""
+    if n < 1 or k < 1:
+        raise ValueError("is_k_full requires n >= 1 and k >= 1")
+    if k == 1 or n == 1:
+        return True
+    return all(e >= k for e in factorize(n).values())
 
 
 def signed_squarefree_divisors(primes: Sequence[int]) -> List[int]:

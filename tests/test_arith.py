@@ -12,8 +12,6 @@ from orbicount.arith import (
     distinct_primes,
     factorize,
     integer_kth_root,
-    is_k_full,
-    is_kth_power,
     is_prime,
     mobius_sieve,
     prime_blocks,
@@ -23,7 +21,7 @@ from orbicount.arith import (
     valuation,
 )
 
-from references import count_coprime, euler_phi
+from references import count_coprime, euler_phi, is_k_full, is_kth_power
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 

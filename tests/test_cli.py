@@ -224,6 +224,20 @@ def test_huge_bound_exits_3_before_enumerating(capsys, argv):
 
 
 
+def test_refused_blowup_grid_builds_no_lower_bound(capsys, monkeypatch):
+    # the top bound 1e17 passes the budget, so the grid is refused before
+    # the sieve, the totient table or any divisor row of 1e14 is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built before the top bound was charged")
+
+    for name in ("mobius_sieve", "totient_sieve", "line_divisor_rows", "_denominator_walk"):
+        monkeypatch.setattr(enumeration, name, unreachable)
+    code, out, err = run(capsys, "count", "--model", "blowup", "--m1", "1", "--m2", "1",
+                         "--mode", "darmon", "--grid", "1e14,1e17")
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_large_weight_counts_run_under_the_default_budget(capsys):
     # every mode by default; the Campana denominator bound is 2 here
     code, out, err = run(capsys, "count", "--model", "p1", "--m", "17", "--grid", "10")
@@ -550,6 +564,17 @@ def test_constant_line(capsys):
         "count_coefficient",
     }
     assert set(payload) == expected_keys
+
+
+@pytest.mark.parametrize("n", ["1015", "1024", "3000"])
+@pytest.mark.parametrize("method", [("--method", "exact"),
+                                    ("--method", "truncated", "--p0", "100")])
+def test_constant_past_the_float_range_exits_2(capsys, n, method):
+    # 2^n (1 + n m) passes the float range from n = 1015 on, and 2.0**n
+    # itself from 1024: one error line, no Infinity and no traceback
+    code, out, err = run(capsys, "constant", "--model", "pn", "--m", "1", "--n", n, *method)
+    assert code == 2 and out == ""
+    assert err.startswith("error: the leading constant") and err.count("\n") == 1
 
 
 def test_constant_paper_values_flag(capsys):

@@ -13,8 +13,6 @@ from orbicount.arith import (
     distinct_primes,
     factorize,
     integer_kth_root,
-    is_k_full,
-    is_kth_power,
     mobius_sieve,
 )
 from orbicount.enumeration import (
@@ -40,7 +38,13 @@ from orbicount.fitting import zeta_partial_sum
 from orbicount.orbifold import PlaceSet, blowup_p2, projective_space
 
 from cell_walk import blowup_cells
-from references import count_coprime, denominators, signed_squarefree_divisors
+from references import (
+    count_coprime,
+    denominators,
+    is_k_full,
+    is_kth_power,
+    signed_squarefree_divisors,
+)
 
 S0 = PlaceSet.of()
 S2 = PlaceSet.of([2])
@@ -786,23 +790,29 @@ _GRID = [Fraction(1, 2), 1, 10, 60, Fraction(121, 2), 62, 63]
 
 
 @pytest.mark.parametrize("block", [None, 1, 7])
-@pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (1, 3), (2, 2)])
-def test_count_series_walks_each_grid_once(n, m, block, monkeypatch):
-    # one walk and one sieve per mode at the top bound give every bound the
-    # count of its own count_points, in every mode and S, with the chunks
-    # and blocks cut at many places
-    for S in (S0, S2, S23):
+@pytest.mark.parametrize(
+    "model",
+    [projective_space(1, 1), projective_space(1, 2), projective_space(1, 3),
+     projective_space(2, 2), blowup_p2(1, 2)],
+    ids=["1-1", "1-2", "1-3", "2-2", "blowup-1-2"],
+)
+def test_count_series_walks_each_grid_once(model, block, monkeypatch):
+    # one walk and one sieve per mode at the top bound (on the blow-up, one
+    # core per bound) give every bound the count of its own count_points,
+    # in every mode and S, with the chunks and blocks cut at many places
+    projective = model.name != "blowup"
+    for S in (S0, S2, S23) if projective else ():
+        m = model.params["m"]
         shapes = enumeration._denominator_walk(63, S.finite_primes, m + 1, 1, 2 * m - 1)[0]
         assert not ((shapes > 62) & (shapes <= 63)).any()
     if block is not None:
         monkeypatch.setattr(enumeration, "_BLOCK", block)
-    model = projective_space(n, m)
     for S in (S0, S2, S23):
         records = count_series(model, S, _GRID, mode="all")
         for rec, B in zip(records, _GRID):
             assert rec.counts == {md: count_points(model, S, B, md) for md in MODES}, (S, B)
         assert records[0].counts == dict.fromkeys(MODES, 0)
-        assert records[3].counts == records[4].counts
+        assert records[3].counts == records[4].counts or not projective
         for mode in MODES:
             single = count_series(model, S, _GRID, mode=mode)
             assert [r.counts for r in single] == [{mode: r.counts[mode]} for r in records]
@@ -858,6 +868,68 @@ def test_count_series_charges_every_mode_at_the_top_bound_first(monkeypatch):
     for n in (1, 2):
         with pytest.raises(BudgetExceededError):
             count_series(projective_space(n, 2), S, [10**3, 10**6], "all", budget=rational)
+
+
+# 1/2 counts 0, 7/2 is fractional, 60 and 121/2 floor alike
+_BLOWUP_GRID = [Fraction(1, 2), 1, Fraction(7, 2), 60, Fraction(121, 2), 200]
+
+
+@pytest.mark.parametrize("m1, m2", [(1, 1), (1, 2), (2, 1), (2, 3)])
+def test_blowup_grid_is_its_per_bound_counts(m1, m2):
+    model = blowup_p2(m1, m2)
+    for S in (S0, S2, S23):
+        want = [{md: count_blowup(m1, m2, S, B, md) for md in MODES} for B in _BLOWUP_GRID]
+        assert want[0] == dict.fromkeys(MODES, 0) and want[2] != want[3]
+        assert [r.counts for r in count_series(model, S, _BLOWUP_GRID, "all")] == want
+        for mode in MODES:
+            single = count_series(model, S, _BLOWUP_GRID, mode)
+            assert [r.counts for r in single] == [{mode: w[mode]} for w in want], (S, mode)
+
+
+@pytest.mark.parametrize("model", [projective_space(1, 1), projective_space(2, 1),
+                                   blowup_p2(1, 1)], ids=lambda model: model.name)
+def test_weight_one_modes_are_counted_once(model, monkeypatch):
+    # on a weight-1 model every mode selects the same points: mode "all"
+    # sums the line or plane once per grid and builds the blow-up core once
+    # per bound, and its three columns are equal
+    calls = []
+    for name in ("_mobius_sum", "blowup_columns"):
+        real = getattr(enumeration, name)
+        monkeypatch.setattr(enumeration, name,
+                            lambda *args, real=real, name=name, **kwargs:
+                            calls.append(name) or real(*args, **kwargs))
+    grid = [10, 100, 1000]
+    records = count_series(model, S2, grid, "all")
+    want = ["blowup_columns"] * len(grid) if model.name == "blowup" else ["_mobius_sum"]
+    assert calls == want
+    for rec in records:
+        assert len(set(rec.counts.values())) == 1 and set(rec.counts) == set(MODES)
+    assert [r.counts["darmon"] for r in records] == [count_points(model, S2, B, "darmon")
+                                                     for B in grid]
+
+
+@pytest.mark.parametrize("m1, m2, budget, fits", [
+    (1, 1, 1000, ()),  # one point set: the top bound alone passes the budget
+    (1, 2, 7000, ("rational",)),  # the every-g route
+    (2, 1, 5000, ("campana", "darmon")),  # the sparse route
+])
+def test_refused_blowup_grid_builds_nothing(m1, m2, budget, fits, monkeypatch):
+    # every distinct mode is charged at the top bound before any sieve,
+    # weight table, divisor row or walk, though the lower bound fits in
+    # every mode and the modes in ``fits`` fit at the top bound too
+    grid = [10**3, 10**6]
+    for mode in MODES:
+        count_blowup(m1, m2, S0, grid[0], mode, budget)
+    for mode in fits:
+        count_blowup(m1, m2, S0, grid[1], mode, budget)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built before the top bound was charged")
+
+    for name in ("mobius_sieve", "totient_sieve", "line_divisor_rows", "_denominator_walk"):
+        monkeypatch.setattr(enumeration, name, unreachable)
+    with pytest.raises(BudgetExceededError):
+        count_series(blowup_p2(m1, m2), S0, grid, "all", budget=budget)
 
 
 def test_count_series_validates_grid():

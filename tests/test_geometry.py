@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orbicount.arith import int_valuation, is_k_full, is_kth_power, primitive_coords, valuation
+from orbicount.arith import int_valuation, primitive_coords, valuation
 from orbicount.cli import main
 from orbicount.errors import BoundaryPointError, PointParseError
 from orbicount.geometry import (
@@ -27,7 +27,7 @@ from orbicount.geometry import (
 )
 from orbicount.orbifold import PlaceSet, blowup_p2, projective_space
 
-from references import global_height_by_places
+from references import global_height_by_places, is_k_full, is_kth_power
 
 S0 = PlaceSet.of()
 

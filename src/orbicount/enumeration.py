@@ -1,11 +1,12 @@
 """Exact bounded-height point counts on the built-in geometries.
 
 One counting core per model (points are counted, never materialized).  The
-blow-up height-zeta sum in ``fitting`` runs on the blow-up core; the line
-height-zeta sums do not run on the line's divisor sum, but on the rows
-(q, signed squarefree divisor of rad q) of ``line_divisor_rows`` (or a
-Moebius sieve when every q is admissible); the debug dump runs the oracle
-(see below):
+height-zeta sums in ``fitting`` run on the blow-up core's ``BlowupColumns``:
+the blow-up's, and a Darmon or Campana line's as the one column c = 1 over
+the rows (q, signed squarefree divisor of rad q) of ``line_divisor_rows``.
+The line height-zeta sums do not run on the line count's divisor sum (the
+all-of-Q one runs on a Moebius sieve); the debug dump runs the oracle (see
+below):
 
 * projective n-space (p1 for n = 1, pn): one walk over the primes
   (``_denominator_walk``) gives the admissible last coordinates q as
@@ -761,8 +762,10 @@ def _blowup_weights(m2: int, S: PlaceSet, cmax: int, mode: str) -> np.ndarray:
 class BlowupColumns:
     """Rows (g[i], d[i], sign[i]), ascending in g, and columns
     (c[j], w[j], X2[j], G[j], k[j]), ascending in c, over the c with
-    w(c) > 0: column c reads the k rows with g <= G(c) = X2(c) // c.  The
-    signs are int8 arrays, all others int64."""
+    w(c) > 0: column c reads the k rows with g <= G(c) = X2(c) // c, and on
+    the sparse route each stratum g's rows begin at d = 1.  The signs are
+    int8 arrays, all others int64 (object for a line past int64, which the
+    height-zeta sum takes as the one column c = 1, X2 = G = B)."""
 
     every_g: bool
     mmax: int
@@ -800,10 +803,10 @@ def _blowup_charge(
     num, den = (Bf ** (m1 * m2)).as_integer_ratio()
     Mmax = _blowup_mmax(Bf, m1)
     cmax = _iroot_ratio(num, den, E1 + E2)
-    work = _weights_work(m2, S.finite_primes, cmax, mode) + (passes - 1) * (Mmax + 1)
+    work = _weights_work(m2, S.finite_primes, cmax, mode)
     if all_denominators_admissible(m1, mode):
         entries = -(-(Mmax + 1) * (E1 + E2) // E2)
-        charge(budget, work + Mmax + passes * entries)
+        charge(budget, work + Mmax + (passes - 1) * (Mmax + 1) + passes * entries)
         # each count term is at most X2 G <= Mmax^2, and sum 1/f^2 < 2
         if 2 * Mmax * Mmax > _INT64_MAX:
             raise MemoryError(f"the Moebius sieve for Mmax = {Mmax} exceeds any memory")
@@ -834,14 +837,15 @@ def blowup_columns(
     divisor d of g.
 
     The budget is charged before any sieve, list or table: the weight
-    table (``_weights_work``), the g source (the sieve length Mmax, or the
-    bound on the admissible g), passes - 1 tables of Mmax + 1 entries and
-    passes times the dot entries sum_c G(c) <= (Mmax + 1)(1 + E1/E2), or on
-    the sparse route, once the strata are built, sum_g 2^omega(g) C(g).
-    ``passes`` is how often the caller goes over each entry: 1 for the
-    count, 3 for the height-zeta sum.  The count's int64 sums bound Mmax
-    (MemoryError past it): 2 Mmax^2 on the every-g route, rows times Mmax
-    on the sparse route."""
+    table (``_weights_work``), then on the every-g route the sieve length
+    Mmax, passes - 1 tables of Mmax + 1 entries (the height-zeta sum's n^-s
+    arrays) and passes times the dot entries sum_c G(c) <=
+    (Mmax + 1)(1 + E1/E2); on the sparse route, which reads no table, the
+    bound on the admissible g and, once the strata are built, passes times
+    the entries sum_g 2^omega(g) C(g).  ``passes`` is how often the caller
+    goes over each entry: 1 for the count, 3 for the height-zeta sum.  The
+    count's int64 sums bound Mmax (MemoryError past it): 2 Mmax^2 on the
+    every-g route, rows times Mmax on the sparse route."""
     _check_mode(mode)
     Bf = Fraction(B)
     every_g = all_denominators_admissible(m1, mode)

@@ -3,33 +3,13 @@
 The height-zeta sums weight each point by H^-s instead of 1, so no loop runs
 over single points.  Each sum does its s-free work (the budget charge, the
 sieve, rows and columns) once and then runs per s, so ``residue_probe``
-builds it once for all its s values.  The blow-up sum runs on the blow-up
-count's core in ``enumeration``; the line sums do not run on the line
-count's divisor sum:
-
-- when every q is admissible the line sum is 4 sum_{n <= B} phi(n) n^-s - 1:
-  one Moebius sieve, and per s one prefix array reduced over blocks of d
-  (about 9 bytes per unit of B);
-- a Darmon or Campana line takes the rows (q, f) of ``line_divisor_rows``,
-  ascending in q, f over the signed squarefree divisors of rad q (each q's
-  rows are reduced together, so their order does not matter), and per s reads
-  P(x) = sum_{n <= x} n^-s at the row endpoints B // |f| and q // |f| only:
-  from a table up to 1024, by Euler-Maclaurin above it.  No array grows
-  with B: 23 bytes per row are kept, and the peak is about 65 bytes per row
-  (0.6 GB for 9.2e6 rows at m = 2, B = 1e12);
-- the blow-up takes the count's rows and columns c (``blowup_columns``)
-  and, per s, one pass over every (column, row) entry in the count's
-  blocks (``ragged_blocks``): each block's float64 terms read a suffix
-  array of n^-s1 (and, when every g is admissible, R_c, one cumsum per
-  column) and are added per column by ``np.add.reduceat``.
-
-Each charges ``enumeration.DEFAULT_BUDGET`` before allocating or looping:
-the line 2B + 1 (all admissible), or the denominator bound times
-2^(omega_max(B^(1/m)) + |S|) divisor rows before the denominators are
-walked; the blow-up the count's charge of ``blowup_columns`` with three
-passes over its entries (the terms, Q with the R_c and P1) and the two
-tables Q and P1.  These charges are upper bounds, one per sum: a probe of
-several s values charges as one s does.
+builds it once for all its s values.  The all-of-Q line sum is a Moebius sum
+over one sieve.  Every other sum runs on the columns and divisor rows of a
+``BlowupColumns``, the Darmon or Campana line's as one column, with arrays
+of n^-s up to Mmax when every g is admissible and otherwise no array that
+grows with B.  Each charges ``enumeration.DEFAULT_BUDGET`` before allocating
+or looping; the charges are upper bounds, one per sum, so a probe of several
+s values charges as one s does.
 
 The fit works in ratio space: kappa is the mean of N(B) / (B^a (log B)^(b-1))
 over the grid points inside the window (top two decades by default), and the
@@ -49,6 +29,7 @@ import numpy as np
 from .arith import mobius_sieve
 from .enumeration import (
     DEFAULT_BUDGET,
+    BlowupColumns,
     all_denominators_admissible,
     blowup_columns,
     charge,
@@ -112,22 +93,19 @@ def _zeta_sum(model, S, Bf, mode) -> Callable[[float], float]:
     charge, the sieve, rows and columns) is done here, once."""
     if model.name == "p1":
         return _zeta_line(model.params["m"], S, math.floor(Bf), mode)
-    if model.name == "blowup":
-        return _zeta_blowup(model.params["m1"], model.params["m2"], S, Bf, mode)
-    raise DomainError(f"no height-zeta summation for model {model.name!r}")
+    if model.name != "blowup":
+        raise DomainError(f"no height-zeta summation for model {model.name!r}")
+    m1, m2 = model.params["m1"], model.params["m2"]
+    core = blowup_columns(m1, m2, S, Bf, mode, DEFAULT_BUDGET, passes=3)
+    return _zeta_columns(core, 1 + 1.0 / m1, 1 + 1.0 / m2 - 1.0 / m1)
 
 
 def _zeta_line(m, S, Bint, mode) -> Callable[[float], float]:
     """sum_q q^-s (2 phi_q(q) + [q = 1]) + 2 sum_q sum_{q < n <= B, (n, q) = 1}
-    n^-s over the admissible q, phi_q(x) the n <= x coprime to q.
-
-    When every q is admissible, 4 sum_{n <= B} phi(n) n^-s - 1 over one
-    Moebius sieve.  Otherwise the coprime tail of q is
-    sum_{f | rad q} mu(f) f^-s (P(B // f) - P(q // f)), P(x) = sum_{n <= x}
-    n^-s, over the rows (q, f) of ``line_divisor_rows``, and phi_q(q) is
-    sum_f mu(f) (q // f): P is read at the row endpoints only (``_PowerSum``),
-    and each row's difference is formed before it is weighted, so equal parts
-    cancel exactly."""
+    n^-s over the admissible q, phi_q(x) the n <= x coprime to q: when every
+    q is admissible 4 sum_{n <= B} phi(n) n^-s - 1 over one Moebius sieve,
+    else the blow-up's sum on one column c = 1, X2 = G = B, over the rows
+    (q, f) of ``line_divisor_rows``."""
     if Bint < 1:
         return lambda s: 0.0
     if all_denominators_admissible(m, mode):
@@ -138,33 +116,10 @@ def _zeta_line(m, S, Bint, mode) -> Callable[[float], float]:
         return lambda s: 4.0 * _phi_power_sum(mu, s) - 1.0
     q, per_q, f = line_divisor_rows(m, S, Bint, mode, DEFAULT_BUDGET)
     sign = 2 * (f > 0).astype(np.int8) - 1
-    f = np.abs(f, out=f)
-    lo = q.repeat(per_q)
-    lo //= f
-    phi = np.add.reduceat(sign * lo, np.cumsum(per_q) - per_q)
-    at_q = 2.0 * phi.astype(np.float64) + (q == 1)  # 2 phi(q) may pass int64
-    q = q.astype(np.float64)
-    d, row_d = np.unique(f, return_inverse=True)
-    del f
-    row_d = row_d.astype(np.int32)  # the budget keeps the rows below 2^31
-    lo = _EndPoints(lo)
-    hi = _EndPoints(Bint // d)
-    d = d.astype(np.float64)
-
-    def at(s: float) -> float:
-        P = _PowerSum(s)
-        d_s = d**-s
-        head_hi, tail_hi = P.head[hi.head], P.tail(hi)
-        tails = [float(np.sum(at_q * q**-s))]
-        for i in range(0, len(sign), _BLOCK):
-            block = slice(i, i + _BLOCK)
-            j = row_d[block]
-            diff = head_hi[j] - P.head[lo.head[block]]
-            diff += tail_hi[j] - P.tail(lo, block)
-            tails.append(2.0 * float(np.sum(sign[block] * d_s[j] * diff)))
-        return math.fsum(tails)
-
-    return at
+    one, column = np.ones(1, dtype=np.int64), np.array([Bint])  # object past int64
+    rows = BlowupColumns(False, Bint, q.repeat(per_q), np.abs(f, out=f), sign,
+                         one, one, column, column, np.array([len(f)]))
+    return _zeta_columns(rows, 1.0, 0.0)
 
 
 _HEAD = 1024  # P(x) comes from a table up to here, by Euler-Maclaurin above
@@ -173,15 +128,20 @@ _EM = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 130767436
 
 
 class _EndPoints:
-    """Integer points x >= 0, s-free: the table index min(x, _HEAD), and
-    for y = max(x, _HEAD) its inverse 1/y and log(y / _HEAD)."""
+    """n integer points x >= 0, s-free, put in a slice at a time: the table
+    index min(x, _HEAD), and for y = max(x, _HEAD) its inverse 1/y and
+    log(y / _HEAD)."""
 
-    def __init__(self, x: np.ndarray):
-        self.head = np.minimum(x, _HEAD).astype(np.int16)
+    def __init__(self, n: int):
+        self.head, self.inverse, self.log = np.empty(n, np.int16), np.empty(n), np.empty(n)
+
+    def put(self, x: np.ndarray, at: slice = slice(None)) -> "_EndPoints":
+        self.head[at] = np.minimum(x, _HEAD)
         y = np.maximum(x, _HEAD).astype(np.float64)
-        self.inverse = 1.0 / y
+        np.divide(1.0, y, out=self.inverse[at])
         y /= _HEAD
-        self.log = np.log(y, out=y)
+        np.log(y, out=self.log[at])
+        return self
 
 
 class _PowerSum:
@@ -266,63 +226,103 @@ def _phi_power_sum(mu: np.ndarray, s: float) -> float:
     return math.fsum(blocks)
 
 
-def _zeta_blowup(m1, m2, S, Bf, mode) -> Callable[[float], float]:
-    """sum_c w(c) c^-s2 [(2 c sum_{g <= G} phi(g) g^-s1 + 1) c^-s1
-    + 2 sum_{rows <= k} mu(d) d^-s1 (Q(c g/d) - Q(X2 // d))] over the
-    columns of ``blowup_columns``: the x2 with |x2| <= g c, then the tail by
-    Moebius over d | g; s1 = s (1 + 1/m1), s2 = s (1 + 1/m2 - 1/m1), Q(x) =
-    sum_{x < n <= Mmax} n^-s1 and phi(g) g^-s1 = sum_{d | g} mu(d) d^-s1
-    (g/d)^(1-s1).  When every g = f h is admissible the sums over h <= H =
-    G // f are P1(H), P1 the prefix of h^(1-s1), and R_c(H) - H Q(X2 // f),
-    R_c(H) = sum_{h <= H} Q(c h) (``_RowSums``).
-
-    Per s, one pass takes every (column, row) entry in the count's blocks
-    (``ragged_blocks``), and each block's two terms are added into the
-    per-column arrays phi_sum and tail by one ``np.add.reduceat`` each; the
-    columns are then combined as arrays under one ``math.fsum``."""
-    core = blowup_columns(m1, m2, S, Bf, mode, DEFAULT_BUDGET, passes=3)
-    c = core.c.astype(np.float64)
-    if not core.every_g:
-        h = core.g // core.d
+def _zeta_columns(core: BlowupColumns, e1: float, e2: float) -> Callable[[float], float]:
+    """sum_c w(c) c^-s2 [(2 c Phi(c) + 1) c^-s1 + 2 T(c)], s1 = e1 s and
+    s2 = e2 s, over the columns of core: the x2 with |x2| <= g c, Phi(c) =
+    sum_{g <= G(c)} phi(g) g^-s1 over the admissible g, then the tail by
+    Moebius over the rows (g, d), h = g / d, T(c) = sum_{rows < k(c)} mu(d)
+    d^-s1 sum_{c h < n <= X2 // d} n^-s1; the columns under one math.fsum."""
+    sums = (lambda s1: _every_g_sums(core, s1)) if core.every_g else _sparse_sums(core)
+    c, w = core.c.astype(np.float64), core.w
 
     def at(s: float) -> float:
-        s1 = s * (1 + 1.0 / m1)
-        s2 = s * (1 + 1.0 / m2 - 1.0 / m1)
-        Q = _power_suffix(core.mmax, s1)
-        dw = core.d**-s1  # int64 to float64 in the ufunc's buffer
-        dw *= core.sign
-        if core.every_g:
-            P1 = _power_prefix(core.mmax, s1 - 1.0)
-            R = _RowSums(Q, core.c, core.G)
-        else:
-            phi_rows = h ** (1.0 - s1)
-            phi_rows *= dw
-        phi_sum, tail = np.zeros(len(c)), np.zeros(len(c))
-        for col, row, runs in ragged_blocks(core.k):
-            dr, w = core.d[row], dw[row]
-            X = core.X2[col]
-            X //= dr
-            if core.every_g:
-                H = core.G[col]
-                H //= dr
-                phi = P1[H]
-                phi *= w
-                terms = R.at(col, H, int(runs[0]))
-                terms -= H * Q[X]
-            else:
-                phi = phi_rows[row]
-                terms = Q[core.c[col] * h[row]]
-                terms -= Q[X]
-            terms *= w
-            # every column reads the row g = 1, so no run is empty
-            starts = np.cumsum(runs) - runs
-            columns = slice(col[0], col[-1] + 1)
-            phi_sum[columns] += np.add.reduceat(phi, starts)
-            tail[columns] += np.add.reduceat(terms, starts)
-        column = (2 * c * phi_sum + 1) * c**-s1 + 2 * tail
-        return math.fsum((core.w * c**-s2 * column).tolist())
+        s1, s2 = s * e1, s * e2
+        Phi, tail = sums(s1)
+        column = (2 * c * Phi + 1) * c**-s1 + 2 * tail
+        return math.fsum((w * c**-s2 * column).tolist())
 
     return at
+
+
+def _sparse_sums(core: BlowupColumns) -> Callable[[float], Tuple[np.ndarray, np.ndarray]]:
+    """Phi and T per column, per s, with no table: phi(g) = sum_d mu(d) h is
+    exact per stratum g, Phi a long-double cumsum of phi(g) g^-s1, and T
+    reads P at each entry's two ends (``_PowerSum``).  An entry keeps its
+    lower end c h (``_EndPoints``) and an int32 index into its column's upper
+    ends X2 // d, one per distinct d of the column's rows (ordered by first
+    row, so a column's are a prefix).  Each difference P(X2 // d) - P(c h) is
+    formed before it is weighted, so equal ends cancel exactly."""
+    d = core.d
+    if d.max(initial=0) > len(d):  # the d spread thinly: number them
+        d, key = np.unique(d, return_inverse=True)
+    else:
+        key, d = d.astype(np.int64, copy=False), np.arange(int(d.max(initial=0)) + 1)
+    first = np.full(len(d), len(key))
+    np.minimum.at(first, key, np.arange(len(key)))  # each d's first row
+    order = np.argsort(first)
+    rank = np.empty(len(d), dtype=np.int32)
+    rank[order] = np.arange(len(d))
+    count = np.searchsorted(first[order], core.k)  # the distinct d per column
+    offset = np.cumsum(count) - count
+    column = np.repeat(np.arange(len(count)), count)
+    pick = order[np.arange(len(column)) - offset[column]]
+    d, mu = d[pick], core.sign[first[pick]].astype(np.float64)
+    hi = _EndPoints(len(d)).put(core.X2[column] // d)
+    d = d.astype(np.float64)
+    starts = np.flatnonzero(core.d == 1)  # each stratum's rows begin at d = 1
+    phi = np.add.reduceat(core.sign * (core.g // core.d), starts).astype(np.float64)
+    g, last = core.g[starts].astype(np.float64), np.searchsorted(starts, core.k) - 1
+    pair = np.empty(int(core.k.sum()), dtype=np.int32)
+    lo, blocks, at = _EndPoints(len(pair)), [], 0
+    for col, row, runs in ragged_blocks(core.k):
+        block, at = slice(at, at + len(row)), at + len(row)
+        pair[block] = offset[col] + rank[key[row]]
+        lo.put(core.c[col] * (core.g[row] // core.d[row]), block)
+        # every column reads the row g = 1, so no run is empty
+        blocks.append((block, slice(col[0], col[-1] + 1), np.cumsum(runs) - runs))
+
+    def sums(s1: float) -> Tuple[np.ndarray, np.ndarray]:
+        P, w = _PowerSum(s1), mu * d**-s1
+        head_hi, tail_hi, tail = P.head[hi.head], P.tail(hi), np.zeros(len(last))
+        for block, columns, runs in blocks:
+            j = pair[block]
+            diff = head_hi[j] - P.head[lo.head[block]]
+            diff += tail_hi[j] - P.tail(lo, block)
+            diff *= w[j]
+            tail[columns] += np.add.reduceat(diff, runs)
+        Phi = np.cumsum(phi * g**-s1, dtype=np.longdouble)[last]
+        return Phi.astype(np.float64), tail
+
+    return sums
+
+
+def _every_g_sums(core: BlowupColumns, s1: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Phi and T per column when every g = f h is admissible and the rows are
+    the squarefree f: the sums over h <= H = G // f are P1(H), P1 the prefix
+    of h^(1-s1), and R_c(H) - H Q(X2 // f), Q(x) = sum_{x < n <= Mmax} n^-s1
+    and R_c(H) = sum_{h <= H} Q(c h) (``_RowSums``)."""
+    Q = _power_suffix(core.mmax, s1)
+    P1 = _power_prefix(core.mmax, s1 - 1.0)
+    R = _RowSums(Q, core.c, core.G)
+    dw = core.d**-s1  # int64 to float64 in the ufunc's buffer
+    dw *= core.sign
+    phi_sum, tail = np.zeros(len(core.c)), np.zeros(len(core.c))
+    for col, row, runs in ragged_blocks(core.k):
+        dr, w = core.d[row], dw[row]
+        H, X = core.G[col], core.X2[col]
+        H //= dr
+        X //= dr
+        phi = P1[H]
+        phi *= w
+        terms = R.at(col, H, int(runs[0]))
+        terms -= H * Q[X]
+        terms *= w
+        # every column reads the row g = 1, so no run is empty
+        starts = np.cumsum(runs) - runs
+        columns = slice(col[0], col[-1] + 1)
+        phi_sum[columns] += np.add.reduceat(phi, starts)
+        tail[columns] += np.add.reduceat(terms, starts)
+    return phi_sum, tail
 
 
 class _RowSums:

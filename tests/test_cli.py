@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -261,6 +262,16 @@ def test_huge_zeta_bound_exits_3_before_summing(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert "budget" in err and "Traceback" not in err
+
+
+def test_sparse_blowup_zeta_runs_under_the_default_budget(capsys):
+    # weights (3, 1) in Campana mode at 1e12: Mmax = 1e9, and the two n^-s
+    # tables of Mmax + 1 entries, which the sparse sum does not build, made
+    # 2,000,000,002 of the 2,000,020,012 steps that once refused it
+    code, out, err = run(capsys, "zeta", "--model", "blowup", "--m1", "3", "--m2", "1",
+                         "--mode", "campana", "--s", "1.5", "--bound", "1e12")
+    assert code == 0 and "Traceback" not in err
+    assert math.isfinite(json.loads(out)["value"])
 
 
 def test_line_zeta_charges_its_rows_before_the_walk(capsys, monkeypatch):

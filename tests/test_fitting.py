@@ -11,6 +11,7 @@ from orbicount.arith import factorize
 from orbicount.constants import ZETA2
 from orbicount.enumeration import (
     MODES,
+    count_blowup,
     count_p1,
     iter_points,
 )
@@ -124,6 +125,7 @@ def test_darmon_campana_line_sum_is_the_point_sum(B, s, m, mode, S):
         (4, (), 2**63 - 1, "darmon"),  # 2 phi(q) passes int64 for q > 2^62
         (2, (2, 3), 10**8, "campana"),
         (10, (2,), 10**30, "darmon"),  # past int64: object rows
+        (2, (1000003,), 10**9, "darmon"),  # d up to 3e7 over 2.2e5 rows: np.unique
     ],
 )
 def test_line_zeta_at_zero_is_the_count(m, S, B, mode):
@@ -131,6 +133,39 @@ def test_line_zeta_at_zero_is_the_count(m, S, B, mode):
     S = PlaceSet.of(S)
     z = zeta_partial_sum(projective_space(1, m), S, 0.0, B, mode)
     assert z.value == pytest.approx(count_p1(m, S, B, mode), rel=1e-12)
+
+
+@pytest.mark.parametrize("S", [(), (2, 3), (1000003,)])
+@pytest.mark.parametrize("mode", ["darmon", "campana"])
+@pytest.mark.parametrize("weights", [(2, 1), (2, 3), (3, 2)])
+def test_blowup_zeta_at_zero_is_the_count(weights, mode, S):
+    # at s = 0 every point weighs 1, so the sum is the exact count; at 1e11
+    # Mmax is 2.2e7 (m1 = 2) or 1.8e8 (m1 = 3), and no table of that length
+    # is built; with S = {1000003} the d pass the number of rows, and the
+    # distinct d are numbered by np.unique instead of a table indexed by d
+    S = PlaceSet.of(S)
+    for B in (Fraction(2001, 2), 10**7, 10**11):
+        z = zeta_partial_sum(blowup_p2(*weights), S, 0.0, B, mode)
+        assert z.value == pytest.approx(count_blowup(*weights, S, B, mode), rel=1e-12)
+
+
+def test_sparse_zeta_sums_build_no_table(monkeypatch):
+    # the Darmon and Campana sums read n^-s at each entry's two ends only:
+    # no n^-s array and no Moebius sieve of length Mmax or B
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built an array of length Mmax or B")
+
+    for name in ("_power_suffix", "_power_prefix", "mobius_sieve"):
+        monkeypatch.setattr(fitting, name, unreachable)
+    monkeypatch.setattr(enumeration, "mobius_sieve", unreachable)
+    for weights, S, mode in [
+        ((2, 1), S0, "darmon"),
+        ((3, 2), S0, "campana"),
+        ((2, 3), PlaceSet.of([2]), "darmon"),
+    ]:
+        assert zeta_partial_sum(blowup_p2(*weights), S, 1.5, 10**9, mode).value > 0
+    for mode in ("darmon", "campana"):
+        assert zeta_partial_sum(projective_space(1, 2), S0, 2.5, 10**9, mode).value > 0
 
 
 @pytest.mark.parametrize(

@@ -40,6 +40,7 @@ __all__ = [
 
 SIEVE_BOUND = 10**6  # precomputed smallest-prime-factor table covers n < this
 PRIME_SEGMENT = 2**18  # odd numbers per segment of prime_blocks
+TOTIENT_SEGMENT = 2**18  # integers per segment of totient_sieve
 
 
 class Infinity:
@@ -187,21 +188,38 @@ def mobius_sieve(n: int) -> np.ndarray:
 
 
 def totient_sieve(n: int) -> np.ndarray:
-    """Euler's phi(0..n) as an int64 array, phi(0) = 0.
+    """Euler's phi(0..n), phi(0) = 0, as an int32 array for n < 2^31 (every
+    phi(i) <= i fits), else int64: widen it before scaling it.
 
-    As in ``mobius_sieve`` only the primes p <= isqrt(n) are sieved; rest[i]
-    is i with every power of them divided out, so it is 1 or the one prime
-    factor of i above isqrt(n)."""
-    phi = np.arange(n + 1, dtype=np.int64)
-    rest = phi.copy()
+    Exact and multiplicative, a segment of TOTIENT_SEGMENT integers at a
+    time: only the primes p <= isqrt(n) are sieved, each power p^k
+    multiplying phi by p - 1 (k = 1) or p (k > 1) and the smooth part sm by
+    p at its multiples, so every partial product divides phi(i).  Then
+    i // sm[i] is 1 or the one prime factor P of i above isqrt(n), and phi
+    takes the factor max(P - 1, 1).  Only phi is as long as n."""
+    dtype = np.int32 if n < 2**31 else np.int64
+    phi = np.ones(max(n + 1, 0), dtype=dtype)
+    phi[:1] = 0
+    powers = []  # (p^k, p, the factor of phi), ascending in p^k
     for p in primes_up_to(math.isqrt(max(n, 0))):
-        phi[p::p] -= phi[p::p] // p
-        pk = p
+        pk, factor = p, p - 1
         while pk <= n:
-            rest[pk::pk] //= p
-            pk *= p
-    big = rest > 1
-    phi[big] -= phi[big] // rest[big]
+            powers.append((pk, p, factor))
+            pk, factor = pk * p, p
+    powers.sort()
+    for lo in range(0, n + 1, TOTIENT_SEGMENT):
+        hi = min(lo + TOTIENT_SEGMENT, n + 1)
+        seg, sm = phi[lo:hi], np.ones(hi - lo, dtype=dtype)
+        for pk, p, factor in powers:
+            if pk >= hi:
+                break
+            at = -lo % pk  # the first multiple of pk in the segment
+            seg[at::pk] *= factor
+            sm[at::pk] *= p
+        rest = np.arange(lo, hi, dtype=dtype)
+        rest //= sm
+        rest -= 1
+        seg *= np.maximum(rest, 1, out=rest)
     return phi
 
 

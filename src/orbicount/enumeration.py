@@ -5,7 +5,7 @@ height-zeta sums in ``fitting`` run on the blow-up core's ``BlowupColumns``:
 the blow-up's, and a Darmon or Campana line's as the one column c = 1 over
 the rows (q, signed squarefree divisor of rad q) of ``line_divisor_rows``.
 The line height-zeta sums do not run on the line count's divisor sum (the
-all-of-Q one runs on a Moebius sieve); the debug dump runs the oracle (see
+all-of-Q one reads one totient table); the debug dump runs the oracle (see
 below):
 
 * projective n-space (p1 for n = 1, pn): one walk over the primes
@@ -211,7 +211,7 @@ def _denominator_walk(
         e += step
     if powers:
         powers, of = np.concatenate(powers), np.concatenate(of)
-        order = powers.argsort(kind="stable")
+        order = powers.argsort()
         powers, of = powers[order], of[order]
     # the least power that the i-th small prime or any later one adds
     least_after = [int(powers[0]) if len(powers) else limit + 1]
@@ -237,7 +237,7 @@ def _denominator_walk(
             support[support == pad] = 1
         parts.append(joined)
     rows = np.concatenate(parts)
-    rows = rows[rows[:, 0].argsort(kind="stable")]
+    rows = rows[rows[:, 0].argsort()]
     omega = rows[:, 1].astype(np.int64)
     return rows[:, 0], rows[:, 2 : 2 + int(omega.max(initial=0))], omega
 
@@ -739,7 +739,7 @@ def _blowup_weights(m2: int, S: PlaceSet, cmax: int, mode: str) -> np.ndarray:
     one searchsorted of the sorted a / |f| against 1..cmax // |f| for each
     distinct |f|."""
     if all_denominators_admissible(m2, mode):
-        w = 4 * totient_sieve(cmax)
+        w = 4 * totient_sieve(cmax).astype(np.int64)
         w[1:2] = 3
         return w
     a, per, f = line_divisor_rows(m2, S, cmax, mode)

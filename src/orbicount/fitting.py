@@ -3,13 +3,14 @@
 The height-zeta sums weight each point by H^-s instead of 1, so no loop runs
 over single points.  Each sum does its s-free work (the budget charge, the
 sieve, rows and columns) once and then runs per s, so ``residue_probe``
-builds it once for all its s values.  The all-of-Q line sum is a Moebius sum
-over one sieve.  Every other sum runs on the columns and divisor rows of a
-``BlowupColumns``, the Darmon or Campana line's as one column, with arrays
-of n^-s up to Mmax when every g is admissible and otherwise no array that
-grows with B.  Each charges ``enumeration.DEFAULT_BUDGET`` before allocating
-or looping; the charges are upper bounds, one per sum, so a probe of several
-s values charges as one s does.
+builds it once for all its s values.  The all-of-Q line sum reads one
+s-free totient table, so each s costs one power per n <= B.  Every other
+sum runs on the columns and divisor rows of a ``BlowupColumns``, the Darmon
+or Campana line's as one column, with arrays of n^-s up to Mmax when every
+g is admissible and otherwise no array that grows with B.  Each charges
+``enumeration.DEFAULT_BUDGET`` before allocating or looping; the charges
+are upper bounds, one per sum, so a probe of several s values charges as
+one s does.
 
 The fit works in ratio space: kappa is the mean of N(B) / (B^a (log B)^(b-1))
 over the grid points inside the window (top two decades by default), and the
@@ -26,7 +27,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .arith import mobius_sieve
+from .arith import totient_sieve
 from .enumeration import (
     DEFAULT_BUDGET,
     BlowupColumns,
@@ -103,17 +104,17 @@ def _zeta_sum(model, S, Bf, mode) -> Callable[[float], float]:
 def _zeta_line(m, S, Bint, mode) -> Callable[[float], float]:
     """sum_q q^-s (2 phi_q(q) + [q = 1]) + 2 sum_q sum_{q < n <= B, (n, q) = 1}
     n^-s over the admissible q, phi_q(x) the n <= x coprime to q: when every
-    q is admissible 4 sum_{n <= B} phi(n) n^-s - 1 over one Moebius sieve,
-    else the blow-up's sum on one column c = 1, X2 = G = B, over the rows
-    (q, f) of ``line_divisor_rows``."""
+    q is admissible 4 sum_{n <= B} phi(n) n^-s - 1 over one totient table
+    (``_phi_power_sum``), else the blow-up's sum on one column c = 1,
+    X2 = G = B, over the rows (q, f) of ``line_divisor_rows``."""
     if Bint < 1:
         return lambda s: 0.0
     if all_denominators_admissible(m, mode):
         charge(DEFAULT_BUDGET, 2 * Bint + 1)
-        mu = mobius_sieve(Bint)
+        phi = totient_sieve(Bint)
         # summed over every q the points of height n number 4 phi(n), less
         # one at n = 1 (the point 0 is counted once)
-        return lambda s: 4.0 * _phi_power_sum(mu, s) - 1.0
+        return lambda s: 4.0 * _phi_power_sum(phi, s) - 1.0
     q, per_q, f = line_divisor_rows(m, S, Bint, mode, DEFAULT_BUDGET)
     sign = 2 * (f > 0).astype(np.int8) - 1
     one, column = np.ones(1, dtype=np.int64), np.array([Bint])  # object past int64
@@ -208,20 +209,16 @@ def _power_suffix(X: int, s: float) -> np.ndarray:
 _BLOCK = 1 << 16
 
 
-def _phi_power_sum(mu: np.ndarray, s: float) -> float:
-    """sum_{n <= B} phi(n) n^-s = sum_{d <= B} mu(d) d^-s P(floor(B/d)), with
-    mu = mu(0..B) and P(x) = sum_{n <= x} n^(1-s): one prefix array (8 bytes
-    per entry beside the sieve's 1), reduced over blocks of d with ``np.sum``
-    and across blocks with ``math.fsum`` (a float64 ``np.dot`` would start
-    BLAS threads)."""
-    B = len(mu) - 1
-    prefix = _power_prefix(B, s - 1.0)
+def _phi_power_sum(phi: np.ndarray, s: float) -> float:
+    """sum_{n <= B} phi(n) n^-s, phi = phi(0..B): one float64 power per n,
+    each term phi(n) n^-s within an ulp, reduced over blocks of n with
+    ``np.sum`` and across blocks with ``math.fsum`` (a float64 ``np.dot``
+    would start BLAS threads)."""
     blocks = []
-    for lo in range(1, B + 1, _BLOCK):
-        d = np.arange(lo, min(lo + _BLOCK, B + 1))
-        terms = prefix[B // d]
-        terms *= mu[lo : lo + len(d)]
-        terms *= d.astype(np.float64) ** -s
+    for lo in range(1, len(phi), _BLOCK):
+        terms = np.arange(lo, min(lo + _BLOCK, len(phi)), dtype=np.float64)
+        terms **= -s
+        terms *= phi[lo : lo + len(terms)]
         blocks.append(float(np.sum(terms)))
     return math.fsum(blocks)
 

@@ -289,3 +289,15 @@ def test_totient_sieve_matches_euler_phi():
     # squares and prime powers above isqrt(n) included: 1000 = 2^3 5^3, 961 = 31^2
     for n in list(range(0, 40)) + [961, 1000, 4099]:
         assert totient_sieve(n).tolist() == [0] + [euler_phi(i) for i in range(1, n + 1)]
+
+
+def test_totient_sieve_across_segment_ends(monkeypatch):
+    # segments of 16 integers: n = 0, 1 and 2 in the first, then every n up
+    # to 100 ends a segment at each place, and the prime powers 4, 8, ..., 64
+    # and 961 = 31^2 start in one segment and strike multiples in later ones
+    monkeypatch.setattr(arith, "TOTIENT_SEGMENT", 16)
+    assert [totient_sieve(n).tolist() for n in (0, 1, 2)] == [[0], [0, 1], [0, 1, 1]]
+    for n in list(range(3, 100)) + [961, 1000]:
+        phi = totient_sieve(n)
+        assert phi.dtype == np.int32
+        assert phi.tolist() == [0] + [euler_phi(i) for i in range(1, n + 1)]

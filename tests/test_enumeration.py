@@ -148,6 +148,19 @@ def test_denominator_walk_matches_its_definition_property(m, s_primes, family, l
         assert set(row[k:]) <= {1}
 
 
+@pytest.mark.parametrize("limit, s_primes, first, step", [
+    (10**6, (2, 3), 2, 1),  # int64, Campana squares: many large-prime powers
+    (2**64, (2, 3), 20, 20),  # object: 5^20 and 7^20 are the large powers
+])
+def test_denominator_walk_is_strictly_increasing(limit, s_primes, first, step):
+    # each q is walked once and each large power p^e is distinct, so an
+    # unstable sort leaves the walk ascending
+    q = enumeration._denominator_walk(limit, s_primes, first, step, math.inf)[0]
+    assert q.dtype == (np.int64 if limit < 2**63 else object)
+    q = q.tolist()
+    assert len(q) > 100 and all(a < b for a, b in zip(q, q[1:]))
+
+
 def test_all_denominators_admissible_matches_the_denominator_walk():
     # the counts take the all-of-Q route exactly when the predicate holds, so
     # it must agree with the denominator source on every (m, mode)
@@ -584,6 +597,13 @@ def test_blowup_weights_match_their_definition(m2, mode):
             cmax = integer_kth_root(B**m2, 2 * m2 + 1)
             assert dict(zip(core.c.tolist(), core.w.tolist())) == _brute_weights(
                 m2, s_primes, cmax, mode), (s_primes, cmax)
+
+
+def test_every_a_blowup_weights_are_int64():
+    # 4 phi(c) is widened before it is scaled: the totient table is int32
+    w = enumeration._blowup_weights(1, S0, 1000, "darmon")
+    assert w.dtype == np.int64
+    assert w[:4].tolist() == [0, 3, 4, 8]
 
 
 def test_blowup_counts_with_restricted_weights():

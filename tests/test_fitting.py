@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -65,14 +66,20 @@ def test_partial_sum_blowup_matches_oracle(weights):
             assert z.value == pytest.approx(brute, rel=1e-12)
 
 
-def _totient_line_sum(B, s):
-    """4 sum_{n <= B} phi(n) n^-s - 1, the all-of-Q line sum, from a
-    pure-Python totient sieve."""
+@lru_cache(maxsize=1)
+def _totients(B):
+    """phi(0..B) from a pure-Python totient sieve."""
     phi = list(range(B + 1))
     for p in range(2, B + 1):
         if phi[p] == p:
             for k in range(p, B + 1, p):
                 phi[k] -= phi[k] // p
+    return phi
+
+
+def _totient_line_sum(B, s):
+    """4 sum_{n <= B} phi(n) n^-s - 1, the all-of-Q line sum, as one fsum."""
+    phi = _totients(B)
     return 4 * math.fsum(phi[n] * float(n) ** -s for n in range(1, B + 1)) - 1
 
 
@@ -89,6 +96,15 @@ def test_all_admissible_line_sum_is_the_totient_sum(B, s, case, S):
     m, mode = case
     z = zeta_partial_sum(projective_space(1, m), S, s, B, mode)
     assert z.value == pytest.approx(_totient_line_sum(B, s), rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [-1.0, 0.0, 0.5, 1.0, 2.1, 2.5])
+def test_all_of_q_line_sum_is_the_exact_fsum_at_2e5(s):
+    # each term phi(n) n^-s is within an ulp and the blocks join by fsum, so
+    # the sum stays within 1e-14 of the exact terms' fsum
+    B = 2 * 10**5
+    z = zeta_partial_sum(P1, S0, s, B, "rational")
+    assert z.value == pytest.approx(_totient_line_sum(B, s), rel=1e-14)
 
 
 def _line_sum_by_points(m, S, s, B, mode):
@@ -151,11 +167,11 @@ def test_blowup_zeta_at_zero_is_the_count(weights, mode, S):
 
 def test_sparse_zeta_sums_build_no_table(monkeypatch):
     # the Darmon and Campana sums read n^-s at each entry's two ends only:
-    # no n^-s array and no Moebius sieve of length Mmax or B
+    # no n^-s array, no totient table and no Moebius sieve of length Mmax or B
     def unreachable(*args, **kwargs):
         raise AssertionError("built an array of length Mmax or B")
 
-    for name in ("_power_suffix", "_power_prefix", "mobius_sieve"):
+    for name in ("_power_suffix", "_power_prefix", "totient_sieve"):
         monkeypatch.setattr(fitting, name, unreachable)
     monkeypatch.setattr(enumeration, "mobius_sieve", unreachable)
     for weights, S, mode in [
@@ -232,7 +248,7 @@ def test_blowup_zeta_at_1e11():
 
 
 def test_zeta_budget_is_charged_before_any_work(monkeypatch):
-    # the all-of-Q line sum would allocate 1e9 prefix entries, the Darmon
+    # the all-of-Q line sum would build a 1e9-entry totient table, the Darmon
     # line sum at 1e14 charges 2.6e9 divisor rows (1e7 denominators, 2^8
     # rows each at most), and the blow-up sum charges 1.2e9 at 1e16
     # (Mmax = 1e8: the sieve, the tables Q and P1 and three passes over 3e8

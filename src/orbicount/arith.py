@@ -1,10 +1,10 @@
 """Exact integer and rational arithmetic primitives.
 
-p-adic valuations of rationals, integer factorization (sieve-backed trial
-division with a Brent/Pollard-rho fallback), primitive normalization of
-rational coordinate vectors, the small sieve/Moebius helpers the
-enumeration code leans on, and the segmented prime blocks the Euler
-products walk.
+p-adic valuations of rationals, integer factorization (a smallest-prime-
+factor table below SIEVE_BOUND, Miller-Rabin and Brent/Pollard rho at or
+above it), primitive normalization of rational coordinate vectors, the
+small sieve/Moebius helpers the enumeration code leans on, and the
+segmented prime blocks the Euler products walk.
 
 All functions are pure and operate on arbitrary-precision integers or
 ``fractions.Fraction``; nothing here touches floating point except the
@@ -28,7 +28,6 @@ __all__ = [
     "valuation",
     "int_valuation",
     "factorize",
-    "distinct_primes",
     "primitive_coords",
     "is_prime",
     "primes_up_to",
@@ -228,10 +227,11 @@ def totient_sieve(n: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _rho_brent(n: int, rng: random.Random) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
+def _rho_brent(n: int) -> int:
+    """A nontrivial factor of composite n (Brent's cycle variant)."""
     if n % 2 == 0:
         return 2
+    rng = random.Random(0xC0FFEE ^ n)
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -259,64 +259,30 @@ def _rho_brent(n: int, rng: random.Random) -> int:
             return g
 
 
-def _factor_large(n: int, out: Dict[int, int], rng: random.Random) -> None:
-    if n == 1:
-        return
-    if is_prime(n):
-        out[n] = out.get(n, 0) + 1
-        return
-    d = _rho_brent(n, rng)
-    _factor_large(d, out, rng)
-    _factor_large(n // d, out, rng)
-
-
 def factorize(n: int) -> Dict[int, int]:
     """Complete prime factorization of n >= 1 as {prime: exponent}, keys ascending.
 
-    Trial division against the smallest-prime-factor sieve handles n below
-    SIEVE_BOUND directly and strips small primes otherwise; Brent rho splits
-    any remaining cofactor.  factorize(1) == {}.
+    Each round finds one prime p of the cofactor and divides it out to its
+    full power: Brent rho splits a composite factor at or above SIEVE_BOUND
+    until the factor is prime (Miller-Rabin) or below SIEVE_BOUND, where the
+    smallest-prime-factor table names its least prime.  factorize(1) == {}.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
+    spf = _spf_table()
     out: Dict[int, int] = {}
-    if n < SIEVE_BOUND:
-        spf = _spf_table()
-        while n > 1:
-            p = spf[n]
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out[p] = e
-        return dict(sorted(out.items()))
-    for p in (2, 3, 5):
+    while n > 1:
+        p = n
+        while p >= SIEVE_BOUND and not is_prime(p):
+            p = _rho_brent(p)
+        if p < SIEVE_BOUND:
+            p = spf[p]
+        e = 0
         while n % p == 0:
             n //= p
-            out[p] = out.get(p, 0) + 1
-    # wheel over 6k+-1 up to the sieve bound, then rho
-    f = 7
-    step = 4
-    while f * f <= n and f < SIEVE_BOUND:
-        if n % f == 0:
-            e = 0
-            while n % f == 0:
-                n //= f
-                e += 1
-            out[f] = e
-        f += step
-        step = 6 - step
-    if n > 1:
-        if f * f > n:
-            out[n] = out.get(n, 0) + 1
-        else:
-            _factor_large(n, out, random.Random(0xC0FFEE ^ n))
+            e += 1
+        out[p] = e
     return dict(sorted(out.items()))
-
-
-def distinct_primes(n: int) -> Tuple[int, ...]:
-    """Distinct prime divisors of n >= 1, ascending."""
-    return tuple(factorize(n))
 
 
 # --------------------------------------------------------------------------

@@ -130,9 +130,6 @@ def euler_product(
 
 @dataclass(frozen=True)
 class ConstantBreakdown:
-    model_name: str
-    params: Dict[str, int]
-    s_primes: Tuple[int, ...]
     a: Fraction
     b: int
     residue_factors: Tuple[Tuple[str, Fraction], ...]
@@ -215,9 +212,6 @@ def leading_constant(
     for _, f in s_factors:
         total *= f
     breakdown = ConstantBreakdown(
-        model_name=model.name,
-        params=dict(model.params),
-        s_primes=S.finite_primes,
         a=a,
         b=b,
         residue_factors=residues,

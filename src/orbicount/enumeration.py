@@ -16,13 +16,13 @@ below):
   factor coprime to S, so the walk joins the primes of S and the small
   primes to the rows one prime at a time, and the larger primes, of which
   a q has at most one, in a single step; no path calls ``factorize``.  One
-  core counts every n (``count_p1`` and ``count_pn2`` are its n = 1 and
-  n = 2) and never visits a q: the points (x_1 : ... : x_n : q) number
-  sum_{e | rad q} mu(e) T(floor(B/e)), T(x) = (2x + 1)^n, for each q, and
-  every admissible q is s a^m t in exactly one way (t = 1 in Darmon mode,
-  else a product of b_j^j, j = m+1..2m-1; Ivic, The Riemann Zeta-Function,
-  ch. 14).  The same walk yields the shapes s t, and per shape the sum over
-  a becomes a sum over e2 <= A = (B/(s t))^(1/m) of mu(e2)
+  core counts every n and never visits a q: the points
+  (x_1 : ... : x_n : q) number sum_{e | rad q} mu(e) T(floor(B/e)),
+  T(x) = (2x + 1)^n, for each q, and every admissible q is s a^m t in
+  exactly one way (t = 1 in Darmon mode, else a product of b_j^j,
+  j = m+1..2m-1; Ivic, The Riemann Zeta-Function, ch. 14).  The same walk
+  yields the shapes s t, and per shape the sum over a becomes a sum over
+  e2 <= A = (B/(s t))^(1/m) of mu(e2)
   T(floor(B/(e1 e2))) c_S(floor(A/e2)) for each e1 | rad(s t), over one
   Moebius sieve up to B^(1/m).  As e1 and the e2 taking part depend on
   R = rad(s t) alone, one walk and one sieve at the top bound of a count
@@ -54,8 +54,9 @@ and height checks on every candidate, in integers; on a 2-CPU machine about
 5-7 us per primitive candidate on projective space, 6-10 us on the blow-up).
 The naive_count_* oracles count what it yields and ``dump_points`` writes
 it, so a dump takes the oracle's time over every candidate, not the core's
-(the core's count only checks the dump cap first); the sieved counters must
-agree with the oracles exactly, which the test suite checks.
+(the core's count checks the dump cap first, then the candidates are
+charged); the sieved counters must agree with the oracles exactly, which
+the test suite checks.
 
 ``count_points`` and ``count_series`` take one grid path, which counts
 modes with the same points once, after charging each at the top bound.
@@ -87,8 +88,6 @@ from .orbifold import OrbifoldModel, PlaceSet, blowup_p2, projective_space
 __all__ = [
     "CountRecord",
     "MODES",
-    "count_p1",
-    "count_pn2",
     "count_blowup",
     "count_points",
     "count_series",
@@ -678,28 +677,6 @@ def _count_pn(
     return _divisor_sum(n, m, S, grid, mode, budget)
 
 
-def count_p1(
-    m: int,
-    S: PlaceSet,
-    B: Union[int, float, Fraction],
-    mode: str,
-    budget: Optional[int] = DEFAULT_BUDGET,
-) -> int:
-    """Points of the line model with global height <= B in the given mode."""
-    return count_points(projective_space(1, m), S, B, mode, budget)
-
-
-def count_pn2(
-    m: int,
-    S: PlaceSet,
-    B: Union[int, float, Fraction],
-    mode: str,
-    budget: Optional[int] = DEFAULT_BUDGET,
-) -> int:
-    """Plane model (projective, n = 2): last coordinate plays the role of q."""
-    return count_points(projective_space(2, m), S, B, mode, budget)
-
-
 # --------------------------------------------------------------------------
 # blow-up counts
 # --------------------------------------------------------------------------
@@ -920,17 +897,22 @@ def _mode_ok(point, model: OrbifoldModel, S: PlaceSet, mode: str) -> bool:
     return geometry.is_campana(point, model, S)
 
 
+def _box_top(model: OrbifoldModel, Bf: Fraction) -> int:
+    """The largest |coordinate| of a point of height <= B: the oracle's box
+    holds top (2 top + 1)^dim candidates."""
+    if model.name in ("p1", "pn"):
+        return _floor_bound(Bf)
+    if model.name == "blowup":
+        return _blowup_mmax(Bf, model.params["m1"])
+    raise DomainError(f"no point oracle for model {model.name!r}")
+
+
 def _candidates(model: OrbifoldModel, Bf: Fraction) -> Iterator[geometry.ProjectivePoint]:
-    """Every primitive point whose coordinates lie in the box the height
-    bound allows, in a fixed order: the denominator q (x_n on projective
+    """Every primitive point whose coordinates lie in the box of
+    ``_box_top``, in a fixed order: the denominator q (x_n on projective
     space, x0 on the blow-up) in the outer loop, the other coordinates in
     [-top, top] inside it."""
-    if model.name in ("p1", "pn"):
-        top = _floor_bound(Bf)
-    elif model.name == "blowup":
-        top = _blowup_mmax(Bf, model.params["m1"])
-    else:
-        raise DomainError(f"no point oracle for model {model.name!r}")
+    top = _box_top(model, Bf)
     box = range(-top, top + 1)
     for q in range(1, top + 1):
         for xs in itertools.product(box, repeat=model.dimension):
@@ -1095,7 +1077,10 @@ def read_counts_csv(fh) -> List[Dict[str, Optional[Union[float, int]]]]:
 # debug dump
 # --------------------------------------------------------------------------
 
-_DUMP_CAP = 10**6  # points a dump may write; the oracle takes 5-10 us per candidate
+_DUMP_CAP = 10**6  # points a dump may write
+# budget steps per candidate of the oracle's box: one takes 3.5-7 us, one
+# step of the Mertens count about 18 ns
+_CANDIDATE_STEPS = 300
 
 
 def dump_points(
@@ -1106,10 +1091,15 @@ def dump_points(
     fh,
 ) -> int:
     """Write the counted points one per line (debug aid).  Refuses to start
-    when the count exceeds ``_DUMP_CAP``."""
+    when the count exceeds ``_DUMP_CAP``, then charges the default budget
+    _CANDIDATE_STEPS steps per candidate of the oracle's box."""
     total = count_points(model, S, B, mode)
     if total > _DUMP_CAP:
         raise BudgetExceededError(f"{total} points exceed the dump cap {_DUMP_CAP}")
+    top = _box_top(model, Fraction(B))
+    candidates = top * (2 * top + 1) ** model.dimension
+    charge(DEFAULT_BUDGET, _CANDIDATE_STEPS * candidates,
+           f"the dump's oracle over {_readable(candidates)} candidates")
     written = 0
     for pt in iter_points(model, S, B, mode):
         if model.name == "blowup":

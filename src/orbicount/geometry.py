@@ -28,12 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
-from .arith import (
-    distinct_primes,
-    int_valuation,
-    is_prime,
-    primitive_coords,
-)
+from .arith import factorize, int_valuation, is_prime, primitive_coords
 from .errors import BoundaryPointError, PointParseError
 from .orbifold import OrbifoldModel, PlaceSet
 
@@ -108,13 +103,10 @@ def _prime(p: int) -> int:
 
 
 def multiplicities_pn(point: ProjectivePoint, p: int) -> Dict[str, int]:
-    """Contact order with the hyperplane: max(0, v_p(x_n/x_i) over i < n).
-
-    Scaling invariant as written; for primitive coordinates it equals
-    v_p(x_n).
-    """
-    vn = int_valuation(_pn_denominator(point), _prime(p))
-    return {"D": max([0] + [vn - int_valuation(x, p) for x in point.coords[:-1] if x])}
+    """Contact order with the hyperplane x_n = 0: v_p(x_n), which on the
+    primitive coordinates of a ``ProjectivePoint`` is max(0, v_p(x_n/x_i)
+    over i < n)."""
+    return {"D": int_valuation(_pn_denominator(point), _prime(p))}
 
 
 def multiplicities_blowup(point: ProjectivePoint, p: int) -> Dict[str, int]:
@@ -139,9 +131,9 @@ def multiplicities(point: ProjectivePoint, model: OrbifoldModel, p: int) -> Dict
 def relevant_primes(point: ProjectivePoint, model: OrbifoldModel) -> Tuple[int, ...]:
     """Primes where some boundary multiplicity can be nonzero."""
     if model.name in ("p1", "pn"):
-        return distinct_primes(abs(_pn_denominator(point)))
+        return tuple(factorize(abs(_pn_denominator(point))))
     if model.name == "blowup":
-        return distinct_primes(_blowup_denominator(point))
+        return tuple(factorize(_blowup_denominator(point)))
     raise ValueError(f"no prime support rule for model {model.name!r}")
 
 
@@ -185,9 +177,8 @@ def is_campana(point: ProjectivePoint, model: OrbifoldModel, S: PlaceSet) -> boo
 
 @dataclass(frozen=True)
 class LocalHeight:
-    place: float  # a prime, or ARCH
     value: float
-    exponent: Optional[Fraction]  # value == place ** exponent at finite places
+    exponent: Optional[Fraction]  # value == p ** exponent at a finite place p
 
 
 def _blowup_exponents(model: OrbifoldModel) -> Tuple[Fraction, Fraction]:
@@ -216,22 +207,22 @@ def local_height(
         xn = _pn_denominator(point)
         if place == ARCH:
             val = max(1.0, *(abs(xi / xn) for xi in point.coords[:-1]))
-            return LocalHeight(ARCH, val, None)
+            return LocalHeight(val, None)
         p = int(place)
         exp = multiplicities_pn(point, p)["D"]  # max(0, v_p(x_n / x_i) over i < n)
-        return LocalHeight(p, float(p) ** exp, Fraction(exp))
+        return LocalHeight(float(p) ** exp, Fraction(exp))
     if model.name == "blowup":
         x0 = _blowup_denominator(point)
         e1, e2 = _blowup_exponents(model)
         if place == ARCH:
-            return LocalHeight(ARCH, _blowup_archimedean(point, e1, e2), None)
+            return LocalHeight(_blowup_archimedean(point, e1, e2), None)
         p = _prime(int(place))
         v0 = int_valuation(x0, p)
         # |u|_p = p^(v(x0) - v(x1)) and |w|_p likewise; a zero coordinate
         # never attains the max
         d1, d2 = (v0 - int_valuation(x, p) if x else 0 for x in point.coords[1:])
         exp = max(0, d1, d2) * e1 + max(0, d1) * e2
-        return LocalHeight(p, float(p) ** float(exp), exp)
+        return LocalHeight(float(p) ** float(exp), exp)
     raise ValueError(f"no height rule for model {model.name!r}")
 
 

@@ -29,6 +29,7 @@ from orbicount.orbifold import (
 from references import global_height_by_places
 
 S0 = PlaceSet.of()
+P1M1, P1M2 = projective_space(1, 1), projective_space(1, 2)
 
 
 def report(k: int, ok: bool, detail: str) -> None:
@@ -43,7 +44,7 @@ def report(k: int, ok: bool, detail: str) -> None:
 def test_criterion_1_schanuel_consistency():
     B = 10**5
     t0 = time.perf_counter()
-    n = enumeration.count_p1(1, S0, B, "rational")
+    n = enumeration.count_points(P1M1, S0, B, "rational")
     elapsed = time.perf_counter() - t0
     ratio = n / B**2
     target = 2 / ZETA2
@@ -67,7 +68,7 @@ def test_criterion_1_schanuel_consistency():
 def test_criterion_2_darmon_m2():
     B = 10**6
     t0 = time.perf_counter()
-    n = enumeration.count_p1(2, S0, B, "darmon")
+    n = enumeration.count_points(P1M2, S0, B, "darmon")
     elapsed = time.perf_counter() - t0
     ratio = n / B**1.5
     target = 2 / ZETA2
@@ -91,11 +92,9 @@ def test_criterion_2_darmon_m2():
 def test_criterion_3_s_factor_effect():
     B = 10**6
     grid = [10**4, 10**5, 10**6]
-    base = [
-        (float(b), enumeration.count_p1(2, S0, b, "darmon")) for b in grid
-    ]
+    base = [(float(b), enumeration.count_points(P1M2, S0, b, "darmon")) for b in grid]
     with_s = [
-        (float(b), enumeration.count_p1(2, PlaceSet.of([2]), b, "darmon"))
+        (float(b), enumeration.count_points(P1M2, PlaceSet.of([2]), b, "darmon"))
         for b in grid
     ]
     f_base = fitting.fit_counts(base, Fraction(3, 2), 1, window=(B, B))
@@ -121,8 +120,8 @@ def test_criterion_3_s_factor_effect():
 def test_criterion_4_campana_m2():
     B = 10**6
     grid = [10**k for k in range(2, 7)]
-    darmon = {b: enumeration.count_p1(2, S0, b, "darmon") for b in grid}
-    campana = {b: enumeration.count_p1(2, S0, b, "campana") for b in grid}
+    darmon = {b: enumeration.count_points(P1M2, S0, b, "darmon") for b in grid}
+    campana = {b: enumeration.count_points(P1M2, S0, b, "campana") for b in grid}
     fit = fitting.fit_counts(
         [(float(b), campana[b]) for b in grid], Fraction(3, 2), 1, window=(B, B)
     )
@@ -296,9 +295,9 @@ def _naive_all_modes_blowup(m1, m2, S, B):
 
 
 def test_criterion_7_exact_small_counts():
-    assert enumeration.count_p1(1, S0, 10, "rational") == 127
-    assert enumeration.count_p1(2, S0, 10, "darmon") == 45
-    assert enumeration.count_p1(2, S0, 10, "campana") == 55
+    assert enumeration.count_points(P1M1, S0, 10, "rational") == 127
+    assert enumeration.count_points(P1M2, S0, 10, "darmon") == 45
+    assert enumeration.count_points(P1M2, S0, 10, "campana") == 55
     mismatches = 0
     cases = 0
     for m, S in (
@@ -311,7 +310,7 @@ def test_criterion_7_exact_small_counts():
         naive = _naive_all_modes_p1(m, S, 200)
         for mode in enumeration.MODES:
             cases += 1
-            if enumeration.count_p1(m, S, 200, mode) != naive[mode]:
+            if enumeration.count_points(projective_space(1, m), S, 200, mode) != naive[mode]:
                 mismatches += 1
     for (m1, m2), S in (
         ((1, 1), S0),
@@ -406,7 +405,7 @@ def test_criterion_8_invariant_suites(tmp_path):
     # determinism across --workers values, through the CLI
     for argv, row in (
         (("--model", "p1", "--m", "2", "--mode", "darmon", "--grid", "10000"),
-         f"10000,,,{enumeration.count_p1(2, S0, 10**4, 'darmon')}"),
+         f"10000,,,{enumeration.count_points(P1M2, S0, 10**4, 'darmon')}"),
         (("--model", "blowup", "--mode", "rational", "--grid", "400"),
          f"400,{enumeration.count_blowup(1, 1, S0, 400, 'rational')},,"),
     ):

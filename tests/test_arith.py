@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from orbicount import arith
 from orbicount.arith import (
     INFINITY,
-    distinct_primes,
     factorize,
     integer_kth_root,
     is_prime,
@@ -75,6 +74,41 @@ def test_factorize_beyond_sieve_bound():
     p, q = 10**9 + 7, 10**9 + 9  # both prime, product far beyond the sieve
     assert factorize(p * q) == {p: 1, q: 1}
     assert factorize(2**5 * p) == {2: 5, p: 1}
+
+
+def _trial_division(n):
+    """{prime: exponent} of n by plain trial division up to isqrt(n)."""
+    out = {}
+    f = 2
+    while f * f <= n:
+        while n % f == 0:
+            n //= f
+            out[f] = out.get(f, 0) + 1
+        f += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        arith.SIEVE_BOUND - 1,
+        arith.SIEVE_BOUND,
+        arith.SIEVE_BOUND + 1,
+        (10**6 + 3) * (10**6 + 33),  # two primes just above the bound
+        999983 * 1000003,  # the largest prime below it times the least above
+        1009 * 1013 * 1000003,  # rho's first split, 1009 * 1013, is composite
+        math.prod(primes_up_to(47)[3:]),  # every prime from 7 to 47
+        1000000000039,  # a 13-digit prime
+        # each prime leaves to its full power at once, so no RecursionError
+        2**2000,
+        7**1500,
+    ],
+    ids=lambda n: str(n) if n < 10**20 else f"{n.bit_length()}-bit",
+)
+def test_factorize_matches_trial_division_across_the_sieve_bound(n):
+    assert factorize(n) == _trial_division(n)
 
 
 def test_spf_table_matches_loop_sieve():
@@ -275,7 +309,7 @@ def test_mobius_sieve_matches_loop_sieve():
 
 def test_count_coprime_matches_bruteforce():
     for q in (1, 2, 6, 30, 49, 97):
-        primes = distinct_primes(q)
+        primes = tuple(factorize(q))
         for limit in (0, 1, 7, 50, 101):
             brute = sum(1 for k in range(1, limit + 1) if math.gcd(k, q) == 1)
             assert count_coprime(limit, primes) == brute

@@ -947,3 +947,24 @@ def test_dump_flag(tmp_path, capsys):
     )
     assert code == 0
     assert len(dump.read_text().strip().splitlines()) == 45
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--model", "p1", "--m", "50", "--mode", "darmon", "--grid", "400000"),
+        ("--model", "blowup", "--m1", "5", "--m2", "5", "--mode", "darmon", "--grid", "3000"),
+    ],
+)
+def test_dump_past_the_budget_exits_3_before_writing(tmp_path, capsys, monkeypatch, argv):
+    # 800,001 and 30,463 points pass the cap, but the oracle's box holds
+    # 3.2e11 and 2.0e9 candidates: the charge refuses before the first one
+    def refuse(*args):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(enumeration, "_candidates", refuse)
+    dump = tmp_path / "pts.txt"
+    code, out, err = run(capsys, "count", *argv, "--dump", str(dump))
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: the dump's oracle over")
+    assert dump.read_text() == ""

@@ -9,20 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbicount import arith, cli, enumeration
-from orbicount.arith import (
-    distinct_primes,
-    factorize,
-    integer_kth_root,
-    mobius_sieve,
-)
+from orbicount.arith import factorize, integer_kth_root, mobius_sieve
 from orbicount.enumeration import (
     CSV_HEADER,
+    DEFAULT_BUDGET,
     MODES,
     all_denominators_admissible,
     blowup_columns,
     count_blowup,
-    count_p1,
-    count_pn2,
     count_points,
     count_series,
     dump_points,
@@ -51,9 +45,19 @@ S2 = PlaceSet.of([2])
 S23 = PlaceSet.of([2, 3])
 
 
-def count_pn(n, m, S, B, mode):
-    """The count of projective n-space, as count_p1 and count_pn2 take it."""
-    return count_points(projective_space(n, m), S, B, mode)
+def count_pn(n, m, S, B, mode, budget=DEFAULT_BUDGET):
+    """The count of projective n-space with weight m."""
+    return count_points(projective_space(n, m), S, B, mode, budget)
+
+
+def count_p1(m, S, B, mode, budget=DEFAULT_BUDGET):
+    """The line's count (n = 1); its name labels the parametrized cases."""
+    return count_pn(1, m, S, B, mode, budget)
+
+
+def count_pn2(m, S, B, mode, budget=DEFAULT_BUDGET):
+    """The plane's count (n = 2)."""
+    return count_pn(2, m, S, B, mode, budget)
 
 
 def test_exact_small_counts_line():
@@ -104,7 +108,7 @@ def test_denominators_carry_their_primes_property(m, s_primes, mode, limit):
     pairs = denominators(m, PlaceSet.of(s_primes), limit, mode)
     want = _definitional_denominators(limit, m, s_primes, mode)
     assert [q for q, _ in pairs] == want
-    assert all(primes == distinct_primes(q) for q, primes in pairs)
+    assert all(primes == tuple(factorize(q)) for q, primes in pairs)
 
 
 @lru_cache(maxsize=None)
@@ -144,7 +148,7 @@ def test_denominator_walk_matches_its_definition_property(m, s_primes, family, l
     q, primes, omega = (a.tolist() for a in walk)
     assert q == _definitional_walk(limit, s_primes, first, step, last)
     for v, row, k in zip(q, primes, omega):
-        assert tuple(row[:k]) == distinct_primes(v)
+        assert tuple(row[:k]) == tuple(factorize(v))
         assert set(row[k:]) <= {1}
 
 
@@ -169,7 +173,7 @@ def test_all_denominators_admissible_matches_the_denominator_walk():
             pairs = denominators(m, S0, 200, mode)
             every_q = [q for q, _ in pairs] == list(range(1, 201))
             assert all_denominators_admissible(m, mode) == every_q
-            assert all(primes == distinct_primes(q) for q, primes in pairs)
+            assert all(primes == tuple(factorize(q)) for q, primes in pairs)
 
 
 def test_k_full_numbers_small():
@@ -184,7 +188,6 @@ def test_darmon_and_campana_paths_never_factor(monkeypatch):
     def refuse(*args):
         raise AssertionError("factorized a generated denominator")
 
-    assert not hasattr(enumeration, "distinct_primes")
     monkeypatch.setattr(arith, "factorize", refuse)
     assert count_p1(3, S2, 10**12, "campana") == 51669106212344925
     assert count_pn2(2, S0, 10**5, "darmon") == 10516750103593
@@ -964,7 +967,7 @@ def test_count_series_validates_grid():
 
 def test_count_points_dispatch():
     assert count_points(projective_space(1, 2), S0, 10, "darmon") == 45
-    assert count_points(projective_space(2, 2), S0, 12, "darmon") == count_pn2(
+    assert count_points(projective_space(2, 2), S0, 12, "darmon") == naive_count_pn2(
         2, S0, 12, "darmon")
     # every n: these n = 3 counts are iter_points' (4.9 s together, so pinned
     # rather than re-run), then the per-q sum past int64, where the degree-2

@@ -13,7 +13,7 @@ from orbicount.constants import ZETA2
 from orbicount.enumeration import (
     MODES,
     count_blowup,
-    count_p1,
+    count_points,
     iter_points,
 )
 from orbicount.errors import BudgetExceededError, DomainError
@@ -147,8 +147,9 @@ def test_darmon_campana_line_sum_is_the_point_sum(B, s, m, mode, S):
 def test_line_zeta_at_zero_is_the_count(m, S, B, mode):
     # at s = 0 every point weighs 1, so the sum is the exact count
     S = PlaceSet.of(S)
-    z = zeta_partial_sum(projective_space(1, m), S, 0.0, B, mode)
-    assert z.value == pytest.approx(count_p1(m, S, B, mode), rel=1e-12)
+    model = projective_space(1, m)
+    z = zeta_partial_sum(model, S, 0.0, B, mode)
+    assert z.value == pytest.approx(count_points(model, S, B, mode), rel=1e-12)
 
 
 @pytest.mark.parametrize("S", [(), (2, 3), (1000003,)])
@@ -285,7 +286,7 @@ def test_partial_sum_matches_bruteforce_line():
 
 def test_abel_summation_identity():
     B, s = 50, 3.0
-    counts = {t: count_p1(1, S0, t, "rational") for t in range(1, B + 1)}
+    counts = {t: count_points(P1, S0, t, "rational") for t in range(1, B + 1)}
     abel = sum(counts[t] * (t**-s - (t + 1) ** -s) for t in range(1, B))
     abel += counts[B] * B**-s
     z = zeta_partial_sum(P1, S0, s, B)
@@ -344,7 +345,7 @@ def test_fit_grid_refinement_stability():
 
 def test_fit_real_counts_window_recovers_schanuel():
     pts = [
-        (float(b), count_p1(1, S0, b, "rational"))
+        (float(b), count_points(P1, S0, b, "rational"))
         for b in (10**3, 10**4, 10**5)
     ]
     fit = fit_counts(pts, 2, 1, window=(1e3, 1e5))

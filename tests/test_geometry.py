@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbicount.arith import int_valuation, primitive_coords, valuation
@@ -48,6 +48,27 @@ def test_multiplicities_pn_examples():
     assert multiplicities_pn(ProjectivePoint((4, 9)), 2) == {"D": 0}
     for p in (2, 3, 5):
         assert multiplicities_pn(ProjectivePoint((1, 0, 1)), p) == {"D": 0}
+
+
+def _scaling_invariant_contact(coords, p):
+    """max(0, v_p(x_n/x_i) over the nonzero x_i, i < n): the contact order
+    read from any scaling of the coordinates."""
+    vn = int_valuation(coords[-1], p)
+    return max([0] + [vn - int_valuation(x, p) for x in coords[:-1] if x])
+
+
+@settings(max_examples=200)
+@given(
+    # zeros half the time: a zero x_i drops out of the max
+    xs=st.lists(st.just(0) | st.integers(-50, 50), min_size=1, max_size=3),
+    unit=st.integers(1, 50),
+    k=st.integers(0, 6),
+    p=st.sampled_from((2, 3, 5, 7)),
+)
+def test_multiplicities_pn_is_the_scaling_invariant_max(xs, unit, k, p):
+    # n = 1 to 3, x_n carrying at least p^k before the point is made primitive
+    point = ProjectivePoint.from_rationals((*xs, unit * p**k))
+    assert multiplicities_pn(point, p) == {"D": _scaling_invariant_contact(point.coords, p)}
 
 
 @pytest.mark.parametrize("p", [1, 0, -3, 4])

@@ -160,7 +160,7 @@ def _cmd_count(args) -> int:
         if len(bounds) != 1:
             raise DomainError("--dump requires a single-point grid")
         with open(args.dump, "w") as fh:
-            enumeration.dump_points(model, S, bounds[0], _dump_mode(args.mode), fh)
+            enumeration.dump_points(model, S, bounds[0], _dump_mode(args.mode), fh, args.budget)
     if args.format == "json":
         payload = {
             "model": model.name,

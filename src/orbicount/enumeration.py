@@ -1089,16 +1089,17 @@ def dump_points(
     B,
     mode: str,
     fh,
+    budget: Optional[int] = DEFAULT_BUDGET,
 ) -> int:
     """Write the counted points one per line (debug aid).  Refuses to start
-    when the count exceeds ``_DUMP_CAP``, then charges the default budget
+    when the count exceeds ``_DUMP_CAP``, then charges the budget
     _CANDIDATE_STEPS steps per candidate of the oracle's box."""
-    total = count_points(model, S, B, mode)
+    total = count_points(model, S, B, mode, budget)
     if total > _DUMP_CAP:
         raise BudgetExceededError(f"{total} points exceed the dump cap {_DUMP_CAP}")
     top = _box_top(model, Fraction(B))
     candidates = top * (2 * top + 1) ** model.dimension
-    charge(DEFAULT_BUDGET, _CANDIDATE_STEPS * candidates,
+    charge(budget, _CANDIDATE_STEPS * candidates,
            f"the dump's oracle over {_readable(candidates)} candidates")
     written = 0
     for pt in iter_points(model, S, B, mode):

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
-from .arith import factorize, int_valuation, is_prime, primitive_coords
+from . import arith
+from .arith import int_valuation, is_prime, primitive_coords
 from .errors import BoundaryPointError, PointParseError
 from .orbifold import OrbifoldModel, PlaceSet
 
@@ -131,9 +132,9 @@ def multiplicities(point: ProjectivePoint, model: OrbifoldModel, p: int) -> Dict
 def relevant_primes(point: ProjectivePoint, model: OrbifoldModel) -> Tuple[int, ...]:
     """Primes where some boundary multiplicity can be nonzero."""
     if model.name in ("p1", "pn"):
-        return tuple(factorize(abs(_pn_denominator(point))))
+        return tuple(arith.factorize(abs(_pn_denominator(point))))
     if model.name == "blowup":
-        return tuple(factorize(_blowup_denominator(point)))
+        return tuple(arith.factorize(_blowup_denominator(point)))
     raise ValueError(f"no prime support rule for model {model.name!r}")
 
 

@@ -968,3 +968,15 @@ def test_dump_past_the_budget_exits_3_before_writing(tmp_path, capsys, monkeypat
     assert code == 3 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: the dump's oracle over")
     assert dump.read_text() == ""
+
+
+def test_dump_is_charged_to_the_count_budget(tmp_path, capsys):
+    # the box at B = 10 holds 10 * 21 candidates, 300 steps each: 63,000
+    argv = ("count", "--model", "p1", "--m", "2", "--mode", "darmon", "--grid", "10")
+    dump = tmp_path / "pts.txt"
+    code, _, err = run(capsys, *argv, "--budget", "62999", "--dump", str(dump))
+    assert code == 3 and err.startswith("error: the dump's oracle over 210 candidates")
+    assert dump.read_text() == ""
+    code, _, _ = run(capsys, *argv, "--budget", "63000", "--dump", str(dump))
+    assert code == 0
+    assert len(dump.read_text().splitlines()) == 45

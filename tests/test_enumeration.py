@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbicount import arith, cli, enumeration
+from orbicount import arith, cli, enumeration, geometry
 from orbicount.arith import factorize, integer_kth_root, mobius_sieve
 from orbicount.enumeration import (
     CSV_HEADER,
@@ -50,20 +50,10 @@ def count_pn(n, m, S, B, mode, budget=DEFAULT_BUDGET):
     return count_points(projective_space(n, m), S, B, mode, budget)
 
 
-def count_p1(m, S, B, mode, budget=DEFAULT_BUDGET):
-    """The line's count (n = 1); its name labels the parametrized cases."""
-    return count_pn(1, m, S, B, mode, budget)
-
-
-def count_pn2(m, S, B, mode, budget=DEFAULT_BUDGET):
-    """The plane's count (n = 2)."""
-    return count_pn(2, m, S, B, mode, budget)
-
-
 def test_exact_small_counts_line():
-    assert count_p1(1, S0, 10, "rational") == 127
-    assert count_p1(2, S0, 10, "darmon") == 45
-    assert count_p1(2, S0, 10, "campana") == 55
+    assert count_pn(1, 1, S0, 10, "rational") == 127
+    assert count_pn(1, 2, S0, 10, "darmon") == 45
+    assert count_pn(1, 2, S0, 10, "campana") == 55
 
 
 def test_blowup_small_bounds():
@@ -188,13 +178,19 @@ def test_darmon_and_campana_paths_never_factor(monkeypatch):
     def refuse(*args):
         raise AssertionError("factorized a generated denominator")
 
+    # no module keeps a copy of factorize that the patch below would miss
+    assert not hasattr(enumeration, "factorize") and not hasattr(geometry, "factorize")
     monkeypatch.setattr(arith, "factorize", refuse)
-    assert count_p1(3, S2, 10**12, "campana") == 51669106212344925
-    assert count_pn2(2, S0, 10**5, "darmon") == 10516750103593
+    assert count_pn(1, 3, S2, 10**12, "campana") == 51669106212344925
+    assert count_pn(2, 2, S0, 10**5, "darmon") == 10516750103593
     # the pinned value sums the rows with Hurwitz zeta differences at 30
     # digits (mpmath); the O(B) float64 prefix array was 1.5e-12 off it
     z = zeta_partial_sum(projective_space(1, 2), S0, 2.5, 10**5, "darmon")
     assert z.value == pytest.approx(4.048351949492850, rel=1e-13)
+    # while the point oracle, which does factor, meets the patch
+    line = projective_space(1, 2)
+    with pytest.raises(AssertionError, match="factorized"):
+        geometry.is_darmon(geometry.parse_point(line, "1/12"), line, S0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -203,7 +199,7 @@ def test_sieved_equals_naive_line(m, s_primes):
     S = PlaceSet.of(s_primes)
     for B in (1, 7, Fraction(65, 2), 60):
         for mode in ("rational", "campana", "darmon"):
-            assert count_p1(m, S, B, mode) == naive_count_p1(m, S, B, mode)
+            assert count_pn(1, m, S, B, mode) == naive_count_p1(m, S, B, mode)
 
 
 @pytest.mark.parametrize("weights", [(1, 1), (2, 1), (1, 2), (2, 3), (3, 2)])
@@ -235,8 +231,8 @@ def test_sieved_equals_dump_blowup_midscale():
 def test_sieved_equals_naive_plane():
     for m in (1, 2):
         for mode in ("rational", "campana", "darmon"):
-            assert count_pn2(m, S0, 12, mode) == naive_count_pn2(m, S0, 12, mode)
-    assert count_pn2(2, S2, 10, "darmon") == naive_count_pn2(2, S2, 10, "darmon")
+            assert count_pn(2, m, S0, 12, mode) == naive_count_pn2(m, S0, 12, mode)
+    assert count_pn(2, 2, S2, 10, "darmon") == naive_count_pn2(2, S2, 10, "darmon")
     # projective 3-space: B = 5 walks 6,655 candidates per mode
     for S, mode in ((S0, "rational"), (S0, "darmon"), (S0, "campana"),
                     (S2, "darmon"), (S2, "campana")):
@@ -290,9 +286,9 @@ def _per_q_count(per_q, m, S, B, mode):
 )
 def test_divisor_sum_equals_the_per_q_counts_property(m, s_primes, mode, B, n):
     S = PlaceSet.of(s_primes)
-    assert count_p1(m, S, B, mode) == _per_q_count(_line_q_count, m, S, B, mode)
+    assert count_pn(1, m, S, B, mode) == _per_q_count(_line_q_count, m, S, B, mode)
     Bp = B if B <= 3000 else Fraction(B) / 7  # the plane at B <= 3e3
-    assert count_pn2(m, S, Bp, mode) == _per_q_count(_pn2_pair_count, m, S, Bp, mode)
+    assert count_pn(2, m, S, Bp, mode) == _per_q_count(_pn2_pair_count, m, S, Bp, mode)
     per_q = partial(_tuple_count, n)
     assert count_pn(n, m, S, B, mode) == _per_q_count(per_q, m, S, B, mode)
 
@@ -300,18 +296,22 @@ def test_divisor_sum_equals_the_per_q_counts_property(m, s_primes, mode, B, n):
 @pytest.mark.parametrize(
     "count, per_q, args",
     [
-        (count_pn2, _pn2_pair_count, (3, S0, 10**9, "darmon")),
-        (count_pn2, _pn2_pair_count, (3, S0, 10**9, "campana")),
-        (count_p1, _line_q_count, (3, S2, 2 * 10**14, "darmon")),
+        # in the ids count_p1 is the line (n = 1) and count_pn2 the plane
+        pytest.param(partial(count_pn, 2), _pn2_pair_count, (3, S0, 10**9, "darmon"),
+                     id="count_pn2-_pn2_pair_count-args0"),
+        pytest.param(partial(count_pn, 2), _pn2_pair_count, (3, S0, 10**9, "campana"),
+                     id="count_pn2-_pn2_pair_count-args1"),
+        pytest.param(partial(count_pn, 1), _line_q_count, (3, S2, 2 * 10**14, "darmon"),
+                     id="count_p1-_line_q_count-args2"),
         pytest.param(partial(count_pn, 3), partial(_tuple_count, 3),
                      (2, S2, 10**6, "campana"), id="pn3-campana-1e6"),
         pytest.param(partial(count_pn, 4), partial(_tuple_count, 4),
                      (3, S23, 10**5, "darmon"), id="pn4-darmon-1e5"),
-        pytest.param(count_p1, _line_q_count, (20, S23, 10**20, "darmon"),
+        pytest.param(partial(count_pn, 1), _line_q_count, (20, S23, 10**20, "darmon"),
                      id="p1m20-darmon-1e20"),
-        pytest.param(partial(count_p1, budget=None), _line_q_count,
+        pytest.param(partial(count_pn, 1, budget=None), _line_q_count,
                      (16, S23, 2**64 + 13, "campana"), id="p1m16-campana-2^64+13"),
-        pytest.param(count_pn2, _pn2_pair_count, (2, S0, 2 * 10**9, "campana"),
+        pytest.param(partial(count_pn, 2), _pn2_pair_count, (2, S0, 2 * 10**9, "campana"),
                      id="pn2m2-campana-2e9"),
     ],
 )
@@ -388,7 +388,7 @@ def test_divisor_sum_where_the_shape_roots_are_exact(m, mode):
     # whose exponents are B's less multiples of m, so the float roots of many
     # shapes land on integers and take the exact correction
     S235, B = PlaceSet.of([2, 3, 5]), 2**6 * 3**6 * 5**6
-    assert count_p1(m, S235, B, mode) == _per_q_count(_line_q_count, m, S235, B, mode)
+    assert count_pn(1, m, S235, B, mode) == _per_q_count(_line_q_count, m, S235, B, mode)
 
 
 def test_block_ends_change_no_divisor_sum(monkeypatch):
@@ -396,16 +396,16 @@ def test_block_ends_change_no_divisor_sum(monkeypatch):
     # places (with S = {2}, m = 2 and B = 3000 the radical 2 has 16 entries
     # e2 <= A = 38 and ten more shapes, 4, 8, ..., whose weights are cut
     # with it), and chunks of _BLOCK >> k radicals cut those with k primes
-    cases = [(count, per_q, m, S, B, mode)
-             for count, per_q in ((count_p1, _line_q_count), (count_pn2, _pn2_pair_count))
+    cases = [(n, per_q, m, S, B, mode)
+             for n, per_q in ((1, _line_q_count), (2, _pn2_pair_count))
              for m in (2, 3) for S in (S0, S2, S23) for mode in ("darmon", "campana")
              for B in (10, Fraction(121, 2), 300, 3000)]
-    expected = [count(m, S, B, mode) for count, _, m, S, B, mode in cases]
+    expected = [count_pn(n, m, S, B, mode) for n, _, m, S, B, mode in cases]
     assert expected == [_per_q_count(per_q, m, S, B, mode)
                         for _, per_q, m, S, B, mode in cases]
     for block in (1, 7, 64):
         monkeypatch.setattr(enumeration, "_BLOCK", block)
-        got = [count(m, S, B, mode) for count, _, m, S, B, mode in cases]
+        got = [count_pn(n, m, S, B, mode) for n, _, m, S, B, mode in cases]
         assert got == expected, block
 
 
@@ -416,17 +416,23 @@ S5 = PlaceSet.of([2, 3, 5, 7, 11])
     "count, per_q, args",
     [
         # 2,891 shapes on 211 radicals, up to 260 shapes on one
-        (count_p1, _line_q_count, (2, S5, 10**6, "campana")),
-        (count_pn2, _pn2_pair_count, (2, S5, 10**6, "darmon")),
+        pytest.param(partial(count_pn, 1), _line_q_count, (2, S5, 10**6, "campana"),
+                     id="count_p1-_line_q_count-args0"),
+        pytest.param(partial(count_pn, 2), _pn2_pair_count, (2, S5, 10**6, "darmon"),
+                     id="count_pn2-_pn2_pair_count-args1"),
         # 44,703 shapes on 38 radicals, up to 10,808 shapes on one
-        (partial(count_p1, budget=None), _line_q_count, (9, S5, 10**12, "campana")),
+        pytest.param(partial(count_pn, 1, budget=None), _line_q_count,
+                     (9, S5, 10**12, "campana"), id="count2-_line_q_count-args2"),
         # past 2^63 the shapes and radicals are object arrays: 18,824 shapes
         # on 57 radicals
-        (partial(count_p1, budget=None), _line_q_count,
-         (12, PlaceSet.of([2, 3, 5]), 2**64 + 13, "campana")),
+        pytest.param(partial(count_pn, 1, budget=None), _line_q_count,
+                     (12, PlaceSet.of([2, 3, 5]), 2**64 + 13, "campana"),
+                     id="count3-_line_q_count-args3"),
         # every radical of S = {} and m = 2 has one shape, t = b^3
-        (count_p1, _line_q_count, (2, S0, 10**6, "campana")),
-        (count_pn2, _pn2_pair_count, (2, S0, 10**6, "campana")),
+        pytest.param(partial(count_pn, 1), _line_q_count, (2, S0, 10**6, "campana"),
+                     id="count_p1-_line_q_count-args4"),
+        pytest.param(partial(count_pn, 2), _pn2_pair_count, (2, S0, 10**6, "campana"),
+                     id="count_pn2-_pn2_pair_count-args5"),
     ],
 )
 def test_divisor_sum_by_radical_equals_the_per_q_counts(count, per_q, args):
@@ -447,15 +453,15 @@ def test_divisor_sum_weights_past_2_15_on_the_digit_route(monkeypatch):
     box_dot = enumeration._box_dot
     monkeypatch.setattr(enumeration, "_box_dot", recorded)
     args = (2, S2, 10**9, "darmon")
-    assert count_pn2(*args) == _per_q_count(_pn2_pair_count, *args)
+    assert count_pn(2, *args) == _per_q_count(_pn2_pair_count, *args)
     assert any(digits and w > 2**15 for digits, w in seen)
 
 
 def test_divisor_sum_grids_that_drop_whole_radicals():
     # the radicals of S = {2,3,5,7,11} with their least shape above a bound
     # (2 3 5 7 11 = 2310 above 300, say) take no part in its count
-    for count, per_q in ((count_p1, _line_q_count), (count_pn2, _pn2_pair_count)):
-        model = projective_space(1 if count is count_p1 else 2, 2)
+    for n, per_q in ((1, _line_q_count), (2, _pn2_pair_count)):
+        model = projective_space(n, 2)
         for mode in ("darmon", "campana"):
             grid = [1, 10, 300, 3000, 10**5]
             records = count_series(model, S5, grid, mode)
@@ -469,16 +475,16 @@ def test_divisor_sum_charges_the_budget_before_the_sieve(monkeypatch):
 
     monkeypatch.setattr(enumeration, "mobius_sieve", no_sieve)
     with pytest.raises(BudgetExceededError):  # the denominator bound, before the walk
-        count_p1(2, S23, 10**400, "darmon")
+        count_pn(1, 2, S23, 10**400, "darmon")
     with pytest.raises(BudgetExceededError):
-        count_p1(2, S0, 10**30, "campana")
+        count_pn(1, 2, S0, 10**30, "campana")
     # then the (shape, e1) rows plus the sieve length: at m = 3, S = {2,3,5,7}
     # and B = 1e6 the 8,058 denominators fit a budget of 9,000, but the 10,613
     # rows of the S-smooth shapes and the sieve up to A = 100 do not
     S2357 = PlaceSet.of([2, 3, 5, 7])
     assert enumeration._denominator_bound(3, (2, 3, 5, 7), 10**6, "darmon") == 8058
     with pytest.raises(BudgetExceededError):
-        count_p1(3, S2357, 10**6, "darmon", budget=9000)
+        count_pn(1, 3, S2357, 10**6, "darmon", budget=9000)
 
 
 def _mobius_sum_reference(Bint, term):
@@ -492,7 +498,7 @@ def _mobius_sum_reference(Bint, term):
 def _rational_counts_match_reference(B):
     line = 1 + 2 * _mobius_sum_reference(B, lambda f: f * f)
     plane = _mobius_sum_reference(B, lambda f: f * (2 * f + 1) ** 2)
-    counts = (count_p1(1, S0, B, "rational"), count_pn2(1, S0, B, "rational"))
+    counts = (count_pn(1, 1, S0, B, "rational"), count_pn(2, 1, S0, B, "rational"))
     return counts == (line, plane)
 
 
@@ -555,12 +561,12 @@ def test_mertens_at_quotients_in_any_block(block, monkeypatch):
 
 def test_rational_line_count_at_1e8():
     # 4 Phi(1e8) - 1, with Phi the summatory totient
-    assert count_p1(1, S0, 10**8, "rational") == 12158542065463631
+    assert count_pn(1, 1, S0, 10**8, "rational") == 12158542065463631
 
 
 def test_mertens_route_refuses_past_int64_range():
     with pytest.raises(MemoryError):
-        count_p1(1, S0, 2**56, "rational", budget=None)
+        count_pn(1, 1, S0, 2**56, "rational", budget=None)
 
 
 def test_blowup_columns_carry_the_line_height_increments():
@@ -574,7 +580,7 @@ def test_blowup_columns_carry_the_line_height_increments():
             for mode in ("rational", "campana", "darmon"):
                 core = blowup_columns(1, m2, S, B, mode)
                 got = dict(zip(core.c.tolist(), core.w.tolist()))
-                line = [count_p1(m2, S, c, mode) for c in range(C1 + 1)]
+                line = [count_pn(1, m2, S, c, mode) for c in range(C1 + 1)]
                 increments = {c: line[c] - line[c - 1] for c in range(1, C1 + 1)}
                 assert got == {c: n for c, n in increments.items() if n}, (m2, S, mode)
 
@@ -737,7 +743,7 @@ def test_blowup_zeta_charge_admits_1e10(monkeypatch):
 
 
 def test_bounds_below_one_give_zero():
-    assert count_p1(1, S0, Fraction(1, 2), "rational") == 0
+    assert count_pn(1, 1, S0, Fraction(1, 2), "rational") == 0
     assert count_blowup(1, 1, S0, 0.5, "rational") == 0
 
 
@@ -758,14 +764,14 @@ def test_workers_change_nothing_and_start_no_pool(capsys):
 
 
 def test_darmon_counts_nonincreasing_in_m():
-    counts = [count_p1(m, S0, 500, "darmon") for m in (1, 2, 3, 4)]
+    counts = [count_pn(1, m, S0, 500, "darmon") for m in (1, 2, 3, 4)]
     assert counts == sorted(counts, reverse=True)
 
 
 def test_counts_nondecreasing_in_s():
     chains = [PlaceSet.of(), PlaceSet.of([2]), PlaceSet.of([2, 3])]
     for mode in ("darmon", "campana"):
-        values = [count_p1(2, S, 1000, mode) for S in chains]
+        values = [count_pn(1, 2, S, 1000, mode) for S in chains]
         assert values == sorted(values)
         blow = [count_blowup(2, 2, S, 200, mode) for S in chains]
         assert blow == sorted(blow)
@@ -774,7 +780,7 @@ def test_counts_nondecreasing_in_s():
 def test_line_m3_exponent():
     # exponent 1 + 1/3: the endpoint ratio reproduces the count coefficient
     B = 10**6
-    n = count_p1(3, S0, B, "darmon")
+    n = count_pn(1, 3, S0, B, "darmon")
     coeff = 2 / (math.pi**2 / 6)
     assert abs(n / B ** (4 / 3) / coeff - 1) < 0.02
 
@@ -849,7 +855,7 @@ def test_count_series_grid_of_large_bounds():
     for m, S, grid in grids:
         for mode in ("campana", "darmon"):
             records = count_series(projective_space(1, m), S, grid, mode=mode)
-            assert [r.counts[mode] for r in records] == [count_p1(m, S, B, mode)
+            assert [r.counts[mode] for r in records] == [count_pn(1, m, S, B, mode)
                                                          for B in grid]
 
 
@@ -1001,7 +1007,7 @@ def test_csv_roundtrip():
 
 def test_budget_cap(monkeypatch):
     with pytest.raises(BudgetExceededError):
-        count_p1(1, S0, 10**6, "rational", budget=10)
+        count_pn(1, 1, S0, 10**6, "rational", budget=10)
     with pytest.raises(BudgetExceededError):
         count_blowup(1, 1, S0, 10**4, "rational", budget=10)
 
@@ -1012,11 +1018,11 @@ def test_budget_cap(monkeypatch):
     monkeypatch.setattr(enumeration, "mobius_sieve", no_sieve)
     monkeypatch.setattr(enumeration, "primes_up_to", no_sieve)
     with pytest.raises(BudgetExceededError):
-        count_p1(1, S0, 10**400, "rational")
+        count_pn(1, 1, S0, 10**400, "rational")
     with pytest.raises(BudgetExceededError):
-        count_p1(2, S23, 10**400, "darmon")
+        count_pn(1, 2, S23, 10**400, "darmon")
     with pytest.raises(BudgetExceededError):
-        count_p1(2, S0, 10**30, "campana")
+        count_pn(1, 2, S0, 10**30, "campana")
     with pytest.raises(BudgetExceededError):
         count_blowup(1, 1, S0, 10**400, "darmon")
 
@@ -1051,9 +1057,9 @@ def test_large_weights_run_under_the_default_budget():
     # and m / ln p (each S prime); cut at the terms that fit under the limit,
     # the bound stays near the true number of denominators
     S5 = PlaceSet.of([2, 3, 5, 7, 11])
-    assert count_p1(17, S0, 10, "campana") == 21
-    assert count_p1(16, S0, 10**8, "campana") == 1433333335
-    assert count_p1(400, S5, 10**6, "darmon") == 1667949239
+    assert count_pn(1, 17, S0, 10, "campana") == 21
+    assert count_pn(1, 16, S0, 10**8, "campana") == 1433333335
+    assert count_pn(1, 400, S5, 10**6, "darmon") == 1667949239
     assert count_blowup(17, 1, S0, 10, "campana") == 71
     assert enumeration._denominator_bound(17, (), 10, "campana") == 2
     assert enumeration._denominator_bound(400, (2, 3, 5, 7, 11), 10**6, "darmon") == 224640
@@ -1075,5 +1081,5 @@ def test_dump_points_matches_count_and_cap(monkeypatch):
     assert nb == 9 and len(blbuf.getvalue().strip().splitlines()) == 9
     pnbuf = io.StringIO()
     np_ = dump_points(projective_space(2, 2), S0, 5, "darmon", pnbuf)
-    assert np_ == count_pn2(2, S0, 5, "darmon")
+    assert np_ == count_pn(2, 2, S0, 5, "darmon")
     assert len(pnbuf.getvalue().strip().splitlines()) == np_

@@ -159,8 +159,9 @@ def _cmd_count(args) -> int:
     if args.dump:
         if len(bounds) != 1:
             raise DomainError("--dump requires a single-point grid")
+        mode = "darmon" if args.mode == "all" else args.mode  # all: the Darmon points
         with open(args.dump, "w") as fh:
-            enumeration.dump_points(model, S, bounds[0], _dump_mode(args.mode), fh, args.budget)
+            enumeration.dump_points(model, S, bounds[0], mode, fh, args.budget)
     if args.format == "json":
         payload = {
             "model": model.name,
@@ -179,10 +180,6 @@ def _cmd_count(args) -> int:
         enumeration.write_series_csv(records, buf)
         _emit(args, buf.getvalue())
     return 0
-
-
-def _dump_mode(mode: str) -> str:
-    return "darmon" if mode == "all" else mode
 
 
 def _cmd_classify(args) -> int:
@@ -417,7 +414,8 @@ def _build_parser() -> tuple:
     c.add_argument("--workers", type=int, default=1)
     c.add_argument("--format", choices=("csv", "json"), default="csv")
     c.add_argument("--budget", type=int, default=enumeration.DEFAULT_BUDGET)
-    c.add_argument("--dump", default=None, help="write points to this file (debug)")
+    c.add_argument("--dump", default=None, help="write the points to this file (debug);"
+                   " --mode all writes the Darmon points")
     c.set_defaults(func=_cmd_count)
 
     cl = subs.add_parser("classify", help="diagnose a single point")

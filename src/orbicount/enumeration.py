@@ -8,28 +8,27 @@ The line height-zeta sums do not run on the line count's divisor sum (the
 all-of-Q one reads one totient table); the debug dump runs the oracle (see
 below):
 
-* projective n-space (p1 for n = 1, pn): one walk over the primes
-  (``_denominator_walk``) gives the admissible last coordinates q as
-  arrays, each q with its distinct primes as one row of a prime matrix, for
-  the blow-up and the line height-zeta sum.  A Darmon q is s d^m and a
-  Campana q is s times an m-full number, with s S-smooth and the other
-  factor coprime to S, so the walk joins the primes of S and the small
-  primes to the rows one prime at a time, and the larger primes, of which
-  a q has at most one, in a single step; no path calls ``factorize``.  One
-  core counts every n and never visits a q: the points
-  (x_1 : ... : x_n : q) number sum_{e | rad q} mu(e) T(floor(B/e)),
-  T(x) = (2x + 1)^n, for each q, and every admissible q is s a^m t in
-  exactly one way (t = 1 in Darmon mode, else a product of b_j^j,
-  j = m+1..2m-1; Ivic, The Riemann Zeta-Function, ch. 14).  The same walk
-  yields the shapes s t, and per shape the sum over a becomes a sum over
-  e2 <= A = (B/(s t))^(1/m) of mu(e2)
+* projective n-space (p1 for n = 1, pn): a mode admits the last
+  coordinates q with exponents 0, f, f + d, ... at each prime outside S,
+  (f, d) its ``progression``.  Such a q is s a^f t in exactly one way, s S-smooth, a coprime
+  to S and t = 1 when d = f, else a product of b_j^j, j = f+1..2f-1 (Ivic,
+  The Riemann Zeta-Function, ch. 14).  One walk over the primes
+  (``_denominator_walk``) gives these q as arrays, each with its distinct
+  primes as one row of a prime matrix, for the blow-up and the line
+  height-zeta sum: it joins the primes of S and the small primes to the
+  rows one prime at a time, and the larger primes, of which a q has at
+  most one, in a single step; no path calls ``factorize``.  One core
+  counts every n and never visits a q: the points (x_1 : ... : x_n : q)
+  number sum_{e | rad q} mu(e) T(floor(B/e)), T(x) = (2x + 1)^n, for each
+  q.  The same walk yields the shapes s t, and per shape the sum over a
+  becomes a sum over e2 <= A = (B/(s t))^(1/f) of mu(e2)
   T(floor(B/(e1 e2))) c_S(floor(A/e2)) for each e1 | rad(s t), over one
-  Moebius sieve up to B^(1/m).  As e1 and the e2 taking part depend on
+  Moebius sieve up to B^(1/f).  As e1 and the e2 taking part depend on
   R = rad(s t) alone, one walk and one sieve at the top bound of a count
   grid take every radical R of every bound: the entries (R, e2) in blocks
   with R's weights c_S summed, e1 as columns, one exact dot per block and
-  column.  When every q is admissible (rational mode, or weight 1) the
-  count is the Moebius sum N(B) = sum_d mu(d) floor(B/d) T(floor(B/d)),
+  column.  When every q is admissible, (f, d) = (1, 1), the count is the
+  Moebius sum N(B) = sum_d mu(d) floor(B/d) T(floor(B/d)),
   one exact dot over the about 2 sqrt(B) runs of equal floor(B/d) with
   Mertens values M(floor(B/k)): a Moebius sieve up to about B^(2/3) and the
   recursion M(x) = 1 - sum_{j>=2} M(floor(x/j)) above it (Deleglise and
@@ -47,7 +46,7 @@ below):
   count, float64 for the sum) added per column by ``np.add.reduceat``.
   X_2(c) for every c comes from one exact vectorised root.
   The column weights come from a totient sieve, or from the line's divisor
-  rows (a, f) by one ``searchsorted`` per distinct |f| (``_blowup_weights``).
+  rows (a, e) by one ``searchsorted`` per distinct |e| (``_blowup_weights``).
 
 ``iter_points`` is the point-by-point definitional oracle (exact gcd, mode
 and height checks on every candidate, in integers; on a 2-CPU machine about
@@ -59,7 +58,7 @@ charged); the sieved counters must agree with the oracles exactly, which
 the test suite checks.
 
 ``count_points`` and ``count_series`` take one grid path, which counts
-modes with the same points once, after charging each at the top bound.
+modes with the same progressions once, after charging each at the top bound.
 Every count runs in one process, with no pool.
 """
 
@@ -83,7 +82,7 @@ from .arith import (
     totient_sieve,
 )
 from .errors import BudgetExceededError, DomainError
-from .orbifold import OrbifoldModel, PlaceSet, blowup_p2, projective_space
+from .orbifold import MODES, OrbifoldModel, PlaceSet, blowup_p2, progression, projective_space
 
 __all__ = [
     "CountRecord",
@@ -99,7 +98,6 @@ __all__ = [
     "BlowupColumns",
     "ragged_blocks",
     "line_divisor_rows",
-    "all_denominators_admissible",
     "write_series_csv",
     "read_counts_csv",
     "dump_points",
@@ -108,7 +106,6 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-MODES = ("rational", "campana", "darmon")
 DEFAULT_BUDGET = 10**9
 # a mode's column in the CSV, the JSON records and ``read_counts_csv`` rows
 # is n_<mode>
@@ -178,9 +175,9 @@ def _denominator_walk(
     primes of q[i] in ascending order, padded with 1.  q and primes are
     int64, or object arrays when limit passes int64; omega is int64.
 
-    The Darmon q take (m, m, inf), the Campana q (m, 1, inf), and the
-    shapes s t of the divisor sum (m+1, 1, 2m-1), or no prime outside S in
-    Darmon mode (first > last).  The primes of S and the other primes p with
+    A mode's q take its ``progression`` (f, d) as (f, d, inf), and the
+    shapes s t of the divisor sum (f+1, 1, 2f-1) at d = 1, else (f+1, 1, f):
+    no prime outside S.  The primes of S and the other primes p with
     p^first <= sqrt(limit) join the rows one at a time in ascending order,
     each row taking at most one of its allowed powers, and a row that no
     later prime fits is set aside.  Two of the larger primes
@@ -260,32 +257,26 @@ def _signed_divisors(primes: np.ndarray, omega: np.ndarray) -> Tuple[np.ndarray,
     return per, d
 
 
-def all_denominators_admissible(m: int, mode: str) -> bool:
-    """True when every q >= 1 is an admissible last coordinate of the
-    projective models: rational mode, or weight 1."""
-    return mode == "rational" or m == 1
+def _denominator_bound(f: int, d: int, s_primes: Sequence[int], limit: int) -> int:
+    """Upper bound on the number of q <= limit of the progression (f, d).
 
-
-def _denominator_bound(m: int, s_primes: Sequence[int], limit: int, mode: str) -> int:
-    """Upper bound on the number of Darmon or Campana denominators <= limit.
-
-    The q = s d^m with s S-smooth number at most sum_s (limit/s)^(1/m)
-    <= limit^(1/m) prod_{p in S} sum_{p^e <= limit} p^(-e/m), and each of
-    these sums is at most min(1/(1 - p^(-1/m)), #{e : p^e <= limit}).  The
-    m-full numbers <= X are a^m prod_{j=m+1}^{2m-1} b_j^j with b_j <= X^(1/j),
-    at most X^(1/m) prod_j sum_{b <= X^(1/j)} b^(-j/m), and each of these
-    sums is at most min(zeta(j/m) <= j/(j-m), floor(X^(1/j))), which is 1
-    once 2^j > X.  The S zeta factors are rounded up to a multiple of 2^-20,
-    so the bound is computed exactly for any limit."""
-    bound = Fraction(integer_kth_root(limit, m) + 1)
-    if mode == "campana":
-        for j in range(m + 1, 2 * m):
-            bound *= min(Fraction(j, j - m), integer_kth_root(limit, j))
+    The q = s a^f with s S-smooth number at most sum_s (limit/s)^(1/f)
+    <= limit^(1/f) prod_{p in S} sum_{p^e <= limit} p^(-e/f), and each of
+    these sums is at most min(1/(1 - p^(-1/f)), #{e : p^e <= limit}).  At
+    d = 1 the f-full numbers <= X are a^f prod_{j=f+1}^{2f-1} b_j^j, b_j <=
+    X^(1/j), at most X^(1/f) prod_j sum_{b <= X^(1/j)} b^(-j/f), and each of
+    these sums is at most min(zeta(j/f) <= j/(j-f), floor(X^(1/j))), 1 once
+    2^j > X.  The S zeta factors are rounded up to a multiple of 2^-20, so
+    the bound is computed exactly for any limit."""
+    bound = Fraction(integer_kth_root(limit, f) + 1)
+    if d == 1:
+        for j in range(f + 1, 2 * f):
+            bound *= min(Fraction(j, j - f), integer_kth_root(limit, j))
     for p in s_primes:
         powers, pe = 1, p
         while pe <= limit:
             powers, pe = powers + 1, pe * p
-        zeta_factor = math.ceil(2**20 / (1 - p ** (-1 / m)) * (1 + 1e-12))
+        zeta_factor = math.ceil(2**20 / (1 - p ** (-1 / f)) * (1 + 1e-12))
         bound *= min(Fraction(zeta_factor, 2**20), powers)
     return math.ceil(bound)
 
@@ -302,30 +293,29 @@ def _omega_max(N: int) -> int:
     return k
 
 
-def _divisor_rows_bound(m: int, s_primes: Sequence[int], limit: int, mode: str) -> int:
+def _divisor_rows_bound(f: int, d: int, s_primes: Sequence[int], limit: int) -> int:
     """Upper bound on the rows of ``line_divisor_rows`` up to limit.  Every
-    prime of q outside S divides a number whose m-th power is at most limit,
-    so q has at most omega_max(limit^(1/m)) + |S| primes: the denominator
+    prime of q outside S divides a number whose f-th power is at most limit,
+    so q has at most omega_max(limit^(1/f)) + |S| primes: the denominator
     bound times 2 to that power."""
-    shift = _omega_max(integer_kth_root(limit, m)) + len(s_primes)
-    return _denominator_bound(m, s_primes, limit, mode) << shift
+    shift = _omega_max(integer_kth_root(limit, f)) + len(s_primes)
+    return _denominator_bound(f, d, s_primes, limit) << shift
 
 
 def line_divisor_rows(
-    m: int, S: PlaceSet, Bint: int, mode: str, budget: Optional[int] = None
+    f: int, d: int, S: PlaceSet, Bint: int, budget: Optional[int] = None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(q, rows per q, f) over the Darmon or Campana denominators q <= Bint,
-    ascending: for each q its 2^omega(q) signed squarefree divisors f of
-    rad q (sign mu(|f|)), flat and in the order of q.  The budget is charged
-    ``_divisor_rows_bound`` before the walk.  The arrays are int64, or object
-    arrays when Bint passes int64."""
-    if all_denominators_admissible(m, mode):
+    """(q, rows per q, e) over the denominators q <= Bint of the progression
+    (f, d) other than (1, 1), ascending: for each q its 2^omega(q) signed
+    squarefree divisors e of rad q (sign mu(|e|)), flat and in the order of
+    q.  The budget is charged ``_divisor_rows_bound`` before the walk.  The
+    arrays are int64, or object arrays when Bint passes int64."""
+    if (f, d) == (1, 1):
         raise DomainError("divisor rows are for Darmon or Campana denominators")
-    charge(budget, _divisor_rows_bound(m, S.finite_primes, Bint, mode))
-    step = m if mode == "darmon" else 1
-    q, primes, omega = _denominator_walk(Bint, S.finite_primes, m, step, math.inf)
-    per_q, f = _signed_divisors(primes, omega)
-    return q, per_q, f
+    charge(budget, _divisor_rows_bound(f, d, S.finite_primes, Bint))
+    q, primes, omega = _denominator_walk(Bint, S.finite_primes, f, d, math.inf)
+    per_q, e = _signed_divisors(primes, omega)
+    return q, per_q, e
 
 
 # --------------------------------------------------------------------------
@@ -557,18 +547,18 @@ def _box_dot(n: int, w: np.ndarray, f: np.ndarray, size: float) -> int:
 
 
 def _divisor_sum(
-    n: int, m: int, S: PlaceSet, grid: Sequence[int], mode: str, budget: Optional[int]
+    n: int, f: int, d: int, S: PlaceSet, grid: Sequence[int], budget: Optional[int]
 ) -> List[int]:
     """For each bound Bint of the ascending grid (every Bint >= 1), the sum
-    over the Darmon or Campana q <= Bint of sum_{e | rad q} mu(e)
-    T(Bint // e), T(x) = (2x + 1)^n, by the radical of the shape of q.
+    over the q <= Bint of the progression (f, d), d = f or 1, of sum_{e |
+    rad q} mu(e) T(Bint // e), T(x) = (2x + 1)^n, by the radical of q's shape.
 
-    Each such q is s a^m t with s S-smooth, a coprime to S and t = prod_j
-    b_j^j over j = m+1..2m-1 with the b_j squarefree, pairwise coprime and
-    coprime to S (t = 1 in Darmon mode), in exactly one way.  Splitting
+    Each such q is s a^f t with s S-smooth, a coprime to S and t = prod_j
+    b_j^j over j = f+1..2f-1 with the b_j squarefree, pairwise coprime and
+    coprime to S (t = 1 when d = f), in exactly one way.  Splitting
     e = e1 e2 with e1 | R = rad(s t) and e2 | rad(a) coprime to S R (as e2 is
     coprime to S, (e2, t) = 1 exactly when (e2, R) = 1), and counting the
-    a <= A_u = (Bint / u)^(1/m), u = s t, that e2 divides, gives the sum over
+    a <= A_u = (Bint / u)^(1/f), u = s t, that e2 divides, gives the sum over
     the radicals R of sum_{e1} mu(e1) sum_{e2} mu(e2) T(Bint // (e1 e2))
     W_R(e2), W_R(e2) the sum of c_S(A_u // e2) (0 past A_u) over the shapes
     u <= Bint of radical R.  The caller charges the denominators before the
@@ -586,9 +576,9 @@ def _divisor_sum(
     column against T(X // e2), X = Bint // e1, each of size at most
     sum |w| T(Bint / e2)."""
     s_primes, top = S.finite_primes, grid[-1]
-    last = 2 * m - 1 if mode == "campana" else m  # Darmon: no prime outside S
-    shapes, primes, omega = _denominator_walk(top, s_primes, m + 1, 1, last)
-    A_max = integer_kth_root(top, m)  # the A of the shape 1
+    last = 2 * f - 1 if d == 1 else f  # d = f: no prime outside S
+    shapes, primes, omega = _denominator_walk(top, s_primes, f + 1, 1, last)
+    A_max = integer_kth_root(top, f)  # the A of the shape 1
     charge(budget, int(np.left_shift(1, omega).sum()) + A_max)
     mu = mobius_sieve(A_max)
     for p in s_primes:
@@ -634,7 +624,7 @@ def _divisor_sum(
                 if not h:
                     continue
                 fits = u <= Bint  # the least shapes <= Bint are the first h
-                A_u = _kth_roots(Bint // u[fits], m)
+                A_u = _kth_roots(Bint // u[fits], f)
                 A, xA, xr = A_u[:h], A_u[h:], u_r[fits[hi - lo :]]
                 X = Bint // (e1[:h] if Bint <= _INT64_MAX else e1[:h].astype(object))
                 # X = Bint // e1 passes int64 just where e1 <= Bint >> 63
@@ -666,15 +656,15 @@ def _divisor_sum(
 
 
 def _count_pn(
-    n: int, m: int, S: PlaceSet, grid: Sequence[int], mode: str, budget: Optional[int]
+    n: int, f: int, d: int, S: PlaceSet, grid: Sequence[int], budget: Optional[int]
 ) -> List[int]:
-    """The points (x_1 : ... : x_n : q) of projective n-space in one mode with
-    height <= B for each B of the ascending grid of integers >= 1: one
-    ``_divisor_sum`` over the admissible q, or one ``_mobius_sum`` when every
-    q is admissible, walking or sieving once at the top bound."""
-    if all_denominators_admissible(m, mode):
+    """The points (x_1 : ... : x_n : q) of projective n-space with q of the
+    progression (f, d) and height <= B for each B of the ascending grid of
+    integers >= 1: one ``_divisor_sum`` over the admissible q, or one
+    ``_mobius_sum`` at (1, 1), walking or sieving once at the top bound."""
+    if (f, d) == (1, 1):
         return _mobius_sum(n, grid)
-    return _divisor_sum(n, m, S, grid, mode, budget)
+    return _divisor_sum(n, f, d, S, grid, budget)
 
 
 # --------------------------------------------------------------------------
@@ -696,42 +686,42 @@ def _blowup_mmax(Bf: Fraction, m1: int) -> int:
     return _iroot_ratio(Bm1.numerator, Bm1.denominator, m1 + 1)
 
 
-def _weights_work(m2: int, s_primes: Sequence[int], cmax: int, mode: str) -> int:
+def _weights_work(f: int, d: int, s_primes: Sequence[int], cmax: int) -> int:
     """Predicted steps of ``_blowup_weights``: the totient sieve, or the
-    divisor rows and sum cmax // |f| <= cmax H(n) <= cmax n.bit_length()
-    searchsorted entries over the n <= min(rows, cmax) distinct |f|."""
-    if all_denominators_admissible(m2, mode):
+    divisor rows and sum cmax // |e| <= cmax H(n) <= cmax n.bit_length()
+    searchsorted entries over the n <= min(rows, cmax) distinct |e|."""
+    if (f, d) == (1, 1):
         return cmax
-    rows = _divisor_rows_bound(m2, s_primes, cmax, mode)
+    rows = _divisor_rows_bound(f, d, s_primes, cmax)
     return rows + cmax * min(rows, cmax).bit_length()
 
 
-def _blowup_weights(m2: int, S: PlaceSet, cmax: int, mode: str) -> np.ndarray:
-    """w(c) for 0 <= c <= cmax: the points b/a of height exactly c on the
-    weight-m2 line, [c in A] (2 phi(c) + [c = 1]) + 2 #{a in A : a < c,
-    gcd(a, c) = 1}.  When every a is admissible that is 4 phi(c), and 3 at
-    c = 1, from one totient sieve.  Otherwise both parts come from the rows
-    (a, f) of ``line_divisor_rows``: phi(a) = sum_f mu(f) a / |f|, and the
-    a < c coprime to c number sum_{(a, f)} mu(f) [|f| divides c] [a < c],
-    one searchsorted of the sorted a / |f| against 1..cmax // |f| for each
-    distinct |f|."""
-    if all_denominators_admissible(m2, mode):
+def _blowup_weights(f: int, d: int, S: PlaceSet, cmax: int) -> np.ndarray:
+    """w(c) for 0 <= c <= cmax: the points b/a of height exactly c, a of the
+    progression (f, d), [c in A] (2 phi(c) + [c = 1]) + 2 #{a in A : a < c,
+    gcd(a, c) = 1}.  At (1, 1) that is 4 phi(c), and 3 at c = 1, from one
+    totient sieve.  Otherwise both parts come from the rows (a, e) of
+    ``line_divisor_rows``: phi(a) = sum_e mu(e) a / |e|, and the a < c
+    coprime to c number sum_{(a, e)} mu(e) [|e| divides c] [a < c], one
+    searchsorted of the sorted a / |e| against 1..cmax // |e| for each
+    distinct |e|."""
+    if (f, d) == (1, 1):
         w = 4 * totient_sieve(cmax).astype(np.int64)
         w[1:2] = 3
         return w
-    a, per, f = line_divisor_rows(m2, S, cmax, mode)
+    a, per, signed = line_divisor_rows(f, d, S, cmax)
     at = a.repeat(per)
     w = np.zeros(cmax + 1, dtype=np.int64)
-    w[a] = 2 * np.add.reduceat(at // f, np.cumsum(per) - per)  # f divides a
+    w[a] = 2 * np.add.reduceat(at // signed, np.cumsum(per) - per)  # e divides a
     w[1] += 1  # the point 0
-    e = np.abs(f)
+    e = np.abs(signed)
     order = np.lexsort((at, e))
-    e, k, sign = e[order], at[order] // e[order], np.sign(f[order])
+    e, k, sign = e[order], at[order] // e[order], np.sign(signed[order])
     starts = np.flatnonzero(np.diff(e, prepend=0)).tolist()
     for lo, hi in zip(starts, starts[1:] + [len(e)]):
-        d = int(e[lo])  # the a < c = d j are the k < j
-        below = k[lo:hi].searchsorted(np.arange(1, cmax // d + 1))
-        w[d::d] += 2 * int(sign[lo]) * below
+        step = int(e[lo])  # the a < c = step j are the k < j
+        below = k[lo:hi].searchsorted(np.arange(1, cmax // step + 1))
+        w[step::step] += 2 * int(sign[lo]) * below
     return w
 
 
@@ -771,24 +761,25 @@ def _column_roots(num: int, den: int, E1: int, E2: int, c: np.ndarray) -> np.nda
 
 
 def _blowup_charge(
-    m1: int, m2: int, S: PlaceSet, Bf: Fraction, mode: str, budget: Optional[int],
-    passes: int = 1,
+    m1: int, m2: int, S: PlaceSet, Bf: Fraction, steps: Tuple[Tuple[int, int], ...],
+    budget: Optional[int], passes: int = 1,
 ) -> Tuple[int, int, int, int, int, int]:
-    """(E1, E2, num, den, Mmax, cmax) of ``blowup_columns`` at B = Bf >= 1,
-    num / den = B^(m1 m2), once its charge and int64 checks have passed."""
+    """(E1, E2, num, den, Mmax, cmax) of ``blowup_columns`` at B = Bf >= 1
+    and progressions ``steps``, num / den = B^(m1 m2), once its charge and
+    int64 checks have passed."""
     E1, E2 = (m1 + 1) * m2, m1 * m2 + m1 - m2
     num, den = (Bf ** (m1 * m2)).as_integer_ratio()
     Mmax = _blowup_mmax(Bf, m1)
     cmax = _iroot_ratio(num, den, E1 + E2)
-    work = _weights_work(m2, S.finite_primes, cmax, mode)
-    if all_denominators_admissible(m1, mode):
+    work = _weights_work(*steps[1], S.finite_primes, cmax)
+    if steps[0] == (1, 1):
         entries = -(-(Mmax + 1) * (E1 + E2) // E2)
         charge(budget, work + Mmax + (passes - 1) * (Mmax + 1) + passes * entries)
         # each count term is at most X2 G <= Mmax^2, and sum 1/f^2 < 2
         if 2 * Mmax * Mmax > _INT64_MAX:
             raise MemoryError(f"the Moebius sieve for Mmax = {Mmax} exceeds any memory")
     else:
-        charge(budget, work + _denominator_bound(m1, S.finite_primes, Mmax, mode))
+        charge(budget, work + _denominator_bound(*steps[0], S.finite_primes, Mmax))
         if Mmax > _INT64_MAX:  # each count term is at most X2 <= Mmax
             raise MemoryError(f"the divisor rows up to Mmax = {Mmax} exceed any memory")
     return E1, E2, num, den, Mmax, cmax
@@ -823,13 +814,13 @@ def blowup_columns(
     goes over each entry: 1 for the count, 3 for the height-zeta sum.  The
     count's int64 sums bound Mmax (MemoryError past it): 2 Mmax^2 on the
     every-g route, rows times Mmax on the sparse route."""
-    _check_mode(mode)
+    steps = progression(m1, mode), progression(m2, mode)
     Bf = Fraction(B)
-    every_g = all_denominators_admissible(m1, mode)
+    every_g = steps[0] == (1, 1)
     if Bf < 1:
         none = np.zeros(0, dtype=np.int64)
         return BlowupColumns(every_g, 0, none, none, none, none, none, none, none, none)
-    E1, E2, num, den, Mmax, cmax = _blowup_charge(m1, m2, S, Bf, mode, budget, passes)
+    E1, E2, num, den, Mmax, cmax = _blowup_charge(m1, m2, S, Bf, steps, budget, passes)
     # X2(c) = iroot(q, E1), q = B^(m1 m2) / c^E2, and G(c) = iroot(q / c^E1, E1)
     # = X2(c) // c, which falls as c grows
     c = np.arange(1, cmax + 1, dtype=np.int64)
@@ -840,14 +831,14 @@ def blowup_columns(
         g = d = np.flatnonzero(mu)
         sign = mu[d]
     else:
-        gs, per, signed = line_divisor_rows(m1, S, Mmax, mode)
+        gs, per, signed = line_divisor_rows(*steps[0], S, Mmax)
         caps = np.searchsorted(-G, -gs, side="right")  # C(g) = #{c : G(c) >= g}
         charge(budget, passes * sum((caps * per).tolist()))  # exact, past int64 too
         g = np.repeat(gs, per)
         sign, d = np.sign(signed).astype(np.int8), np.abs(signed)
         if len(d) * Mmax > _INT64_MAX:
             raise MemoryError(f"{len(d)} divisor rows exceed any memory")
-    w = _blowup_weights(m2, S, cmax, mode)[1:]
+    w = _blowup_weights(*steps[1], S, cmax)[1:]
     keep = np.flatnonzero(w)
     G = G[keep]
     k = np.searchsorted(g, G, side="right")
@@ -889,14 +880,6 @@ def count_blowup(
 # --------------------------------------------------------------------------
 
 
-def _mode_ok(point, model: OrbifoldModel, S: PlaceSet, mode: str) -> bool:
-    if mode == "rational":
-        return True
-    if mode == "darmon":
-        return geometry.is_darmon(point, model, S)
-    return geometry.is_campana(point, model, S)
-
-
 def _box_top(model: OrbifoldModel, Bf: Fraction) -> int:
     """The largest |coordinate| of a point of height <= B: the oracle's box
     holds top (2 top + 1)^dim candidates."""
@@ -929,11 +912,13 @@ def iter_points(
     model: OrbifoldModel, S: PlaceSet, B, mode: str
 ) -> Iterator[geometry.ProjectivePoint]:
     """Definitional oracle: every point of the model with global height <= B
-    in the given mode, found by testing each candidate point by point."""
-    _check_mode(mode)
+    in the given mode, found by testing each candidate point by point (no
+    mode test, so no factoring, when every progression is (1, 1))."""
+    every = all(progression(c.m, mode) == (1, 1) for c in model.components)
     Bf = Fraction(B)
     for pt in _candidates(model, Bf):
-        if _mode_ok(pt, model, S, mode) and geometry.global_height(pt, model).le(Bf):
+        if ((every or geometry.semi_integral(pt, model, S, mode))
+                and geometry.global_height(pt, model).le(Bf)):
             yield pt
 
 
@@ -955,44 +940,36 @@ def naive_count_blowup(m1: int, m2: int, S: PlaceSet, B, mode: str) -> int:
 # --------------------------------------------------------------------------
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise DomainError(f"unknown mode {mode!r}")
-
-
 def _count_grid(
     model: OrbifoldModel, S: PlaceSet, bounds: Sequence[Union[int, float, Fraction]],
     modes: Sequence[str], budget: Optional[int],
 ) -> Dict[str, List[int]]:
     """Per mode, the counts over the ascending grid ``bounds``.  Modes that
-    admit the same multiplicities on every component share one count.  Each
+    give every component the same ``progression`` share one count.  Each
     distinct count is charged at the top bound before any is counted; the
     line and plane count the whole grid, the blow-up each bound."""
-    for mode in modes:
-        _check_mode(mode)
-    keys = [tuple("rational" if all_denominators_admissible(c.m, mode) else mode
-                  for c in model.components) for mode in modes]
-    first: Dict[Tuple[str, ...], str] = {}
+    keys = [tuple(progression(c.m, mode) for c in model.components) for mode in modes]
+    first: Dict[tuple, str] = {}  # a key's first mode, which counts it
     for key, mode in zip(keys, modes):
         first.setdefault(key, mode)
     if model.name == "blowup":
         m1, m2, top = model.params["m1"], model.params["m2"], Fraction(bounds[-1])
-        for mode in first.values() if top >= 1 else ():
-            _blowup_charge(m1, m2, S, top, mode, budget)
-        counts = {mode: [count_blowup(m1, m2, S, B, mode, budget) for B in bounds]
-                  for mode in first.values()}
+        for key in first if top >= 1 else ():
+            _blowup_charge(m1, m2, S, top, key, budget)
+        counts = {key: [count_blowup(m1, m2, S, B, mode, budget) for B in bounds]
+                  for key, mode in first.items()}
     elif model.name in ("p1", "pn"):
-        n, m = model.dimension, model.params["m"]
+        n = model.dimension
         grid = [Bint for Bint in map(_floor_bound, bounds) if Bint >= 1]
-        for mode in first.values() if grid else ():
-            charge(budget, _mobius_sum_work(grid[-1]) if all_denominators_admissible(m, mode)
-                   else _denominator_bound(m, S.finite_primes, grid[-1], mode))
+        for (fd,) in first if grid else ():
+            charge(budget, _mobius_sum_work(grid[-1]) if fd == (1, 1)
+                   else _denominator_bound(*fd, S.finite_primes, grid[-1]))
         below = [0] * (len(bounds) - len(grid))
-        counts = {mode: below + (_count_pn(n, m, S, grid, mode, budget) if grid else [])
-                  for mode in first.values()}
+        counts = {key: below + (_count_pn(n, *key[0], S, grid, budget) if grid else [])
+                  for key in first}
     else:
         raise DomainError(f"no enumerator for model {model.name!r}")
-    return {mode: counts[first[key]] for key, mode in zip(keys, modes)}
+    return {mode: counts[key] for key, mode in zip(keys, modes)}
 
 
 def count_points(

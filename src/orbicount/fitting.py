@@ -31,14 +31,13 @@ from .arith import totient_sieve
 from .enumeration import (
     DEFAULT_BUDGET,
     BlowupColumns,
-    all_denominators_admissible,
     blowup_columns,
     charge,
     line_divisor_rows,
     ragged_blocks,
 )
 from .errors import DomainError
-from .orbifold import OrbifoldModel, PlaceSet, a_invariant, b_invariant
+from .orbifold import OrbifoldModel, PlaceSet, a_invariant, b_invariant, progression
 
 __all__ = [
     "ZetaPartialSum",
@@ -106,20 +105,21 @@ def _zeta_line(m, S, Bint, mode) -> Callable[[float], float]:
     n^-s over the admissible q, phi_q(x) the n <= x coprime to q: when every
     q is admissible 4 sum_{n <= B} phi(n) n^-s - 1 over one totient table
     (``_phi_power_sum``), else the blow-up's sum on one column c = 1,
-    X2 = G = B, over the rows (q, f) of ``line_divisor_rows``."""
+    X2 = G = B, over the rows (q, e) of ``line_divisor_rows``."""
     if Bint < 1:
         return lambda s: 0.0
-    if all_denominators_admissible(m, mode):
+    f, d = progression(m, mode)
+    if (f, d) == (1, 1):
         charge(DEFAULT_BUDGET, 2 * Bint + 1)
         phi = totient_sieve(Bint)
         # summed over every q the points of height n number 4 phi(n), less
         # one at n = 1 (the point 0 is counted once)
         return lambda s: 4.0 * _phi_power_sum(phi, s) - 1.0
-    q, per_q, f = line_divisor_rows(m, S, Bint, mode, DEFAULT_BUDGET)
-    sign = 2 * (f > 0).astype(np.int8) - 1
+    q, per_q, e = line_divisor_rows(f, d, S, Bint, DEFAULT_BUDGET)
+    sign = 2 * (e > 0).astype(np.int8) - 1
     one, column = np.ones(1, dtype=np.int64), np.array([Bint])  # object past int64
-    rows = BlowupColumns(False, Bint, q.repeat(per_q), np.abs(f, out=f), sign,
-                         one, one, column, column, np.array([len(f)]))
+    rows = BlowupColumns(False, Bint, q.repeat(per_q), np.abs(e, out=e), sign,
+                         one, one, column, column, np.array([len(e)]))
     return _zeta_columns(rows, 1.0, 0.0)
 
 

@@ -1,5 +1,6 @@
-"""Points of the built-in geometries: boundary multiplicities, the Darmon
-and Campana predicates, and local/global heights.
+"""Points of the built-in geometries: boundary multiplicities, one
+semi-integrality predicate (Darmon and Campana are two of its modes), and
+local/global heights.
 
 Conventions.  Both models compactify a vector group, so a point of the open
 cell is one ``ProjectivePoint``: primitive integer coordinates, first
@@ -26,18 +27,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from . import arith
 from .arith import int_valuation, is_prime, primitive_coords
 from .errors import BoundaryPointError, PointParseError
-from .orbifold import OrbifoldModel, PlaceSet
+from .orbifold import OrbifoldModel, PlaceSet, progression
 
 __all__ = [
     "ProjectivePoint",
     "multiplicities",
     "multiplicities_pn",
     "multiplicities_blowup",
+    "semi_integral",
     "is_darmon",
     "is_campana",
     "LocalHeight",
@@ -143,19 +145,20 @@ def relevant_primes(point: ProjectivePoint, model: OrbifoldModel) -> Tuple[int, 
 # --------------------------------------------------------------------------
 
 
-def _semi_integral(
-    point: ProjectivePoint, model: OrbifoldModel, S: PlaceSet,
-    fits: Callable[[int, int], bool],
+def semi_integral(
+    point: ProjectivePoint, model: OrbifoldModel, S: PlaceSet, mode: str
 ) -> bool:
-    """Every multiplicity n at p outside S passes fits(n, m) for the finite
-    weight m of its component, and is zero where the weight is infinite."""
+    """Every multiplicity n at a prime outside S lies in its component's
+    ``progression`` (f, d) in the mode: n = 0, or n >= f with d | n - f
+    (only n = 0 where the progression is None)."""
+    steps = [(comp.label, progression(comp.m, mode)) for comp in model.components]
     for p in relevant_primes(point, model):
         if p in S:
             continue
         mult = multiplicities(point, model, p)
-        for comp in model.components:
-            n = mult[comp.label]
-            if not (n == 0 if comp.m is None else fits(n, comp.m)):
+        for label, fd in steps:
+            n = mult[label]
+            if n and (fd is None or n < fd[0] or (n - fd[0]) % fd[1]):
                 return False
     return True
 
@@ -163,12 +166,12 @@ def _semi_integral(
 def is_darmon(point: ProjectivePoint, model: OrbifoldModel, S: PlaceSet) -> bool:
     """Every multiplicity at p outside S is divisible by the component weight
     (and zero where the weight is infinite)."""
-    return _semi_integral(point, model, S, lambda n, m: n % m == 0)
+    return semi_integral(point, model, S, "darmon")
 
 
 def is_campana(point: ProjectivePoint, model: OrbifoldModel, S: PlaceSet) -> bool:
     """Every multiplicity at p outside S is zero or at least the weight."""
-    return _semi_integral(point, model, S, lambda n, m: n == 0 or n >= m)
+    return semi_integral(point, model, S, "campana")
 
 
 # --------------------------------------------------------------------------

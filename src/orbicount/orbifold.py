@@ -22,8 +22,11 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from .arith import is_prime
+from .errors import DomainError
 
 __all__ = [
+    "MODES",
+    "progression",
     "BoundaryComponent",
     "OrbifoldModel",
     "PlaceSet",
@@ -55,6 +58,23 @@ class BoundaryComponent:
         if self.m is None:
             return Fraction(1)
         return 1 - Fraction(1, self.m)
+
+
+MODES = ("rational", "campana", "darmon")
+
+
+def progression(m: Optional[int], mode: str) -> Optional[Tuple[int, int]]:
+    """(f, d): at a prime outside S a component of weight m admits the
+    multiplicities 0, f, f + d, f + 2d, ... in the mode: Darmon (m, m),
+    Campana (m, 1), rational mode, weight 1 and the primes of S (1, 1).
+    None (0 alone) at m None outside rational mode.  The one mode reader."""
+    if mode not in MODES:
+        raise DomainError(f"unknown mode {mode!r}")
+    if mode == "rational" or m == 1:
+        return 1, 1
+    if m is None:
+        return None
+    return (m, m) if mode == "darmon" else (m, 1)
 
 
 StratumTable = Dict[FrozenSet[str], Tuple[int, ...]]

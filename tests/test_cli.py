@@ -949,6 +949,17 @@ def test_dump_flag(tmp_path, capsys):
     assert len(dump.read_text().strip().splitlines()) == 45
 
 
+def test_dump_under_mode_all_writes_the_darmon_points(tmp_path, capsys):
+    # the CSV holds all three modes, the dump one point set: Darmon's
+    dumps = {}
+    for mode in ("all", "darmon"):
+        dumps[mode] = tmp_path / f"{mode}.txt"
+        code, _, _ = run(capsys, "count", "--model", "p1", "--m", "2", "--grid", "30",
+                         "--mode", mode, "--dump", str(dumps[mode]))
+        assert code == 0
+    assert dumps["all"].read_bytes() == dumps["darmon"].read_bytes() != b""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

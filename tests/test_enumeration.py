@@ -14,7 +14,6 @@ from orbicount.enumeration import (
     CSV_HEADER,
     DEFAULT_BUDGET,
     MODES,
-    all_denominators_admissible,
     blowup_columns,
     count_blowup,
     count_points,
@@ -29,7 +28,7 @@ from orbicount.enumeration import (
 )
 from orbicount.errors import BudgetExceededError, DomainError
 from orbicount.fitting import zeta_partial_sum
-from orbicount.orbifold import PlaceSet, blowup_p2, projective_space
+from orbicount.orbifold import PlaceSet, blowup_p2, progression, projective_space
 
 from cell_walk import blowup_cells
 from references import (
@@ -155,14 +154,14 @@ def test_denominator_walk_is_strictly_increasing(limit, s_primes, first, step):
     assert len(q) > 100 and all(a < b for a, b in zip(q, q[1:]))
 
 
-def test_all_denominators_admissible_matches_the_denominator_walk():
-    # the counts take the all-of-Q route exactly when the predicate holds, so
-    # it must agree with the denominator source on every (m, mode)
+def test_progression_one_one_matches_the_denominator_walk():
+    # the counts take the all-of-Q route exactly when the progression is
+    # (1, 1), so that must agree with the denominator source on every (m, mode)
     for m in (1, 2, 3):
         for mode in ("rational", "darmon", "campana"):
             pairs = denominators(m, S0, 200, mode)
             every_q = [q for q, _ in pairs] == list(range(1, 201))
-            assert all_denominators_admissible(m, mode) == every_q
+            assert (progression(m, mode) == (1, 1)) == every_q
             assert all(primes == tuple(factorize(q)) for q, primes in pairs)
 
 
@@ -482,7 +481,7 @@ def test_divisor_sum_charges_the_budget_before_the_sieve(monkeypatch):
     # and B = 1e6 the 8,058 denominators fit a budget of 9,000, but the 10,613
     # rows of the S-smooth shapes and the sieve up to A = 100 do not
     S2357 = PlaceSet.of([2, 3, 5, 7])
-    assert enumeration._denominator_bound(3, (2, 3, 5, 7), 10**6, "darmon") == 8058
+    assert enumeration._denominator_bound(3, 3, (2, 3, 5, 7), 10**6) == 8058
     with pytest.raises(BudgetExceededError):
         count_pn(1, 3, S2357, 10**6, "darmon", budget=9000)
 
@@ -610,7 +609,7 @@ def test_blowup_weights_match_their_definition(m2, mode):
 
 def test_every_a_blowup_weights_are_int64():
     # 4 phi(c) is widened before it is scaled: the totient table is int32
-    w = enumeration._blowup_weights(1, S0, 1000, "darmon")
+    w = enumeration._blowup_weights(1, 1, S0, 1000)
     assert w.dtype == np.int64
     assert w[:4].tolist() == [0, 3, 4, 8]
 
@@ -629,9 +628,10 @@ def test_weight_charge_covers_the_rows_and_the_searchsorted_entries():
             S = PlaceSet.of(s_primes)
             for mode in ("darmon", "campana"):
                 for cmax in (1, 2, 10, 100, 1000, 10**4, 10**5):
-                    _, _, f = enumeration.line_divisor_rows(m2, S, cmax, mode)
+                    fd = progression(m2, mode)
+                    _, _, f = enumeration.line_divisor_rows(*fd, S, cmax)
                     written = sum(cmax // e for e in np.unique(np.abs(f)).tolist())
-                    work = enumeration._weights_work(m2, s_primes, cmax, mode)
+                    work = enumeration._weights_work(*fd, s_primes, cmax)
                     assert work >= len(f) + written, (m2, s_primes, mode, cmax)
 
 
@@ -639,7 +639,7 @@ def test_blowup_charge_comes_before_the_weight_rows(monkeypatch):
     # (1, 2) Campana at 1e8: the weight table's charge, the sieve to
     # Mmax = 1e4 and (Mmax + 1)(1 + E1/E2) = 50,005 dot entries
     cmax, Mmax = integer_kth_root(10**16, 5), 10**4
-    amount = enumeration._weights_work(2, (), cmax, "campana") + Mmax + 5 * (Mmax + 1)
+    amount = enumeration._weights_work(2, 1, (), cmax) + Mmax + 5 * (Mmax + 1)
 
     def unreachable(*args):
         raise AssertionError("work started before the budget was charged")
@@ -886,8 +886,8 @@ def test_count_series_charges_every_mode_at_the_top_bound_first(monkeypatch):
     # first, would fit, and though the first bound would fit in every mode
     S = PlaceSet.of([2, 3, 5, 7, 11, 13])
     rational = enumeration._mobius_sum_work(10**6)
-    assert rational < enumeration._denominator_bound(2, S.finite_primes, 10**6, "campana")
-    assert enumeration._denominator_bound(2, S.finite_primes, 10**3, "campana") < rational
+    assert rational < enumeration._denominator_bound(2, 1, S.finite_primes, 10**6)
+    assert enumeration._denominator_bound(2, 1, S.finite_primes, 10**3) < rational
 
     def unreachable(*args, **kwargs):
         raise AssertionError("sieved or walked before the charge")
@@ -915,25 +915,32 @@ def test_blowup_grid_is_its_per_bound_counts(m1, m2):
             assert [r.counts for r in single] == [{mode: w[mode]} for w in want], (S, mode)
 
 
-@pytest.mark.parametrize("model", [projective_space(1, 1), projective_space(2, 1),
-                                   blowup_p2(1, 1)], ids=lambda model: model.name)
-def test_weight_one_modes_are_counted_once(model, monkeypatch):
-    # on a weight-1 model every mode selects the same points: mode "all"
-    # sums the line or plane once per grid and builds the blow-up core once
-    # per bound, and its three columns are equal
+@pytest.mark.parametrize("model, cores", [
+    (projective_space(1, 1), 1), (projective_space(2, 1), 1), (blowup_p2(1, 1), 1),
+    (projective_space(1, 2), 3), (blowup_p2(1, 2), 3),
+], ids=["p1", "pn", "blowup", "p1-m2", "blowup-12"])
+def test_weight_one_modes_are_counted_once(model, cores, monkeypatch):
+    # modes with the same progressions select the same points: on a weight-1
+    # model mode "all" sums the line or plane once per grid and builds the
+    # blow-up core once per bound, and its three columns are equal; at weight
+    # 2 the three modes differ, so it builds three cores
     calls = []
-    for name in ("_mobius_sum", "blowup_columns"):
+    for name in ("_mobius_sum", "_divisor_sum", "blowup_columns"):
         real = getattr(enumeration, name)
         monkeypatch.setattr(enumeration, name,
                             lambda *args, real=real, name=name, **kwargs:
                             calls.append(name) or real(*args, **kwargs))
     grid = [10, 100, 1000]
     records = count_series(model, S2, grid, "all")
-    want = ["blowup_columns"] * len(grid) if model.name == "blowup" else ["_mobius_sum"]
-    assert calls == want
+    if model.name == "blowup":
+        assert calls == ["blowup_columns"] * cores * len(grid)
+    else:
+        assert calls == ["_mobius_sum", "_divisor_sum", "_divisor_sum"][:cores]
     for rec in records:
-        assert len(set(rec.counts.values())) == 1 and set(rec.counts) == set(MODES)
-    assert [r.counts["darmon"] for r in records] == [count_points(model, S2, B, "darmon")
+        assert set(rec.counts) == set(MODES)
+        assert cores == 3 or len(set(rec.counts.values())) == 1
+    for mode in MODES:
+        assert [r.counts[mode] for r in records] == [count_points(model, S2, B, mode)
                                                      for B in grid]
 
 
@@ -1047,7 +1054,8 @@ def test_denominator_bound_covers_the_denominators():
         for s_primes in ((), (2,), (2, 3), (3, 5, 7), (2, 3, 5, 7, 11)):
             for mode in ("darmon", "campana"):
                 for limit in (1, 10, 1000, 10**5):
-                    bound = enumeration._denominator_bound(m, s_primes, limit, mode)
+                    fd = progression(m, mode)
+                    bound = enumeration._denominator_bound(*fd, s_primes, limit)
                     assert len(_qs(m, PlaceSet.of(s_primes), limit, mode)) <= bound
 
 
@@ -1061,8 +1069,8 @@ def test_large_weights_run_under_the_default_budget():
     assert count_pn(1, 16, S0, 10**8, "campana") == 1433333335
     assert count_pn(1, 400, S5, 10**6, "darmon") == 1667949239
     assert count_blowup(17, 1, S0, 10, "campana") == 71
-    assert enumeration._denominator_bound(17, (), 10, "campana") == 2
-    assert enumeration._denominator_bound(400, (2, 3, 5, 7, 11), 10**6, "darmon") == 224640
+    assert enumeration._denominator_bound(17, 1, (), 10) == 2
+    assert enumeration._denominator_bound(400, 400, (2, 3, 5, 7, 11), 10**6) == 224640
 
 def test_dump_points_matches_count_and_cap(monkeypatch):
     model = projective_space(1, 2)

@@ -322,6 +322,13 @@ def test_fit_b2_synthetic():
     assert fit.residual < 1e-9
 
 
+def test_zeta_refuses_an_unknown_mode():
+    # the Darmon or Campana line sum once took every mode but "darmon" as Campana
+    for model in (projective_space(1, 2), blowup_p2(2, 1)):
+        with pytest.raises(DomainError, match="unknown mode"):
+            zeta_partial_sum(model, S0, 2.5, 1000, "weird")
+
+
 def test_fit_window_handling():
     pts = [(10.0, 100), (100.0, 10000)]
     with pytest.raises(DomainError):

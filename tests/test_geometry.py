@@ -24,8 +24,9 @@ from orbicount.geometry import (
     multiplicities_pn,
     parse_point,
     relevant_primes,
+    semi_integral,
 )
-from orbicount.orbifold import PlaceSet, blowup_p2, projective_space
+from orbicount.orbifold import MODES, PlaceSet, blowup_p2, projective_space
 
 from references import global_height_by_places, is_k_full, is_kth_power
 
@@ -187,6 +188,16 @@ def test_darmon_subset_campana_line_property(num, den, m):
     model = projective_space(1, m)
     if is_darmon(pt, model, S0):
         assert is_campana(pt, model, S0)
+
+
+def test_semi_integral_refuses_boundary_points_in_every_mode():
+    # the oracle skips the predicate when every multiplicity is admitted, but
+    # the predicate itself still reads the denominator
+    for model, pt in ((projective_space(1, 1), ProjectivePoint((1, 0))),
+                      (blowup_p2(2, 1), ProjectivePoint((0, 1, 0)))):
+        for mode in MODES:
+            with pytest.raises(BoundaryPointError):
+                semi_integral(pt, model, PlaceSet.of(), mode)
 
 
 def test_enlarging_s_never_flips_true_to_false():

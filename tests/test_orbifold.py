@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from orbicount.errors import DomainError
 from orbicount.orbifold import (
+    MODES,
     BoundaryComponent,
     OrbifoldModel,
     PlaceSet,
@@ -11,6 +13,7 @@ from orbicount.orbifold import (
     blowup_p2,
     critical_set,
     eval_count_poly,
+    progression,
     projective_space,
 )
 
@@ -107,3 +110,25 @@ def test_place_set():
     assert 2 in S and 7 not in S
     with pytest.raises(ValueError):
         PlaceSet.of([4])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, None])
+def test_progression_admits_the_definitional_multiplicities(m):
+    # Darmon: m | n; Campana: n = 0 or n >= m; rational mode: every n; an
+    # infinite weight (None) admits 0 alone in Darmon and Campana mode
+    definition = {
+        "darmon": lambda n: n == 0 if m is None else n % m == 0,
+        "campana": lambda n: n == 0 if m is None else n == 0 or n >= m,
+        "rational": lambda n: True,
+    }
+    for mode in MODES:
+        fd = progression(m, mode)
+        for n in range(4 * (m or 6) + 1):
+            admitted = n == 0 or (fd is not None and n >= fd[0] and (n - fd[0]) % fd[1] == 0)
+            assert admitted == definition[mode](n), (m, mode, n)
+
+
+def test_progression_refuses_an_unknown_mode():
+    for mode in ("all", "Darmon", ""):
+        with pytest.raises(DomainError):
+            progression(2, mode)

@@ -1,10 +1,10 @@
 """Exact integer and rational arithmetic primitives.
 
-p-adic valuations of rationals, integer factorization (a smallest-prime-
-factor table below SIEVE_BOUND, Miller-Rabin and Brent/Pollard rho at or
-above it), primitive normalization of rational coordinate vectors, the
-small sieve/Moebius helpers the enumeration code leans on, and the
-segmented prime blocks the Euler products walk.
+p-adic valuations of rationals, integer factorization (an int32 smallest-
+prime-factor table below 1e6 (4 MB), built in place; Miller-Rabin and
+Brent/Pollard rho at or above it), primitive normalization of rational
+coordinate vectors, the small sieve/Moebius helpers the enumeration code
+leans on, and the segmented prime blocks the Euler products walk.
 
 All functions are pure and operate on arbitrary-precision integers or
 ``fractions.Fraction``; nothing here touches floating point except the
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from fractions import Fraction
 from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
@@ -153,18 +154,24 @@ def prime_blocks(n: int) -> Iterator[np.ndarray]:
             yield block
 
 
-_SPF: List[int] = []
+_SPF = array("i")
 
 
-def _spf_table() -> List[int]:
-    """Smallest-prime-factor table up to SIEVE_BOUND, built lazily once."""
+def _spf_table() -> array:
+    """An int32 smallest-prime-factor table below 1e6 (4 MB), built in
+    place, lazily, once.
+
+    The C ints are sieved through a writable numpy view of the array's own
+    buffer; indexing the table gives Python ints."""
     global _SPF
     if not _SPF:
-        spf = np.arange(SIEVE_BOUND, dtype=np.int32)
+        table = array("i", [0]) * SIEVE_BOUND
+        spf = np.frombuffer(table, dtype=np.intc)
+        spf[:] = np.arange(SIEVE_BOUND, dtype=np.intc)
         # descending, so the smallest prime p with p^2 <= m writes spf[m] last
         for p in reversed(primes_up_to(math.isqrt(SIEVE_BOUND))):
             spf[p * p :: p] = p
-        _SPF = spf.tolist()
+        _SPF = table
     return _SPF
 
 

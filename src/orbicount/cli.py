@@ -161,7 +161,8 @@ def _cmd_count(args) -> int:
             raise DomainError("--dump requires a single-point grid")
         mode = "darmon" if args.mode == "all" else args.mode  # all: the Darmon points
         with open(args.dump, "w") as fh:
-            enumeration.dump_points(model, S, bounds[0], mode, fh, args.budget)
+            enumeration.dump_points(model, S, bounds[0], mode, fh,
+                                    records[0].counts[mode], args.budget)
     if args.format == "json":
         payload = {
             "model": model.name,

@@ -1066,12 +1066,13 @@ def dump_points(
     B,
     mode: str,
     fh,
+    total: int,
     budget: Optional[int] = DEFAULT_BUDGET,
 ) -> int:
     """Write the counted points one per line (debug aid).  Refuses to start
-    when the count exceeds ``_DUMP_CAP``, then charges the budget
-    _CANDIDATE_STEPS steps per candidate of the oracle's box."""
-    total = count_points(model, S, B, mode, budget)
+    when their count ``total``, which the caller has counted, exceeds
+    ``_DUMP_CAP``, then charges the budget _CANDIDATE_STEPS steps per
+    candidate of the oracle's box."""
     if total > _DUMP_CAP:
         raise BudgetExceededError(f"{total} points exceed the dump cap {_DUMP_CAP}")
     top = _box_top(model, Fraction(B))

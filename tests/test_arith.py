@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,8 +125,35 @@ def test_spf_table_matches_loop_sieve():
                 if spf[m] == m:
                     spf[m] = p
     table = arith._spf_table()
-    assert table == spf
+    assert list(table) == spf  # an array.array never equals a list
     assert all(type(v) is int for v in table)  # factorize does Python int arithmetic
+
+
+CLASSIFY_RSS_PROBE = """
+import contextlib, io, resource
+from orbicount import arith, cli
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["classify", "--model", "p1", "--m", "2", "4/9"])
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(code, after - before, len(arith._SPF), arith._SPF.itemsize)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux only")
+def test_classify_raises_peak_rss_by_under_10_mb():
+    # a fresh interpreter with the CLI imported, so the rise is what one
+    # classify run adds: the 4 MB table and its 4 MB identity temporary
+    # (about 8 MB; 14.5 MB while the table was a list of Python ints)
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", CLASSIFY_RSS_PROBE],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, timeout=120, check=True)
+    code, rise_kib, entries, itemsize = map(int, out.stdout.split())
+    assert code == 0
+    assert rise_kib < 10 * 1024, f"classify raised peak RSS by {rise_kib} KiB"
+    assert (entries, itemsize) == (arith.SIEVE_BOUND, 4)
 
 
 @given(n=st.integers(1, 10**6))

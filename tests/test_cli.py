@@ -12,6 +12,7 @@ import pytest
 from orbicount import cli, enumeration, localfactors
 from orbicount.cli import main
 from orbicount.constants import ZETA2
+from orbicount.orbifold import PlaceSet, projective_space
 
 
 def run(capsys, *argv):
@@ -958,6 +959,39 @@ def test_dump_under_mode_all_writes_the_darmon_points(tmp_path, capsys):
                          "--mode", mode, "--dump", str(dumps[mode]))
         assert code == 0
     assert dumps["all"].read_bytes() == dumps["darmon"].read_bytes() != b""
+
+
+@pytest.mark.parametrize("mode, cap_error", [
+    ("darmon", None),
+    ("rational", "error: 1216767 points exceed the dump cap 1000000\n"),
+])
+def test_dump_takes_its_cap_check_from_the_printed_count(tmp_path, capsys, monkeypatch,
+                                                          mode, cap_error):
+    # one count serves the CSV and the dump's cap; the dump is what
+    # dump_points writes when handed count_points' count
+    m = "2" if mode == "darmon" else "1"
+    calls = []
+    count_grid = enumeration._count_grid
+
+    def counted(*args):
+        calls.append(args[2])
+        return count_grid(*args)
+
+    monkeypatch.setattr(enumeration, "_count_grid", counted)
+    dump = tmp_path / "pts.txt"
+    code, out, err = run(capsys, "count", "--model", "p1", "--m", m, "--mode", mode,
+                         "--grid", "1000", "--dump", str(dump))
+    assert len(calls) == 1
+    if cap_error:
+        assert (code, out, err) == (3, "", cap_error)
+        assert dump.read_text() == ""
+        return
+    assert code == 0
+    with open(tmp_path / "direct.txt", "w") as fh:
+        model, S = projective_space(1, 2), PlaceSet.of()
+        enumeration.dump_points(model, S, 1000, mode, fh,
+                                enumeration.count_points(model, S, 1000, mode))
+    assert dump.read_bytes() == (tmp_path / "direct.txt").read_bytes() != b""
 
 
 @pytest.mark.parametrize(

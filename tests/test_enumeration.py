@@ -222,7 +222,8 @@ def test_sieved_equals_dump_blowup_midscale():
     # independent mid-scale cross-check: the dump path walks the triple box
     # with exact height comparisons point by point
     buf = io.StringIO()
-    n = dump_points(blowup_p2(1, 1), S0, 300, "rational", buf)
+    n = dump_points(blowup_p2(1, 1), S0, 300, "rational", buf,
+                    count_blowup(1, 1, S0, 300, "rational"))
     assert n == count_blowup(1, 1, S0, 300, "rational")
     assert len(buf.getvalue().strip().splitlines()) == n
 
@@ -1075,7 +1076,7 @@ def test_large_weights_run_under_the_default_budget():
 def test_dump_points_matches_count_and_cap(monkeypatch):
     model = projective_space(1, 2)
     buf = io.StringIO()
-    n = dump_points(model, S0, 10, "darmon", buf)
+    n = dump_points(model, S0, 10, "darmon", buf, count_points(model, S0, 10, "darmon"))
     lines = buf.getvalue().strip().splitlines()
     assert n == 45 and len(lines) == 45
     assert "0/1" in lines
@@ -1083,11 +1084,14 @@ def test_dump_points_matches_count_and_cap(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(enumeration, "iter_points", None)
         with pytest.raises(BudgetExceededError, match="1216767 points exceed the dump cap"):
-            dump_points(projective_space(1, 1), S0, 1000, "rational", io.StringIO())
+            dump_points(projective_space(1, 1), S0, 1000, "rational", io.StringIO(),
+                        count_points(projective_space(1, 1), S0, 1000, "rational"))
     blbuf = io.StringIO()
-    nb = dump_points(blowup_p2(1, 1), S0, 1, "rational", blbuf)
+    nb = dump_points(blowup_p2(1, 1), S0, 1, "rational", blbuf,
+                     count_blowup(1, 1, S0, 1, "rational"))
     assert nb == 9 and len(blbuf.getvalue().strip().splitlines()) == 9
     pnbuf = io.StringIO()
-    np_ = dump_points(projective_space(2, 2), S0, 5, "darmon", pnbuf)
+    np_ = dump_points(projective_space(2, 2), S0, 5, "darmon", pnbuf,
+                      count_pn(2, 2, S0, 5, "darmon"))
     assert np_ == count_pn(2, 2, S0, 5, "darmon")
     assert len(pnbuf.getvalue().strip().splitlines()) == np_

@@ -2,6 +2,7 @@
 that ``count_points`` gives, and refuse a bound they cannot use with a usage
 error, or one the package refuses with one error line."""
 
+import json
 import os
 import re
 import subprocess
@@ -32,6 +33,35 @@ def test_script_runs(name, bmax):
     out = run_script(name, "--bmax", bmax)
     assert out.returncode == 0, out.stderr
     assert out.stdout and "Traceback" not in out.stderr
+
+
+def test_recount_records_recounts_the_records_up_to_bmax():
+    out = run_script("recount_records.py", "--bmax", "1e6")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 6 and all("  ok  (" in line for line in lines[:5])
+    assert lines[-1].startswith("5 of ") and lines[-1].endswith(", 0 mismatched")
+
+
+def test_recount_records_exits_1_on_a_mismatch(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import recount_records
+
+    wrong = {"model": "p1", "params": {"m": 1}, "s_primes": [], "mode": "rational",
+             "B": "10", "N": 124, "also_by": "none"}  # N(10) is 127
+    records = tmp_path / "records.json"
+    records.write_text(json.dumps({"records": [wrong]}))
+    monkeypatch.setattr(recount_records, "RECORDS", records)
+    monkeypatch.setattr(sys, "argv", ["recount_records.py", "--bmax", "10"])
+    assert recount_records.main() == 1
+    assert "N(10) = 127  MISMATCH, pinned 124" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bmax", ["0", "-5", "x"])
+def test_recount_records_refuses_unusable_bmax(bmax):
+    out = run_script("recount_records.py", "--bmax", bmax)
+    assert out.returncode == 2 and out.stdout == ""
+    assert "error: --bmax" in out.stderr and "Traceback" not in out.stderr
 
 
 @pytest.mark.parametrize("bmax", ["1e4", "500", "x"])

@@ -34,14 +34,16 @@ below):
   recursion M(x) = 1 - sum_{j>=2} M(floor(x/j)) above it (Deleglise and
   Rivat), its sieve parts summed for runs of k at once
   (``_mertens_at_quotients``), so time and memory are O(B^(2/3)).
-* blow-up: ``blowup_columns`` is the one core under ``count_blowup`` and
-  the height-zeta sum.  The leading pairs (x_0, x_1) = (g a, g b),
+* blow-up: one set of rows, weights and columns under the count and the
+  height-zeta sum.  The leading pairs (x_0, x_1) = (g a, g b),
   gcd(a, b) = 1, lie in cells (g, c), c = max(a, |b|); X_2 depends on c
   alone, and c <= C(g) exactly when g <= G(c), so both sums swap the sum
   over g inside the sum over c, as a Moebius sum (Pieropan, Smeets,
   Tanimoto and Varilly-Alvarado, Proc. LMS 2021), and no cell is visited:
-  each column c reads a prefix of one table of rows.  The count and the
-  height-zeta sum both sum every (column, row) entry in one pass, in the
+  each column c reads a prefix of one table of rows, built once for a
+  count grid at its top bound and shared by the modes with the same rows
+  (``_blowup_grid``), and by ``blowup_columns`` for the height-zeta sum at
+  one bound.  Both sum every (column, row) entry in one pass, in the
   blocks of ``ragged_blocks``, each block's terms (exact int64 for the
   count, float64 for the sum) added per column by ``np.add.reduceat``.
   X_2(c) for every c comes from one exact vectorised root.
@@ -728,8 +730,8 @@ def _blowup_weights(f: int, d: int, S: PlaceSet, cmax: int) -> np.ndarray:
 @dataclass(frozen=True)
 class BlowupColumns:
     """Rows (g[i], d[i], sign[i]), ascending in g, and columns
-    (c[j], w[j], X2[j], G[j], k[j]), ascending in c, over the c with
-    w(c) > 0: column c reads the k rows with g <= G(c) = X2(c) // c, and on
+    (c[j], w[j], X2[j], G[j], k[j]), c = 1..C(1), every w(c) > 0 (a = 1 is
+    admissible): column c reads the k rows with g <= G(c) = X2(c) // c, and on
     the sparse route each stratum g's rows begin at d = 1.  The signs are
     int8 arrays, all others int64 (object for a line past int64, which the
     height-zeta sum takes as the one column c = 1, X2 = G = B)."""
@@ -746,27 +748,31 @@ class BlowupColumns:
     k: np.ndarray
 
 
-def _column_roots(num: int, den: int, E1: int, E2: int, c: np.ndarray) -> np.ndarray:
-    """X2(c) = floor((num / (den c^E2))^(1/E1)) for the int64 array c, all
-    with den c^(E1+E2) <= num, from one exact root (``_kth_roots``) over
-    int64 quotients when num fits int64, else over object quotients, _BLOCK
-    columns at a time."""
+def _column_roots(m1: int, m2: int, Bf: Fraction) -> Tuple[np.ndarray, np.ndarray]:
+    """(X2, G) over the columns c = 1..C(1) at B = Bf >= 1: X2(c) =
+    iroot(q, E1), q = B^(m1 m2) / c^E2, and G(c) = iroot(q / c^E1, E1) =
+    X2(c) // c, which falls as c grows.  One exact root (``_kth_roots``)
+    over int64 quotients when B^(m1 m2) fits int64, else over object
+    quotients, _BLOCK columns at a time."""
+    E1, E2 = (m1 + 1) * m2, m1 * m2 + m1 - m2
+    num, den = (Bf ** (m1 * m2)).as_integer_ratio()
+    c = np.arange(1, _iroot_ratio(num, den, E1 + E2) + 1, dtype=np.int64)
     if num <= _INT64_MAX:
-        return _kth_roots(num // (den * c**E2), E1)
-    X2 = np.empty(len(c), dtype=np.int64)
-    for lo in range(0, len(c), _BLOCK):
-        block = c[lo : lo + _BLOCK].astype(object)
-        X2[lo : lo + _BLOCK] = _kth_roots(num // (den * block**E2), E1)
-    return X2
+        X2 = _kth_roots(num // (den * c**E2), E1)
+    else:
+        X2 = np.empty(len(c), dtype=np.int64)
+        for lo in range(0, len(c), _BLOCK):
+            block = c[lo : lo + _BLOCK].astype(object)
+            X2[lo : lo + _BLOCK] = _kth_roots(num // (den * block**E2), E1)
+    return X2, X2 // c
 
 
 def _blowup_charge(
     m1: int, m2: int, S: PlaceSet, Bf: Fraction, steps: Tuple[Tuple[int, int], ...],
     budget: Optional[int], passes: int = 1,
-) -> Tuple[int, int, int, int, int, int]:
-    """(E1, E2, num, den, Mmax, cmax) of ``blowup_columns`` at B = Bf >= 1
-    and progressions ``steps``, num / den = B^(m1 m2), once its charge and
-    int64 checks have passed."""
+) -> Tuple[int, int]:
+    """(Mmax, cmax) of ``blowup_columns`` at B = Bf >= 1 and progressions
+    ``steps``, once its charge and int64 checks have passed."""
     E1, E2 = (m1 + 1) * m2, m1 * m2 + m1 - m2
     num, den = (Bf ** (m1 * m2)).as_integer_ratio()
     Mmax = _blowup_mmax(Bf, m1)
@@ -782,7 +788,26 @@ def _blowup_charge(
         charge(budget, work + _denominator_bound(*steps[0], S.finite_primes, Mmax))
         if Mmax > _INT64_MAX:  # each count term is at most X2 <= Mmax
             raise MemoryError(f"the divisor rows up to Mmax = {Mmax} exceed any memory")
-    return E1, E2, num, den, Mmax, cmax
+    return Mmax, cmax
+
+
+def _blowup_rows(
+    fd: Tuple[int, int], S: PlaceSet, Mmax: int, G: np.ndarray, budget: Optional[int],
+    passes: int = 1,
+) -> Tuple[bool, np.ndarray, np.ndarray, np.ndarray]:
+    """(every_g, g, d, sign) of ``blowup_columns`` for the row progression
+    fd; on the sparse route passes times the entries sum_g 2^omega(g) C(g),
+    C(g) = #{c : G(c) >= g}, are charged once the strata are built."""
+    if fd == (1, 1):
+        mu = mobius_sieve(Mmax)
+        d = np.flatnonzero(mu)
+        return True, d, d, mu[d]
+    gs, per, signed = line_divisor_rows(*fd, S, Mmax)
+    caps = np.searchsorted(-G, -gs, side="right")  # C(g)
+    charge(budget, passes * sum((caps * per).tolist()))  # exact, past int64 too
+    if len(signed) * Mmax > _INT64_MAX:
+        raise MemoryError(f"{len(signed)} divisor rows exceed any memory")
+    return False, np.repeat(gs, per), np.abs(signed), np.sign(signed).astype(np.int8)
 
 
 def blowup_columns(
@@ -794,12 +819,12 @@ def blowup_columns(
     budget: Optional[int] = DEFAULT_BUDGET,
     passes: int = 1,
 ) -> BlowupColumns:
-    """The rows and columns that ``count_blowup`` and the height-zeta sum
-    share.  A cell (g, c) carries a point of height <= B exactly when
+    """The rows and columns of the count at one bound, for the height-zeta
+    sum.  A cell (g, c) carries a point of height <= B exactly when
     g^E1 c^(E1+E2) <= B^(m1 m2), E1 = (m1 + 1) m2, E2 = m1 m2 + m1 - m2,
     that is g <= G(c); its w(c) pairs take the x2 coprime to g with
     |x2| <= X2(c), g c <= X2(c) <= X2(1) = Mmax.  The columns are the
-    c <= C(1) with w(c) > 0, X2 from one exact vectorised root; the rows are
+    c <= C(1), X2 from one exact vectorised root; the rows are
     the squarefree f <= Mmax with g = d = f and sign mu(f) when every g is
     admissible, and otherwise one row per stratum g and signed squarefree
     divisor d of g.
@@ -816,63 +841,67 @@ def blowup_columns(
     every-g route, rows times Mmax on the sparse route."""
     steps = progression(m1, mode), progression(m2, mode)
     Bf = Fraction(B)
-    every_g = steps[0] == (1, 1)
     if Bf < 1:
         none = np.zeros(0, dtype=np.int64)
-        return BlowupColumns(every_g, 0, none, none, none, none, none, none, none, none)
-    E1, E2, num, den, Mmax, cmax = _blowup_charge(m1, m2, S, Bf, steps, budget, passes)
-    # X2(c) = iroot(q, E1), q = B^(m1 m2) / c^E2, and G(c) = iroot(q / c^E1, E1)
-    # = X2(c) // c, which falls as c grows
-    c = np.arange(1, cmax + 1, dtype=np.int64)
-    X2 = _column_roots(num, den, E1, E2, c)
-    G = X2 // c
-    if every_g:
-        mu = mobius_sieve(Mmax)
-        g = d = np.flatnonzero(mu)
-        sign = mu[d]
-    else:
-        gs, per, signed = line_divisor_rows(*steps[0], S, Mmax)
-        caps = np.searchsorted(-G, -gs, side="right")  # C(g) = #{c : G(c) >= g}
-        charge(budget, passes * sum((caps * per).tolist()))  # exact, past int64 too
-        g = np.repeat(gs, per)
-        sign, d = np.sign(signed).astype(np.int8), np.abs(signed)
-        if len(d) * Mmax > _INT64_MAX:
-            raise MemoryError(f"{len(d)} divisor rows exceed any memory")
+        return BlowupColumns(steps[0] == (1, 1), 0, *[none] * 8)
+    Mmax, cmax = _blowup_charge(m1, m2, S, Bf, steps, budget, passes)
+    X2, G = _column_roots(m1, m2, Bf)
+    every_g, g, d, sign = _blowup_rows(steps[0], S, Mmax, G, budget, passes)
     w = _blowup_weights(*steps[1], S, cmax)[1:]
-    keep = np.flatnonzero(w)
-    G = G[keep]
     k = np.searchsorted(g, G, side="right")
-    return BlowupColumns(every_g, Mmax, g, d, sign, c[keep], w[keep], X2[keep], G, k)
+    return BlowupColumns(every_g, Mmax, g, d, sign, np.arange(1, cmax + 1, dtype=np.int64), w,
+                         X2, G, k)
 
 
-def count_blowup(
-    m1: int,
-    m2: int,
-    S: PlaceSet,
-    B: Union[int, float, Fraction],
-    mode: str,
-    budget: Optional[int] = DEFAULT_BUDGET,
-) -> int:
-    """Blow-up model points with global height <= B in the given mode, over
-    the columns of ``blowup_columns``:
-    N = sum_c w(c) (1 + 2 P(c)), the 1 for x2 = 0 over g = 1, where P(c)
-    counts the admissible g <= G(c) and x <= X2(c) coprime to g:
+def _blowup_grid(
+    m1: int, m2: int, S: PlaceSet, bounds: Sequence[Fraction],
+    keys: Sequence[Tuple[Tuple[int, int], ...]], budget: Optional[int],
+) -> Dict[tuple, List[int]]:
+    """Per key (row and column progression), the blow-up points of height
+    <= B for each B of the ascending grid, every key charged at the top
+    bound first: N = sum_c w(c) (1 + 2 P(c)), the 1 for x2 = 0 over g = 1,
+    P(c) the admissible g <= G(c) and x <= X2(c) coprime to g, that is
     sum_f mu(f) floor(X2/f) floor(G/f) when every g is admissible, else
-    sum mu(d) floor(X2/|d|) over the rows (g, d).  One pass sums every
-    (column, row < k) entry, in blocks of _BLOCK entries, each block's terms
-    added into the int64 P of its columns by one ``np.add.reduceat``;
-    ``blowup_columns`` bounds every partial sum of a column below 2^63."""
-    core = blowup_columns(m1, m2, S, B, mode, budget)
-    P = np.zeros(len(core.c), dtype=np.int64)
-    for col, row, runs in ragged_blocks(core.k):
-        d = core.d[row]
-        terms = core.X2[col] // d
-        if core.every_g:
-            terms *= core.G[col] // d
-        terms *= core.sign[row]
-        # every column reads the row g = 1, so no run is empty
-        P[col[0] : col[-1] + 1] += np.add.reduceat(terms, np.cumsum(runs) - runs)
-    return int(core.w.sum()) + 2 * int(np.dot(core.w.astype(object), P))
+    sum mu(d) floor(X2/|d|) over the rows (g, d).  A bound's columns are a
+    prefix of the top's and k = #{g <= G(c)} stops each at G(c) <= Mmax(B),
+    so the rows and weights are built at the top bound, before any pass.
+    Per bound and row progression, one pass sums every (column, row < k)
+    entry for every key sharing the rows, by one ``np.add.reduceat`` per
+    block of _BLOCK into the int64 P, below 2^63 by the charge."""
+    tops = [Bf for Bf in bounds if Bf >= 1]
+    counts = {key: [0] * (len(bounds) - len(tops)) for key in keys}
+    if not tops:
+        return counts
+    for key in keys:  # Mmax and cmax are the same for every key
+        Mmax, cmax = _blowup_charge(m1, m2, S, tops[-1], key, budget)
+    top = _column_roots(m1, m2, tops[-1])
+    rows = {fd: _blowup_rows(fd, S, Mmax, top[1], budget)
+            for fd in dict.fromkeys(key[0] for key in keys)}
+    weights = {fd: _blowup_weights(*fd, S, cmax)[1:]
+               for fd in dict.fromkeys(key[1] for key in keys)}
+    for Bf in tops:
+        X2, G = top if Bf == tops[-1] else _column_roots(m1, m2, Bf)
+        for fd, (every_g, g, d, sign) in rows.items():
+            P = np.zeros(len(G), dtype=np.int64)
+            for col, row, runs in ragged_blocks(np.searchsorted(g, G, side="right")):
+                dr = d[row]
+                terms = X2[col] // dr
+                if every_g:
+                    terms *= G[col] // dr
+                terms *= sign[row]
+                # every column reads the row g = 1, so no run is empty
+                P[col[0] : col[-1] + 1] += np.add.reduceat(terms, np.cumsum(runs) - runs)
+            for key in (key for key in keys if key[0] == fd):
+                w = weights[key[1]][: len(G)]
+                counts[key].append(int(w.sum()) + 2 * int(np.dot(w.astype(object), P)))
+    return counts
+
+
+def count_blowup(m1: int, m2: int, S: PlaceSet, B: Union[int, float, Fraction], mode: str,
+                 budget: Optional[int] = DEFAULT_BUDGET) -> int:
+    """Blow-up model points with global height <= B in the given mode, as a
+    grid of one (``_blowup_grid``)."""
+    return count_points(blowup_p2(m1, m2), S, B, mode, budget)
 
 
 # --------------------------------------------------------------------------
@@ -946,18 +975,15 @@ def _count_grid(
 ) -> Dict[str, List[int]]:
     """Per mode, the counts over the ascending grid ``bounds``.  Modes that
     give every component the same ``progression`` share one count.  Each
-    distinct count is charged at the top bound before any is counted; the
-    line and plane count the whole grid, the blow-up each bound."""
+    distinct count is charged at the top bound before any is counted, then
+    each model counts the whole grid at once."""
     keys = [tuple(progression(c.m, mode) for c in model.components) for mode in modes]
     first: Dict[tuple, str] = {}  # a key's first mode, which counts it
     for key, mode in zip(keys, modes):
         first.setdefault(key, mode)
     if model.name == "blowup":
-        m1, m2, top = model.params["m1"], model.params["m2"], Fraction(bounds[-1])
-        for key in first if top >= 1 else ():
-            _blowup_charge(m1, m2, S, top, key, budget)
-        counts = {key: [count_blowup(m1, m2, S, B, mode, budget) for B in bounds]
-                  for key, mode in first.items()}
+        counts = _blowup_grid(model.params["m1"], model.params["m2"], S,
+                              [Fraction(B) for B in bounds], list(first), budget)
     elif model.name in ("p1", "pn"):
         n = model.dimension
         grid = [Bint for Bint in map(_floor_bound, bounds) if Bint >= 1]

@@ -1,6 +1,6 @@
 """The blow-up cell walk, the reference for ``count_blowup`` and the blow-up
-height-zeta sum, which both run over the columns c of
-``enumeration.blowup_columns`` instead of the cells (g, c)."""
+height-zeta sum, which both run over the columns c (at one bound, those of
+``enumeration.blowup_columns``) instead of the cells (g, c)."""
 
 from fractions import Fraction
 

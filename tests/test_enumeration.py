@@ -916,33 +916,84 @@ def test_blowup_grid_is_its_per_bound_counts(m1, m2):
             assert [r.counts for r in single] == [{mode: w[mode]} for w in want], (S, mode)
 
 
+@lru_cache(maxsize=None)
+def _naive_blowup(m1, m2, s_primes, B, mode):
+    return naive_count_blowup(m1, m2, PlaceSet.of(s_primes), B, mode)
+
+
+_BOUND = st.builds(Fraction, st.one_of(st.integers(1, 12), st.integers(1, 240),
+                                       st.integers(1, 20000)), st.integers(1, 4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    m1=st.integers(1, 3),
+    m2=st.integers(1, 3),
+    s_primes=st.sets(st.sampled_from([2, 3, 5])).map(sorted).map(tuple),
+    mode=st.sampled_from(("all",) + MODES),
+    bounds=st.sets(_BOUND, min_size=1, max_size=5).map(sorted),
+)
+def test_blowup_grid_is_its_per_bound_counts_property(m1, m2, s_primes, mode, bounds):
+    # one grid shares its rows and weights between its bounds and modes;
+    # each bound, fractional or below 1, counts as alone, and as the
+    # point-by-point oracle where that is cheap
+    S = PlaceSet.of(s_primes)
+    records = count_series(blowup_p2(m1, m2), S, bounds, mode)
+    for rec, B in zip(records, bounds):
+        for md, n in rec.counts.items():
+            assert n == count_blowup(m1, m2, S, B, md), (B, md)
+            if B <= 60:
+                assert n == _naive_blowup(m1, m2, s_primes, B, md), (B, md)
+
+
+# per blow-up grid in mode "all": the row builds, one per distinct row
+# progression (the modes' order), then the weight tables, one per distinct
+# column progression
+_BLOWUP_BUILDS = {
+    (1, 1): ["mobius_sieve", "_blowup_weights"],
+    (1, 2): ["mobius_sieve"] + ["_blowup_weights"] * 3,
+    (2, 1): ["mobius_sieve", "line_divisor_rows", "line_divisor_rows", "_blowup_weights"],
+}
+
+
 @pytest.mark.parametrize("model, cores", [
     (projective_space(1, 1), 1), (projective_space(2, 1), 1), (blowup_p2(1, 1), 1),
-    (projective_space(1, 2), 3), (blowup_p2(1, 2), 3),
-], ids=["p1", "pn", "blowup", "p1-m2", "blowup-12"])
+    (projective_space(1, 2), 3), (blowup_p2(1, 2), 3), (blowup_p2(2, 1), 3),
+], ids=["p1", "pn", "blowup", "p1-m2", "blowup-12", "blowup-21"])
 def test_weight_one_modes_are_counted_once(model, cores, monkeypatch):
     # modes with the same progressions select the same points: on a weight-1
-    # model mode "all" sums the line or plane once per grid and builds the
-    # blow-up core once per bound, and its three columns are equal; at weight
-    # 2 the three modes differ, so it builds three cores
-    calls = []
-    for name in ("_mobius_sum", "_divisor_sum", "blowup_columns"):
+    # model mode "all" sums the line or plane once per grid, and its three
+    # columns are equal; at weight 2 the three modes differ, so it sums three
+    # times.  The blow-up builds its rows and weights once per grid, not per
+    # bound: the divisor rows that a weight table builds are its own
+    calls, inside = [], []
+    for name in ("_mobius_sum", "_divisor_sum", "mobius_sieve", "line_divisor_rows",
+                 "_blowup_weights"):
         real = getattr(enumeration, name)
-        monkeypatch.setattr(enumeration, name,
-                            lambda *args, real=real, name=name, **kwargs:
-                            calls.append(name) or real(*args, **kwargs))
-    grid = [10, 100, 1000]
-    records = count_series(model, S2, grid, "all")
-    if model.name == "blowup":
-        assert calls == ["blowup_columns"] * cores * len(grid)
-    else:
-        assert calls == ["_mobius_sum", "_divisor_sum", "_divisor_sum"][:cores]
-    for rec in records:
-        assert set(rec.counts) == set(MODES)
-        assert cores == 3 or len(set(rec.counts.values())) == 1
-    for mode in MODES:
-        assert [r.counts[mode] for r in records] == [count_points(model, S2, B, mode)
-                                                     for B in grid]
+
+        def recording(*args, real=real, name=name, **kwargs):
+            if not inside:
+                calls.append(name)
+            inside.append(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(enumeration, name, recording)
+    for grid in ([1000], [10, 100, 1000]):
+        calls.clear()
+        records = count_series(model, S2, grid, "all")
+        if model.name == "blowup":
+            assert calls == _BLOWUP_BUILDS[model.params["m1"], model.params["m2"]], grid
+        else:
+            assert calls == ["_mobius_sum", "_divisor_sum", "_divisor_sum"][:cores]
+        for rec in records:
+            assert set(rec.counts) == set(MODES)
+            assert cores == 3 or len(set(rec.counts.values())) == 1
+        for mode in MODES:
+            assert [r.counts[mode] for r in records] == [count_points(model, S2, B, mode)
+                                                         for B in grid]
 
 
 @pytest.mark.parametrize("m1, m2, budget, fits", [
@@ -967,6 +1018,21 @@ def test_refused_blowup_grid_builds_nothing(m1, m2, budget, fits, monkeypatch):
         monkeypatch.setattr(enumeration, name, unreachable)
     with pytest.raises(BudgetExceededError):
         count_series(blowup_p2(m1, m2), S0, grid, "all", budget=budget)
+
+
+def test_refused_sparse_blowup_grid_counts_no_lower_bound(monkeypatch):
+    # (2, 1) Campana: 1e10 passes the coarse top charge (8,619 steps) and is
+    # refused only by its divisor rows' exact entries (115,098), which are
+    # charged as soon as the rows are built, before any bound's pass
+    grid, budget = [10**6, 10**10], 10000
+    count_blowup(2, 1, S0, grid[0], "campana", budget)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a bound was counted before the top bound was charged")
+
+    monkeypatch.setattr(enumeration, "ragged_blocks", unreachable)
+    with pytest.raises(BudgetExceededError, match="115098"):
+        count_series(blowup_p2(2, 1), S0, grid, "campana", budget=budget)
 
 
 def test_count_series_validates_grid():

@@ -40,15 +40,17 @@ below):
   alone, and c <= C(g) exactly when g <= G(c), so both sums swap the sum
   over g inside the sum over c, as a Moebius sum (Pieropan, Smeets,
   Tanimoto and Varilly-Alvarado, Proc. LMS 2021), and no cell is visited:
-  each column c reads a prefix of one table of rows, built once for a
-  count grid at its top bound and shared by the modes with the same rows
-  (``_blowup_grid``), and by ``blowup_columns`` for the height-zeta sum at
-  one bound.  Both sum every (column, row) entry in one pass, in the
-  blocks of ``ragged_blocks``, each block's terms (exact int64 for the
-  count, float64 for the sum) added per column by ``np.add.reduceat``.
-  X_2(c) for every c comes from one exact vectorised root.
-  The column weights come from a totient sieve, or from the line's divisor
-  rows (a, e) by one ``searchsorted`` per distinct |e| (``_blowup_weights``).
+  each column c reads a prefix of one table of rows.  One build
+  (``_blowup_build``) charges and makes the rows, weights and columns:
+  once for a count grid at its top bound, the rows shared by the modes
+  with the same rows (``_blowup_grid``), and once at one bound for the
+  height-zeta sum (``blowup_columns``).  Both sum every (column, row)
+  entry in one pass, in the blocks of ``ragged_blocks``, each block's
+  terms (exact int64 for the count, float64 for the sum) added per column
+  by ``np.add.reduceat``.  X_2(c) for every c comes from one exact
+  vectorised root.  The column weights come from a totient sieve, or from
+  the line's divisor rows (a, e) by one ``searchsorted`` per distinct |e|
+  (``_blowup_weights``).
 
 ``iter_points`` is the point-by-point definitional oracle (exact gcd, mode
 and height checks on every candidate, in integers; on a 2-CPU machine about
@@ -89,7 +91,6 @@ from .orbifold import MODES, OrbifoldModel, PlaceSet, blowup_p2, progression, pr
 __all__ = [
     "CountRecord",
     "MODES",
-    "count_blowup",
     "count_points",
     "count_series",
     "naive_count_p1",
@@ -730,32 +731,29 @@ def _blowup_weights(f: int, d: int, S: PlaceSet, cmax: int) -> np.ndarray:
 @dataclass(frozen=True)
 class BlowupColumns:
     """Rows (g[i], d[i], sign[i]), ascending in g, and columns
-    (c[j], w[j], X2[j], G[j], k[j]), c = 1..C(1), every w(c) > 0 (a = 1 is
-    admissible): column c reads the k rows with g <= G(c) = X2(c) // c, and on
-    the sparse route each stratum g's rows begin at d = 1.  The signs are
-    int8 arrays, all others int64 (object for a line past int64, which the
-    height-zeta sum takes as the one column c = 1, X2 = G = B)."""
+    (w[j], X2[j], G[j], k[j]) for c = j + 1 = 1..C(1), every w(c) > 0 (a = 1
+    is admissible): column c reads the k rows with g <= G(c) = X2(c) // c,
+    and on the sparse route each stratum g's rows begin at d = 1.  The signs
+    are int8 arrays, all others int64 (object for a line past int64, which
+    the height-zeta sum takes as the one column c = 1, X2 = G = B)."""
 
     every_g: bool
     mmax: int
     g: np.ndarray
     d: np.ndarray
     sign: np.ndarray
-    c: np.ndarray
     w: np.ndarray
     X2: np.ndarray
     G: np.ndarray
     k: np.ndarray
 
 
-def _column_roots(m1: int, m2: int, Bf: Fraction) -> Tuple[np.ndarray, np.ndarray]:
-    """(X2, G) over the columns c = 1..C(1) at B = Bf >= 1: X2(c) =
-    iroot(q, E1), q = B^(m1 m2) / c^E2, and G(c) = iroot(q / c^E1, E1) =
-    X2(c) // c, which falls as c grows.  One exact root (``_kth_roots``)
-    over int64 quotients when B^(m1 m2) fits int64, else over object
-    quotients, _BLOCK columns at a time."""
-    E1, E2 = (m1 + 1) * m2, m1 * m2 + m1 - m2
-    num, den = (Bf ** (m1 * m2)).as_integer_ratio()
+def _column_roots(E1: int, E2: int, num: int, den: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(X2, G) over the columns c = 1..C(1) at B^(m1 m2) = num / den >= 1:
+    X2(c) = iroot(q, E1), q = B^(m1 m2) / c^E2, and G(c) = iroot(q / c^E1,
+    E1) = X2(c) // c, which falls as c grows.  One exact root
+    (``_kth_roots``) over int64 quotients when B^(m1 m2) fits int64, else
+    over object quotients, _BLOCK columns at a time."""
     c = np.arange(1, _iroot_ratio(num, den, E1 + E2) + 1, dtype=np.int64)
     if num <= _INT64_MAX:
         X2 = _kth_roots(num // (den * c**E2), E1)
@@ -767,47 +765,75 @@ def _column_roots(m1: int, m2: int, Bf: Fraction) -> Tuple[np.ndarray, np.ndarra
     return X2, X2 // c
 
 
-def _blowup_charge(
-    m1: int, m2: int, S: PlaceSet, Bf: Fraction, steps: Tuple[Tuple[int, int], ...],
-    budget: Optional[int], passes: int = 1,
-) -> Tuple[int, int]:
-    """(Mmax, cmax) of ``blowup_columns`` at B = Bf >= 1 and progressions
-    ``steps``, once its charge and int64 checks have passed."""
+def _blowup_build(
+    m1: int, m2: int, S: PlaceSet, Bf: Fraction, keys: Sequence[Tuple[Tuple[int, int], ...]],
+    budget: Optional[int], passes: int,
+) -> Tuple[int, Tuple[np.ndarray, np.ndarray], Dict[tuple, tuple], Dict[tuple, np.ndarray]]:
+    """(Mmax, (X2, G), rows, weights) of the blow-up at B = Bf >= 1 for the
+    keys (row and column progression): rows[fd] = (every_g, g, d, sign) once
+    per distinct row progression, weights[fd] = w(1..C(1)) once per distinct
+    column progression.  A cell (g, c) carries a point of height <= B
+    exactly when g^E1 c^(E1+E2) <= B^(m1 m2), E1 = (m1 + 1) m2,
+    E2 = m1 m2 + m1 - m2, that is g <= G(c); its w(c) pairs take the x2
+    coprime to g with |x2| <= X2(c), g c <= X2(c) <= X2(1) = Mmax.  The rows
+    are the squarefree f <= Mmax with g = d = f and sign mu(f) when every g
+    is admissible, and otherwise one row per stratum g and signed
+    squarefree divisor d of g.
+
+    Each key is charged before any sieve, walk or table: the weight table
+    (``_weights_work``), then on the every-g route the sieve length Mmax,
+    passes - 1 tables of Mmax + 1 entries (the height-zeta sum's n^-s
+    arrays) and passes times the dot entries sum_c G(c) <=
+    (Mmax + 1)(1 + E1/E2); on the sparse route, which reads no table, the
+    bound on the admissible g.  ``passes`` is how often the caller goes over
+    each entry: 1 for the count, 3 for the height-zeta sum.  The count's
+    int64 sums bound Mmax (MemoryError past it): 2 Mmax^2 on the every-g
+    route, rows times Mmax on the sparse route, checked as soon as the
+    strata g are walked.  The columns come next, then the sparse route's
+    exact entries, passes times sum_g 2^omega(g) C(g), C(g) = #{c : G(c) >=
+    g}, are charged before any divisor is expanded."""
     E1, E2 = (m1 + 1) * m2, m1 * m2 + m1 - m2
     num, den = (Bf ** (m1 * m2)).as_integer_ratio()
-    Mmax = _blowup_mmax(Bf, m1)
-    cmax = _iroot_ratio(num, den, E1 + E2)
-    work = _weights_work(*steps[1], S.finite_primes, cmax)
-    if steps[0] == (1, 1):
-        entries = -(-(Mmax + 1) * (E1 + E2) // E2)
-        charge(budget, work + Mmax + (passes - 1) * (Mmax + 1) + passes * entries)
-        # each count term is at most X2 G <= Mmax^2, and sum 1/f^2 < 2
-        if 2 * Mmax * Mmax > _INT64_MAX:
-            raise MemoryError(f"the Moebius sieve for Mmax = {Mmax} exceeds any memory")
-    else:
-        charge(budget, work + _denominator_bound(*steps[0], S.finite_primes, Mmax))
-        if Mmax > _INT64_MAX:  # each count term is at most X2 <= Mmax
-            raise MemoryError(f"the divisor rows up to Mmax = {Mmax} exceed any memory")
-    return Mmax, cmax
-
-
-def _blowup_rows(
-    fd: Tuple[int, int], S: PlaceSet, Mmax: int, G: np.ndarray, budget: Optional[int],
-    passes: int = 1,
-) -> Tuple[bool, np.ndarray, np.ndarray, np.ndarray]:
-    """(every_g, g, d, sign) of ``blowup_columns`` for the row progression
-    fd; on the sparse route passes times the entries sum_g 2^omega(g) C(g),
-    C(g) = #{c : G(c) >= g}, are charged once the strata are built."""
-    if fd == (1, 1):
-        mu = mobius_sieve(Mmax)
-        d = np.flatnonzero(mu)
-        return True, d, d, mu[d]
-    gs, per, signed = line_divisor_rows(*fd, S, Mmax)
-    caps = np.searchsorted(-G, -gs, side="right")  # C(g)
-    charge(budget, passes * sum((caps * per).tolist()))  # exact, past int64 too
-    if len(signed) * Mmax > _INT64_MAX:
-        raise MemoryError(f"{len(signed)} divisor rows exceed any memory")
-    return False, np.repeat(gs, per), np.abs(signed), np.sign(signed).astype(np.int8)
+    Mmax, cmax = _blowup_mmax(Bf, m1), _iroot_ratio(num, den, E1 + E2)
+    for fd, columns in keys:
+        work = _weights_work(*columns, S.finite_primes, cmax)
+        if fd == (1, 1):
+            entries = -(-(Mmax + 1) * (E1 + E2) // E2)
+            charge(budget, work + Mmax + (passes - 1) * (Mmax + 1) + passes * entries)
+            # each count term is at most X2 G <= Mmax^2, and sum 1/f^2 < 2
+            if 2 * Mmax * Mmax > _INT64_MAX:
+                raise MemoryError(f"the Moebius sieve for Mmax = {Mmax} exceeds any memory")
+        else:
+            charge(budget, work + _denominator_bound(*fd, S.finite_primes, Mmax))
+            if Mmax > _INT64_MAX:  # each count term is at most X2 <= Mmax
+                raise MemoryError(f"the divisor rows up to Mmax = {Mmax} exceed any memory")
+    row_steps = list(dict.fromkeys(fd for fd, _ in keys))
+    strata = {}  # the sparse route's (g, primes, omega, 2^omega)
+    for fd in row_steps:
+        if fd != (1, 1):
+            gs, primes, omega = _denominator_walk(Mmax, S.finite_primes, *fd, math.inf)
+            per = np.left_shift(1, omega)
+            if int(per.sum()) * Mmax > _INT64_MAX:
+                raise MemoryError(f"{per.sum()} divisor rows exceed any memory")
+            strata[fd] = gs, primes, omega, per
+    top = _column_roots(E1, E2, num, den)
+    for gs, _, _, per in strata.values():
+        caps = np.searchsorted(-top[1], -gs, side="right")  # C(g)
+        charge(budget, passes * sum((caps * per).tolist()))  # exact, past int64 too
+    rows = {}
+    for fd in row_steps:
+        if fd == (1, 1):
+            mu = mobius_sieve(Mmax)
+            d = np.flatnonzero(mu)
+            rows[fd] = True, d, d, mu[d]
+        else:
+            gs, primes, omega, _ = strata.pop(fd)
+            per, signed = _signed_divisors(primes, omega)
+            rows[fd] = (False, np.repeat(gs, per), np.abs(signed),
+                        np.sign(signed).astype(np.int8))
+    weights = {fd: _blowup_weights(*fd, S, cmax)[1:]
+               for fd in dict.fromkeys(columns for _, columns in keys)}
+    return Mmax, top, rows, weights
 
 
 def blowup_columns(
@@ -817,40 +843,19 @@ def blowup_columns(
     B: Union[int, float, Fraction],
     mode: str,
     budget: Optional[int] = DEFAULT_BUDGET,
-    passes: int = 1,
 ) -> BlowupColumns:
-    """The rows and columns of the count at one bound, for the height-zeta
-    sum.  A cell (g, c) carries a point of height <= B exactly when
-    g^E1 c^(E1+E2) <= B^(m1 m2), E1 = (m1 + 1) m2, E2 = m1 m2 + m1 - m2,
-    that is g <= G(c); its w(c) pairs take the x2 coprime to g with
-    |x2| <= X2(c), g c <= X2(c) <= X2(1) = Mmax.  The columns are the
-    c <= C(1), X2 from one exact vectorised root; the rows are
-    the squarefree f <= Mmax with g = d = f and sign mu(f) when every g is
-    admissible, and otherwise one row per stratum g and signed squarefree
-    divisor d of g.
-
-    The budget is charged before any sieve, list or table: the weight
-    table (``_weights_work``), then on the every-g route the sieve length
-    Mmax, passes - 1 tables of Mmax + 1 entries (the height-zeta sum's n^-s
-    arrays) and passes times the dot entries sum_c G(c) <=
-    (Mmax + 1)(1 + E1/E2); on the sparse route, which reads no table, the
-    bound on the admissible g and, once the strata are built, passes times
-    the entries sum_g 2^omega(g) C(g).  ``passes`` is how often the caller
-    goes over each entry: 1 for the count, 3 for the height-zeta sum.  The
-    count's int64 sums bound Mmax (MemoryError past it): 2 Mmax^2 on the
-    every-g route, rows times Mmax on the sparse route."""
-    steps = progression(m1, mode), progression(m2, mode)
+    """The rows and columns of the blow-up at one bound for the height-zeta
+    sum, built by ``_blowup_build`` and charged for the sum's three passes
+    over each (column, row) entry."""
+    key = progression(m1, mode), progression(m2, mode)
     Bf = Fraction(B)
     if Bf < 1:
         none = np.zeros(0, dtype=np.int64)
-        return BlowupColumns(steps[0] == (1, 1), 0, *[none] * 8)
-    Mmax, cmax = _blowup_charge(m1, m2, S, Bf, steps, budget, passes)
-    X2, G = _column_roots(m1, m2, Bf)
-    every_g, g, d, sign = _blowup_rows(steps[0], S, Mmax, G, budget, passes)
-    w = _blowup_weights(*steps[1], S, cmax)[1:]
-    k = np.searchsorted(g, G, side="right")
-    return BlowupColumns(every_g, Mmax, g, d, sign, np.arange(1, cmax + 1, dtype=np.int64), w,
-                         X2, G, k)
+        return BlowupColumns(key[0] == (1, 1), 0, *[none] * 7)
+    Mmax, (X2, G), rows, weights = _blowup_build(m1, m2, S, Bf, [key], budget, 3)
+    every_g, g, d, sign = rows[key[0]]
+    return BlowupColumns(every_g, Mmax, g, d, sign, weights[key[1]], X2, G,
+                         np.searchsorted(g, G, side="right"))
 
 
 def _blowup_grid(
@@ -858,29 +863,26 @@ def _blowup_grid(
     keys: Sequence[Tuple[Tuple[int, int], ...]], budget: Optional[int],
 ) -> Dict[tuple, List[int]]:
     """Per key (row and column progression), the blow-up points of height
-    <= B for each B of the ascending grid, every key charged at the top
-    bound first: N = sum_c w(c) (1 + 2 P(c)), the 1 for x2 = 0 over g = 1,
-    P(c) the admissible g <= G(c) and x <= X2(c) coprime to g, that is
-    sum_f mu(f) floor(X2/f) floor(G/f) when every g is admissible, else
-    sum mu(d) floor(X2/|d|) over the rows (g, d).  A bound's columns are a
-    prefix of the top's and k = #{g <= G(c)} stops each at G(c) <= Mmax(B),
-    so the rows and weights are built at the top bound, before any pass.
-    Per bound and row progression, one pass sums every (column, row < k)
-    entry for every key sharing the rows, by one ``np.add.reduceat`` per
-    block of _BLOCK into the int64 P, below 2^63 by the charge."""
+    <= B for each B of the ascending grid: N = sum_c w(c) (1 + 2 P(c)), the
+    1 for x2 = 0 over g = 1, P(c) the admissible g <= G(c) and x <= X2(c)
+    coprime to g, that is sum_f mu(f) floor(X2/f) floor(G/f) when every g is
+    admissible, else sum mu(d) floor(X2/|d|) over the rows (g, d).  A
+    bound's columns are a prefix of the top's and k = #{g <= G(c)} stops
+    each at G(c) <= Mmax(B), so one ``_blowup_build`` at the top bound, with
+    one pass, charges every key and builds the rows and weights before any
+    bound is counted.  Per bound and row progression, one pass sums every
+    (column, row < k) entry for every key sharing the rows, by one
+    ``np.add.reduceat`` per block of _BLOCK into the int64 P, below 2^63 by
+    the charge."""
     tops = [Bf for Bf in bounds if Bf >= 1]
     counts = {key: [0] * (len(bounds) - len(tops)) for key in keys}
     if not tops:
         return counts
-    for key in keys:  # Mmax and cmax are the same for every key
-        Mmax, cmax = _blowup_charge(m1, m2, S, tops[-1], key, budget)
-    top = _column_roots(m1, m2, tops[-1])
-    rows = {fd: _blowup_rows(fd, S, Mmax, top[1], budget)
-            for fd in dict.fromkeys(key[0] for key in keys)}
-    weights = {fd: _blowup_weights(*fd, S, cmax)[1:]
-               for fd in dict.fromkeys(key[1] for key in keys)}
+    _, top, rows, weights = _blowup_build(m1, m2, S, tops[-1], keys, budget, 1)
+    E1, E2 = (m1 + 1) * m2, m1 * m2 + m1 - m2
     for Bf in tops:
-        X2, G = top if Bf == tops[-1] else _column_roots(m1, m2, Bf)
+        X2, G = top if Bf == tops[-1] else _column_roots(
+            E1, E2, *(Bf ** (m1 * m2)).as_integer_ratio())
         for fd, (every_g, g, d, sign) in rows.items():
             P = np.zeros(len(G), dtype=np.int64)
             for col, row, runs in ragged_blocks(np.searchsorted(g, G, side="right")):
@@ -895,13 +897,6 @@ def _blowup_grid(
                 w = weights[key[1]][: len(G)]
                 counts[key].append(int(w.sum()) + 2 * int(np.dot(w.astype(object), P)))
     return counts
-
-
-def count_blowup(m1: int, m2: int, S: PlaceSet, B: Union[int, float, Fraction], mode: str,
-                 budget: Optional[int] = DEFAULT_BUDGET) -> int:
-    """Blow-up model points with global height <= B in the given mode, as a
-    grid of one (``_blowup_grid``)."""
-    return count_points(blowup_p2(m1, m2), S, B, mode, budget)
 
 
 # --------------------------------------------------------------------------

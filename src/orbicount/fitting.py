@@ -96,7 +96,7 @@ def _zeta_sum(model, S, Bf, mode) -> Callable[[float], float]:
     if model.name != "blowup":
         raise DomainError(f"no height-zeta summation for model {model.name!r}")
     m1, m2 = model.params["m1"], model.params["m2"]
-    core = blowup_columns(m1, m2, S, Bf, mode, DEFAULT_BUDGET, passes=3)
+    core = blowup_columns(m1, m2, S, Bf, mode, DEFAULT_BUDGET)
     return _zeta_columns(core, 1 + 1.0 / m1, 1 + 1.0 / m2 - 1.0 / m1)
 
 
@@ -119,7 +119,7 @@ def _zeta_line(m, S, Bint, mode) -> Callable[[float], float]:
     sign = 2 * (e > 0).astype(np.int8) - 1
     one, column = np.ones(1, dtype=np.int64), np.array([Bint])  # object past int64
     rows = BlowupColumns(False, Bint, q.repeat(per_q), np.abs(e, out=e), sign,
-                         one, one, column, column, np.array([len(e)]))
+                         one, column, column, np.array([len(e)]))
     return _zeta_columns(rows, 1.0, 0.0)
 
 
@@ -230,7 +230,8 @@ def _zeta_columns(core: BlowupColumns, e1: float, e2: float) -> Callable[[float]
     Moebius over the rows (g, d), h = g / d, T(c) = sum_{rows < k(c)} mu(d)
     d^-s1 sum_{c h < n <= X2 // d} n^-s1; the columns under one math.fsum."""
     sums = (lambda s1: _every_g_sums(core, s1)) if core.every_g else _sparse_sums(core)
-    c, w = core.c.astype(np.float64), core.w
+    w = core.w
+    c = np.arange(1, len(w) + 1, dtype=np.float64)
 
     def at(s: float) -> float:
         s1, s2 = s * e1, s * e2
@@ -274,7 +275,7 @@ def _sparse_sums(core: BlowupColumns) -> Callable[[float], Tuple[np.ndarray, np.
     for col, row, runs in ragged_blocks(core.k):
         block, at = slice(at, at + len(row)), at + len(row)
         pair[block] = offset[col] + rank[key[row]]
-        lo.put(core.c[col] * (core.g[row] // core.d[row]), block)
+        lo.put((col + 1) * (core.g[row] // core.d[row]), block)
         # every column reads the row g = 1, so no run is empty
         blocks.append((block, slice(col[0], col[-1] + 1), np.cumsum(runs) - runs))
 
@@ -300,10 +301,10 @@ def _every_g_sums(core: BlowupColumns, s1: float) -> Tuple[np.ndarray, np.ndarra
     and R_c(H) = sum_{h <= H} Q(c h) (``_RowSums``)."""
     Q = _power_suffix(core.mmax, s1)
     P1 = _power_prefix(core.mmax, s1 - 1.0)
-    R = _RowSums(Q, core.c, core.G)
+    R = _RowSums(Q, core.G)
     dw = core.d**-s1  # int64 to float64 in the ufunc's buffer
     dw *= core.sign
-    phi_sum, tail = np.zeros(len(core.c)), np.zeros(len(core.c))
+    phi_sum, tail = np.zeros(len(core.G)), np.zeros(len(core.G))
     for col, row, runs in ragged_blocks(core.k):
         dr, w = core.d[row], dw[row]
         H, X = core.G[col], core.X2[col]
@@ -324,13 +325,14 @@ def _every_g_sums(core: BlowupColumns, s1: float) -> Tuple[np.ndarray, np.ndarra
 
 class _RowSums:
     """R_c(H) = sum_{h <= H} Q(c h), 1 <= H <= G(c), at the entries of one
-    block after another: one cumsum per column.  Only a block's first column
-    can continue from the block before, so the last column's R_c is kept
-    for the next block, and the others are built into one buffer per block.
+    block after another (column j is c = j + 1): one cumsum per column.
+    Only a block's first column can continue from the block before, so the
+    last column's R_c is kept for the next block, and the others are built
+    into one buffer per block.
     One instance serves one s (Q depends on it)."""
 
-    def __init__(self, Q: np.ndarray, c: np.ndarray, G: np.ndarray):
-        self.Q, self.c, self.G = Q, c, G
+    def __init__(self, Q: np.ndarray, G: np.ndarray):
+        self.Q, self.G = Q, G
         self.kept, self.R = -1, None  # the column whose R_c is kept, and it
 
     def at(self, col: np.ndarray, H: np.ndarray, first_run: int) -> np.ndarray:
@@ -342,7 +344,7 @@ class _RowSums:
         G = self.G[lo : last + 1]
         offset = np.cumsum(G) - G
         buffer = np.empty(int(G.sum()))
-        for c, g, o in zip(self.c[lo : last + 1].tolist(), G.tolist(), offset.tolist()):
+        for c, g, o in zip(range(lo + 1, last + 2), G.tolist(), offset.tolist()):
             np.cumsum(self.Q[c : c * g + 1 : c], out=buffer[o : o + g])
         out, at = np.empty(len(H)), H - 1
         if kept:

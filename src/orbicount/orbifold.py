@@ -35,7 +35,6 @@ __all__ = [
     "a_invariant",
     "critical_set",
     "b_invariant",
-    "eval_count_poly",
 ]
 
 
@@ -117,14 +116,6 @@ class PlaceSet:
 
     def __contains__(self, p: int) -> bool:
         return p in self.finite_primes
-
-
-def eval_count_poly(coeffs: Sequence[int], q: int) -> int:
-    """Evaluate a count polynomial (ascending coefficients) at q."""
-    total = 0
-    for c in reversed(coeffs):
-        total = total * q + c
-    return total
 
 
 def projective_space(n: int, m: int) -> OrbifoldModel:

@@ -1,5 +1,6 @@
-"""The blow-up cell walk, the reference for ``count_blowup`` and the blow-up
-height-zeta sum, which both run over the columns c (at one bound, those of
+"""The blow-up cell walk, the reference for the blow-up count
+(``count_points`` of ``blowup_p2``) and the blow-up height-zeta sum, which
+both run over the columns c (at one bound, those of
 ``enumeration.blowup_columns``) instead of the cells (g, c)."""
 
 from fractions import Fraction
@@ -33,7 +34,7 @@ def blowup_cells(m1, m2, S, B, mode):
     Mmax = integer_kth_root(Bm1.numerator // Bm1.denominator, m1 + 1)
     core = blowup_columns(m1, m2, S, B, mode, budget=None)
     cells = [(c, weight, integer_kth_root(num // (den * c**E2), E1))
-             for c, weight in zip(core.c.tolist(), core.w.tolist())]
+             for c, weight in enumerate(core.w.tolist(), 1)]
     for g, gp in denominators(m1, S, Mmax, mode):
         for c, weight, X2 in cells:
             if g**E1 * c ** (E1 + E2) * den > num:

@@ -96,7 +96,7 @@ def zeta_blowup_by_columns(
     (the terms of ``fitting._zeta_blowup``, before it summed the entries in
     blocks): sum_c w(c) c^-s2 [(2 c sum_{g <= G} phi(g) g^-s1 + 1) c^-s1
     + 2 sum_{rows <= k} mu(d) d^-s1 (Q(c g/d) - Q(X2 // d))]."""
-    core = enumeration.blowup_columns(m1, m2, S, Fraction(B), mode, None, passes=3)
+    core = enumeration.blowup_columns(m1, m2, S, Fraction(B), mode, None)
     d = core.d.astype(np.float64)
     if not core.every_g:
         h = core.g // core.d
@@ -112,8 +112,8 @@ def zeta_blowup_by_columns(
         else:
             phi_rows = dw * hf ** (1.0 - s1)
         at_c = []
-        columns = (core.c, core.w, core.X2, core.G, core.k)
-        for c, weight, X, G, k in zip(*(a.tolist() for a in columns)):
+        columns = (core.w, core.X2, core.G, core.k)
+        for c, (weight, X, G, k) in enumerate(zip(*(a.tolist() for a in columns)), 1):
             dk, w = core.d[:k], dw[:k]
             if core.every_g:
                 H = G // dk

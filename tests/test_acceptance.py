@@ -198,7 +198,7 @@ def test_criterion_6_blowup_adjudication():
     model = blowup_p2(1, 1)
     grid = [1000, 3162, 10**4, 31623, 10**5]
     pts = [
-        (float(b), enumeration.count_blowup(1, 1, S0, b, "darmon")) for b in grid
+        (float(b), enumeration.count_points(blowup_p2(1, 1), S0, b, "darmon")) for b in grid
     ]
     fit = fitting.fit_counts(pts, 1, 2, window=(1e3, 1e5))
     assembled = constants.leading_constant(model, S0).count_coefficient
@@ -320,7 +320,7 @@ def test_criterion_7_exact_small_counts():
         naive = _naive_all_modes_blowup(m1, m2, S, 80)
         for mode in enumeration.MODES:
             cases += 1
-            if enumeration.count_blowup(m1, m2, S, 80, mode) != naive[mode]:
+            if enumeration.count_points(blowup_p2(m1, m2), S, 80, mode) != naive[mode]:
                 mismatches += 1
     ok = mismatches == 0
     report(
@@ -407,7 +407,7 @@ def test_criterion_8_invariant_suites(tmp_path):
         (("--model", "p1", "--m", "2", "--mode", "darmon", "--grid", "10000"),
          f"10000,,,{enumeration.count_points(P1M2, S0, 10**4, 'darmon')}"),
         (("--model", "blowup", "--mode", "rational", "--grid", "400"),
-         f"400,{enumeration.count_blowup(1, 1, S0, 400, 'rational')},,"),
+         f"400,{enumeration.count_points(blowup_p2(1, 1), S0, 400, 'rational')},,"),
     ):
         for workers in (1, 2, 8):
             path = tmp_path / f"workers{workers}.csv"

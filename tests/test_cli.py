@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -967,31 +968,35 @@ def test_dump_under_mode_all_writes_the_darmon_points(tmp_path, capsys):
 ])
 def test_dump_takes_its_cap_check_from_the_printed_count(tmp_path, capsys, monkeypatch,
                                                           mode, cap_error):
-    # one count serves the CSV and the dump's cap; the dump is what
-    # dump_points writes when handed count_points' count
+    # one count serves the CSV and the dump's cap: dump_points runs once,
+    # handed count_points' count, and writes that many points
     m = "2" if mode == "darmon" else "1"
-    calls = []
-    count_grid = enumeration._count_grid
+    calls, totals = [], []
+    count_grid, dump_points = enumeration._count_grid, enumeration.dump_points
 
     def counted(*args):
         calls.append(args[2])
         return count_grid(*args)
 
+    def dumped(*args):
+        totals.append(args[5])  # the count the cap is checked against
+        return dump_points(*args)
+
     monkeypatch.setattr(enumeration, "_count_grid", counted)
+    monkeypatch.setattr(enumeration, "dump_points", dumped)
     dump = tmp_path / "pts.txt"
     code, out, err = run(capsys, "count", "--model", "p1", "--m", m, "--mode", mode,
                          "--grid", "1000", "--dump", str(dump))
     assert len(calls) == 1
+    assert totals == [enumeration.count_points(projective_space(1, int(m)), PlaceSet.of(),
+                                               1000, mode)]
     if cap_error:
         assert (code, out, err) == (3, "", cap_error)
         assert dump.read_text() == ""
         return
     assert code == 0
-    with open(tmp_path / "direct.txt", "w") as fh:
-        model, S = projective_space(1, 2), PlaceSet.of()
-        enumeration.dump_points(model, S, 1000, mode, fh,
-                                enumeration.count_points(model, S, 1000, mode))
-    assert dump.read_bytes() == (tmp_path / "direct.txt").read_bytes() != b""
+    assert totals == [enumeration.read_counts_csv(io.StringIO(out))[0][f"n_{mode}"]]
+    assert len(dump.read_text().splitlines()) == totals[0] > 0
 
 
 @pytest.mark.parametrize(

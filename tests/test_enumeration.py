@@ -15,7 +15,6 @@ from orbicount.enumeration import (
     DEFAULT_BUDGET,
     MODES,
     blowup_columns,
-    count_blowup,
     count_points,
     count_series,
     dump_points,
@@ -56,10 +55,10 @@ def test_exact_small_counts_line():
 
 
 def test_blowup_small_bounds():
-    assert count_blowup(1, 1, S0, 1, "rational") == 9
-    assert count_blowup(1, 1, S0, 4, "rational") == 21  # includes (1, 0, +-2), H = 4
+    assert count_points(blowup_p2(1, 1), S0, 1, "rational") == 9
+    assert count_points(blowup_p2(1, 1), S0, 4, "rational") == 21  # includes (1, 0, +-2), H = 4
     # heights here are integers; just below 4 only the nine H = 1 points remain
-    assert count_blowup(1, 1, S0, Fraction(399, 100), "rational") == 9
+    assert count_points(blowup_p2(1, 1), S0, Fraction(399, 100), "rational") == 9
 
 
 def _qs(m, S, limit, mode):
@@ -213,7 +212,7 @@ def test_sieved_equals_naive_blowup(weights):
     for S in (S0, S2, S23):
         for B in bounds:
             for mode in ("rational", "campana", "darmon"):
-                assert count_blowup(m1, m2, S, B, mode) == naive_count_blowup(
+                assert count_points(blowup_p2(m1, m2), S, B, mode) == naive_count_blowup(
                     m1, m2, S, B, mode
                 )
 
@@ -223,8 +222,8 @@ def test_sieved_equals_dump_blowup_midscale():
     # with exact height comparisons point by point
     buf = io.StringIO()
     n = dump_points(blowup_p2(1, 1), S0, 300, "rational", buf,
-                    count_blowup(1, 1, S0, 300, "rational"))
-    assert n == count_blowup(1, 1, S0, 300, "rational")
+                    count_points(blowup_p2(1, 1), S0, 300, "rational"))
+    assert n == count_points(blowup_p2(1, 1), S0, 300, "rational")
     assert len(buf.getvalue().strip().splitlines()) == n
 
 
@@ -579,7 +578,7 @@ def test_blowup_columns_carry_the_line_height_increments():
         for S in (S0, S2, S23):
             for mode in ("rational", "campana", "darmon"):
                 core = blowup_columns(1, m2, S, B, mode)
-                got = dict(zip(core.c.tolist(), core.w.tolist()))
+                got = dict(enumerate(core.w.tolist(), 1))
                 line = [count_pn(1, m2, S, c, mode) for c in range(C1 + 1)]
                 increments = {c: line[c] - line[c - 1] for c in range(1, C1 + 1)}
                 assert got == {c: n for c, n in increments.items() if n}, (m2, S, mode)
@@ -604,7 +603,7 @@ def test_blowup_weights_match_their_definition(m2, mode):
             B = math.ceil(target ** ((2 * m2 + 1) / m2))
             core = blowup_columns(1, m2, PlaceSet.of(s_primes), B, mode)
             cmax = integer_kth_root(B**m2, 2 * m2 + 1)
-            assert dict(zip(core.c.tolist(), core.w.tolist())) == _brute_weights(
+            assert dict(enumerate(core.w.tolist(), 1)) == _brute_weights(
                 m2, s_primes, cmax, mode), (s_primes, cmax)
 
 
@@ -617,8 +616,8 @@ def test_every_a_blowup_weights_are_int64():
 
 def test_blowup_counts_with_restricted_weights():
     # parent values, before the weights came from the divisor rows
-    assert count_blowup(1, 2, S23, 10**12, "darmon") == 53244187457819
-    assert count_blowup(2, 2, S2, 10**11, "campana") == 7682394397571
+    assert count_points(blowup_p2(1, 2), S23, 10**12, "darmon") == 53244187457819
+    assert count_points(blowup_p2(2, 2), S2, 10**11, "campana") == 7682394397571
 
 
 def test_weight_charge_covers_the_rows_and_the_searchsorted_entries():
@@ -649,19 +648,20 @@ def test_blowup_charge_comes_before_the_weight_rows(monkeypatch):
         for name in ("_denominator_walk", "mobius_sieve", "totient_sieve"):
             patch.setattr(enumeration, name, unreachable)
         with pytest.raises(BudgetExceededError, match=str(amount)):
-            count_blowup(1, 2, S0, 10**8, "campana", budget=amount - 1)
-    assert count_blowup(1, 2, S0, 10**8, "campana", budget=amount) == count_blowup(
-        1, 2, S0, 10**8, "campana", budget=None)
+            count_points(blowup_p2(1, 2), S0, 10**8, "campana", budget=amount - 1)
+    model = blowup_p2(1, 2)
+    assert count_points(model, S0, 10**8, "campana", budget=amount) == count_points(
+        model, S0, 10**8, "campana", budget=None)
 
 
 def test_blowup_count_at_1e8():
     # the README record; the Moebius dots over c take about 5 ms here
-    assert count_blowup(1, 1, S0, 10**8, "darmon") == 2063108393
+    assert count_points(blowup_p2(1, 1), S0, 10**8, "darmon") == 2063108393
 
 
 def test_blowup_count_at_1e11():
     # a README record value, about 0.08 s (the cell walk took 6 s)
-    assert count_blowup(1, 1, S0, 10**11, "darmon") == 2742692922465
+    assert count_points(blowup_p2(1, 1), S0, 10**11, "darmon") == 2742692922465
 
 
 def _cell_walk_count(m1, m2, S, B, mode):
@@ -687,7 +687,7 @@ def test_moebius_dots_equal_the_cell_walk_property(
     m1, m2 = weights
     S = PlaceSet.of(s_primes)
     B = Fraction(numerator, denominator)
-    assert count_blowup(m1, m2, S, B, mode) == _cell_walk_count(m1, m2, S, B, mode)
+    assert count_points(blowup_p2(m1, m2), S, B, mode) == _cell_walk_count(m1, m2, S, B, mode)
 
 
 @pytest.mark.parametrize("weights", [(1, 1), (1, 2), (2, 1), (2, 3)])
@@ -698,11 +698,11 @@ def test_block_ends_change_no_blowup_count(weights, monkeypatch):
     m1, m2 = weights
     cases = [(S, B, mode) for S in (S0, S2, S23) for mode in ("rational", "campana", "darmon")
              for B in (1, 10, Fraction(121, 2), 300, 3000)]
-    expected = [count_blowup(m1, m2, S, B, mode) for S, B, mode in cases]
+    expected = [count_points(blowup_p2(m1, m2), S, B, mode) for S, B, mode in cases]
     assert expected == [_cell_walk_count(m1, m2, S, B, mode) for S, B, mode in cases]
     for block in (1, 7, 64):
         monkeypatch.setattr(enumeration, "_BLOCK", block)
-        got = [count_blowup(m1, m2, S, B, mode) for S, B, mode in cases]
+        got = [count_points(blowup_p2(m1, m2), S, B, mode) for S, B, mode in cases]
         assert got == expected, block
 
 
@@ -718,7 +718,7 @@ def test_blowup_column_roots_are_exact(m1, m2, B):
     E1, E2 = (m1 + 1) * m2, m1 * m2 + m1 - m2
     num, den = (Fraction(B) ** (m1 * m2)).as_integer_ratio()
     core = blowup_columns(m1, m2, S0, B, "rational")
-    qs = [num // (den * c**E2) for c in core.c.tolist()]
+    qs = [num // (den * c**E2) for c in range(1, len(core.X2) + 1)]
     assert core.X2.tolist() == [integer_kth_root(q, E1) for q in qs]
     if m1 * m2 == 1:
         assert sum(integer_kth_root(q, 2) ** 2 == q for q in qs) >= 5
@@ -745,7 +745,7 @@ def test_blowup_zeta_charge_admits_1e10(monkeypatch):
 
 def test_bounds_below_one_give_zero():
     assert count_pn(1, 1, S0, Fraction(1, 2), "rational") == 0
-    assert count_blowup(1, 1, S0, 0.5, "rational") == 0
+    assert count_points(blowup_p2(1, 1), S0, 0.5, "rational") == 0
 
 
 def test_workers_change_nothing_and_start_no_pool(capsys):
@@ -758,7 +758,7 @@ def test_workers_change_nothing_and_start_no_pool(capsys):
         for workers in ("1", "1000000"):
             assert cli.main(argv + ["--workers", workers]) == 0
             outputs.append(capsys.readouterr().out)
-        n = count_blowup(m1, m2, S, 10**4, mode)
+        n = count_points(blowup_p2(m1, m2), S, 10**4, mode)
         row = {"darmon": f"10000,,,{n}", "campana": f"10000,,{n},"}[mode]
         assert outputs[0] == outputs[1] == f"{CSV_HEADER}\n{row}\n"
     assert not any("Pool" in name or "Executor" in name for name in vars(enumeration))
@@ -774,7 +774,7 @@ def test_counts_nondecreasing_in_s():
     for mode in ("darmon", "campana"):
         values = [count_pn(1, 2, S, 1000, mode) for S in chains]
         assert values == sorted(values)
-        blow = [count_blowup(2, 2, S, 200, mode) for S in chains]
+        blow = [count_points(blowup_p2(2, 2), S, 200, mode) for S in chains]
         assert blow == sorted(blow)
 
 
@@ -793,8 +793,8 @@ def test_blowup_s_factor_trend():
     from orbicount.constants import p1_s_factor
 
     B = 10**5
-    base = count_blowup(2, 1, S0, B, "darmon")
-    with_s = count_blowup(2, 1, S2, B, "darmon")
+    base = count_points(blowup_p2(2, 1), S0, B, "darmon")
+    with_s = count_points(blowup_p2(2, 1), S2, B, "darmon")
     target = p1_s_factor(2, 2)
     assert abs(with_s / base / target - 1) < 0.10
 
@@ -908,7 +908,7 @@ _BLOWUP_GRID = [Fraction(1, 2), 1, Fraction(7, 2), 60, Fraction(121, 2), 200]
 def test_blowup_grid_is_its_per_bound_counts(m1, m2):
     model = blowup_p2(m1, m2)
     for S in (S0, S2, S23):
-        want = [{md: count_blowup(m1, m2, S, B, md) for md in MODES} for B in _BLOWUP_GRID]
+        want = [{md: count_points(model, S, B, md) for md in MODES} for B in _BLOWUP_GRID]
         assert want[0] == dict.fromkeys(MODES, 0) and want[2] != want[3]
         assert [r.counts for r in count_series(model, S, _BLOWUP_GRID, "all")] == want
         for mode in MODES:
@@ -941,18 +941,18 @@ def test_blowup_grid_is_its_per_bound_counts_property(m1, m2, s_primes, mode, bo
     records = count_series(blowup_p2(m1, m2), S, bounds, mode)
     for rec, B in zip(records, bounds):
         for md, n in rec.counts.items():
-            assert n == count_blowup(m1, m2, S, B, md), (B, md)
+            assert n == count_points(blowup_p2(m1, m2), S, B, md), (B, md)
             if B <= 60:
                 assert n == _naive_blowup(m1, m2, s_primes, B, md), (B, md)
 
 
-# per blow-up grid in mode "all": the row builds, one per distinct row
-# progression (the modes' order), then the weight tables, one per distinct
-# column progression
+# per blow-up grid in mode "all": the walks of the sparse row progressions,
+# then the sieve of the every-g rows, one per distinct row progression (the
+# modes' order), then the weight tables, one per distinct column progression
 _BLOWUP_BUILDS = {
     (1, 1): ["mobius_sieve", "_blowup_weights"],
     (1, 2): ["mobius_sieve"] + ["_blowup_weights"] * 3,
-    (2, 1): ["mobius_sieve", "line_divisor_rows", "line_divisor_rows", "_blowup_weights"],
+    (2, 1): ["_denominator_walk", "_denominator_walk", "mobius_sieve", "_blowup_weights"],
 }
 
 
@@ -967,7 +967,7 @@ def test_weight_one_modes_are_counted_once(model, cores, monkeypatch):
     # times.  The blow-up builds its rows and weights once per grid, not per
     # bound: the divisor rows that a weight table builds are its own
     calls, inside = [], []
-    for name in ("_mobius_sum", "_divisor_sum", "mobius_sieve", "line_divisor_rows",
+    for name in ("_mobius_sum", "_divisor_sum", "mobius_sieve", "_denominator_walk",
                  "_blowup_weights"):
         real = getattr(enumeration, name)
 
@@ -1007,9 +1007,9 @@ def test_refused_blowup_grid_builds_nothing(m1, m2, budget, fits, monkeypatch):
     # every mode and the modes in ``fits`` fit at the top bound too
     grid = [10**3, 10**6]
     for mode in MODES:
-        count_blowup(m1, m2, S0, grid[0], mode, budget)
+        count_points(blowup_p2(m1, m2), S0, grid[0], mode, budget)
     for mode in fits:
-        count_blowup(m1, m2, S0, grid[1], mode, budget)
+        count_points(blowup_p2(m1, m2), S0, grid[1], mode, budget)
 
     def unreachable(*args, **kwargs):
         raise AssertionError("built before the top bound was charged")
@@ -1023,16 +1023,32 @@ def test_refused_blowup_grid_builds_nothing(m1, m2, budget, fits, monkeypatch):
 def test_refused_sparse_blowup_grid_counts_no_lower_bound(monkeypatch):
     # (2, 1) Campana: 1e10 passes the coarse top charge (8,619 steps) and is
     # refused only by its divisor rows' exact entries (115,098), which are
-    # charged as soon as the rows are built, before any bound's pass
+    # charged once the strata are walked, before any divisor is expanded and
+    # before any bound's pass
     grid, budget = [10**6, 10**10], 10000
-    count_blowup(2, 1, S0, grid[0], "campana", budget)
+    count_points(blowup_p2(2, 1), S0, grid[0], "campana", budget)
 
     def unreachable(*args, **kwargs):
-        raise AssertionError("a bound was counted before the top bound was charged")
+        raise AssertionError("expanded or counted before the top bound was charged")
 
     monkeypatch.setattr(enumeration, "ragged_blocks", unreachable)
+    monkeypatch.setattr(enumeration, "_signed_divisors", unreachable)
     with pytest.raises(BudgetExceededError, match="115098"):
         count_series(blowup_p2(2, 1), S0, grid, "campana", budget=budget)
+
+
+def test_sparse_blowup_rows_past_int64_are_refused_after_the_walk(monkeypatch):
+    # (3, 1) Darmon, S = {2}, at 1e20: Mmax = 1e15, and the cubes' 2,244,719
+    # divisor rows times Mmax pass int64.  That is known once the strata are
+    # walked, before the 4.6e6 column roots (object quotients, B^3 > 2^63)
+    # and before any divisor is expanded
+    def unreachable(*args, **kwargs):
+        raise AssertionError("rooted or expanded rows that int64 cannot sum")
+
+    monkeypatch.setattr(enumeration, "_column_roots", unreachable)
+    monkeypatch.setattr(enumeration, "_signed_divisors", unreachable)
+    with pytest.raises(MemoryError, match="2244719 divisor rows exceed any memory"):
+        count_series(blowup_p2(3, 1), S2, [10**19, 10**20], "darmon")
 
 
 def test_count_series_validates_grid():
@@ -1083,7 +1099,7 @@ def test_budget_cap(monkeypatch):
     with pytest.raises(BudgetExceededError):
         count_pn(1, 1, S0, 10**6, "rational", budget=10)
     with pytest.raises(BudgetExceededError):
-        count_blowup(1, 1, S0, 10**4, "rational", budget=10)
+        count_points(blowup_p2(1, 1), S0, 10**4, "rational", budget=10)
 
     # the predicted work is charged before the sieve or any list is built
     def no_sieve(n):
@@ -1098,7 +1114,7 @@ def test_budget_cap(monkeypatch):
     with pytest.raises(BudgetExceededError):
         count_pn(1, 2, S0, 10**30, "campana")
     with pytest.raises(BudgetExceededError):
-        count_blowup(1, 1, S0, 10**400, "darmon")
+        count_points(blowup_p2(1, 1), S0, 10**400, "darmon")
 
 
 def test_blowup_budget_charges_the_sieve_and_the_dots(monkeypatch):
@@ -1112,8 +1128,8 @@ def test_blowup_budget_charges_the_sieve_and_the_dots(monkeypatch):
         patch.setattr(enumeration, "mobius_sieve", no_sieve)
         patch.setattr(enumeration, "totient_sieve", no_sieve)
         with pytest.raises(BudgetExceededError, match="4103"):
-            count_blowup(1, 1, S0, 10**6, "darmon", budget=4102)
-    assert count_blowup(1, 1, S0, 10**6, "darmon", budget=4103) == 16165737
+            count_points(blowup_p2(1, 1), S0, 10**6, "darmon", budget=4102)
+    assert count_points(blowup_p2(1, 1), S0, 10**6, "darmon", budget=4103) == 16165737
 
 
 def test_denominator_bound_covers_the_denominators():
@@ -1135,7 +1151,7 @@ def test_large_weights_run_under_the_default_budget():
     assert count_pn(1, 17, S0, 10, "campana") == 21
     assert count_pn(1, 16, S0, 10**8, "campana") == 1433333335
     assert count_pn(1, 400, S5, 10**6, "darmon") == 1667949239
-    assert count_blowup(17, 1, S0, 10, "campana") == 71
+    assert count_points(blowup_p2(17, 1), S0, 10, "campana") == 71
     assert enumeration._denominator_bound(17, 1, (), 10) == 2
     assert enumeration._denominator_bound(400, 400, (2, 3, 5, 7, 11), 10**6) == 224640
 
@@ -1154,7 +1170,7 @@ def test_dump_points_matches_count_and_cap(monkeypatch):
                         count_points(projective_space(1, 1), S0, 1000, "rational"))
     blbuf = io.StringIO()
     nb = dump_points(blowup_p2(1, 1), S0, 1, "rational", blbuf,
-                     count_blowup(1, 1, S0, 1, "rational"))
+                     count_points(blowup_p2(1, 1), S0, 1, "rational"))
     assert nb == 9 and len(blbuf.getvalue().strip().splitlines()) == 9
     pnbuf = io.StringIO()
     np_ = dump_points(projective_space(2, 2), S0, 5, "darmon", pnbuf,

@@ -122,7 +122,7 @@ def primes_up_to(n: int) -> List[int]:
         if sieve[p]:
             start = p * p
             sieve[start :: p] = b"\x00" * ((n - start) // p + 1)
-    return np.flatnonzero(np.frombuffer(sieve, dtype=np.uint8)).tolist()
+    return np.frombuffer(sieve, dtype=np.uint8).nonzero()[0].tolist()
 
 
 def prime_blocks(n: int) -> Iterator[np.ndarray]:
@@ -142,12 +142,12 @@ def prime_blocks(n: int) -> Iterator[np.ndarray]:
     for lo in range(0, end, PRIME_SEGMENT):
         size = min(PRIME_SEGMENT, end - lo)
         seg = np.ones(size, dtype=bool)
-        live = int(np.searchsorted(first, lo + size))
+        live = int(first.searchsorted(lo + size))
         rel = first[:live] - lo
         offsets = np.maximum(rel, rel % odd[:live])
         for p, o in zip(odd[:live].tolist(), offsets.tolist()):
             seg[o::p] = False
-        block = 2.0 * np.flatnonzero(seg) + (2 * lo + 1)
+        block = 2.0 * seg.nonzero()[0] + (2 * lo + 1)
         if lo == 0:  # 1 is not prime, 2 is
             block = np.concatenate(([2.0], block[1:]))
         if block.size:

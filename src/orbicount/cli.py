@@ -467,7 +467,8 @@ def _build_parser() -> tuple:
     return parser, subs.choices
 
 
-# Finds the --config file, abbreviated flag too, before the one full parse.
+# Finds the --config file, abbreviated flag too, before the one full parse;
+# argparse reads it only from a token that starts with "--c".
 _CONFIG_FINDER = argparse.ArgumentParser(prog="orbicount", add_help=False)
 _CONFIG_FINDER.add_argument("--config")
 
@@ -475,6 +476,8 @@ _CONFIG_FINDER.add_argument("--config")
 def _config_argv(commands: dict, argv: List[str]) -> List[str]:
     """``argv`` with its ``--config`` lines put in as flags right after the
     subcommand: one parse checks them like typed flags, and typed ones win."""
+    if not any(token.startswith("--c") for token in argv):
+        return argv
     path = _CONFIG_FINDER.parse_known_args(argv)[0].config
     if not path or argv[0] not in commands:
         return argv

@@ -113,7 +113,7 @@ def euler_product(
     log_sums = []
     for primes in prime_blocks(prime_cutoff):
         values = np.asarray(factors(primes), dtype=np.float64)
-        bad = np.flatnonzero(~(values > 0))
+        bad = (~(values > 0)).nonzero()[0]
         if bad.size:
             raise DomainError(f"nonpositive Euler factor at p={int(primes[bad[0]])}")
         log_sums.append(float(np.sum(np.log(values))))

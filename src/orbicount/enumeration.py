@@ -42,15 +42,15 @@ below):
   Tanimoto and Varilly-Alvarado, Proc. LMS 2021), and no cell is visited:
   each column c reads a prefix of one table of rows.  One build
   (``_blowup_build``) charges and makes the rows, weights and columns:
-  once for a count grid at its top bound, the rows shared by the modes
-  with the same rows (``_blowup_grid``), and once at one bound for the
-  height-zeta sum (``blowup_columns``).  Both sum every (column, row)
-  entry in one pass, in the blocks of ``ragged_blocks``, each block's
-  terms (exact int64 for the count, float64 for the sum) added per column
-  by ``np.add.reduceat``.  X_2(c) for every c comes from one exact
-  vectorised root.  The column weights come from a totient sieve, or from
-  the line's divisor rows (a, e) by one ``searchsorted`` per distinct |e|
-  (``_blowup_weights``).
+  once for a count grid, at its top bound with every bound's columns, the
+  rows shared by the modes with the same rows (``_blowup_grid``), and once
+  at one bound for the height-zeta sum (``blowup_columns``).  Both sum
+  every (column, row) entry, a grid's bounds together, in one pass over
+  the blocks of ``ragged_blocks``, each block's terms (exact int64 for the
+  count, float64 for the sum) added per column by ``np.add.reduceat``.
+  X_2(c) for every c of every bound comes from one exact vectorised root.
+  The column weights come from a totient sieve, or from the line's divisor
+  rows (a, e) by one ``searchsorted`` per distinct |e| (``_blowup_weights``).
 
 ``iter_points`` is the point-by-point definitional oracle (exact gcd, mode
 and height checks on every candidate, in integers; on a 2-CPU machine about
@@ -202,7 +202,7 @@ def _denominator_walk(
     large = np.array(others[cut:], dtype=dtype)
     powers, of, e = [], [], first
     while e <= last:  # a larger p has p^(2 first) > limit, so e < 2 first
-        k = int(np.searchsorted(large, integer_kth_root(limit, e), side="right"))
+        k = int(large.searchsorted(integer_kth_root(limit, e), side="right"))
         if not k:
             break
         powers.append(large[:k] ** e)
@@ -247,15 +247,15 @@ def _signed_divisors(primes: np.ndarray, omega: np.ndarray) -> Tuple[np.ndarray,
     row takes the primes at the set bits of j.  The rows with k primes are
     built together as one array of 2^k columns."""
     per = np.left_shift(1, omega)
-    start = np.cumsum(per) - per
+    start = per.cumsum() - per
     d = np.empty(int(per.sum()), dtype=primes.dtype)
     for k, count in enumerate(np.bincount(omega).tolist()):
         if not count:
             continue
-        rows = np.flatnonzero(omega == k) if count < len(omega) else slice(None)
-        divisors = np.ones((count, 1), dtype=primes.dtype)
+        rows = (omega == k).nonzero()[0] if count < len(omega) else slice(None)
+        divisors = np.ones((count, 1 << k), dtype=primes.dtype)
         for j in range(k):
-            divisors = np.hstack((divisors, -divisors * primes[rows, j : j + 1]))
+            divisors[:, 1 << j : 2 << j] = -divisors[:, : 1 << j] * primes[rows, j : j + 1]
         d[start[rows, None] + np.arange(1 << k)] = divisors
     return per, d
 
@@ -311,11 +311,12 @@ def line_divisor_rows(
     """(q, rows per q, e) over the denominators q <= Bint of the progression
     (f, d) other than (1, 1), ascending: for each q its 2^omega(q) signed
     squarefree divisors e of rad q (sign mu(|e|)), flat and in the order of
-    q.  The budget is charged ``_divisor_rows_bound`` before the walk.  The
+    q.  A budget is charged ``_divisor_rows_bound`` before the walk.  The
     arrays are int64, or object arrays when Bint passes int64."""
     if (f, d) == (1, 1):
         raise DomainError("divisor rows are for Darmon or Campana denominators")
-    charge(budget, _divisor_rows_bound(f, d, S.finite_primes, Bint))
+    if budget is not None:
+        charge(budget, _divisor_rows_bound(f, d, S.finite_primes, Bint))
     q, primes, omega = _denominator_walk(Bint, S.finite_primes, f, d, math.inf)
     per_q, e = _signed_divisors(primes, omega)
     return q, per_q, e
@@ -423,7 +424,7 @@ def _mobius_sum(n: int, grid: Sequence[int]) -> List[int]:
         raise MemoryError(f"the Mertens sieve for B = {top} exceeds any memory")
     L = _mertens_sieve_limit(top)
     mu = mobius_sieve(L)
-    M = np.cumsum(mu, dtype=np.int32 if L < 2**31 else np.int64)
+    M = mu.cumsum(dtype=np.int32 if L < 2**31 else np.int64)
     sums = []
     for i, N in enumerate(grid):
         K = N // (L + 1)
@@ -475,7 +476,7 @@ def _coprime_counter(s_primes: Sequence[int], limit: int) -> Callable:
     for p in s_primes:
         coprime[::p] = 0
     coprime[0] = 0
-    table = np.cumsum(coprime)
+    table = coprime.cumsum()
     return lambda x: (x // P) * phi + table[x % P]
 
 
@@ -490,7 +491,7 @@ def _kth_roots(q: np.ndarray, m: int) -> np.ndarray:
     root = np.where(huge, 1, q).astype(np.float64) ** (1 / m)
     A = np.floor(root).astype(np.int64)
     near = np.abs(root - np.rint(root)) <= 1e-12 * root
-    slow = np.flatnonzero(near | huge)
+    slow = (near | huge).nonzero()[0]
     if q.dtype != object and len(slow):
         # below 2^62 the root is within 0.003 of c = rint(root), and c^m < 2^63
         fits = q[slow] <= 2**62
@@ -508,14 +509,14 @@ def ragged_blocks(
     """The entries (i, j), j < counts[i], in order, in blocks of _BLOCK: per
     block the arrays (i, j) of its entries and ``runs``, the entries of each
     i from i[0] to i[-1] in the block."""
-    ends = np.cumsum(counts)
+    ends = counts.cumsum()
     starts = ends - counts
     total = int(ends[-1]) if len(ends) else 0
     for b in range(0, total, _BLOCK):
         stop = min(b + _BLOCK, total)
-        s0, s1 = np.searchsorted(ends, [b, stop - 1], side="right")
+        s0, s1 = ends.searchsorted([b, stop - 1], side="right")
         runs = np.minimum(ends[s0 : s1 + 1], stop) - np.maximum(starts[s0 : s1 + 1], b)
-        i = np.repeat(np.arange(s0, s1 + 1), runs)
+        i = np.arange(s0, s1 + 1).repeat(runs)
         yield i, np.arange(b, stop) - starts[i], runs
 
 
@@ -586,7 +587,7 @@ def _divisor_sum(
     mu = mobius_sieve(A_max)
     for p in s_primes:
         mu[::p] = 0
-    e2_all = np.flatnonzero(mu)  # the e2 with mu(e2) = mu_all != 0
+    e2_all = mu.nonzero()[0]  # the e2 with mu(e2) = mu_all != 0
     mu_all, mu = mu[e2_all], None
     c_S = _coprime_counter(s_primes, A_max)
     # radicals r by (k, least shape lead[r]); r's shapes: by_r[cut[r] : cut[r + 1]]
@@ -594,16 +595,16 @@ def _divisor_sum(
     for j in range(primes.shape[1]):
         R *= primes[:, j]
     by_R = R.argsort()
-    ends = np.flatnonzero(np.concatenate(([True], R[by_R[1:]] != R[by_R[:-1]], [True])))
+    ends = np.concatenate(([True], R[by_R[1:]] != R[by_R[:-1]], [True])).nonzero()[0]
     lead = np.minimum.reduceat(by_R, ends[:-1])
     order = (omega[lead] * len(shapes) + lead).argsort()
-    lead, many = lead[order], np.diff(ends)[order]
-    cut = np.append(0, many.cumsum())
-    by_r = by_R[np.repeat(ends[:-1][order] - cut[:-1], many) + np.arange(len(shapes))]
-    extra = by_r != np.repeat(lead, many)
+    lead, many = lead[order], (ends[1:] - ends[:-1])[order]
+    cut = np.concatenate(([0], many.cumsum()))
+    by_r = by_R[(ends[:-1][order] - cut[:-1]).repeat(many) + np.arange(len(shapes))]
+    extra = by_r != lead.repeat(many)
     totals = [0] * len(grid)
     for k in range(int(omega.max(initial=0)) + 1):
-        k0, k1 = np.searchsorted(omega[lead], [k, k + 1])
+        k0, k1 = omega[lead].searchsorted([k, k + 1])
         for lo in range(k0, k1, max(_BLOCK >> k, 1)):
             hi = min(lo + max(_BLOCK >> k, 1), k1)
             P = primes[lead[lo:hi], :k]
@@ -621,8 +622,8 @@ def _divisor_sum(
             # the chunk's least shapes, then the others and their radicals 0, 1, ...
             c = slice(cut[lo], cut[hi])
             u = np.concatenate((shapes[lead[lo:hi]], shapes[by_r[c][extra[c]]]))
-            u_r = np.repeat(np.arange(hi - lo), many[lo:hi] - 1)
-            heads = np.searchsorted(u[: hi - lo], grid, side="right")
+            u_r = np.arange(hi - lo).repeat(many[lo:hi] - 1)
+            heads = u[: hi - lo].searchsorted(grid, side="right")
             for b, (Bint, h) in enumerate(zip(grid, heads)):
                 if not h:
                     continue
@@ -633,21 +634,22 @@ def _divisor_sum(
                 # X = Bint // e1 passes int64 just where e1 <= Bint >> 63
                 columns = [X[:, j] if (e1[:h, j] <= Bint >> 63).any()
                            else X[:, j].astype(np.int64) for j in range(1 << k)]
-                counts = np.searchsorted(e2_all, A, side="right")
+                counts = e2_all.searchsorted(A, side="right")
                 x_at = (counts.cumsum() - counts)[xr]  # extra shapes' entries [x_at, x_to)
-                x_to = x_at + np.searchsorted(e2_all, xA, side="right")
+                x_to = x_at + e2_all.searchsorted(xA, side="right")
                 for b0, (sh, at, _) in zip(itertools.count(0, _BLOCK), ragged_blocks(counts)):
                     e2 = e2_all[at]
                     w = c_S(A[sh] // e2)
-                    x0, x1 = np.searchsorted(xr, [sh[0], sh[-1] + 1]) if len(xr) else (0, 0)
+                    x0, x1 = xr.searchsorted([sh[0], sh[-1] + 1]) if len(xr) else (0, 0)
                     if x1 > x0:  # in pieces of at most 2 _BLOCK entries (shape, e2)
                         off = np.maximum(x_at[x0:x1] - b0, 0)
                         runs = np.minimum(np.maximum(x_to[x0:x1] - b0, 0), len(sh)) - off
-                        cuts = (np.flatnonzero(np.diff(runs.cumsum() // _BLOCK)) + 1).tolist()
+                        piece = runs.cumsum() // _BLOCK
+                        cuts = ((piece[1:] != piece[:-1]).nonzero()[0] + 1).tolist()
                         for y in map(slice, [0] + cuts, cuts + [x1 - x0]):
                             r = runs[y]
-                            pos = np.arange(r.sum()) + np.repeat(off[y] - r.cumsum() + r, r)
-                            np.add.at(w, pos, c_S(np.repeat(xA[x0:x1][y], r) // e2[pos]))
+                            pos = np.arange(r.sum()) + (off[y] - r.cumsum() + r).repeat(r)
+                            np.add.at(w, pos, c_S(xA[x0:x1][y].repeat(r) // e2[pos]))
                     w *= mu_all[at]
                     if tp.shape[1]:
                         w[(e2[:, None] % tp[sh] == 0).any(axis=1)] = 0
@@ -715,12 +717,12 @@ def _blowup_weights(f: int, d: int, S: PlaceSet, cmax: int) -> np.ndarray:
     a, per, signed = line_divisor_rows(f, d, S, cmax)
     at = a.repeat(per)
     w = np.zeros(cmax + 1, dtype=np.int64)
-    w[a] = 2 * np.add.reduceat(at // signed, np.cumsum(per) - per)  # e divides a
+    w[a] = 2 * np.add.reduceat(at // signed, per.cumsum() - per)  # e divides a
     w[1] += 1  # the point 0
     e = np.abs(signed)
     order = np.lexsort((at, e))
     e, k, sign = e[order], at[order] // e[order], np.sign(signed[order])
-    starts = np.flatnonzero(np.diff(e, prepend=0)).tolist()
+    starts = (e != np.concatenate(([0], e[:-1]))).nonzero()[0].tolist()
     for lo, hi in zip(starts, starts[1:] + [len(e)]):
         step = int(e[lo])  # the a < c = step j are the k < j
         below = k[lo:hi].searchsorted(np.arange(1, cmax // step + 1))
@@ -748,53 +750,61 @@ class BlowupColumns:
     k: np.ndarray
 
 
-def _column_roots(E1: int, E2: int, num: int, den: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(X2, G) over the columns c = 1..C(1) at B^(m1 m2) = num / den >= 1:
+def _column_roots(
+    E1: int, E2: int, ratios: Sequence[Tuple[int, int]]
+) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+    """(X2, G, C) over the columns c = 1..C(1) of each B^(m1 m2) = num / den
+    >= 1 of ``ratios``, one bound after another, C the list of their C(1):
     X2(c) = iroot(q, E1), q = B^(m1 m2) / c^E2, and G(c) = iroot(q / c^E1,
     E1) = X2(c) // c, which falls as c grows.  One exact root
-    (``_kth_roots``) over int64 quotients when B^(m1 m2) fits int64, else
-    over object quotients, _BLOCK columns at a time."""
-    c = np.arange(1, _iroot_ratio(num, den, E1 + E2) + 1, dtype=np.int64)
-    if num <= _INT64_MAX:
-        X2 = _kth_roots(num // (den * c**E2), E1)
-    else:
-        X2 = np.empty(len(c), dtype=np.int64)
-        for lo in range(0, len(c), _BLOCK):
-            block = c[lo : lo + _BLOCK].astype(object)
-            X2[lo : lo + _BLOCK] = _kth_roots(num // (den * block**E2), E1)
-    return X2, X2 // c
+    (``_kth_roots``) over the int64 quotients of every bound whose B^(m1 m2)
+    fits int64, the other bounds' over object quotients, _BLOCK columns at a
+    time."""
+    C = [_iroot_ratio(num, den, E1 + E2) for num, den in ratios]
+    ar = np.arange(1, max(C) + 1, dtype=np.int64)
+    fits = np.array([num <= _INT64_MAX for num, _ in ratios]).repeat(C)
+    narrow = [num // (den * ar[:n] ** E2)
+              for (num, den), n in zip(ratios, C) if num <= _INT64_MAX]
+    wide = [_kth_roots(num // (den * ar[lo : min(lo + _BLOCK, n)].astype(object) ** E2), E1)
+            for (num, den), n in zip(ratios, C) if num > _INT64_MAX
+            for lo in range(0, n, _BLOCK)]
+    X2 = np.empty(len(fits), dtype=np.int64)
+    X2[fits] = _kth_roots(np.concatenate(narrow), E1) if narrow else 0
+    X2[~fits] = np.concatenate(wide) if wide else 0
+    return X2, X2 // np.concatenate([ar[:n] for n in C]), C
 
 
 def _blowup_build(
-    m1: int, m2: int, S: PlaceSet, Bf: Fraction, keys: Sequence[Tuple[Tuple[int, int], ...]],
-    budget: Optional[int], passes: int,
-) -> Tuple[int, Tuple[np.ndarray, np.ndarray], Dict[tuple, tuple], Dict[tuple, np.ndarray]]:
-    """(Mmax, (X2, G), rows, weights) of the blow-up at B = Bf >= 1 for the
-    keys (row and column progression): rows[fd] = (every_g, g, d, sign) once
-    per distinct row progression, weights[fd] = w(1..C(1)) once per distinct
-    column progression.  A cell (g, c) carries a point of height <= B
-    exactly when g^E1 c^(E1+E2) <= B^(m1 m2), E1 = (m1 + 1) m2,
-    E2 = m1 m2 + m1 - m2, that is g <= G(c); its w(c) pairs take the x2
-    coprime to g with |x2| <= X2(c), g c <= X2(c) <= X2(1) = Mmax.  The rows
-    are the squarefree f <= Mmax with g = d = f and sign mu(f) when every g
-    is admissible, and otherwise one row per stratum g and signed
-    squarefree divisor d of g.
+    m1: int, m2: int, S: PlaceSet, bounds: Sequence[Fraction],
+    keys: Sequence[Tuple[Tuple[int, int], ...]], budget: Optional[int], passes: int,
+) -> Tuple[int, tuple, Dict[tuple, tuple], Dict[tuple, np.ndarray]]:
+    """(Mmax, (X2, G, C), rows, weights) of the blow-up over the ascending
+    bounds B >= 1, built at the top bound for the keys (row and column
+    progression): rows[fd] = (every_g, g, d, sign) once per distinct row
+    progression, weights[fd] = w(1..C(1)) once per distinct column
+    progression, and the columns of every bound from ``_column_roots``.  A
+    cell (g, c) carries a point of height <= B exactly when g^E1 c^(E1+E2)
+    <= B^(m1 m2), E1 = (m1 + 1) m2, E2 = m1 m2 + m1 - m2, that is
+    g <= G(c); its w(c) pairs take the x2 coprime to g with |x2| <= X2(c),
+    g c <= X2(c) <= X2(1) = Mmax.  The rows are the squarefree f <= Mmax
+    with g = d = f and sign mu(f) when every g is admissible, and otherwise
+    one row per stratum g and signed squarefree divisor d of g.
 
-    Each key is charged before any sieve, walk or table: the weight table
-    (``_weights_work``), then on the every-g route the sieve length Mmax,
-    passes - 1 tables of Mmax + 1 entries (the height-zeta sum's n^-s
-    arrays) and passes times the dot entries sum_c G(c) <=
-    (Mmax + 1)(1 + E1/E2); on the sparse route, which reads no table, the
-    bound on the admissible g.  ``passes`` is how often the caller goes over
-    each entry: 1 for the count, 3 for the height-zeta sum.  The count's
-    int64 sums bound Mmax (MemoryError past it): 2 Mmax^2 on the every-g
-    route, rows times Mmax on the sparse route, checked as soon as the
-    strata g are walked.  The columns come next, then the sparse route's
-    exact entries, passes times sum_g 2^omega(g) C(g), C(g) = #{c : G(c) >=
-    g}, are charged before any divisor is expanded."""
+    Each key is charged at the top bound before any sieve, walk or table:
+    the weight table (``_weights_work``), then on the every-g route the
+    sieve length Mmax, passes - 1 tables of Mmax + 1 entries (the
+    height-zeta sum's n^-s arrays) and passes times the dot entries
+    sum_c G(c) <= (Mmax + 1)(1 + E1/E2); on the sparse route, which reads no
+    table, the bound on the admissible g.  ``passes`` is how often the
+    caller goes over each entry: 1 for the count, 3 for the height-zeta sum.
+    The count's int64 sums bound Mmax (MemoryError past it): 2 Mmax^2 on the
+    every-g route, rows times Mmax on the sparse route, checked as soon as
+    the strata g are walked.  The columns come next, then the sparse route's
+    exact entries at the top bound, passes times sum_g 2^omega(g) C(g),
+    C(g) = #{c : G(c) >= g}, are charged before any divisor is expanded."""
     E1, E2 = (m1 + 1) * m2, m1 * m2 + m1 - m2
-    num, den = (Bf ** (m1 * m2)).as_integer_ratio()
-    Mmax, cmax = _blowup_mmax(Bf, m1), _iroot_ratio(num, den, E1 + E2)
+    ratios = [(Bf ** (m1 * m2)).as_integer_ratio() for Bf in bounds]
+    Mmax, cmax = _blowup_mmax(bounds[-1], m1), _iroot_ratio(*ratios[-1], E1 + E2)
     for fd, columns in keys:
         work = _weights_work(*columns, S.finite_primes, cmax)
         if fd == (1, 1):
@@ -816,24 +826,24 @@ def _blowup_build(
             if int(per.sum()) * Mmax > _INT64_MAX:
                 raise MemoryError(f"{per.sum()} divisor rows exceed any memory")
             strata[fd] = gs, primes, omega, per
-    top = _column_roots(E1, E2, num, den)
+    X2, G, C = _column_roots(E1, E2, ratios)
     for gs, _, _, per in strata.values():
-        caps = np.searchsorted(-top[1], -gs, side="right")  # C(g)
+        caps = (-G[len(G) - cmax :]).searchsorted(-gs, side="right")  # C(g) at the top bound
         charge(budget, passes * sum((caps * per).tolist()))  # exact, past int64 too
     rows = {}
     for fd in row_steps:
         if fd == (1, 1):
             mu = mobius_sieve(Mmax)
-            d = np.flatnonzero(mu)
+            d = mu.nonzero()[0]
             rows[fd] = True, d, d, mu[d]
         else:
             gs, primes, omega, _ = strata.pop(fd)
             per, signed = _signed_divisors(primes, omega)
-            rows[fd] = (False, np.repeat(gs, per), np.abs(signed),
+            rows[fd] = (False, gs.repeat(per), np.abs(signed),
                         np.sign(signed).astype(np.int8))
     weights = {fd: _blowup_weights(*fd, S, cmax)[1:]
                for fd in dict.fromkeys(columns for _, columns in keys)}
-    return Mmax, top, rows, weights
+    return Mmax, (X2, G, C), rows, weights
 
 
 def blowup_columns(
@@ -852,10 +862,10 @@ def blowup_columns(
     if Bf < 1:
         none = np.zeros(0, dtype=np.int64)
         return BlowupColumns(key[0] == (1, 1), 0, *[none] * 7)
-    Mmax, (X2, G), rows, weights = _blowup_build(m1, m2, S, Bf, [key], budget, 3)
+    Mmax, (X2, G, _), rows, weights = _blowup_build(m1, m2, S, [Bf], [key], budget, 3)
     every_g, g, d, sign = rows[key[0]]
     return BlowupColumns(every_g, Mmax, g, d, sign, weights[key[1]], X2, G,
-                         np.searchsorted(g, G, side="right"))
+                         g.searchsorted(G, side="right"))
 
 
 def _blowup_grid(
@@ -869,33 +879,32 @@ def _blowup_grid(
     admissible, else sum mu(d) floor(X2/|d|) over the rows (g, d).  A
     bound's columns are a prefix of the top's and k = #{g <= G(c)} stops
     each at G(c) <= Mmax(B), so one ``_blowup_build`` at the top bound, with
-    one pass, charges every key and builds the rows and weights before any
-    bound is counted.  Per bound and row progression, one pass sums every
-    (column, row < k) entry for every key sharing the rows, by one
-    ``np.add.reduceat`` per block of _BLOCK into the int64 P, below 2^63 by
-    the charge."""
+    one pass, charges every key and builds the rows, the weights and every
+    bound's columns (one root call) before anything is counted.  Per row
+    progression, one pass sums every (bound, column, row < k) entry for
+    every key sharing the rows, by one ``np.add.reduceat`` per block of
+    _BLOCK into the int64 P, below 2^63 by the charge; P is split by bound
+    only for the dots with w."""
     tops = [Bf for Bf in bounds if Bf >= 1]
     counts = {key: [0] * (len(bounds) - len(tops)) for key in keys}
     if not tops:
         return counts
-    _, top, rows, weights = _blowup_build(m1, m2, S, tops[-1], keys, budget, 1)
-    E1, E2 = (m1 + 1) * m2, m1 * m2 + m1 - m2
-    for Bf in tops:
-        X2, G = top if Bf == tops[-1] else _column_roots(
-            E1, E2, *(Bf ** (m1 * m2)).as_integer_ratio())
-        for fd, (every_g, g, d, sign) in rows.items():
-            P = np.zeros(len(G), dtype=np.int64)
-            for col, row, runs in ragged_blocks(np.searchsorted(g, G, side="right")):
-                dr = d[row]
-                terms = X2[col] // dr
-                if every_g:
-                    terms *= G[col] // dr
-                terms *= sign[row]
-                # every column reads the row g = 1, so no run is empty
-                P[col[0] : col[-1] + 1] += np.add.reduceat(terms, np.cumsum(runs) - runs)
-            for key in (key for key in keys if key[0] == fd):
-                w = weights[key[1]][: len(G)]
-                counts[key].append(int(w.sum()) + 2 * int(np.dot(w.astype(object), P)))
+    _, (X2, G, C), rows, weights = _blowup_build(m1, m2, S, tops, keys, budget, 1)
+    for fd, (every_g, g, d, sign) in rows.items():
+        P = np.zeros(len(G), dtype=np.int64)
+        for col, row, runs in ragged_blocks(g.searchsorted(G, side="right")):
+            dr = d[row]
+            terms = X2[col] // dr
+            if every_g:
+                terms *= G[col] // dr
+            terms *= sign[row]
+            # every column of every bound reads the row g = 1: no run is empty
+            P[col[0] : col[-1] + 1] += np.add.reduceat(terms, runs.cumsum() - runs)
+        for key in (key for key in keys if key[0] == fd):
+            w = weights[key[1]]
+            counts[key] += [
+                int(w[:n].sum()) + 2 * int(np.dot(w[:n].astype(object), P[at : at + n]))
+                for n, at in zip(C, itertools.accumulate(C, initial=0))]
     return counts
 
 

@@ -159,7 +159,7 @@ class _PowerSum:
     def __init__(self, s: float):
         n = np.arange(1, _HEAD + 1, dtype=np.float64)
         self.head = np.zeros(_HEAD + 1)
-        self.head[1:] = np.cumsum(n**-s, dtype=np.longdouble)
+        self.head[1:] = (n**-s).cumsum(dtype=np.longdouble)
         self.t = 1.0 - s
         self.scale = float(_HEAD) ** self.t
         rising, self.coeffs = s, []  # rising = (s)_(2k-1)
@@ -193,7 +193,7 @@ def _power_prefix(X: int, s: float) -> np.ndarray:
     prefix[0] = 1.0
     prefix **= -s
     prefix[0] = 0.0
-    return np.cumsum(prefix, out=prefix)
+    return prefix.cumsum(out=prefix)
 
 
 def _power_suffix(X: int, s: float) -> np.ndarray:
@@ -202,7 +202,7 @@ def _power_suffix(X: int, s: float) -> np.ndarray:
     suffix = np.arange(1, X + 2, dtype=np.float64)  # suffix[x] = x + 1
     suffix **= -s
     suffix[X] = 0.0
-    np.cumsum(suffix[::-1], out=suffix[::-1])
+    suffix[::-1].cumsum(out=suffix[::-1])
     return suffix
 
 
@@ -260,16 +260,16 @@ def _sparse_sums(core: BlowupColumns) -> Callable[[float], Tuple[np.ndarray, np.
     order = np.argsort(first)
     rank = np.empty(len(d), dtype=np.int32)
     rank[order] = np.arange(len(d))
-    count = np.searchsorted(first[order], core.k)  # the distinct d per column
-    offset = np.cumsum(count) - count
-    column = np.repeat(np.arange(len(count)), count)
+    count = first[order].searchsorted(core.k)  # the distinct d per column
+    offset = count.cumsum() - count
+    column = np.arange(len(count)).repeat(count)
     pick = order[np.arange(len(column)) - offset[column]]
     d, mu = d[pick], core.sign[first[pick]].astype(np.float64)
     hi = _EndPoints(len(d)).put(core.X2[column] // d)
     d = d.astype(np.float64)
-    starts = np.flatnonzero(core.d == 1)  # each stratum's rows begin at d = 1
+    starts = (core.d == 1).nonzero()[0]  # each stratum's rows begin at d = 1
     phi = np.add.reduceat(core.sign * (core.g // core.d), starts).astype(np.float64)
-    g, last = core.g[starts].astype(np.float64), np.searchsorted(starts, core.k) - 1
+    g, last = core.g[starts].astype(np.float64), starts.searchsorted(core.k) - 1
     pair = np.empty(int(core.k.sum()), dtype=np.int32)
     lo, blocks, at = _EndPoints(len(pair)), [], 0
     for col, row, runs in ragged_blocks(core.k):
@@ -277,7 +277,7 @@ def _sparse_sums(core: BlowupColumns) -> Callable[[float], Tuple[np.ndarray, np.
         pair[block] = offset[col] + rank[key[row]]
         lo.put((col + 1) * (core.g[row] // core.d[row]), block)
         # every column reads the row g = 1, so no run is empty
-        blocks.append((block, slice(col[0], col[-1] + 1), np.cumsum(runs) - runs))
+        blocks.append((block, slice(col[0], col[-1] + 1), runs.cumsum() - runs))
 
     def sums(s1: float) -> Tuple[np.ndarray, np.ndarray]:
         P, w = _PowerSum(s1), mu * d**-s1
@@ -288,7 +288,7 @@ def _sparse_sums(core: BlowupColumns) -> Callable[[float], Tuple[np.ndarray, np.
             diff += tail_hi[j] - P.tail(lo, block)
             diff *= w[j]
             tail[columns] += np.add.reduceat(diff, runs)
-        Phi = np.cumsum(phi * g**-s1, dtype=np.longdouble)[last]
+        Phi = (phi * g**-s1).cumsum(dtype=np.longdouble)[last]
         return Phi.astype(np.float64), tail
 
     return sums
@@ -316,7 +316,7 @@ def _every_g_sums(core: BlowupColumns, s1: float) -> Tuple[np.ndarray, np.ndarra
         terms -= H * Q[X]
         terms *= w
         # every column reads the row g = 1, so no run is empty
-        starts = np.cumsum(runs) - runs
+        starts = runs.cumsum() - runs
         columns = slice(col[0], col[-1] + 1)
         phi_sum[columns] += np.add.reduceat(phi, starts)
         tail[columns] += np.add.reduceat(terms, starts)
@@ -342,10 +342,10 @@ class _RowSums:
         kept = first_run if self.kept == first else 0  # entries read from self.R
         lo = first + (kept > 0)  # the first column built here
         G = self.G[lo : last + 1]
-        offset = np.cumsum(G) - G
+        offset = G.cumsum() - G
         buffer = np.empty(int(G.sum()))
         for c, g, o in zip(range(lo + 1, last + 2), G.tolist(), offset.tolist()):
-            np.cumsum(self.Q[c : c * g + 1 : c], out=buffer[o : o + g])
+            self.Q[c : c * g + 1 : c].cumsum(out=buffer[o : o + g])
         out, at = np.empty(len(H)), H - 1
         if kept:
             np.take(self.R, at[:kept], out=out[:kept])

@@ -892,6 +892,47 @@ def test_config_before_the_subcommand_exits_2(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("form", [("--conf", "{cfg}"), ("--config={cfg}",),
+                                  ("--co={cfg}",), ("--c", "{cfg}")])
+def test_config_abbreviated_or_joined_reads_the_file(tmp_path, capsys, form):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m=2\nmode=darmon\ngrid=10,100\n")
+    typed = run(capsys, "count", "--model", "p1", "--m", "2", "--mode", "darmon",
+                "--grid", "10,100")
+    assert typed[0] == 0 and typed[1].splitlines()[1:] == ["10,,,45", "100,,,1247"]
+    argv = [a.format(cfg=cfg) for a in form]
+    assert run(capsys, "count", "--model", "p1", *argv) == typed
+    assert run(capsys, "count", *argv, "--model", "p1") == typed
+
+
+def test_argv_without_a_config_token_skips_the_finder(tmp_path, capsys, monkeypatch):
+    # argparse can read --config only from a token that starts with "--c";
+    # any other argv is parsed once, as typed
+    seen = []
+    real = cli._CONFIG_FINDER.parse_known_args
+
+    def spy(argv):
+        seen.append(list(argv))
+        return real(argv)
+
+    monkeypatch.setattr(cli._CONFIG_FINDER, "parse_known_args", spy)
+    for argv in (["count", "--model", "p1", "--m", "2", "--grid", "10"],
+                 ["count", "--model", "blowup", "--grid", "10", "--format", "json"],
+                 ["zeta", "--m", "2", "--s", "2.5", "--bound", "100"],
+                 ["classify", "--model", "p1", "--m", "2", "3/4"]):
+        assert run(capsys, *argv)[0] == 0
+    assert seen == []
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid=10\n")
+    for argv in (["count", "--conf", str(cfg)], ["count", "--config=" + str(cfg)]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.splitlines()[1] == "10,127,127,127"
+    assert seen == [["count", "--conf", str(cfg)], ["count", "--config=" + str(cfg)]]
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "count"])
+    assert exc.value.code == 2 and len(seen) == 3
+
+
 def test_config_line_without_equals_exits_2(tmp_path, capsys):
     code, out, err = run_config(tmp_path, capsys, "grid\n", "count")
     assert code == 2 and out == ""

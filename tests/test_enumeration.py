@@ -694,16 +694,55 @@ def test_moebius_dots_equal_the_cell_walk_property(
 def test_block_ends_change_no_blowup_count(weights, monkeypatch):
     # blocks of 1, 7 and 64 (column, row) entries cut the columns at many
     # places; for (2, 3), B^6 passes int64 from B = 1500 on, so the column
-    # roots take the object route, in blocks of _BLOCK columns too
+    # roots take the object route, in blocks of _BLOCK columns too.  A grid
+    # of 2-4 bounds (below 1 and fractional ones too) sums its bounds'
+    # columns in one pass, so there a block spans two bounds' columns, and
+    # (2, 3) mixes the int64 and object roots in one grid
     m1, m2 = weights
     cases = [(S, B, mode) for S in (S0, S2, S23) for mode in ("rational", "campana", "darmon")
              for B in (1, 10, Fraction(121, 2), 300, 3000)]
     expected = [count_points(blowup_p2(m1, m2), S, B, mode) for S, B, mode in cases]
     assert expected == [_cell_walk_count(m1, m2, S, B, mode) for S, B, mode in cases]
+    alone = {(S.finite_primes, B, mode): n for (S, B, mode), n in zip(cases, expected)}
+    grids = [(Fraction(1, 2), 10), (1, Fraction(121, 2), 3000),
+             (Fraction(2, 3), 10, 300, 3000), (10, Fraction(121, 2), 300)]
     for block in (1, 7, 64):
         monkeypatch.setattr(enumeration, "_BLOCK", block)
         got = [count_points(blowup_p2(m1, m2), S, B, mode) for S, B, mode in cases]
         assert got == expected, block
+        for S in (S0, S2, S23):
+            for grid in grids:
+                want = [{md: alone.get((S.finite_primes, B, md), 0) for md in MODES}
+                        for B in grid]
+                records = count_series(blowup_p2(m1, m2), S, grid, "all")
+                assert [r.counts for r in records] == want, (block, S, grid)
+
+
+@pytest.mark.parametrize("m1, m2, grid, roots, passes", [
+    (1, 1, [Fraction(1, 2), 10, Fraction(121, 2), 10**4, 10**6], ["int64"], 1),
+    (1, 2, [10, 300, 10**4], ["int64"], 1),  # three modes, one row progression
+    (2, 1, [Fraction(7, 2), 100, 10**4, 10**5], ["int64"], 3),
+    (2, 3, [10, 100, 3000], ["int64", "object"], 3),  # 3000^6 passes int64
+])
+def test_blowup_grid_roots_and_sums_once_per_grid(m1, m2, grid, roots, passes, monkeypatch):
+    # mode "all": every bound's columns come from one int64 root call (the
+    # bounds whose B^(m1 m2) passes int64 from one object call per _BLOCK
+    # columns), and each distinct row progression makes one entry pass
+    # over every bound's columns, not one per bound
+    calls = {"_kth_roots": [], "ragged_blocks": []}
+    for name, seen in calls.items():
+        real = getattr(enumeration, name)
+
+        def recording(*args, real=real, seen=seen):
+            seen.append(str(args[0].dtype))
+            return real(*args)
+
+        monkeypatch.setattr(enumeration, name, recording)
+    records = count_series(blowup_p2(m1, m2), S2, grid, "all")
+    assert sorted(calls["_kth_roots"]) == roots
+    assert len(calls["ragged_blocks"]) == passes
+    for rec, B in zip(records, grid):
+        assert rec.counts == {md: count_points(blowup_p2(m1, m2), S2, B, md) for md in MODES}
 
 
 @pytest.mark.parametrize(
